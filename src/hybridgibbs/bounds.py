@@ -39,7 +39,7 @@ from .gibbs import (
     inner_block_kernel,
 )
 from .report import fingerprint_bytes, make_report
-from .slicemodel import SliceModel, level_kernel_norms, slice_exact, slice_hybrid
+from .slicemodel import SliceModel, level_summaries, slice_exact, slice_hybrid
 from .space import conditional, marginal, selection_probs
 from .spectral import (
     _sym_eigs,
@@ -168,9 +168,15 @@ class NormProfile:
         object.__setattr__(self, "values", v)
 
 
+def _level_profile(summaries):
+    """Exact per-level profile from the level kernels' spectral summaries."""
+    values = [s.operator_norm for s in summaries]
+    return NormProfile(values=values, kind="per_level", derivation="exact")
+
+
 def _exact_inner_norms(source, spec=None):
     if isinstance(source, SliceModel):
-        return level_kernel_norms(source), "per_level"
+        return np.array([s.operator_norm for s in level_summaries(source)]), "per_level"
     if spec is None:
         raise InvalidSpec("an approximator spec is required for joint models")
     d2 = source.space.sizes[1]
@@ -238,11 +244,13 @@ def _power_bound(source, profile, t, power):
     if isinstance(source, SliceModel):
         if profile.kind != "per_level":
             raise InvalidSpec("slice models need a per-level profile")
-        worst = 0.0
-        for y in range(source.n):
-            lengths = source.interval_lengths(y)
-            avg = float(lengths @ g) / float(source.density[y])
-            worst = max(worst, avg)
+        if g.shape != source.levels.shape:
+            raise InvalidSpec(f"profile has length {g.size}, expected {source.nlevels}")
+        # y lies in G_1..G_k where density(y) = v_k, and its height interval
+        # covers each of their level intervals whole: a prefix sum over levels.
+        prefix = np.cumsum(np.diff(source.levels, prepend=0.0) * g)
+        top = np.searchsorted(source.levels, source.density)
+        worst = float(np.max(prefix[top] / source.density))
     else:
         if profile.kind != "per_z":
             raise InvalidSpec("two-block joints need a per-z profile")
@@ -477,10 +485,11 @@ def check_variance_sandwich(
 def _da_kernels(source, spec):
     """Exact and hybrid marginal chains plus inner-kernel psd flags."""
     if isinstance(source, SliceModel):
+        summaries = level_summaries(source)
         S = slice_exact(source)
         Sh = slice_hybrid(source)
-        profile = exact_norm_profile(source)
-        psd_flags = _slice_psd_flags(source)
+        profile = _level_profile(summaries)
+        psd_flags = [s.psd for s in summaries]
     else:
         if spec is None:
             raise InvalidSpec("an approximator spec is required for joint models")
@@ -490,22 +499,6 @@ def _da_kernels(source, spec):
         qual = approx_quality(source, spec, coords=(0,))
         psd_flags = [e["psd"] for e in qual.per_conditional.values()]
     return S, Sh, profile, psd_flags
-
-
-def _slice_psd_flags(model):
-    from .approximators import RULE_TYPES, kernel_for_target
-    from .spectral import ProbVec, check_reversibility
-
-    flags = []
-    for members, entry in zip(model.level_sets, model.level_kernels):
-        uniform = ProbVec(np.full(members.size, 1.0))
-        if isinstance(entry, RULE_TYPES):
-            Q = kernel_for_target(uniform, entry)
-        else:
-            Q = np.asarray(entry, dtype=float)
-        pair = check_reversibility(Q, uniform)
-        flags.append(spectral_summary(pair).psd)
-    return flags
 
 
 def check_da_gap_sandwich(joint, spec, tol=DEFAULT_TOL, fingerprint=""):
@@ -896,18 +889,18 @@ def check_slice_tstep(model, t, tol=DEFAULT_TOL, fingerprint="", profile=None):
     if t < 1:
         raise ValueError("t must be a positive integer")
     fingerprint = fingerprint or model_fingerprint(model)
-    S = slice_exact(model)
-    Sh = slice_hybrid(model)
-    psd_flags = _slice_psd_flags(model)
-    all_psd = all(psd_flags)
+    summaries = level_summaries(model)
+    all_psd = all(s.psd for s in summaries)
     if t % 2 == 1 and not all_psd:
         raise PreconditionUnmet("odd t needs every per-level kernel psd")
-    profile = profile if profile is not None else exact_norm_profile(model)
+    S = slice_exact(model)
+    Sh = slice_hybrid(model)
+    profile = profile if profile is not None else _level_profile(summaries)
     a_t = mean_power_bound(model, profile, t)
     b_t = rms_power_bound(model, profile, t)
     gap_exact = spectral_summary(S).gap
     gap_hybrid = spectral_summary(Sh).gap
-    worst_norm = float(level_kernel_norms(model).max())
+    worst_norm = max(s.operator_norm for s in summaries)
     upper = gap_exact if all_psd else (1.0 + worst_norm) * gap_exact
     return [
         make_report(

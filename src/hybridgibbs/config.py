@@ -261,6 +261,7 @@ def canonicalize(data):
     out = dict(_DEFAULTS)
     out.update(data)
     out["model"] = dict(data["model"])
+    out["approximator"] = {**_DEFAULTS["approximator"], **out["approximator"]}
     _semantic_checks(out)
     canon = json.loads(json.dumps(out, sort_keys=True))
     return ModelConfig(data=canon, fingerprint=fingerprint_json(canon))
@@ -294,6 +295,13 @@ def _semantic_checks(out):
                     f"expected {nlevels} level kernels (one per distinct density "
                     f"value), got {len(m['level_kernels'])}"
                 )
+            for k, rule in enumerate(m["level_kernels"]):
+                # Explicit tables are keyed "i;y", which cannot name a level.
+                if rule["rule"] == "explicit":
+                    raise SchemaError(
+                        f"at model/level_kernels/{k}: the explicit rule cannot name a "
+                        "slice level; pass level matrices through the Python API"
+                    )
     elif kind == "random":
         _require(m, "sizes", "random models")
         _require(m, "seed", "random models")

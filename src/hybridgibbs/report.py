@@ -40,7 +40,7 @@ class BoundReport:
             "lhs": float(self.lhs),
             "rhs": float(self.rhs),
             "slack": float(self.slack),
-            "pass": bool(self.slack >= -self.tol),
+            "pass": self.passed,
             "status": self.status,
             "tol": float(self.tol),
             "witness": self.witness,

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .approximators import RULE_TYPES, kernel_for_target
-from .errors import MissingLevelKernel, NonPositiveWeight
-from .spectral import ProbVec, check_reversibility
+from .errors import MissingLevelKernel, NonPositiveWeight, SpaceTooLarge
+from .space import state_cap
+from .spectral import ProbVec, check_reversibility, spectral_summary
 
 _BUILD_TOL = 1e-10
 
@@ -34,7 +35,9 @@ class SliceModel:
     ``level_kernels``, when given, holds one entry per level (ordered from the
     lowest level interval up): either an approximator rule applied to the
     uniform distribution on that level set, or an explicit matrix over the
-    level set's points.
+    level set's points.  An ``ExplicitMatrix`` rule is looked up under the key
+    ("level", k) for the k-th entry, counted from 0.  Models with more points
+    than ``state_cap()`` raise SpaceTooLarge.
     """
 
     density: np.ndarray
@@ -46,6 +49,9 @@ class SliceModel:
         m = np.array(self.density, dtype=np.float64)
         if m.ndim != 1 or m.size == 0:
             raise NonPositiveWeight("density must be a nonempty 1-d vector")
+        cap = state_cap()
+        if m.size > cap:
+            raise SpaceTooLarge(f"{m.size} points exceed the cap of {cap}")
         if not np.all(np.isfinite(m)) or np.any(m <= 0.0):
             raise NonPositiveWeight("density must be strictly positive and finite")
         m.flags.writeable = False
@@ -78,17 +84,13 @@ class SliceModel:
         """The stationary distribution: the density, normalized."""
         return ProbVec(self.density)
 
-    def interval_lengths(self, y):
-        """Overlap of each level interval (v_{k-1}, v_k] with (0, density(y))."""
-        v = self.levels
-        lo = np.concatenate(([0.0], v[:-1]))
-        return np.clip(np.minimum(v, self.density[y]) - lo, 0.0, None)
 
+def _level_pairs(model):
+    """Yield each level's kernel, verified reversible against uniform on G_k.
 
-def _level_matrices(model):
-    """Full-space kernels per level: the provided kernel on G_k, identity off it."""
-    n = model.n
-    out = []
+    The only place a level kernel is built: rules get the key ("level", k),
+    raw matrices must be |G_k| x |G_k|, and one kernel is held at a time.
+    """
     if model.level_kernels is None:
         raise MissingLevelKernel("this slice model has no per-level kernels")
     for k, (members, entry) in enumerate(zip(model.level_sets, model.level_kernels)):
@@ -102,12 +104,23 @@ def _level_matrices(model):
                     f"level {k + 1} kernel has shape {Q.shape}, expected "
                     f"{(members.size, members.size)}"
                 )
-        # Reversibility against the uniform distribution on the level set.
-        check_reversibility(Q, uniform, tol=_BUILD_TOL)
-        full = np.eye(n)
-        full[np.ix_(members, members)] = Q
-        out.append(full)
-    return out
+        yield check_reversibility(Q, uniform, tol=_BUILD_TOL)
+
+
+def _slice_chain(model, level_moves):
+    """S = D^{-1} sum_k (v_k - v_{k-1}) embed_{G_k}(Q_k), verified reversible.
+
+    The height drawn at y covers all of (v_{k-1}, v_k] when y is in G_k and
+    none of it otherwise, so level k adds its length-weighted move on the block
+    G_k x G_k.  ``level_moves`` yields Q_k in ascending k, as a |G_k| x |G_k|
+    matrix or a scalar; memory is O(n^2) whatever the number of levels.
+    """
+    S = np.zeros((model.n, model.n))
+    lengths = np.diff(model.levels, prepend=0.0)
+    for members, length, move in zip(model.level_sets, lengths, level_moves):
+        S[np.ix_(members, members)] += length * move
+    S /= model.density[:, None]
+    return check_reversibility(S, model.target(), tol=_BUILD_TOL)
 
 
 def slice_exact(model):
@@ -117,52 +130,15 @@ def slice_exact(model):
     landing in level interval k the next state is uniform on G_k, so the row
     is the length-weighted mixture of uniform laws on the nested level sets.
     """
-    n = model.n
-    S = np.zeros((n, n))
-    uniforms = []
-    for members in model.level_sets:
-        u = np.zeros(n)
-        u[members] = 1.0 / members.size
-        uniforms.append(u)
-    for y in range(n):
-        lengths = model.interval_lengths(y)
-        row = np.zeros(n)
-        for k in range(model.nlevels):
-            if lengths[k] > 0.0:
-                row += lengths[k] * uniforms[k]
-        S[y] = row / model.density[y]
-    return check_reversibility(S, model.target(), tol=_BUILD_TOL)
+    return _slice_chain(model, (1.0 / members.size for members in model.level_sets))
 
 
 def slice_hybrid(model):
-    """Hybrid slice kernel: the uniform redraw on each level set is replaced
-    by one step of that level's kernel (extended by the identity off the set)."""
-    mats = _level_matrices(model)
-    n = model.n
-    S = np.zeros((n, n))
-    for y in range(n):
-        lengths = model.interval_lengths(y)
-        row = np.zeros(n)
-        for k in range(model.nlevels):
-            if lengths[k] > 0.0:
-                row += lengths[k] * mats[k][y]
-        S[y] = row / model.density[y]
-    return check_reversibility(S, model.target(), tol=_BUILD_TOL)
+    """Hybrid slice kernel: the uniform redraw on each level set G_k is
+    replaced by one step of that level's kernel on G_k."""
+    return _slice_chain(model, (pair.kernel.matrix for pair in _level_pairs(model)))
 
 
-def level_kernel_norms(model):
-    """Operator norm of each per-level kernel against uniform on its level set."""
-    from .spectral import spectral_summary
-
-    norms = []
-    if model.level_kernels is None:
-        raise MissingLevelKernel("this slice model has no per-level kernels")
-    for members, entry in zip(model.level_sets, model.level_kernels):
-        uniform = ProbVec(np.full(members.size, 1.0))
-        if isinstance(entry, RULE_TYPES):
-            Q = kernel_for_target(uniform, entry)
-        else:
-            Q = np.asarray(entry, dtype=float)
-        pair = check_reversibility(Q, uniform, tol=_BUILD_TOL)
-        norms.append(spectral_summary(pair).operator_norm)
-    return np.asarray(norms)
+def level_summaries(model):
+    """Spectral summary of each per-level kernel against uniform on its level set."""
+    return [spectral_summary(pair) for pair in _level_pairs(model)]

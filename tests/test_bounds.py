@@ -7,6 +7,7 @@ from hybridgibbs import (
     ApproximatorSpec,
     Exact,
     Lazy,
+    NormProfile,
     SliceModel,
     approx_quality,
     check_block_comparison,
@@ -138,6 +139,8 @@ class TestPowerBounds:
         for t in (1, 2, 3, 6):
             expected = max(g1**t, (g1**t + g2**t) / 2)
             assert mean_power_bound(model, prof, t) == pytest.approx(expected, rel=1e-12)
+        with pytest.raises(InvalidSpec, match="expected 2"):
+            mean_power_bound(model, NormProfile([g1], "per_level", "exact"), 2)
 
     def test_alpha_nonincreasing_and_vanishing(self):
         model = SliceModel(density=np.array([2.0, 1.0]))
@@ -413,6 +416,24 @@ class TestSliceTstep:
         with pytest.raises(PreconditionUnmet):
             check_slice_tstep(model, t=3)
         assert all_pass(check_slice_tstep(model, t=2))
+
+    def test_each_level_kernel_decomposed_once(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(np.shape(a)[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        model = SliceModel(np.array([3.0, 1.0, 2.0, 3.0]), (Lazy(0.35),) * 3)
+        # One solve per level (sizes 4, 3, 2) plus the exact and hybrid chains.
+        check_slice_tstep(model, t=2)
+        assert sorted(calls) == [2, 3, 4, 4, 4]
+        calls.clear()
+        # The DA t-step check also decomposes the hybrid chain for its battery.
+        check_da_tstep(model, t=2)
+        assert sorted(calls) == [2, 3, 4, 4, 4, 4]
 
 
 class TestHundredModelSweeps:

@@ -55,6 +55,28 @@ class TestConfig:
                 }
             )
 
+    def test_slice_explicit_level_kernel_rejected(self):
+        with pytest.raises(SchemaError, match="level_kernels/1"):
+            canonicalize(
+                {
+                    "model": {
+                        "kind": "slice",
+                        "density": [2.0, 1.0],
+                        "level_kernels": [{"rule": "exact"}, {"rule": "explicit"}],
+                    }
+                }
+            )
+
+    def test_partial_approximator_gets_nested_defaults(self):
+        lazy = {"rule": "lazy", "epsilon": 0.3}
+        for partial, full in (
+            ({"default": lazy}, {"default": lazy, "overrides": {}}),
+            ({}, {"default": {"rule": "exact"}, "overrides": {}}),
+        ):
+            cfg = canonicalize({**MINIMAL, "approximator": partial})
+            assert cfg.fingerprint == canonicalize({**MINIMAL, "approximator": full}).fingerprint
+            assert run_suite(cfg).exit_status() == 0
+
     def test_parse_error_reports_line(self):
         with pytest.raises(ParseError, match="line"):
             parse_config_text("{\n  broken\n}")
@@ -291,3 +313,4 @@ class TestExitStatusMapping:
             versions={},
         )
         assert report.exit_status() == 0
+        assert unmet.to_dict()["pass"] is True

@@ -10,6 +10,7 @@ from hybridgibbs import (
     ProbVec,
     ProductSpace,
     SelectionProbs,
+    SliceModel,
     conditional,
     conditional_joint,
     joint_from_weights,
@@ -58,6 +59,9 @@ class TestCodec:
         with pytest.raises(SpaceTooLarge):
             ProductSpace((4, 4))
         ProductSpace((3, 3))
+        with pytest.raises(SpaceTooLarge):
+            SliceModel(np.arange(1.0, 12.0))
+        SliceModel(np.arange(1.0, 11.0))
 
     def test_subspace_indices_order(self):
         sp = ProductSpace((2, 3))
