@@ -38,7 +38,6 @@ from .gibbs import (
     block_random_scan,
     da_exact,
     da_hybrid,
-    da_hybrid_tstep,
     exact_random_scan,
     hybrid_random_scan,
     inner_block_kernel,
@@ -51,7 +50,6 @@ from .simulate import (
     cross_validate_variance,
     mixing_curve,
     simulate,
-    stepper_backend,
     write_trajectory,
 )
 from .slicemodel import SliceModel, slice_exact, slice_hybrid

@@ -1,9 +1,8 @@
-"""Pure-Python fallback for the trajectory stepper.
+"""The trajectory stepper: per-row inverse-CDF sampling from a uniform stream.
 
-Semantics must match the compiled extension bit for bit: the next state is
-the smallest column j with cum[state, j] > u, clamped to the last column.
-``bisect_right`` on plain lists returns exactly that index and avoids numpy
-call overhead in the sequential loop.
+The next state is the smallest column j with cum[state, j] > u, clamped to
+the last column. ``bisect_right`` on plain lists returns exactly that index
+and avoids numpy call overhead in the sequential loop.
 """
 
 from bisect import bisect_right

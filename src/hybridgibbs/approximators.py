@@ -74,7 +74,13 @@ class ExplicitMatrix:
     tables: dict
 
     def describe(self):
-        return {"rule": "explicit", "n_tables": len(self.tables)}
+        """The full tables, keyed "i;y1,y2,..." as in config files; a slice
+        level key ("level", k) becomes "level;k"."""
+        tables = {}
+        for (i, y), matrix in sorted(self.tables.items()):
+            ys = y if isinstance(y, tuple) else (y,)
+            tables[f"{i};{','.join(str(v) for v in ys)}"] = np.asarray(matrix, dtype=float).tolist()
+        return {"rule": "explicit", "tables": tables}
 
 
 RULE_TYPES = (Exact, Lazy, MetropolisRW, MetropolisIndep, ExplicitMatrix)

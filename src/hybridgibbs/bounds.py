@@ -45,6 +45,7 @@ from .spectral import (
     _sym_eigs,
     dirichlet_ratio_extrema,
     spectral_summary,
+    variances,
 )
 
 DEFAULT_TOL = 1e-9
@@ -314,23 +315,6 @@ def quadratic_forms(rev, F):
 def dirichlet_forms(rev, F):
     quad, norms = quadratic_forms(rev, F)
     return norms - quad
-
-
-def variances(rev, F):
-    """Asymptotic variance of every battery column, via one eigendecomposition."""
-    keep, _dropped, ws, d, vals, vecs, k0, _asym = _sym_eigs(rev)
-    rest = np.delete(vals, k0)
-    norm = float(np.abs(rest).max()) if rest.size else 0.0
-    if norm >= 1.0 - 1e-12:
-        raise NoSpectralGap(f"operator norm {norm:.12f} leaves no spectral gap")
-    Fk = F[keep]
-    Fk = Fk - ws @ Fk
-    coef = vecs.T @ (d[:, None] * Fk)
-    coef[k0, :] = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = (1.0 + vals) / (1.0 - vals)
-    ratios[k0] = 0.0
-    return ratios @ (coef * coef)
 
 
 def _worst(slack):

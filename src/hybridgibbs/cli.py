@@ -21,7 +21,7 @@ from .config import canonicalize, parse_config, serialize
 from .demos import demo_config, list_demos
 from .errors import HybridGibbsError
 from .gibbs import exact_random_scan, hybrid_random_scan
-from .simulate import cross_validate_variance, simulate, stepper_backend, write_trajectory
+from .simulate import cross_validate_variance, simulate, write_trajectory
 from .slicemodel import slice_exact, slice_hybrid
 from .spectral import spectral_summary
 from .suite import run_suite
@@ -145,7 +145,6 @@ def _cmd_simulate(args):
         "kernel": args.kernel,
         "spectral": spectral_summary(rev).to_dict(),
         "report": report.to_dict(),
-        "stepper_backend": stepper_backend(),
     }
     sys.stdout.write(json.dumps(out, sort_keys=True, indent=2) + "\n")
     return 0 if report.status != "fail" else 1

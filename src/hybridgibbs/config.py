@@ -163,10 +163,6 @@ class ModelConfig:
     def trials(self):
         return int(self.data["trials"])
 
-    def suites(self):
-        s = self.data["suite"]
-        return list(SUITES) if s == "all" else list(s)
-
     def build_joint(self):
         m = self.data["model"]
         kind = m["kind"]
@@ -200,7 +196,8 @@ class ModelConfig:
         return ApproximatorSpec(default=default, overrides=overrides)
 
 
-def rule_from_json(obj):
+def rule_from_json(obj, path="rule"):
+    """Build a rule from its JSON object; ``path`` locates it in error messages."""
     kind = obj["rule"]
     if kind == "exact":
         return Exact()
@@ -214,23 +211,25 @@ def rule_from_json(obj):
     if kind == "explicit":
         tables = {}
         for key, matrix in obj.get("tables", {}).items():
-            i_str, y_str = key.split(";")
-            y = tuple(int(v) for v in y_str.split(",")) if y_str else ()
-            tables[(int(i_str), y)] = np.asarray(matrix, dtype=float)
+            entry_path = f"{path}/tables/{key}"
+            try:
+                matrix = np.asarray(matrix, dtype=float)
+            except ValueError:
+                raise SchemaError(f"at {entry_path}: table rows differ in length") from None
+            tables[_table_key(key, entry_path)] = matrix
         return ExplicitMatrix(tables)
     raise SchemaError(f"unknown approximator rule {kind!r}")
 
 
-def rule_to_json(rule):
-    return rule.describe() if not isinstance(rule, ExplicitMatrix) else _explicit_to_json(rule)
-
-
-def _explicit_to_json(rule):
-    tables = {}
-    for (i, y), matrix in sorted(rule.tables.items()):
-        key = f"{i};{','.join(str(v) for v in y)}"
-        tables[key] = np.asarray(matrix, dtype=float).tolist()
-    return {"rule": "explicit", "tables": tables}
+def _table_key(key, path):
+    """(i, y) from an explicit table key "i;y1,y2,..."."""
+    try:
+        i_str, y_str = key.split(";")
+        return int(i_str), tuple(int(v) for v in y_str.split(",")) if y_str else ()
+    except ValueError:
+        raise SchemaError(
+            f"at {path}: an explicit table key must read 'i;y1,y2,...' with integer entries"
+        ) from None
 
 
 def parse_config(path):
@@ -263,6 +262,7 @@ def canonicalize(data):
     out["model"] = dict(data["model"])
     out["approximator"] = {**_DEFAULTS["approximator"], **out["approximator"]}
     _semantic_checks(out)
+    _canonical_rules(out)
     canon = json.loads(json.dumps(out, sort_keys=True))
     return ModelConfig(data=canon, fingerprint=fingerprint_json(canon))
 
@@ -324,6 +324,23 @@ def _semantic_checks(out):
             raise SchemaError(f"override coordinate {c!r} is not an integer")
         if ncoords is not None and not 0 <= ci < ncoords:
             raise SchemaError(f"override coordinate {ci} out of range for {ncoords} coordinates")
+
+
+def _canonical_rules(out):
+    """Respell every rule as its rule's ``describe()``, with the rule's own
+    defaults filled in, so equivalent spellings share one fingerprint."""
+    a = out["approximator"]
+    a["default"] = rule_from_json(a["default"], "approximator/default").describe()
+    a["overrides"] = {
+        c: rule_from_json(r, f"approximator/overrides/{c}").describe()
+        for c, r in a["overrides"].items()
+    }
+    m = out["model"]
+    if "level_kernels" in m:
+        m["level_kernels"] = [
+            rule_from_json(r, f"model/level_kernels/{k}").describe()
+            for k, r in enumerate(m["level_kernels"])
+        ]
 
 
 def _ncoords(model):

@@ -159,9 +159,3 @@ def da_hybrid(joint, spec, t=1):
             S[y] = 0.0
             S[y, y] = 1.0
     return check_reversibility(S, m1, tol=_BUILD_TOL)
-
-
-def da_hybrid_tstep(joint, spec, t):
-    """Hybrid marginal kernel with the inner kernel raised to the t-th power
-    inside the mixture; with t = 1 this is exactly ``da_hybrid``."""
-    return da_hybrid(joint, spec, t=t)

@@ -3,14 +3,15 @@
 Random numbers come from numpy's Philox generator, a named, seedable,
 counter-based generator with cheap stream splitting (``Generator.spawn`` /
 ``Philox.jumped``): identical (seed, kernel, start) triples reproduce
-trajectories bit-exactly across runs and across the compiled/pure stepper
-backends, since both consume the same pre-drawn uniform stream.
+trajectories bit-exactly across runs, since the stepper consumes a uniform
+stream drawn up front.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _stepper_py
 from .errors import (
     CrossCheckFailure,
     DimensionMismatch,
@@ -26,22 +27,6 @@ from .spectral import (
     asymptotic_variance,
     spectral_summary,
 )
-
-try:  # pragma: no cover - exercised indirectly via backend tests
-    from . import _stepper as _stepper_impl
-
-    COMPILED_STEPPER = True
-except ImportError:  # pragma: no cover
-    from . import _stepper_py as _stepper_impl
-
-    COMPILED_STEPPER = False
-
-from . import _stepper_py
-
-
-def stepper_backend():
-    """Name of the inner-loop implementation selected at import time."""
-    return "compiled" if COMPILED_STEPPER else "pure-python"
 
 
 def kernel_fingerprint(rev):
@@ -72,13 +57,12 @@ class VarianceEstimate:
     batches: int
 
 
-def simulate(rev, start, steps, seed, backend=None):
+def simulate(rev, start, steps, seed):
     """Simulate ``steps`` transitions by per-row inverse-CDF sampling.
 
     ``start`` is a state index or a distribution (ProbVec / weight vector) to
-    draw the initial state from; drawing consumes one uniform before the
-    transition stream so the start choice never shifts later draws relative
-    to an integer start.
+    draw the initial state from; drawing it takes the first uniform of the
+    stream, so the transitions then use the uniforms after it.
     """
     steps = int(steps)
     if steps < 1:
@@ -104,21 +88,8 @@ def simulate(rev, start, steps, seed, backend=None):
         s0 = int(min(np.searchsorted(cdf, u0, side="right"), n - 1))
     uniforms = rng.random(steps)
     cumulative = np.ascontiguousarray(np.cumsum(rev.kernel.matrix, axis=1))
-    impl = _resolve_backend(backend)
-    states = impl.walk(cumulative, uniforms, s0)
+    states = _stepper_py.walk(cumulative, uniforms, s0)
     return Trajectory(states=states, seed=int(seed), fingerprint=kernel_fingerprint(rev))
-
-
-def _resolve_backend(backend):
-    if backend in (None, "auto"):
-        return _stepper_impl
-    if backend == "pure-python":
-        return _stepper_py
-    if backend == "compiled":
-        if not COMPILED_STEPPER:
-            raise RuntimeError("the compiled stepper is not available")
-        return _stepper_impl
-    raise ValueError(f"unknown stepper backend {backend!r}")
 
 
 def batch_means_variance(traj, f, batch):
@@ -145,7 +116,7 @@ def batch_means_variance(traj, f, batch):
     return VarianceEstimate(estimate=est, standard_error=float(se), batch=batch, batches=nb)
 
 
-def cross_validate_variance(rev, f, steps, seed, batch=None, backend=None, fingerprint=""):
+def cross_validate_variance(rev, f, steps, seed, batch=None, fingerprint=""):
     """Compare the batch-means estimate against the exact asymptotic variance.
 
     Passes when the two agree within three standard errors.  The start state
@@ -155,7 +126,7 @@ def cross_validate_variance(rev, f, steps, seed, batch=None, backend=None, finge
     exact = asymptotic_variance(rev, v)
     if batch is None:
         batch = max(1, int(np.sqrt(int(steps))))
-    traj = simulate(rev, rev.stationary, steps, seed, backend=backend)
+    traj = simulate(rev, rev.stationary, steps, seed)
     est = batch_means_variance(traj, v, batch)
     return make_report(
         "simulation-cross-validation",

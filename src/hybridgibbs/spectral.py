@@ -366,27 +366,32 @@ def dirichlet_ratio_extrema(rev):
     return 1.0 - s.lambda_max, 1.0 - s.lambda_min
 
 
-def asymptotic_variance(rev, f):
-    """Asymptotic variance of time-averages of f along the chain.
+def variances(rev, F):
+    """Asymptotic variance of time-averages of every column of F.
 
-    Equals 2 <f0, (I-K)^{-1} f0> - |f0|^2 on the mean-zero part f0 of f,
-    evaluated on the eigenbasis of the symmetrized kernel.  Requires a
-    positive spectral gap.
+    Equals 2 <f0, (I-K)^{-1} f0> - |f0|^2 on the mean-zero part f0 of each
+    column, evaluated on the eigenbasis of the symmetrized kernel from one
+    eigendecomposition.  Requires a positive spectral gap.
     """
-    keep, dropped, ws, d, vals, vecs, k0, asym = _sym_eigs(rev)
+    keep, _dropped, ws, d, vals, vecs, k0, _asym = _sym_eigs(rev)
     rest = np.delete(vals, k0)
     norm = float(np.abs(rest).max()) if rest.size else 0.0
     if norm >= 1.0 - 1e-12:
         raise NoSpectralGap(f"operator norm {norm:.12f} leaves no spectral gap")
-    v = as_values(f, rev.n)[keep]
-    f0 = center(v, ws)
-    h = d * f0
-    coeff = vecs.T @ h
-    coeff[k0] = 0.0
+    Fk = F[keep]
+    Fk = Fk - ws @ Fk
+    coef = vecs.T @ (d[:, None] * Fk)
+    coef[k0, :] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = (1.0 + vals) / (1.0 - vals)
     ratios[k0] = 0.0
-    return float(np.sum(coeff * coeff * ratios))
+    return ratios @ (coef * coef)
+
+
+def asymptotic_variance(rev, f):
+    """Asymptotic variance of time-averages of f along the chain: the
+    one-column case of ``variances``."""
+    return float(variances(rev, as_values(f, rev.n)[:, None])[0])
 
 
 def t_step(kernel, t):

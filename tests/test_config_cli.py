@@ -2,8 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from hybridgibbs import ApproximatorSpec, ExplicitMatrix, product_joint
+from hybridgibbs.bounds import model_fingerprint
 from hybridgibbs.cli import main
 from hybridgibbs.config import canonicalize, parse_config_text, serialize
 from hybridgibbs.demos import demo_config, list_demos
@@ -124,6 +127,35 @@ class TestConfig:
         )
         spec = cfg.approximator_spec()
         assert (0, (1,)) in spec.default.tables
+
+    def test_explicit_tables_enter_fingerprint(self):
+        joint = product_joint([[0.5, 0.5], [0.5, 0.5]])
+        keys = [(i, (y,)) for i in range(2) for y in range(2)]
+        prints = {
+            model_fingerprint(joint, ApproximatorSpec(default=ExplicitMatrix({k: m for k in keys})))
+            for m in (np.eye(2), np.full((2, 2), 0.5))
+        }
+        assert len(prints) == 2
+
+    def test_rule_spellings_share_fingerprint(self):
+        for spellings in (
+            [{"rule": "lazy"}, {"rule": "lazy", "epsilon": 0.0}, {"rule": "lazy", "epsilon": 0}],
+            [{"rule": "metropolis_rw"}, {"rule": "metropolis_rw", "radius": 1}],
+            [{"rule": "metropolis_indep"}, {"rule": "metropolis_indep", "proposal": "uniform"}],
+        ):
+            prints = {
+                canonicalize(
+                    {**MINIMAL, "approximator": {"default": rule, "overrides": {"1": rule}}}
+                ).fingerprint
+                for rule in spellings
+            }
+            assert len(prints) == 1, spellings
+
+    def test_bad_explicit_table_entry(self):
+        for key, matrix in (("x", [[1.0]]), ("0;1", [[1.0, 0.0], [1.0]])):
+            bad = {"rule": "explicit", "tables": {key: matrix}}
+            with pytest.raises(SchemaError, match=f"approximator/default/tables/{key}:"):
+                canonicalize({**MINIMAL, "approximator": {"default": bad}})
 
 
 class TestDemos:

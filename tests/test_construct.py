@@ -16,7 +16,6 @@ from hybridgibbs import (
     block_random_scan,
     da_exact,
     da_hybrid,
-    da_hybrid_tstep,
     exact_random_scan,
     hybrid_random_scan,
     inner_block_kernel,
@@ -289,7 +288,7 @@ class TestDataAugmentation:
     def test_tstep_one_matches_hybrid(self):
         spec = random_lazy_spec(40, SKEWED)
         np.testing.assert_array_equal(
-            da_hybrid_tstep(SKEWED, spec, 1).kernel.matrix,
+            da_hybrid(SKEWED, spec, t=1).kernel.matrix,
             da_hybrid(SKEWED, spec).kernel.matrix,
         )
 
@@ -308,7 +307,7 @@ class TestDataAugmentation:
             cond = conditional(joint, 0, (z,)).weights
             inner = eps**2 * np.eye(3) + (1 - eps**2) * np.tile(cond, (3, 1))
             expected += fwd[:, z : z + 1] * inner
-        Sh2 = da_hybrid_tstep(joint, ApproximatorSpec(default=Lazy(eps)), 2)
+        Sh2 = da_hybrid(joint, ApproximatorSpec(default=Lazy(eps)), t=2)
         np.testing.assert_allclose(Sh2.kernel.matrix, expected, atol=1e-13)
 
     def test_tstep_reversible_any_spec(self):
@@ -316,7 +315,7 @@ class TestDataAugmentation:
 
         joint = random_joint(55, sizes=(4, 3))
         spec = random_mixed_spec(56, joint, coords=(0,))
-        Sh4 = da_hybrid_tstep(joint, spec, 4)
+        Sh4 = da_hybrid(joint, spec, t=4)
         assert Sh4.reversibility_defect <= 1e-10
 
 

@@ -9,7 +9,6 @@ from hybridgibbs import (
     cross_validate_variance,
     mixing_curve,
     simulate,
-    stepper_backend,
     write_trajectory,
 )
 from hybridgibbs.errors import (
@@ -17,11 +16,13 @@ from hybridgibbs.errors import (
     NotAbsolutelyContinuous,
     TooFewBatches,
 )
-from hybridgibbs.simulate import COMPILED_STEPPER
 
 TWO_STATE = check_reversibility([[0.7, 0.3], [0.3, 0.7]], [0.5, 0.5])
 SWAP = check_reversibility([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
 IDENTITY = check_reversibility(np.eye(3), [0.2, 0.3, 0.5])
+SKEWED = check_reversibility(
+    [[0.1, 0.3, 0.6], [0.2, 0.3, 0.5], [0.24, 0.3, 0.46]], [0.2, 0.3, 0.5]
+)
 
 
 class TestSimulate:
@@ -40,15 +41,15 @@ class TestSimulate:
         c = simulate(TWO_STATE, 0, 1000, seed=43)
         assert not np.array_equal(a.states, c.states)
 
-    def test_backends_agree_bit_exactly(self):
-        if not COMPILED_STEPPER:
-            pytest.skip("compiled stepper not built")
-        a = simulate(TWO_STATE, 0, 5000, seed=7, backend="compiled")
-        b = simulate(TWO_STATE, 0, 5000, seed=7, backend="pure-python")
-        np.testing.assert_array_equal(a.states, b.states)
-
-    def test_backend_name(self):
-        assert stepper_backend() in ("compiled", "pure-python")
+    def test_golden_trajectories(self):
+        # Pinned paths: any change to the Philox stream, the start draw or the
+        # inverse-CDF rule (smallest j with cum[state, j] > u) shows here.
+        assert simulate(SKEWED, 0, 19, seed=2027).states.tolist() == [
+            0, 2, 0, 1, 0, 2, 2, 0, 1, 0, 0, 1, 0, 1, 2, 1, 2, 1, 1, 0,
+        ]
+        assert simulate(SKEWED, SKEWED.stationary, 19, seed=2027).states.tolist() == [
+            1, 0, 1, 0, 2, 2, 0, 1, 0, 0, 1, 0, 1, 2, 1, 2, 1, 1, 0, 2,
+        ]
 
     def test_occupancy_matches_stationary(self):
         traj = simulate(TWO_STATE, 0, 100_000, seed=2)
