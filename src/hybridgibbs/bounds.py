@@ -1,9 +1,11 @@
 """Certification of the comparison inequalities between exact and hybrid chains.
 
-Every ``check_*`` function computes both sides of one family of inequalities
-exactly (dense spectra, exact Dirichlet forms, exact conditional averages) and
-returns a list of BoundReports, one per atomic inequality, each carrying the
-worst observed slack and a witness for where it occurred.
+Every check computes both sides of one family of inequalities exactly (dense
+spectra, exact Dirichlet forms, exact conditional averages) and returns a list
+of BoundReports, one per atomic inequality, each carrying the worst observed
+slack and a witness for where it occurred.  The checks are methods of an
+``Analysis``, which builds each kernel of a model once and decomposes it
+once; each standalone ``check_*`` function runs one on a fresh Analysis.
 
 Test-function batteries consist of the full eigenbasis of the relevant
 symmetrized kernel plus seeded random mean-zero vectors: the extremal
@@ -14,6 +16,7 @@ L2 of the stationary distribution so slacks are on a common scale.
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -44,6 +47,9 @@ from .space import conditional, marginal, selection_probs
 from .spectral import (
     _sym_eigs,
     dirichlet_ratio_extrema,
+    eigvals_summary,
+    forget_vectors,
+    memoize,
     spectral_summary,
     variances,
 )
@@ -133,6 +139,11 @@ def approx_quality(joint, spec, coords=None):
                     "psd": summ.psd,
                 }
             table[(i, y)] = entry
+    return _aggregate(table)
+
+
+def _aggregate(table):
+    """ApproxQuality over a per-conditional table."""
     if not table:
         raise InvalidSpec("no supported conditionals found")
     norms = [e["norm"] for e in table.values()]
@@ -169,34 +180,14 @@ class NormProfile:
         object.__setattr__(self, "values", v)
 
 
-def _level_profile(summaries):
-    """Exact per-level profile from the level kernels' spectral summaries."""
-    values = [s.operator_norm for s in summaries]
-    return NormProfile(values=values, kind="per_level", derivation="exact")
-
-
-def _exact_inner_norms(source, spec=None):
-    if isinstance(source, SliceModel):
-        return np.array([s.operator_norm for s in level_summaries(source)]), "per_level"
-    if spec is None:
-        raise InvalidSpec("an approximator spec is required for joint models")
-    d2 = source.space.sizes[1]
-    vals = np.zeros(d2)
-    qual = approx_quality(source, spec, coords=(0,))
-    for (_i, y), entry in qual.per_conditional.items():
-        vals[y[0]] = entry["norm"]
-    return vals, "per_z"
-
-
 def exact_norm_profile(source, spec=None):
     """Profile built from the exact per-kernel operator norms."""
-    vals, kind = _exact_inner_norms(source, spec)
-    return NormProfile(values=vals, kind=kind, derivation="exact")
+    return Analysis(source, spec=spec).inner_profile
 
 
 def dominating_norm_profile(source, values, spec=None):
     """User-supplied profile, validated to dominate the exact norms."""
-    exact_vals, kind = _exact_inner_norms(source, spec)
+    exact_vals, kind = Analysis(source, spec=spec).inner_norms()
     v = np.asarray(values, dtype=float)
     if v.shape != exact_vals.shape:
         raise InvalidSpec(
@@ -323,195 +314,693 @@ def _worst(slack):
 
 
 # ---------------------------------------------------------------------------
-# Random-scan checks
+# The shared analysis of one model
+# ---------------------------------------------------------------------------
+
+
+class Analysis:
+    """The kernels, decompositions and approximation quality that the checks
+    on one model read.
+
+    ``source`` is a joint distribution or a SliceModel; ``p`` and ``spec`` are
+    the random-scan selection probabilities and the approximator spec of a
+    joint.  The data-augmentation (DA) pair of a joint is its two-block
+    marginal chains, that of a slice model its slice chains.  Each kernel is
+    built on first use and memoized, so it is decomposed at most once, and
+    everything lives as long as this object.  ``run_suite`` builds one
+    Analysis per run; each standalone ``check_*`` builds its own and calls
+    the method of the same name.
+    """
+
+    def __init__(self, source, p=None, spec=None):
+        self.source = source
+        self.spec = spec
+        self.is_slice = isinstance(source, SliceModel)
+        if not self.is_slice:
+            self.sel = selection_probs(p, source.space.ncoords)
+        self._coord_quality = {}
+        self._blocks = {}
+        self._pairs = []
+
+    # -- kernels and their quality -------------------------------------------
+
+    @property
+    def scan_spec(self):
+        """The spec of the random-scan chains: Exact when none was given."""
+        return self.spec if self.spec is not None else EXACT_SPEC
+
+    def _da_spec(self):
+        if self.spec is None:
+            raise InvalidSpec("an approximator spec is required for joint models")
+        return self.spec
+
+    def _own(self, pair):
+        """Memoize a pair this analysis built, so that it is decomposed once."""
+        self._pairs.append(memoize(pair))
+        return pair
+
+    @cached_property
+    def T(self):
+        """The exact random-scan pair."""
+        return self._own(exact_random_scan(self.source, self.sel))
+
+    @cached_property
+    def Th(self):
+        """The hybrid random-scan pair."""
+        return self._own(hybrid_random_scan(self.source, self.sel, self.scan_spec))
+
+    def _coordinate_quality(self, i):
+        """ApproxQuality of coordinate ``i``'s conditionals, computed once."""
+        if i not in self._coord_quality:
+            self._coord_quality[i] = approx_quality(self.source, self.scan_spec, coords=(i,))
+        return self._coord_quality[i]
+
+    @cached_property
+    def quality(self):
+        """ApproxQuality over every coordinate, for the random-scan checks."""
+        table = {}
+        for i in range(self.source.space.ncoords):
+            table.update(self._coordinate_quality(i).per_conditional)
+        return _aggregate(table)
+
+    @cached_property
+    def da_quality(self):
+        """ApproxQuality of the first coordinate's conditionals: the inner
+        kernels of the DA chain of a joint."""
+        self._da_spec()
+        return self._coordinate_quality(0)
+
+    @cached_property
+    def levels(self):
+        """Spectral summary of each level kernel of a slice model."""
+        return level_summaries(self.source)
+
+    @cached_property
+    def S(self):
+        """The exact DA pair."""
+        if self.is_slice:
+            return self._own(slice_exact(self.source))
+        return self._own(da_exact(self.source))
+
+    @cached_property
+    def Sh(self):
+        """The hybrid DA pair."""
+        if self.is_slice:
+            return self._own(slice_hybrid(self.source))
+        return self._own(da_hybrid(self.source, self._da_spec()))
+
+    def inner_norms(self):
+        """Exact operator norms of the DA chain's inner kernels, with their
+        profile kind: per level of a slice model, per z of a joint."""
+        if self.is_slice:
+            return np.array([s.operator_norm for s in self.levels]), "per_level"
+        vals = np.zeros(self.source.space.sizes[1])
+        for (_i, y), entry in self.da_quality.per_conditional.items():
+            vals[y[0]] = entry["norm"]
+        return vals, "per_z"
+
+    @cached_property
+    def inner_profile(self):
+        """The exact norm profile of the DA chain's inner kernels."""
+        vals, kind = self.inner_norms()
+        return NormProfile(values=vals, kind=kind, derivation="exact")
+
+    def _inner_all_psd(self):
+        if self.is_slice:
+            return all(s.psd for s in self.levels)
+        return self.da_quality.all_psd
+
+    def block(self, ell):
+        """The block random-scan pair updating ``ell`` coordinates."""
+        if ell not in self._blocks:
+            self._blocks[ell] = self._own(block_random_scan(self.source, ell))
+        return self._blocks[ell]
+
+    def release_vectors(self):
+        """Drop the eigenvectors of every pair built so far, keeping their
+        summaries.  A later reader of the eigenvectors decomposes again."""
+        for pair in self._pairs:
+            forget_vectors(pair)
+
+    # -- random-scan checks ---------------------------------------------------
+
+    def dirichlet_sandwich(self, trials=DEFAULT_TRIALS, seed=0, tol=DEFAULT_TOL, fingerprint=""):
+        """Certify c1 * E_exact(f) <= E_hybrid(f) <= c2 * E_exact(f).
+
+        The constants are the exact Dirichlet-ratio extremes of the
+        approximating kernels; the battery is the eigenbasis of the exact
+        chain plus ``trials`` random mean-zero functions.
+        """
+        fingerprint = fingerprint or model_fingerprint(self.source, self.scan_spec)
+        qual = self.quality
+        F, labels = function_battery(self.T, trials=trials, seed=seed)
+        e_exact = dirichlet_forms(self.T, F)
+        e_hybrid = dirichlet_forms(self.Th, F)
+        i, _ = _worst(e_hybrid - qual.ratio_min * e_exact)
+        j, _ = _worst(qual.ratio_max * e_exact - e_hybrid)
+        return [
+            make_report(
+                "dirichlet-sandwich-lower",
+                qual.ratio_min * e_exact[i],
+                e_hybrid[i],
+                tol,
+                witness={"f": labels[i], "ratio_min": qual.ratio_min},
+                fingerprint=fingerprint,
+            ),
+            make_report(
+                "dirichlet-sandwich-upper",
+                e_hybrid[j],
+                qual.ratio_max * e_exact[j],
+                tol,
+                witness={"f": labels[j], "ratio_max": qual.ratio_max},
+                fingerprint=fingerprint,
+            ),
+        ]
+
+    def gap_sandwich(self, tol=DEFAULT_TOL, fingerprint=""):
+        """Certify (1-C)(1-|T|) <= 1-|T_hybrid| <= (1+C)(1-|T|).
+
+        When every approximating kernel is psd the upper bound tightens to
+        1-|T| itself.
+        """
+        fingerprint = fingerprint or model_fingerprint(self.source, self.scan_spec)
+        qual = self.quality
+        gap_exact = spectral_summary(self.T).gap
+        gap_hybrid = spectral_summary(self.Th).gap
+        C = qual.max_norm
+        upper = gap_exact if qual.all_psd else (1.0 + C) * gap_exact
+        return [
+            make_report(
+                "gap-sandwich-lower",
+                (1.0 - C) * gap_exact,
+                gap_hybrid,
+                tol,
+                witness={"max_norm": C},
+                fingerprint=fingerprint,
+            ),
+            make_report(
+                "gap-sandwich-upper",
+                gap_hybrid,
+                upper,
+                tol,
+                witness={"max_norm": C, "psd_tightened": qual.all_psd},
+                fingerprint=fingerprint,
+            ),
+        ]
+
+    def variance_sandwich(self, f=None, trials=8, seed=0, tol=DEFAULT_TOL, fingerprint=""):
+        """Certify the asymptotic-variance sandwich between exact and hybrid
+        chains.
+
+        For mean-zero f:  var_hybrid(f) lies between
+        var_exact(f)/c2 + (1/c2 - 1)|f|^2 and var_exact(f)/c1 + (1/c1 - 1)|f|^2.
+        Requires a positive exact gap and nondegenerate constants.
+        """
+        fingerprint = fingerprint or model_fingerprint(self.source, self.scan_spec)
+        qual = self.quality
+        c1, c2 = qual.ratio_min, qual.ratio_max
+        if c1 <= 1e-12:
+            raise DegenerateConstants("the lower Dirichlet-ratio constant vanishes")
+        if c2 >= 2.0 - 1e-12:
+            raise DegenerateConstants("the upper Dirichlet-ratio constant reaches 2")
+        T = self.T
+        if spectral_summary(T).operator_norm >= 1.0 - 1e-12:
+            raise NoSpectralGap("the exact chain has no spectral gap")
+        if f is not None:
+            F = np.column_stack([np.asarray(f, dtype=float)])
+            labels = [{"kind": "supplied"}]
+        else:
+            F, labels = function_battery(T, trials=trials, seed=seed)
+        w = T.stationary.weights
+        F = F - w @ F
+        norms2 = np.einsum("i,ij,ij->j", w, F, F)
+        var_exact = variances(T, F)
+        var_hybrid = variances(self.Th, F)
+        low = var_exact / c2 + (1.0 / c2 - 1.0) * norms2
+        high = var_exact / c1 + (1.0 / c1 - 1.0) * norms2
+        i, _ = _worst(var_hybrid - low)
+        j, _ = _worst(high - var_hybrid)
+        return [
+            make_report(
+                "variance-sandwich-lower",
+                low[i],
+                var_hybrid[i],
+                tol,
+                witness={"f": labels[i], "ratio_max": c2},
+                fingerprint=fingerprint,
+            ),
+            make_report(
+                "variance-sandwich-upper",
+                var_hybrid[j],
+                high[j],
+                tol,
+                witness={"f": labels[j], "ratio_min": c1},
+                fingerprint=fingerprint,
+            ),
+        ]
+
+    # -- data-augmentation checks ---------------------------------------------
+
+    def da_gap_sandwich(self, tol=DEFAULT_TOL, fingerprint=""):
+        """Certify (1-C)(1-|S|) <= 1-|S_hybrid| <= (1+C)(1-|S|) for the
+        two-block marginal chain, with the psd tightening of the upper bound."""
+        fingerprint = fingerprint or model_fingerprint(self.source, self.spec)
+        qual = self.da_quality
+        gap_exact = spectral_summary(self.S).gap
+        gap_hybrid = spectral_summary(self.Sh).gap
+        C = qual.max_norm
+        upper = gap_exact if qual.all_psd else (1.0 + C) * gap_exact
+        return [
+            make_report(
+                "da-gap-sandwich-lower",
+                (1.0 - C) * gap_exact,
+                gap_hybrid,
+                tol,
+                witness={"max_norm": C},
+                fingerprint=fingerprint,
+            ),
+            make_report(
+                "da-gap-sandwich-upper",
+                gap_hybrid,
+                upper,
+                tol,
+                witness={"max_norm": C, "psd_tightened": qual.all_psd},
+                fingerprint=fingerprint,
+            ),
+        ]
+
+    def da_tstep(
+        self, t=2, trials=DEFAULT_TRIALS, seed=0, tol=DEFAULT_TOL, fingerprint="", profile=None
+    ):
+        """Certify the t-step comparison for (hybrid) data augmentation.
+
+        Functional part, over the eigenbasis of the hybrid chain plus random
+        f: 0 <= (<f, S_hybrid f>)^t <= <f, S f> + a_t, where a_t is the worst
+        conditional average of the t-th power of the inner-norm profile.
+        Spectral part: t * (1 - |S_hybrid|) >= 1 - |S_hybrid|^t >= 1 - |S| - a_t.
+        Needs t even or all inner kernels psd.
+        """
+        t = int(t)
+        if t < 1:
+            raise ValueError("t must be a positive integer")
+        fingerprint = fingerprint or model_fingerprint(self.source, self.spec)
+        if t % 2 == 1 and not self._inner_all_psd():
+            raise PreconditionUnmet(
+                "odd t needs every inner kernel positive semi-definite"
+            )
+        profile = profile if profile is not None else self.inner_profile
+        a_t = mean_power_bound(self.source, profile, t)
+        S, Sh = self.S, self.Sh
+        F, labels = function_battery(Sh, trials=trials, seed=seed)
+        quad_h, norms_h = quadratic_forms(Sh, F)
+        quad_s, _ = quadratic_forms(S, F)
+        lhs_all = (quad_h / norms_h) ** t
+        rhs_all = quad_s / norms_h + a_t
+        i, _ = _worst(rhs_all - lhs_all)
+        norm_s = spectral_summary(S).operator_norm
+        norm_h = spectral_summary(Sh).operator_norm
+        return [
+            make_report(
+                "da-tstep-functional",
+                lhs_all[i],
+                rhs_all[i],
+                tol,
+                witness={"t": t, "alpha": a_t, "f": labels[i], "min_lhs": float(lhs_all.min())},
+                fingerprint=fingerprint,
+            ),
+            make_report(
+                "da-tstep-bernoulli",
+                1.0 - norm_h**t,
+                t * (1.0 - norm_h),
+                tol,
+                witness={"t": t, "hybrid_norm": norm_h},
+                fingerprint=fingerprint,
+            ),
+            make_report(
+                "da-tstep-gap-lower",
+                1.0 - norm_s - a_t,
+                1.0 - norm_h**t,
+                tol,
+                witness={"t": t, "alpha": a_t, "exact_norm": norm_s},
+                fingerprint=fingerprint,
+            ),
+        ]
+
+    def da_variance_tstep(self, t=2, trials=16, seed=0, tol=DEFAULT_TOL, fingerprint=""):
+        """Certify var_hybrid(f) <= 2t var_exact(f) + (2t-1) |f|^2 for the
+        two-block marginal chains, under the hypothesis that the t-step power
+        average a_t is at most half the exact gap.  When the hypothesis fails
+        the single returned report carries status hypothesis_unmet."""
+        t = int(t)
+        fingerprint = fingerprint or model_fingerprint(self.source, self.spec)
+        S, Sh = self.S, self.Sh
+        summ_s = spectral_summary(S)
+        if summ_s.operator_norm >= 1.0 - 1e-12:
+            raise NoSpectralGap("the exact marginal chain has no spectral gap")
+        if t % 2 == 1 and not summ_s.psd:
+            raise PreconditionUnmet("odd t needs the exact marginal chain psd")
+        a_t = mean_power_bound(self.source, self.inner_profile, t)
+        half_gap = (1.0 - summ_s.operator_norm) / 2.0
+        if a_t > half_gap:
+            return [
+                make_report(
+                    "da-variance-tstep",
+                    a_t,
+                    half_gap,
+                    tol,
+                    witness={"t": t, "hypothesis": "alpha exceeds half the exact gap"},
+                    fingerprint=fingerprint,
+                    hypothesis_ok=False,
+                )
+            ]
+        if spectral_summary(Sh).operator_norm >= 1.0 - 1e-12:
+            raise NoSpectralGap("the hybrid marginal chain has no spectral gap")
+        F, labels = function_battery(Sh, trials=trials, seed=seed)
+        w = S.stationary.weights
+        F = F - w @ F
+        norms2 = np.einsum("i,ij,ij->j", w, F, F)
+        v_exact = variances(S, F)
+        v_hybrid = variances(Sh, F)
+        bound = 2.0 * t * v_exact + (2.0 * t - 1.0) * norms2
+        i, _ = _worst(bound - v_hybrid)
+        return [
+            make_report(
+                "da-variance-tstep",
+                v_hybrid[i],
+                bound[i],
+                tol,
+                witness={"t": t, "alpha": a_t, "f": labels[i]},
+                fingerprint=fingerprint,
+            )
+        ]
+
+    # -- block comparison -----------------------------------------------------
+
+    def block_comparison(self, ell, m, trials=DEFAULT_TRIALS, seed=0, tol=DEFAULT_TOL, fingerprint=""):
+        """Compare block random scans touching ell versus m coordinates (m < ell).
+
+        The m-scan is the ell-scan with each block conditional replaced by an
+        inner random scan, so with c1 the worst inner Dirichlet-ratio minimum:
+        c1 (1 - |T_ell|) <= 1 - |T_m| <= 1 - |T_ell|, the same chain holds for
+        Dirichlet forms, and the variances are ordered when both gaps are
+        positive.
+        """
+        joint = self.source
+        n = joint.space.ncoords
+        ell = int(ell)
+        m = int(m)
+        if not 1 <= m < ell <= n - 1:
+            raise InvalidBlockSize(
+                f"need 1 <= m < l <= {n - 1}, got (l, m) = ({ell}, {m})"
+            )
+        fingerprint = fingerprint or model_fingerprint(joint)
+        T_ell = self.block(ell)
+        T_m = self.block(m)
+        c1 = np.inf
+        c1_at = None
+        for coords in combinations(range(n), ell):
+            for y in joint.space.complement_configs(coords):
+                idx = joint.space.subspace_indices(coords, y)
+                if joint.weights[idx].sum() <= 0.0:
+                    continue
+                inner = inner_block_kernel(joint, coords, y, m)
+                rmin, _rmax = dirichlet_ratio_extrema(inner)
+                if rmin < c1:
+                    c1 = rmin
+                    c1_at = {"block": list(coords), "complement": list(y)}
+        gap_ell = spectral_summary(T_ell).gap
+        gap_m = spectral_summary(T_m).gap
+        F, labels = function_battery(T_ell, trials=trials, seed=seed)
+        e_ell = dirichlet_forms(T_ell, F)
+        e_m = dirichlet_forms(T_m, F)
+        i, _ = _worst(e_m - c1 * e_ell)
+        j, _ = _worst(e_ell - e_m)
+        reports = [
+            make_report(
+                "block-gap-lower",
+                c1 * gap_ell,
+                gap_m,
+                tol,
+                witness={"c1": float(c1), "c1_at": c1_at, "ell": ell, "m": m},
+                fingerprint=fingerprint,
+            ),
+            make_report(
+                "block-gap-upper",
+                gap_m,
+                gap_ell,
+                tol,
+                witness={"ell": ell, "m": m},
+                fingerprint=fingerprint,
+            ),
+            make_report(
+                "block-dirichlet-lower",
+                c1 * e_ell[i],
+                e_m[i],
+                tol,
+                witness={"f": labels[i], "c1": float(c1), "ell": ell, "m": m},
+                fingerprint=fingerprint,
+            ),
+            make_report(
+                "block-dirichlet-upper",
+                e_m[j],
+                e_ell[j],
+                tol,
+                witness={"f": labels[j], "ell": ell, "m": m},
+                fingerprint=fingerprint,
+            ),
+        ]
+        if gap_ell > 1e-12 and gap_m > 1e-12:
+            v_ell = variances(T_ell, F)
+            v_m = variances(T_m, F)
+            k, _ = _worst(v_m - v_ell)
+            reports.append(
+                make_report(
+                    "block-variance-order",
+                    v_ell[k],
+                    v_m[k],
+                    tol,
+                    witness={"f": labels[k], "ell": ell, "m": m},
+                    fingerprint=fingerprint,
+                )
+            )
+        else:
+            reports.append(
+                make_report(
+                    "block-variance-order",
+                    0.0,
+                    0.0,
+                    tol,
+                    witness={"hypothesis": "a block chain has no spectral gap", "ell": ell, "m": m},
+                    fingerprint=fingerprint,
+                    hypothesis_ok=False,
+                )
+            )
+        return reports
+
+    # -- selection-probability and uniform-selection power bounds -------------
+
+    def selection_reweighting(self, p_alt, tol=DEFAULT_TOL, fingerprint=""):
+        """Certify how spectral gaps transfer from the selection probabilities
+        ``p_alt`` to this analysis's own.
+
+        With b the exact gap ratio of the exact chains, the hybrid gaps
+        satisfy gap_hybrid(p) >= b (1-C)/(1+C) gap_hybrid(p'), tightened to
+        b (1-C) when every approximating kernel is psd; and the min-ratio
+        reweighting inequality holds for the exact and hybrid pairs alike.
+        The chains under ``p_alt`` are read for their spectra only.
+        """
+        joint = self.source
+        sel = self.sel
+        sel_alt = selection_probs(p_alt, joint.space.ncoords)
+        if np.any(sel.p <= 0.0) or np.any(sel_alt.p <= 0.0):
+            raise ZeroSelectionProb("selection probabilities must be strictly positive")
+        fingerprint = fingerprint or model_fingerprint(joint, self.spec)
+        qual = self.quality
+        C = qual.max_norm
+        gap_t = spectral_summary(self.T).gap
+        gap_t_alt = eigvals_summary(exact_random_scan(joint, sel_alt)).gap
+        gap_h = spectral_summary(self.Th).gap
+        gap_h_alt = eigvals_summary(hybrid_random_scan(joint, sel_alt, self.scan_spec)).gap
+        r = float(np.min(sel.p / sel_alt.p))
+        reports = [
+            make_report(
+                "selection-minratio-exact",
+                r * gap_t_alt,
+                gap_t,
+                tol,
+                witness={"min_ratio": r},
+                fingerprint=fingerprint,
+            ),
+            make_report(
+                "selection-minratio-hybrid",
+                r * gap_h_alt,
+                gap_h,
+                tol,
+                witness={"min_ratio": r},
+                fingerprint=fingerprint,
+            ),
+        ]
+        if gap_t_alt <= 1e-14:
+            reports.insert(
+                0,
+                make_report(
+                    "selection-hybrid-transfer",
+                    0.0,
+                    gap_h,
+                    tol,
+                    witness={"hypothesis": "reference exact chain has no gap"},
+                    fingerprint=fingerprint,
+                    hypothesis_ok=False,
+                ),
+            )
+            return reports
+        b = gap_t / gap_t_alt
+        factor = b * (1.0 - C) if qual.all_psd else b * (1.0 - C) / (1.0 + C)
+        reports.insert(
+            0,
+            make_report(
+                "selection-hybrid-transfer",
+                factor * gap_h_alt,
+                gap_h,
+                tol,
+                witness={"b": float(b), "max_norm": C, "psd_tightened": qual.all_psd},
+                fingerprint=fingerprint,
+            ),
+        )
+        return reports
+
+    def uniform_tstep_bound(self, t=1, tol=DEFAULT_TOL, fingerprint=""):
+        """Certify the coarse uniform-selection power bound
+        1 - |T_hybrid| >= n^{-(t-1)} (1 - |T| - C^t), and that the one-step
+        sandwich lower bound dominates it whenever 1 - |T| - C^t >= 0."""
+        n = self.source.space.ncoords
+        if n < 2:
+            raise PreconditionUnmet("the power bound needs at least two coordinates")
+        if np.abs(self.sel.p - 1.0 / n).max() > 1e-12:
+            raise NonUniformSelection("this bound is stated for uniform selection")
+        t = int(t)
+        if t < 1:
+            raise ValueError("t must be a positive integer")
+        fingerprint = fingerprint or model_fingerprint(self.source, self.scan_spec)
+        C = self.quality.max_norm
+        norm_t = spectral_summary(self.T).operator_norm
+        gap_h = spectral_summary(self.Th).gap
+        raw = 1.0 - norm_t - C**t
+        power_bound = raw / n ** (t - 1)
+        sandwich_bound = (1.0 - C) * (1.0 - norm_t)
+        return [
+            make_report(
+                "uniform-power-lower",
+                power_bound,
+                gap_h,
+                tol,
+                witness={"t": t, "max_norm": C},
+                fingerprint=fingerprint,
+            ),
+            make_report(
+                "uniform-power-dominated",
+                power_bound,
+                sandwich_bound,
+                tol,
+                witness={"t": t, "nontrivial": bool(raw >= 0.0)},
+                fingerprint=fingerprint,
+                hypothesis_ok=bool(raw >= 0.0),
+            ),
+        ]
+
+    # -- slice checks ---------------------------------------------------------
+
+    def slice_tstep(self, t, tol=DEFAULT_TOL, fingerprint="", profile=None):
+        """Certify (1 - |S| - a_t)/t <= 1 - |S_hybrid| <= 1 - |S| for a slice
+        model.
+
+        The tightened upper bound needs every per-level kernel psd; otherwise
+        the upper half falls back to the one-step sandwich (1 + C)(1 - |S|).
+        The looser rms-based lower bound is certified alongside, together with
+        the ordering a_t <= b_t that makes the mean-based bound the sharper one.
+        """
+        t = int(t)
+        if t < 1:
+            raise ValueError("t must be a positive integer")
+        model = self.source
+        fingerprint = fingerprint or model_fingerprint(model)
+        all_psd = self._inner_all_psd()
+        if t % 2 == 1 and not all_psd:
+            raise PreconditionUnmet("odd t needs every per-level kernel psd")
+        profile = profile if profile is not None else self.inner_profile
+        a_t = mean_power_bound(model, profile, t)
+        b_t = rms_power_bound(model, profile, t)
+        gap_exact = spectral_summary(self.S).gap
+        gap_hybrid = spectral_summary(self.Sh).gap
+        worst_norm = max(s.operator_norm for s in self.levels)
+        upper = gap_exact if all_psd else (1.0 + worst_norm) * gap_exact
+        return [
+            make_report(
+                "slice-tstep-lower",
+                (gap_exact - a_t) / t,
+                gap_hybrid,
+                tol,
+                witness={"t": t, "alpha": a_t},
+                fingerprint=fingerprint,
+            ),
+            make_report(
+                "slice-tstep-upper",
+                gap_hybrid,
+                upper,
+                tol,
+                witness={"t": t, "psd_tightened": all_psd},
+                fingerprint=fingerprint,
+            ),
+            make_report(
+                "slice-tstep-lower-rms",
+                (gap_exact - b_t) / t,
+                gap_hybrid,
+                tol,
+                witness={"t": t, "beta": b_t},
+                fingerprint=fingerprint,
+            ),
+            make_report(
+                "slice-power-bound-order",
+                a_t,
+                b_t,
+                1e-12,
+                witness={"t": t},
+                fingerprint=fingerprint,
+            ),
+        ]
+
+
+# ---------------------------------------------------------------------------
+# Standalone checks: each builds its own Analysis
 # ---------------------------------------------------------------------------
 
 
 def check_dirichlet_sandwich(
     joint, p=None, spec=None, trials=DEFAULT_TRIALS, seed=0, tol=DEFAULT_TOL, fingerprint=""
 ):
-    """Certify c1 * E_exact(f) <= E_hybrid(f) <= c2 * E_exact(f).
-
-    The constants are the exact Dirichlet-ratio extremes of the approximating
-    kernels; the battery is the eigenbasis of the exact chain plus ``trials``
-    random mean-zero functions.
-    """
-    spec = spec if spec is not None else EXACT_SPEC
-    fingerprint = fingerprint or model_fingerprint(joint, spec)
-    qual = approx_quality(joint, spec)
-    T = exact_random_scan(joint, p)
-    Th = hybrid_random_scan(joint, p, spec)
-    F, labels = function_battery(T, trials=trials, seed=seed)
-    e_exact = dirichlet_forms(T, F)
-    e_hybrid = dirichlet_forms(Th, F)
-    i, _ = _worst(e_hybrid - qual.ratio_min * e_exact)
-    j, _ = _worst(qual.ratio_max * e_exact - e_hybrid)
-    return [
-        make_report(
-            "dirichlet-sandwich-lower",
-            qual.ratio_min * e_exact[i],
-            e_hybrid[i],
-            tol,
-            witness={"f": labels[i], "ratio_min": qual.ratio_min},
-            fingerprint=fingerprint,
-        ),
-        make_report(
-            "dirichlet-sandwich-upper",
-            e_hybrid[j],
-            qual.ratio_max * e_exact[j],
-            tol,
-            witness={"f": labels[j], "ratio_max": qual.ratio_max},
-            fingerprint=fingerprint,
-        ),
-    ]
+    """``Analysis.dirichlet_sandwich`` on a fresh analysis of ``joint``."""
+    return Analysis(joint, p, spec).dirichlet_sandwich(
+        trials=trials, seed=seed, tol=tol, fingerprint=fingerprint
+    )
 
 
 def check_gap_sandwich(joint, p=None, spec=None, tol=DEFAULT_TOL, fingerprint=""):
-    """Certify (1-C)(1-|T|) <= 1-|T_hybrid| <= (1+C)(1-|T|).
-
-    When every approximating kernel is psd the upper bound tightens to
-    1-|T| itself.
-    """
-    spec = spec if spec is not None else EXACT_SPEC
-    fingerprint = fingerprint or model_fingerprint(joint, spec)
-    qual = approx_quality(joint, spec)
-    gap_exact = spectral_summary(exact_random_scan(joint, p)).gap
-    gap_hybrid = spectral_summary(hybrid_random_scan(joint, p, spec)).gap
-    C = qual.max_norm
-    upper = gap_exact if qual.all_psd else (1.0 + C) * gap_exact
-    return [
-        make_report(
-            "gap-sandwich-lower",
-            (1.0 - C) * gap_exact,
-            gap_hybrid,
-            tol,
-            witness={"max_norm": C},
-            fingerprint=fingerprint,
-        ),
-        make_report(
-            "gap-sandwich-upper",
-            gap_hybrid,
-            upper,
-            tol,
-            witness={"max_norm": C, "psd_tightened": qual.all_psd},
-            fingerprint=fingerprint,
-        ),
-    ]
+    """``Analysis.gap_sandwich`` on a fresh analysis of ``joint``."""
+    return Analysis(joint, p, spec).gap_sandwich(tol=tol, fingerprint=fingerprint)
 
 
 def check_variance_sandwich(
-    joint,
-    p=None,
-    spec=None,
-    f=None,
-    trials=8,
-    seed=0,
-    tol=DEFAULT_TOL,
-    fingerprint="",
+    joint, p=None, spec=None, f=None, trials=8, seed=0, tol=DEFAULT_TOL, fingerprint=""
 ):
-    """Certify the asymptotic-variance sandwich between exact and hybrid chains.
-
-    For mean-zero f:  var_hybrid(f) lies between
-    var_exact(f)/c2 + (1/c2 - 1)|f|^2 and var_exact(f)/c1 + (1/c1 - 1)|f|^2.
-    Requires a positive exact gap and nondegenerate constants.
-    """
-    spec = spec if spec is not None else EXACT_SPEC
-    fingerprint = fingerprint or model_fingerprint(joint, spec)
-    qual = approx_quality(joint, spec)
-    c1, c2 = qual.ratio_min, qual.ratio_max
-    if c1 <= 1e-12:
-        raise DegenerateConstants("the lower Dirichlet-ratio constant vanishes")
-    if c2 >= 2.0 - 1e-12:
-        raise DegenerateConstants("the upper Dirichlet-ratio constant reaches 2")
-    T = exact_random_scan(joint, p)
-    if spectral_summary(T).operator_norm >= 1.0 - 1e-12:
-        raise NoSpectralGap("the exact chain has no spectral gap")
-    Th = hybrid_random_scan(joint, p, spec)
-    if f is not None:
-        F = np.column_stack([np.asarray(f, dtype=float)])
-        labels = [{"kind": "supplied"}]
-    else:
-        F, labels = function_battery(T, trials=trials, seed=seed)
-    w = T.stationary.weights
-    F = F - w @ F
-    norms2 = np.einsum("i,ij,ij->j", w, F, F)
-    var_exact = variances(T, F)
-    var_hybrid = variances(Th, F)
-    low = var_exact / c2 + (1.0 / c2 - 1.0) * norms2
-    high = var_exact / c1 + (1.0 / c1 - 1.0) * norms2
-    i, _ = _worst(var_hybrid - low)
-    j, _ = _worst(high - var_hybrid)
-    return [
-        make_report(
-            "variance-sandwich-lower",
-            low[i],
-            var_hybrid[i],
-            tol,
-            witness={"f": labels[i], "ratio_max": c2},
-            fingerprint=fingerprint,
-        ),
-        make_report(
-            "variance-sandwich-upper",
-            var_hybrid[j],
-            high[j],
-            tol,
-            witness={"f": labels[j], "ratio_min": c1},
-            fingerprint=fingerprint,
-        ),
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Data-augmentation checks
-# ---------------------------------------------------------------------------
-
-
-def _da_kernels(source, spec):
-    """Exact and hybrid marginal chains plus inner-kernel psd flags."""
-    if isinstance(source, SliceModel):
-        summaries = level_summaries(source)
-        S = slice_exact(source)
-        Sh = slice_hybrid(source)
-        profile = _level_profile(summaries)
-        psd_flags = [s.psd for s in summaries]
-    else:
-        if spec is None:
-            raise InvalidSpec("an approximator spec is required for joint models")
-        S = da_exact(source)
-        Sh = da_hybrid(source, spec)
-        profile = exact_norm_profile(source, spec)
-        qual = approx_quality(source, spec, coords=(0,))
-        psd_flags = [e["psd"] for e in qual.per_conditional.values()]
-    return S, Sh, profile, psd_flags
+    """``Analysis.variance_sandwich`` on a fresh analysis of ``joint``."""
+    return Analysis(joint, p, spec).variance_sandwich(
+        f=f, trials=trials, seed=seed, tol=tol, fingerprint=fingerprint
+    )
 
 
 def check_da_gap_sandwich(joint, spec, tol=DEFAULT_TOL, fingerprint=""):
-    """Certify (1-C)(1-|S|) <= 1-|S_hybrid| <= (1+C)(1-|S|) for the two-block
-    marginal chain, with the psd tightening of the upper bound."""
-    fingerprint = fingerprint or model_fingerprint(joint, spec)
-    qual = approx_quality(joint, spec, coords=(0,))
-    gap_exact = spectral_summary(da_exact(joint)).gap
-    gap_hybrid = spectral_summary(da_hybrid(joint, spec)).gap
-    C = qual.max_norm
-    upper = gap_exact if qual.all_psd else (1.0 + C) * gap_exact
-    return [
-        make_report(
-            "da-gap-sandwich-lower",
-            (1.0 - C) * gap_exact,
-            gap_hybrid,
-            tol,
-            witness={"max_norm": C},
-            fingerprint=fingerprint,
-        ),
-        make_report(
-            "da-gap-sandwich-upper",
-            gap_hybrid,
-            upper,
-            tol,
-            witness={"max_norm": C, "psd_tightened": qual.all_psd},
-            fingerprint=fingerprint,
-        ),
-    ]
+    """``Analysis.da_gap_sandwich`` on a fresh analysis of ``joint``."""
+    return Analysis(joint, spec=spec).da_gap_sandwich(tol=tol, fingerprint=fingerprint)
 
 
 def check_da_tstep(
@@ -524,399 +1013,44 @@ def check_da_tstep(
     fingerprint="",
     profile=None,
 ):
-    """Certify the t-step comparison for (hybrid) data augmentation.
-
-    Functional part, over the eigenbasis of the hybrid chain plus random f:
-    0 <= (<f, S_hybrid f>)^t <= <f, S f> + a_t, where a_t is the worst
-    conditional average of the t-th power of the inner-norm profile.
-    Spectral part: t * (1 - |S_hybrid|) >= 1 - |S_hybrid|^t >= 1 - |S| - a_t.
-    Needs t even or all inner kernels psd.
-    """
-    t = int(t)
-    if t < 1:
-        raise ValueError("t must be a positive integer")
-    fingerprint = fingerprint or model_fingerprint(source, spec)
-    S, Sh, exact_profile, psd_flags = _da_kernels(source, spec)
-    if t % 2 == 1 and not all(psd_flags):
-        raise PreconditionUnmet(
-            "odd t needs every inner kernel positive semi-definite"
-        )
-    profile = profile if profile is not None else exact_profile
-    a_t = mean_power_bound(source, profile, t)
-    F, labels = function_battery(Sh, trials=trials, seed=seed)
-    quad_h, norms_h = quadratic_forms(Sh, F)
-    quad_s, _ = quadratic_forms(S, F)
-    lhs_all = (quad_h / norms_h) ** t
-    rhs_all = quad_s / norms_h + a_t
-    i, _ = _worst(rhs_all - lhs_all)
-    norm_s = spectral_summary(S).operator_norm
-    norm_h = spectral_summary(Sh).operator_norm
-    reports = [
-        make_report(
-            "da-tstep-functional",
-            lhs_all[i],
-            rhs_all[i],
-            tol,
-            witness={"t": t, "alpha": a_t, "f": labels[i], "min_lhs": float(lhs_all.min())},
-            fingerprint=fingerprint,
-        ),
-        make_report(
-            "da-tstep-bernoulli",
-            1.0 - norm_h**t,
-            t * (1.0 - norm_h),
-            tol,
-            witness={"t": t, "hybrid_norm": norm_h},
-            fingerprint=fingerprint,
-        ),
-        make_report(
-            "da-tstep-gap-lower",
-            1.0 - norm_s - a_t,
-            1.0 - norm_h**t,
-            tol,
-            witness={"t": t, "alpha": a_t, "exact_norm": norm_s},
-            fingerprint=fingerprint,
-        ),
-    ]
-    return reports
+    """``Analysis.da_tstep`` on a fresh analysis of a joint or slice model."""
+    return Analysis(source, spec=spec).da_tstep(
+        t, trials=trials, seed=seed, tol=tol, fingerprint=fingerprint, profile=profile
+    )
 
 
 def check_da_variance_tstep(
     source, spec=None, t=2, trials=16, seed=0, tol=DEFAULT_TOL, fingerprint=""
 ):
-    """Certify var_hybrid(f) <= 2t var_exact(f) + (2t-1) |f|^2 for the
-    two-block marginal chains, under the hypothesis that the t-step power
-    average a_t is at most half the exact gap.  When the hypothesis fails the
-    single returned report carries status hypothesis_unmet."""
-    t = int(t)
-    fingerprint = fingerprint or model_fingerprint(source, spec)
-    S, Sh, profile, _psd = _da_kernels(source, spec)
-    summ_s = spectral_summary(S)
-    if summ_s.operator_norm >= 1.0 - 1e-12:
-        raise NoSpectralGap("the exact marginal chain has no spectral gap")
-    if t % 2 == 1 and not summ_s.psd:
-        raise PreconditionUnmet("odd t needs the exact marginal chain psd")
-    a_t = mean_power_bound(source, profile, t)
-    half_gap = (1.0 - summ_s.operator_norm) / 2.0
-    if a_t > half_gap:
-        return [
-            make_report(
-                "da-variance-tstep",
-                a_t,
-                half_gap,
-                tol,
-                witness={"t": t, "hypothesis": "alpha exceeds half the exact gap"},
-                fingerprint=fingerprint,
-                hypothesis_ok=False,
-            )
-        ]
-    if spectral_summary(Sh).operator_norm >= 1.0 - 1e-12:
-        raise NoSpectralGap("the hybrid marginal chain has no spectral gap")
-    F, labels = function_battery(Sh, trials=trials, seed=seed)
-    w = S.stationary.weights
-    F = F - w @ F
-    norms2 = np.einsum("i,ij,ij->j", w, F, F)
-    v_exact = variances(S, F)
-    v_hybrid = variances(Sh, F)
-    bound = 2.0 * t * v_exact + (2.0 * t - 1.0) * norms2
-    i, _ = _worst(bound - v_hybrid)
-    return [
-        make_report(
-            "da-variance-tstep",
-            v_hybrid[i],
-            bound[i],
-            tol,
-            witness={"t": t, "alpha": a_t, "f": labels[i]},
-            fingerprint=fingerprint,
-        )
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Block comparison
-# ---------------------------------------------------------------------------
+    """``Analysis.da_variance_tstep`` on a fresh analysis of a joint or slice
+    model."""
+    return Analysis(source, spec=spec).da_variance_tstep(
+        t, trials=trials, seed=seed, tol=tol, fingerprint=fingerprint
+    )
 
 
 def check_block_comparison(
     joint, ell, m, trials=DEFAULT_TRIALS, seed=0, tol=DEFAULT_TOL, fingerprint=""
 ):
-    """Compare block random scans touching ell versus m coordinates (m < ell).
-
-    The m-scan is the ell-scan with each block conditional replaced by an
-    inner random scan, so with c1 the worst inner Dirichlet-ratio minimum:
-    c1 (1 - |T_ell|) <= 1 - |T_m| <= 1 - |T_ell|, the same chain holds for
-    Dirichlet forms, and the variances are ordered when both gaps are
-    positive.
-    """
-    n = joint.space.ncoords
-    ell = int(ell)
-    m = int(m)
-    if not 1 <= m < ell <= n - 1:
-        raise InvalidBlockSize(
-            f"need 1 <= m < l <= {n - 1}, got (l, m) = ({ell}, {m})"
-        )
-    fingerprint = fingerprint or model_fingerprint(joint)
-    T_ell = block_random_scan(joint, ell)
-    T_m = block_random_scan(joint, m)
-    c1 = np.inf
-    c1_at = None
-    for coords in combinations(range(n), ell):
-        for y in joint.space.complement_configs(coords):
-            idx = joint.space.subspace_indices(coords, y)
-            if joint.weights[idx].sum() <= 0.0:
-                continue
-            inner = inner_block_kernel(joint, coords, y, m)
-            rmin, _rmax = dirichlet_ratio_extrema(inner)
-            if rmin < c1:
-                c1 = rmin
-                c1_at = {"block": list(coords), "complement": list(y)}
-    gap_ell = spectral_summary(T_ell).gap
-    gap_m = spectral_summary(T_m).gap
-    F, labels = function_battery(T_ell, trials=trials, seed=seed)
-    e_ell = dirichlet_forms(T_ell, F)
-    e_m = dirichlet_forms(T_m, F)
-    i, _ = _worst(e_m - c1 * e_ell)
-    j, _ = _worst(e_ell - e_m)
-    reports = [
-        make_report(
-            "block-gap-lower",
-            c1 * gap_ell,
-            gap_m,
-            tol,
-            witness={"c1": float(c1), "c1_at": c1_at, "ell": ell, "m": m},
-            fingerprint=fingerprint,
-        ),
-        make_report(
-            "block-gap-upper",
-            gap_m,
-            gap_ell,
-            tol,
-            witness={"ell": ell, "m": m},
-            fingerprint=fingerprint,
-        ),
-        make_report(
-            "block-dirichlet-lower",
-            c1 * e_ell[i],
-            e_m[i],
-            tol,
-            witness={"f": labels[i], "c1": float(c1), "ell": ell, "m": m},
-            fingerprint=fingerprint,
-        ),
-        make_report(
-            "block-dirichlet-upper",
-            e_m[j],
-            e_ell[j],
-            tol,
-            witness={"f": labels[j], "ell": ell, "m": m},
-            fingerprint=fingerprint,
-        ),
-    ]
-    if gap_ell > 1e-12 and gap_m > 1e-12:
-        v_ell = variances(T_ell, F)
-        v_m = variances(T_m, F)
-        k, _ = _worst(v_m - v_ell)
-        reports.append(
-            make_report(
-                "block-variance-order",
-                v_ell[k],
-                v_m[k],
-                tol,
-                witness={"f": labels[k], "ell": ell, "m": m},
-                fingerprint=fingerprint,
-            )
-        )
-    else:
-        reports.append(
-            make_report(
-                "block-variance-order",
-                0.0,
-                0.0,
-                tol,
-                witness={"hypothesis": "a block chain has no spectral gap", "ell": ell, "m": m},
-                fingerprint=fingerprint,
-                hypothesis_ok=False,
-            )
-        )
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# Selection-probability and uniform-selection power bounds
-# ---------------------------------------------------------------------------
+    """``Analysis.block_comparison`` on a fresh analysis of ``joint``."""
+    return Analysis(joint).block_comparison(
+        ell, m, trials=trials, seed=seed, tol=tol, fingerprint=fingerprint
+    )
 
 
 def check_selection_reweighting(joint, p, p_alt, spec, tol=DEFAULT_TOL, fingerprint=""):
-    """Certify how spectral gaps transfer between selection-probability vectors.
-
-    With b the exact gap ratio of the exact chains, the hybrid gaps satisfy
-    gap_hybrid(p) >= b (1-C)/(1+C) gap_hybrid(p'), tightened to b (1-C) when
-    every approximating kernel is psd; and the min-ratio reweighting
-    inequality holds for the exact and hybrid pairs alike.
-    """
-    n = joint.space.ncoords
-    sel = selection_probs(p, n)
-    sel_alt = selection_probs(p_alt, n)
-    if np.any(sel.p <= 0.0) or np.any(sel_alt.p <= 0.0):
-        raise ZeroSelectionProb("selection probabilities must be strictly positive")
-    fingerprint = fingerprint or model_fingerprint(joint, spec)
-    qual = approx_quality(joint, spec)
-    C = qual.max_norm
-    gap_t = spectral_summary(exact_random_scan(joint, sel)).gap
-    gap_t_alt = spectral_summary(exact_random_scan(joint, sel_alt)).gap
-    gap_h = spectral_summary(hybrid_random_scan(joint, sel, spec)).gap
-    gap_h_alt = spectral_summary(hybrid_random_scan(joint, sel_alt, spec)).gap
-    r = float(np.min(sel.p / sel_alt.p))
-    reports = [
-        make_report(
-            "selection-minratio-exact",
-            r * gap_t_alt,
-            gap_t,
-            tol,
-            witness={"min_ratio": r},
-            fingerprint=fingerprint,
-        ),
-        make_report(
-            "selection-minratio-hybrid",
-            r * gap_h_alt,
-            gap_h,
-            tol,
-            witness={"min_ratio": r},
-            fingerprint=fingerprint,
-        ),
-    ]
-    if gap_t_alt <= 1e-14:
-        reports.insert(
-            0,
-            make_report(
-                "selection-hybrid-transfer",
-                0.0,
-                gap_h,
-                tol,
-                witness={"hypothesis": "reference exact chain has no gap"},
-                fingerprint=fingerprint,
-                hypothesis_ok=False,
-            ),
-        )
-        return reports
-    b = gap_t / gap_t_alt
-    factor = b * (1.0 - C) if qual.all_psd else b * (1.0 - C) / (1.0 + C)
-    reports.insert(
-        0,
-        make_report(
-            "selection-hybrid-transfer",
-            factor * gap_h_alt,
-            gap_h,
-            tol,
-            witness={"b": float(b), "max_norm": C, "psd_tightened": qual.all_psd},
-            fingerprint=fingerprint,
-        ),
+    """``Analysis.selection_reweighting`` on a fresh analysis of ``joint``
+    under the selection probabilities ``p``."""
+    return Analysis(joint, p, spec).selection_reweighting(
+        p_alt, tol=tol, fingerprint=fingerprint
     )
-    return reports
 
 
 def check_uniform_tstep_bound(joint, p=None, spec=None, t=1, tol=DEFAULT_TOL, fingerprint=""):
-    """Certify the coarse uniform-selection power bound
-    1 - |T_hybrid| >= n^{-(t-1)} (1 - |T| - C^t), and that the one-step
-    sandwich lower bound dominates it whenever 1 - |T| - C^t >= 0."""
-    n = joint.space.ncoords
-    if n < 2:
-        raise PreconditionUnmet("the power bound needs at least two coordinates")
-    sel = selection_probs(p, n)
-    if np.abs(sel.p - 1.0 / n).max() > 1e-12:
-        raise NonUniformSelection("this bound is stated for uniform selection")
-    t = int(t)
-    if t < 1:
-        raise ValueError("t must be a positive integer")
-    spec = spec if spec is not None else EXACT_SPEC
-    fingerprint = fingerprint or model_fingerprint(joint, spec)
-    qual = approx_quality(joint, spec)
-    C = qual.max_norm
-    norm_t = spectral_summary(exact_random_scan(joint, sel)).operator_norm
-    gap_h = spectral_summary(hybrid_random_scan(joint, sel, spec)).gap
-    raw = 1.0 - norm_t - C**t
-    power_bound = raw / n ** (t - 1)
-    sandwich_bound = (1.0 - C) * (1.0 - norm_t)
-    return [
-        make_report(
-            "uniform-power-lower",
-            power_bound,
-            gap_h,
-            tol,
-            witness={"t": t, "max_norm": C},
-            fingerprint=fingerprint,
-        ),
-        make_report(
-            "uniform-power-dominated",
-            power_bound,
-            sandwich_bound,
-            tol,
-            witness={"t": t, "nontrivial": bool(raw >= 0.0)},
-            fingerprint=fingerprint,
-            hypothesis_ok=bool(raw >= 0.0),
-        ),
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Slice checks
-# ---------------------------------------------------------------------------
+    """``Analysis.uniform_tstep_bound`` on a fresh analysis of ``joint``."""
+    return Analysis(joint, p, spec).uniform_tstep_bound(t, tol=tol, fingerprint=fingerprint)
 
 
 def check_slice_tstep(model, t, tol=DEFAULT_TOL, fingerprint="", profile=None):
-    """Certify (1 - |S| - a_t)/t <= 1 - |S_hybrid| <= 1 - |S| for a slice model.
-
-    The tightened upper bound needs every per-level kernel psd; otherwise the
-    upper half falls back to the one-step sandwich (1 + C)(1 - |S|).  The
-    looser rms-based lower bound is certified alongside, together with the
-    ordering a_t <= b_t that makes the mean-based bound the sharper one.
-    """
-    t = int(t)
-    if t < 1:
-        raise ValueError("t must be a positive integer")
-    fingerprint = fingerprint or model_fingerprint(model)
-    summaries = level_summaries(model)
-    all_psd = all(s.psd for s in summaries)
-    if t % 2 == 1 and not all_psd:
-        raise PreconditionUnmet("odd t needs every per-level kernel psd")
-    S = slice_exact(model)
-    Sh = slice_hybrid(model)
-    profile = profile if profile is not None else _level_profile(summaries)
-    a_t = mean_power_bound(model, profile, t)
-    b_t = rms_power_bound(model, profile, t)
-    gap_exact = spectral_summary(S).gap
-    gap_hybrid = spectral_summary(Sh).gap
-    worst_norm = max(s.operator_norm for s in summaries)
-    upper = gap_exact if all_psd else (1.0 + worst_norm) * gap_exact
-    return [
-        make_report(
-            "slice-tstep-lower",
-            (gap_exact - a_t) / t,
-            gap_hybrid,
-            tol,
-            witness={"t": t, "alpha": a_t},
-            fingerprint=fingerprint,
-        ),
-        make_report(
-            "slice-tstep-upper",
-            gap_hybrid,
-            upper,
-            tol,
-            witness={"t": t, "psd_tightened": all_psd},
-            fingerprint=fingerprint,
-        ),
-        make_report(
-            "slice-tstep-lower-rms",
-            (gap_exact - b_t) / t,
-            gap_hybrid,
-            tol,
-            witness={"t": t, "beta": b_t},
-            fingerprint=fingerprint,
-        ),
-        make_report(
-            "slice-power-bound-order",
-            a_t,
-            b_t,
-            1e-12,
-            witness={"t": t},
-            fingerprint=fingerprint,
-        ),
-    ]
+    """``Analysis.slice_tstep`` on a fresh analysis of a slice model."""
+    return Analysis(model).slice_tstep(t, tol=tol, fingerprint=fingerprint, profile=profile)

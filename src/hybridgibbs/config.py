@@ -328,13 +328,22 @@ def _semantic_checks(out):
 
 def _canonical_rules(out):
     """Respell every rule as its rule's ``describe()``, with the rule's own
-    defaults filled in, so equivalent spellings share one fingerprint."""
+    defaults filled in, and every override key as its coordinate's decimal
+    integer, so equivalent spellings share one fingerprint.  Two override
+    keys that name one coordinate are a SchemaError."""
     a = out["approximator"]
     a["default"] = rule_from_json(a["default"], "approximator/default").describe()
-    a["overrides"] = {
-        c: rule_from_json(r, f"approximator/overrides/{c}").describe()
-        for c, r in a["overrides"].items()
-    }
+    overrides, spelled = {}, {}
+    for c, r in a["overrides"].items():
+        key = str(int(c))
+        if key in spelled:
+            raise SchemaError(
+                f"at approximator/overrides: keys {spelled[key]!r} and {c!r} both "
+                f"name coordinate {key}"
+            )
+        spelled[key] = c
+        overrides[key] = rule_from_json(r, f"approximator/overrides/{c}").describe()
+    a["overrides"] = overrides
     m = out["model"]
     if "level_kernels" in m:
         m["level_kernels"] = [

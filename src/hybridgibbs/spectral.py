@@ -150,6 +150,8 @@ class ReversiblePair:
     stationary: ProbVec
     tol: float = REVERSIBILITY_TOL
     reversibility_defect: float = field(init=False)
+    # None, or the dict where ``memoize`` lets this pair keep its spectra.
+    _memo: dict = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         K = self.kernel.matrix
@@ -273,10 +275,49 @@ def _restrict(rev):
         if np.abs(rows - 1.0).max() <= 1e-9:
             dropped = tuple(sorted(set(range(w.size)) - set(keep.tolist())))
             ws = w[keep] / w[keep].sum()
-            return keep, dropped, ws, Ks / rows[:, None]
+            Ks /= rows[:, None]
+            return keep, dropped, ws, Ks
     raise InvalidKernel(
         "support is not closed: rows leak more than 1e-9 mass to zero-mass states"
     )
+
+
+def memoize(rev):
+    """Let ``rev`` keep its decomposition and summary once computed.
+
+    The object that owns the pair (``bounds.Analysis``) turns this on, so that
+    every check it runs reads one decomposition; ``forget_vectors`` drops the
+    n x n eigenvectors once no reader is left.  Other pairs keep nothing, so a
+    decomposition lives no longer than the object that asked for it.
+    """
+    object.__setattr__(rev, "_memo", {})
+    return rev
+
+
+def forget_vectors(rev):
+    """Drop the memoized eigenvectors of ``rev``, keeping its summary."""
+    if rev._memo and "eigs" in rev._memo:
+        spectral_summary(rev)
+        del rev._memo["eigs"]
+
+
+def _symmetrized(rev):
+    """Restricted, symmetrized kernel: (keep, dropped, ws, d, A, asym).
+
+    A = (M + M^T)/2 for M = D^{1/2} K D^{-1/2} on the support, and asym is
+    max |M - M^T|.  M is the restricted kernel scaled in place, and one n x n
+    buffer holds first |M - M^T|, then A.
+    """
+    keep, dropped, ws, M = _restrict(rev)
+    d = np.sqrt(ws)
+    M *= d[:, None]
+    M /= d[None, :]
+    A = np.subtract(M, M.T)
+    np.abs(A, out=A)
+    asym = float(A.max())
+    np.add(M, M.T, out=A)
+    A /= 2.0
+    return keep, dropped, ws, d, A, asym
 
 
 def _sym_eigs(rev):
@@ -284,27 +325,28 @@ def _sym_eigs(rev):
 
     Returns (keep, dropped, ws, sqrt_ws, vals, vecs, k0, asym) where column
     ``k0`` of ``vecs`` is the stationary direction, identified by maximal
-    overlap with sqrt(ws) rather than by eigenvalue proximity to 1.
+    overlap with sqrt(ws) rather than by eigenvalue proximity to 1.  A
+    memoized pair (see ``memoize``) computes this once.
     """
-    keep, dropped, ws, Ks = _restrict(rev)
-    d = np.sqrt(ws)
-    A = (d[:, None] * Ks) / d[None, :]
-    asym = float(np.abs(A - A.T).max())
-    A = (A + A.T) / 2.0
+    memo = rev._memo
+    if memo is not None and "eigs" in memo:
+        return memo["eigs"]
+    keep, dropped, ws, d, A, asym = _symmetrized(rev)
     vals, vecs = np.linalg.eigh(A)
     k0 = int(np.argmax(np.abs(vecs.T @ d)))
-    return keep, dropped, ws, d, vals, vecs, k0, asym
+    eigs = keep, dropped, ws, d, vals, vecs, k0, asym
+    if memo is not None:
+        memo["eigs"] = eigs
+    return eigs
 
 
-def spectral_summary(rev):
-    """Operator norm, gap and mean-zero spectrum of a reversible pair.
+def _summary(rest, dropped, asym):
+    """SpectralSummary from the ascending mean-zero spectrum ``rest``.
 
     For the degenerate one-state support the mean-zero subspace is empty; the
     summary then reports norm 0, gap 1 and extreme eigenvalues 0 by
     convention.
     """
-    keep, dropped, ws, d, vals, vecs, k0, asym = _sym_eigs(rev)
-    rest = np.delete(vals, k0)
     if rest.size == 0:
         return SpectralSummary(
             operator_norm=0.0,
@@ -337,6 +379,37 @@ def spectral_summary(rev):
         dropped_states=dropped,
         max_asymmetry=asym,
     )
+
+
+def spectral_summary(rev):
+    """Operator norm, gap and mean-zero spectrum of a reversible pair, from
+    its eigendecomposition; a memoized pair computes it once."""
+    memo = rev._memo
+    if memo is not None and "summary" in memo:
+        return memo["summary"]
+    _keep, dropped, _ws, _d, vals, _vecs, k0, asym = _sym_eigs(rev)
+    summ = _summary(np.delete(vals, k0), dropped, asym)
+    if memo is not None:
+        memo["summary"] = summ
+    return summ
+
+
+def eigvals_summary(rev):
+    """``spectral_summary`` from eigenvalues alone, for a pair whose
+    eigenvectors nothing reads: one ``eigvalsh``, and nothing is kept.
+
+    Subtracting 3 d d^T moves the stationary eigenvalue (A d = d, |d| = 1)
+    to -2, below the rest of the spectrum, which lies in [-1, 1]; the
+    minimum is dropped.
+    """
+    _keep, dropped, _ws, d, A, asym = _symmetrized(rev)
+    A -= np.outer(3.0 * d, d)
+    vals = np.linalg.eigvalsh(A)
+    if vals.size > 1 and vals[1] - vals[0] < 0.5:
+        raise CrossCheckFailure(
+            f"the shifted stationary eigenvalue {vals[0]:.6f} is not isolated"
+        )
+    return _summary(vals[1:], dropped, asym)
 
 
 def dirichlet_form(rev, f):

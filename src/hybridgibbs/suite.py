@@ -18,28 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    approx_quality,
-    check_block_comparison,
-    check_da_gap_sandwich,
-    check_da_tstep,
-    check_da_variance_tstep,
-    check_dirichlet_sandwich,
-    check_gap_sandwich,
-    check_selection_reweighting,
-    check_slice_tstep,
-    check_uniform_tstep_bound,
-    check_variance_sandwich,
-)
+from .bounds import Analysis
 from .errors import (
     DegenerateConstants,
     HybridGibbsError,
     NoSpectralGap,
     PreconditionUnmet,
 )
-from .gibbs import block_random_scan, da_exact, da_hybrid, exact_random_scan, hybrid_random_scan
 from .report import HYPOTHESIS_UNMET, make_report
-from .slicemodel import slice_exact, slice_hybrid
 from .spectral import spectral_summary
 
 
@@ -130,32 +116,33 @@ def run_suite(config, suites=None, t_values=None, tol=None):
         for s in suites:
             if s != "slice" and not lenient:
                 raise HybridGibbsError(f"suite {s!r} does not apply to slice models")
-        kernels["slice_exact"] = spectral_summary(slice_exact(model)).to_dict()
-        if model.level_kernels is not None:
-            kernels["slice_hybrid"] = spectral_summary(slice_hybrid(model)).to_dict()
+        analysis = Analysis(model)
+        # The checks come first: they decompose the level kernels, which set
+        # the peak memory, before any slice chain is held.
         if "slice" in suites and model.level_kernels is not None:
             for t in t_values:
                 reports.extend(
                     _guarded(
-                        lambda t=t: check_slice_tstep(model, t, tol=tol, fingerprint=fp),
+                        lambda t=t: analysis.slice_tstep(t, tol=tol, fingerprint=fp),
                         f"slice-tstep-t{t}",
                         fp,
                         tol,
                     )
                 )
+        kernels["slice_exact"] = spectral_summary(analysis.S).to_dict()
+        if model.level_kernels is not None:
+            kernels["slice_hybrid"] = spectral_summary(analysis.Sh).to_dict()
         return _finish(config, kernels, quality, reports, start)
 
     joint = config.build_joint()
-    spec = config.approximator_spec()
     p = config.selection()
     n = joint.space.ncoords
     uniform = p is None or np.abs(np.asarray(p, float) / np.sum(p) - 1.0 / n).max() <= 1e-12
 
-    T = exact_random_scan(joint, p)
-    Th = hybrid_random_scan(joint, p, spec)
-    kernels["random_scan_exact"] = spectral_summary(T).to_dict()
-    kernels["random_scan_hybrid"] = spectral_summary(Th).to_dict()
-    qual = approx_quality(joint, spec)
+    analysis = Analysis(joint, p, config.approximator_spec())
+    kernels["random_scan_exact"] = spectral_summary(analysis.T).to_dict()
+    kernels["random_scan_hybrid"] = spectral_summary(analysis.Th).to_dict()
+    qual = analysis.quality
     quality = {
         "max_norm": qual.max_norm,
         "ratio_min": qual.ratio_min,
@@ -167,15 +154,13 @@ def run_suite(config, suites=None, t_values=None, tol=None):
     for s in suites:
         if s == "random-scan":
             reports.extend(
-                check_dirichlet_sandwich(
-                    joint, p, spec, trials=trials, seed=seed, tol=tol, fingerprint=fp
-                )
+                analysis.dirichlet_sandwich(trials=trials, seed=seed, tol=tol, fingerprint=fp)
             )
-            reports.extend(check_gap_sandwich(joint, p, spec, tol=tol, fingerprint=fp))
+            reports.extend(analysis.gap_sandwich(tol=tol, fingerprint=fp))
             reports.extend(
                 _guarded(
-                    lambda: check_variance_sandwich(
-                        joint, p, spec, trials=8, seed=seed, tol=tol, fingerprint=fp
+                    lambda: analysis.variance_sandwich(
+                        trials=8, seed=seed, tol=tol, fingerprint=fp
                     ),
                     "variance-sandwich",
                     fp,
@@ -187,14 +172,14 @@ def run_suite(config, suites=None, t_values=None, tol=None):
                 if lenient:
                     continue
                 raise HybridGibbsError("suite 'da' requires exactly two coordinates")
-            kernels["da_exact"] = spectral_summary(da_exact(joint)).to_dict()
-            kernels["da_hybrid"] = spectral_summary(da_hybrid(joint, spec)).to_dict()
-            reports.extend(check_da_gap_sandwich(joint, spec, tol=tol, fingerprint=fp))
+            kernels["da_exact"] = spectral_summary(analysis.S).to_dict()
+            kernels["da_hybrid"] = spectral_summary(analysis.Sh).to_dict()
+            reports.extend(analysis.da_gap_sandwich(tol=tol, fingerprint=fp))
             for t in t_values:
                 reports.extend(
                     _guarded(
-                        lambda t=t: check_da_tstep(
-                            joint, spec, t, trials=trials, seed=seed, tol=tol, fingerprint=fp
+                        lambda t=t: analysis.da_tstep(
+                            t, trials=trials, seed=seed, tol=tol, fingerprint=fp
                         ),
                         f"da-tstep-t{t}",
                         fp,
@@ -203,8 +188,8 @@ def run_suite(config, suites=None, t_values=None, tol=None):
                 )
                 reports.extend(
                     _guarded(
-                        lambda t=t: check_da_variance_tstep(
-                            joint, spec, t, seed=seed, tol=tol, fingerprint=fp
+                        lambda t=t: analysis.da_variance_tstep(
+                            t, seed=seed, tol=tol, fingerprint=fp
                         ),
                         f"da-variance-tstep-t{t}",
                         fp,
@@ -217,13 +202,11 @@ def run_suite(config, suites=None, t_values=None, tol=None):
                     continue
                 raise HybridGibbsError("suite 'block' requires at least three coordinates")
             for ell in range(2, n):
-                kernels[f"block_scan_l{ell}"] = spectral_summary(
-                    block_random_scan(joint, ell)
-                ).to_dict()
+                kernels[f"block_scan_l{ell}"] = spectral_summary(analysis.block(ell)).to_dict()
                 for m in range(1, ell):
                     reports.extend(
-                        check_block_comparison(
-                            joint, ell, m, trials=trials, seed=seed, tol=tol, fingerprint=fp
+                        analysis.block_comparison(
+                            ell, m, trials=trials, seed=seed, tol=tol, fingerprint=fp
                         )
                     )
         elif s == "selection":
@@ -232,14 +215,7 @@ def run_suite(config, suites=None, t_values=None, tol=None):
                 p_alt = [i + 1.0 for i in range(n)]
             reports.extend(
                 _guarded(
-                    lambda: check_selection_reweighting(
-                        joint,
-                        p if p is not None else [1.0] * n,
-                        p_alt,
-                        spec,
-                        tol=tol,
-                        fingerprint=fp,
-                    ),
+                    lambda: analysis.selection_reweighting(p_alt, tol=tol, fingerprint=fp),
                     "selection-reweighting",
                     fp,
                     tol,
@@ -255,9 +231,7 @@ def run_suite(config, suites=None, t_values=None, tol=None):
             for t in t_values:
                 reports.extend(
                     _guarded(
-                        lambda t=t: check_uniform_tstep_bound(
-                            joint, p, spec, t, tol=tol, fingerprint=fp
-                        ),
+                        lambda t=t: analysis.uniform_tstep_bound(t, tol=tol, fingerprint=fp),
                         f"uniform-power-t{t}",
                         fp,
                         tol,
@@ -267,6 +241,8 @@ def run_suite(config, suites=None, t_values=None, tol=None):
             if lenient:
                 continue
             raise HybridGibbsError("suite 'slice' requires a slice model")
+        # Each check family reads only its own pairs' eigenvectors.
+        analysis.release_vectors()
     return _finish(config, kernels, quality, reports, start)
 
 

@@ -1,0 +1,25 @@
+"""Shared test fixtures."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+
+@pytest.fixture
+def eig_counts(monkeypatch):
+    """Count ``np.linalg.eigh`` and ``np.linalg.eigvalsh`` calls by matrix size.
+
+    ``eig_counts["eigh"][n]`` is the number of n x n ``eigh`` calls made so
+    far, likewise for ``"eigvalsh"``; clear the counters to start again.
+    """
+    counts = {"eigh": Counter(), "eigvalsh": Counter()}
+    for name, counter in counts.items():
+        solve = getattr(np.linalg, name)
+
+        def counting(a, *args, _solve=solve, _counter=counter, **kwargs):
+            _counter[np.shape(a)[0]] += 1
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return counts

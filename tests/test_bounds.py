@@ -417,23 +417,17 @@ class TestSliceTstep:
             check_slice_tstep(model, t=3)
         assert all_pass(check_slice_tstep(model, t=2))
 
-    def test_each_level_kernel_decomposed_once(self, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting_eigh(a, *args, **kwargs):
-            calls.append(np.shape(a)[0])
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    def test_each_level_kernel_decomposed_once(self, eig_counts):
         model = SliceModel(np.array([3.0, 1.0, 2.0, 3.0]), (Lazy(0.35),) * 3)
         # One solve per level (sizes 4, 3, 2) plus the exact and hybrid chains.
         check_slice_tstep(model, t=2)
-        assert sorted(calls) == [2, 3, 4, 4, 4]
-        calls.clear()
-        # The DA t-step check also decomposes the hybrid chain for its battery.
+        assert sorted(eig_counts["eigh"].elements()) == [2, 3, 4, 4, 4]
+        eig_counts["eigh"].clear()
+        # The DA t-step check reads the hybrid chain's battery and its norm
+        # from one decomposition.
         check_da_tstep(model, t=2)
-        assert sorted(calls) == [2, 3, 4, 4, 4, 4]
+        assert sorted(eig_counts["eigh"].elements()) == [2, 3, 4, 4, 4]
+        assert not eig_counts["eigvalsh"]
 
 
 class TestHundredModelSweeps:

@@ -151,6 +151,20 @@ class TestConfig:
             }
             assert len(prints) == 1, spellings
 
+    def test_override_keys_respelled(self):
+        lazy = {"rule": "lazy", "epsilon": 0.5}
+        configs = [
+            canonicalize({**MINIMAL, "approximator": {"overrides": {key: lazy}}})
+            for key in ("1", "01", "+1")
+        ]
+        assert {cfg.fingerprint for cfg in configs} == {configs[0].fingerprint}
+        assert configs[1].data["approximator"]["overrides"] == {"1": lazy}
+
+    def test_override_keys_naming_one_coordinate(self):
+        overrides = {"1": {"rule": "lazy", "epsilon": 0.5}, "01": {"rule": "lazy", "epsilon": 0.9}}
+        with pytest.raises(SchemaError, match="approximator/overrides: keys '1' and '01'"):
+            canonicalize({**MINIMAL, "approximator": {"overrides": overrides}})
+
     def test_bad_explicit_table_entry(self):
         for key, matrix in (("x", [[1.0]]), ("0;1", [[1.0, 0.0], [1.0]])):
             bad = {"rule": "explicit", "tables": {key: matrix}}
