@@ -25,6 +25,7 @@ from .approximators import EXACT_SPEC, Exact, make_approximator
 from .errors import (
     CrossCheckFailure,
     DegenerateConstants,
+    DimensionMismatch,
     DominationViolated,
     InvalidBlockSize,
     InvalidSpec,
@@ -414,6 +415,11 @@ class Analysis:
         profile kind: per level of a slice model, per z of a joint."""
         if self.is_slice:
             return np.array([s.operator_norm for s in self.levels]), "per_level"
+        if self.source.space.ncoords != 2:
+            raise DimensionMismatch(
+                "the DA chain's inner kernels need a joint of exactly two "
+                f"coordinates, got {self.source.space.ncoords}"
+            )
         vals = np.zeros(self.source.space.sizes[1])
         for (_i, y), entry in self.da_quality.per_conditional.items():
             vals[y[0]] = entry["norm"]

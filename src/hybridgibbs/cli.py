@@ -23,7 +23,7 @@ from .errors import HybridGibbsError
 from .gibbs import exact_random_scan, hybrid_random_scan
 from .simulate import cross_validate_variance, simulate, write_trajectory
 from .slicemodel import slice_exact, slice_hybrid
-from .spectral import spectral_summary
+from .spectral import eigvals_summary
 from .suite import run_suite
 
 
@@ -143,7 +143,7 @@ def _cmd_simulate(args):
         write_trajectory(traj, args.traj_out)
     out = {
         "kernel": args.kernel,
-        "spectral": spectral_summary(rev).to_dict(),
+        "spectral": eigvals_summary(rev).to_dict(),
         "report": report.to_dict(),
     }
     sys.stdout.write(json.dumps(out, sort_keys=True, indent=2) + "\n")

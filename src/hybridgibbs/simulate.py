@@ -142,7 +142,7 @@ def cross_validate_variance(rev, f, steps, seed, batch=None, fingerprint=""):
             "steps": int(steps),
             "seed": int(seed),
         },
-        fingerprint=fingerprint or kernel_fingerprint(rev),
+        fingerprint=fingerprint or traj.fingerprint,
     )
 
 

@@ -1,10 +1,11 @@
 """Exact spectral analysis of reversible kernels on finite state spaces.
 
 The unit of analysis is a ReversiblePair: a row-stochastic matrix together
-with a verified stationary distribution.  All spectral quantities (operator
+with a verified stationary distribution.  The spectral quantities (operator
 norm on mean-zero functions, absolute gap, Dirichlet forms, asymptotic
-variance) come from the dense eigendecomposition of the symmetrized matrix
-A = D^{1/2} K D^{-1/2} with D = diag of the stationary weights; A is symmetric
+variance) come from the symmetrized matrix A = D^{1/2} K D^{-1/2} with
+D = diag of the stationary weights: from its dense eigendecomposition, or
+for a single asymptotic variance from one linear solve with it; A is symmetric
 exactly when detailed balance holds, and is symmetrized defensively to absorb
 floating-point residue.  States carrying stationary mass below NULL_MASS are
 dropped before analysis: the mean-zero L2 theory is blind to null sets.
@@ -443,8 +444,11 @@ def variances(rev, F):
     """Asymptotic variance of time-averages of every column of F.
 
     Equals 2 <f0, (I-K)^{-1} f0> - |f0|^2 on the mean-zero part f0 of each
-    column, evaluated on the eigenbasis of the symmetrized kernel from one
-    eigendecomposition.  Requires a positive spectral gap.
+    column, evaluated on the eigenbasis of the symmetrized kernel.  This is
+    the route for the n-column test-function batteries of the checks, whose
+    pairs already hold their decomposition; one column with nothing held
+    costs less through ``asymptotic_variance``.  Requires a positive
+    spectral gap.
     """
     keep, _dropped, ws, d, vals, vecs, k0, _asym = _sym_eigs(rev)
     rest = np.delete(vals, k0)
@@ -462,9 +466,38 @@ def variances(rev, F):
 
 
 def asymptotic_variance(rev, f):
-    """Asymptotic variance of time-averages of f along the chain: the
-    one-column case of ``variances``."""
-    return float(variances(rev, as_values(f, rev.n)[:, None])[0])
+    """Asymptotic variance of time-averages of f along the chain, from one
+    linear solve and no eigendecomposition: the one-column traffic of
+    simulation cross-validation, on pairs that hold no decomposition.
+
+    With A the symmetrized kernel on the support, d = sqrt(ws) its
+    stationary direction and g = d * f0, the variance is 2 g^T x - g^T g
+    where (I - A + d d^T) x = g.  As in ``variances``, an operator norm of
+    at least 1 - 1e-12 on mean-zero functions raises NoSpectralGap: the
+    check is that (1 - 1e-12) I - A + d d^T and (1 - 1e-12) I + A both have
+    a Cholesky factor.
+    """
+    keep, _dropped, ws, d, A, _asym = _symmetrized(rev)
+    v = as_values(f, rev.n)[keep]
+    g = d * (v - float(ws @ v))
+    margin = 1e-12
+    diag = np.diag_indices_from(A)
+    B = np.outer(d, d)
+    B -= A
+    try:
+        B[diag] += 1.0 - margin
+        np.linalg.cholesky(B)
+        A[diag] += 1.0 - margin
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        raise NoSpectralGap(
+            "operator norm on mean-zero functions is at least 1 - 1e-12: "
+            "no spectral gap"
+        ) from None
+    del A  # one n x n buffer fewer while the solve factors its copy of B
+    B[diag] += margin
+    x = np.linalg.solve(B, g)
+    return 2.0 * float(g @ x) - float(g @ g)
 
 
 def t_step(kernel, t):

@@ -8,12 +8,14 @@ import pytest
 
 @pytest.fixture
 def eig_counts(monkeypatch):
-    """Count ``np.linalg.eigh`` and ``np.linalg.eigvalsh`` calls by matrix size.
+    """Count dense ``np.linalg`` calls by matrix size: the eigensolvers
+    ``eigh`` and ``eigvalsh``, and ``cholesky`` and ``solve``.
 
     ``eig_counts["eigh"][n]`` is the number of n x n ``eigh`` calls made so
-    far, likewise for ``"eigvalsh"``; clear the counters to start again.
+    far, likewise for the other three names; clear the counters to start
+    again.
     """
-    counts = {"eigh": Counter(), "eigvalsh": Counter()}
+    counts = {name: Counter() for name in ("eigh", "eigvalsh", "cholesky", "solve")}
     for name, counter in counts.items():
         solve = getattr(np.linalg, name)
 

@@ -31,6 +31,7 @@ from hybridgibbs import (
 )
 from hybridgibbs.bounds import function_battery
 from hybridgibbs.errors import (
+    DimensionMismatch,
     DominationViolated,
     InvalidBlockSize,
     InvalidSpec,
@@ -116,6 +117,21 @@ class TestNormProfiles:
         spec = ApproximatorSpec(default=Lazy(0.4))
         with pytest.raises(InvalidSpec):
             dominating_norm_profile(SKEWED, [0.5, 1.5], spec)
+
+    def test_profiles_need_two_coordinates(self):
+        # With three coordinates, coordinate-0 conditionals that share their
+        # second coordinate would overwrite each other's entry in a per-z
+        # profile; the DA checks reject such a joint too.
+        from hybridgibbs.randomgen import random_joint
+
+        joint = random_joint(3, sizes=(2, 3, 2))
+        spec = ApproximatorSpec(default=Lazy(0.3))
+        with pytest.raises(DimensionMismatch):
+            exact_norm_profile(joint, spec)
+        with pytest.raises(DimensionMismatch):
+            dominating_norm_profile(joint, [0.5, 0.5, 0.5], spec)
+        with pytest.raises(DimensionMismatch):
+            check_da_tstep(joint, spec, t=2)
 
 
 class TestPowerBounds:

@@ -5,7 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from hybridgibbs import ApproximatorSpec, ExplicitMatrix, product_joint
+from hybridgibbs import (
+    ApproximatorSpec,
+    ExplicitMatrix,
+    exact_random_scan,
+    product_joint,
+    spectral_summary,
+)
 from hybridgibbs.bounds import model_fingerprint
 from hybridgibbs.cli import main
 from hybridgibbs.config import canonicalize, parse_config_text, serialize
@@ -314,6 +320,23 @@ class TestCli:
              "--f", "vector:1,0,0,-1", "--batch", "100"]
         )
         assert code == 0
+
+    def test_simulate_spectral_block_without_eigenvectors(self, tmp_path, capsys, eig_counts):
+        config = canonicalize(demo_config("spike-slab-toy"))
+        path = tmp_path / "config.json"
+        path.write_text(serialize(config))
+        code = main(["simulate", str(path), "--steps", "20000", "--seed", "4"])
+        assert code == 0
+        assert not eig_counts["eigh"]
+        got = json.loads(capsys.readouterr().out)["spectral"]
+        rev = exact_random_scan(config.build_joint(), config.selection())
+        want = spectral_summary(rev).to_dict()
+        assert sorted(got) == sorted(want)
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert got[key] == pytest.approx(value, rel=0, abs=1e-12)
+            else:
+                assert got[key] == value
 
     def test_demo_run(self, capsys):
         assert main(["demo", "two-coin", "--run"]) == 0

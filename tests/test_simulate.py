@@ -1,16 +1,23 @@
 """Trajectory simulation, batch means, and cross-validation against exact values."""
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridgibbs import (
     batch_means_variance,
+    canonicalize,
     check_reversibility,
     cross_validate_variance,
+    exact_random_scan,
     mixing_curve,
     simulate,
     write_trajectory,
 )
+from hybridgibbs._stepper_py import walk
 from hybridgibbs.errors import (
     InvalidStart,
     NotAbsolutelyContinuous,
@@ -73,6 +80,80 @@ class TestSimulate:
         assert np.all(probs > 0)
 
 
+def full_row_walk(cumulative, uniforms, start):
+    """The stepper's rule on full rows: the smallest j with cum[state, j] > u,
+    clamped to the last column."""
+    rows = [row.tolist() for row in np.asarray(cumulative, dtype=np.float64)]
+    last = len(rows[0]) - 1
+    state = int(start)
+    out = [state]
+    for u in np.asarray(uniforms, dtype=np.float64).tolist():
+        j = bisect_right(rows[state], u)
+        state = j if j <= last else last
+        out.append(state)
+    return np.array(out, dtype=np.int64)
+
+
+# Row entries: zeros make sparse rows (at either end too), 1e-18 is absorbed
+# by rounding once the running sum is large, and the rest rise.
+ENTRY = st.one_of(st.just(0.0), st.just(1e-18), st.floats(min_value=1e-3, max_value=1.0))
+
+
+@st.composite
+def walks(draw):
+    """A cumulative matrix, a uniform stream and a start for ``walk``."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    rows = []
+    for _ in range(n):
+        entries = np.array(draw(st.lists(ENTRY, min_size=n, max_size=n)))
+        if entries.max() < 1e-3:
+            entries[draw(st.integers(0, n - 1))] = 1.0
+        # Rows that end at 1 - 1e-13 leave room above them for the clamp.
+        top = draw(st.sampled_from([1.0, 1.0 - 1e-13]))
+        rows.append(np.cumsum(entries / entries.sum() * top))
+    cum = np.array(rows)
+    ties = sorted({float(c) for c in cum.ravel() if c < 1.0})
+    u = st.one_of(
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        st.sampled_from(ties) if ties else st.just(0.0),
+        st.just(1.0 - 1e-14),
+        st.just(0.0),
+    )
+    uniforms = np.array(draw(st.lists(u, min_size=1, max_size=200)))
+    return cum, uniforms, draw(st.integers(0, n - 1))
+
+
+class TestStepper:
+    @given(walks())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_row_rule(self, case):
+        cum, uniforms, start = case
+        np.testing.assert_array_equal(
+            walk(cum, uniforms, start), full_row_walk(cum, uniforms, start)
+        )
+
+    def test_edge_cases(self):
+        # Row 0: zero columns at both ends and an absorbed 1e-18; row 1
+        # dense; row 2 ends at 1 - 1e-13, so a draw above or equal to its
+        # last value takes the clamp to the last state.
+        K = np.array(
+            [
+                [0.0, 0.5, 1e-18, 0.5, 0.0],
+                [0.2, 0.2, 0.2, 0.2, 0.2],
+                [0.0, 0.0, 1.0 - 1e-13, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 0.0, 1.0],
+                [1.0, 0.0, 0.0, 0.0, 0.0],
+            ]
+        )
+        cum = np.cumsum(K, axis=1)
+        # Draws equal to cumulative values (0.0, 0.4 and row 2's last) and
+        # one above row 2's last value.
+        uniforms = np.array([0.0, 0.5, 0.2, 1.0 - 1e-14, cum[2, 2], 0.0, 0.4, cum[2, 2]])
+        states = walk(cum, uniforms, 0)
+        np.testing.assert_array_equal(states, full_row_walk(cum, uniforms, 0))
+        assert states.tolist() == [0, 1, 2, 2, 4, 0, 1, 2, 4]
+
+
 class TestBatchMeans:
     def test_iid_sequence(self):
         # The independence kernel produces iid draws: the asymptotic variance
@@ -107,6 +188,15 @@ class TestCrossValidate:
         rep = cross_validate_variance(TWO_STATE, [1.0, -1.0], 100_000, seed=15, batch=1000)
         assert rep.status == "pass"
         assert rep.witness["exact"] == pytest.approx(7 / 3, rel=1e-12)
+
+    def test_exact_variance_is_one_solve(self, eig_counts):
+        config = canonicalize({"model": {"kind": "random", "sizes": [40, 40], "seed": 1}})
+        rev = exact_random_scan(config.build_joint(), config.selection())
+        f = np.arange(rev.n) % 40.0
+        cross_validate_variance(rev, f, 10_000, seed=1)
+        assert not eig_counts["eigh"] and not eig_counts["eigvalsh"]
+        assert eig_counts["cholesky"] == {1600: 2}
+        assert eig_counts["solve"] == {1600: 1}
 
     def test_random_pairs_mostly_pass(self):
         from hybridgibbs import exact_random_scan

@@ -26,6 +26,7 @@ from hybridgibbs.errors import (
     ZeroFunction,
 )
 from hybridgibbs.randomgen import random_probvec, random_reversible_kernel, rng_from
+from hybridgibbs.spectral import memoize, variances
 
 TWO_STATE = [[0.7, 0.3], [0.3, 0.7]]
 UNIFORM2 = [0.5, 0.5]
@@ -215,6 +216,43 @@ class TestAsymptoticVariance:
     def test_identity_has_no_gap(self):
         with pytest.raises(NoSpectralGap):
             asymptotic_variance(pair(np.eye(2), UNIFORM2), [1.0, -1.0])
+
+    @pytest.mark.parametrize(
+        "K, w",
+        [
+            ([[0.0, 1.0], [1.0, 0.0]], UNIFORM2),
+            ([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [0.5, 0.25, 0.25]),
+        ],
+        ids=["swap", "bipartite"],
+    )
+    def test_eigenvalue_minus_one_has_no_gap(self, K, w):
+        with pytest.raises(NoSpectralGap):
+            asymptotic_variance(pair(K, w), np.arange(len(w), dtype=float))
+
+    def test_solve_matches_eigenbasis(self, eig_counts):
+        # The one-column solve against the eigenbasis formula of the
+        # n-column batteries, with no eigensolve of its own.
+        chains = []
+        for seed in range(18):
+            n = 2 + seed % 7
+            w = random_probvec(seed + 900, n)
+            chains.append(pair(random_reversible_kernel(seed + 950, w), w))
+        w = random_probvec(1, 4)
+        chains.append(pair(0.5 * np.eye(4) + 0.5 * random_reversible_kernel(2, w), w))
+        # State 3 carries no stationary mass and is dropped from the support.
+        w = random_probvec(4, 3)
+        K = np.zeros((4, 4))
+        K[:3, :3] = random_reversible_kernel(3, w)
+        K[3] = [0.2, 0.3, 0.1, 0.4]
+        chains.append(pair(K, np.append(w.weights, 0.0)))
+        for k, rev in enumerate(chains):
+            f = rng_from(k).standard_normal(rev.n)
+            solved = asymptotic_variance(rev, f)
+            assert not eig_counts["eigh"] and not eig_counts["eigvalsh"]
+            expected = float(variances(memoize(rev), f[:, None])[0])
+            assert solved == pytest.approx(expected, rel=1e-12)
+            for counter in eig_counts.values():
+                counter.clear()
 
     def test_psd_variance_at_least_plain_variance(self):
         for seed in range(20):
