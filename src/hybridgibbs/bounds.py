@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .approximators import EXACT_SPEC, Exact, make_approximator
+from .approximators import EXACT_SPEC, Exact, Lazy, make_approximator
 from .errors import (
     CrossCheckFailure,
     DegenerateConstants,
@@ -46,6 +46,7 @@ from .report import fingerprint_bytes, make_report
 from .slicemodel import SliceModel, level_summaries, slice_exact, slice_hybrid
 from .space import conditional, marginal, selection_probs
 from .spectral import (
+    NULL_MASS,
     _sym_eigs,
     dirichlet_ratio_extrema,
     eigvals_summary,
@@ -314,6 +315,28 @@ def _worst(slack):
     return i, float(slack[i])
 
 
+def _two_coordinate_scan_gap(p, eps, da_gap):
+    """Spectral gap of a two-coordinate random-scan chain, from the gap of
+    the exact DA chain.
+
+    The chain updates coordinate i with probability p_i by
+    eps_i I + (1 - eps_i) P_i, where P_i is the projection that redraws it
+    from its conditional (eps_i = 0 for an exact update).  It is
+    c I + a_0 P_0 + a_1 P_1 with c = sum p_i eps_i and a_i = p_i (1 - eps_i).
+    By the two-subspace theorem (Halmos, Trans. AMS 144, 1969) each DA
+    eigenvalue 1 - g on mean-zero functions gives the pair
+    c + (s +- sqrt(s^2 - 4 a_0 a_1 g)) / 2 with s = a_0 + a_1; the other
+    eigenvalues, c + a_i and c, lie below the largest pair.  The gap is
+    therefore 2 a_0 a_1 g / (s + sqrt(s^2 - 4 a_0 a_1 g)) at the DA gap g.
+    This holds when both coordinates take at least two values and no
+    state is null; elsewhere the theorem's subspaces change.
+    """
+    a0, a1 = np.asarray(p, dtype=float) * (1.0 - np.asarray(eps, dtype=float))
+    s = a0 + a1
+    num = 2.0 * a0 * a1 * da_gap
+    return float(num / (s + np.sqrt(max(s * s - 2.0 * num, 0.0))))
+
+
 # ---------------------------------------------------------------------------
 # The shared analysis of one model
 # ---------------------------------------------------------------------------
@@ -437,9 +460,18 @@ class Analysis:
         return self.da_quality.all_psd
 
     def block(self, ell):
-        """The block random-scan pair updating ``ell`` coordinates."""
+        """The block random-scan pair updating ``ell`` coordinates.
+
+        Under uniform selection the one-coordinate block chain adds the same
+        updates with the same weights in the same order as the exact random
+        scan, so it is that pair, bit for bit.
+        """
         if ell not in self._blocks:
-            self._blocks[ell] = self._own(block_random_scan(self.source, ell))
+            n = self.source.space.ncoords
+            if ell == 1 and np.all(self.sel.p == 1.0 / n):
+                self._blocks[ell] = self.T
+            else:
+                self._blocks[ell] = self._own(block_random_scan(self.source, ell))
         return self._blocks[ell]
 
     def release_vectors(self):
@@ -805,6 +837,47 @@ class Analysis:
 
     # -- selection-probability and uniform-selection power bounds -------------
 
+    def _closed_form_scan_gaps(self, sel):
+        """Gaps of the exact and hybrid random-scan chains under ``sel`` from
+        ``_two_coordinate_scan_gap``, each None where the formula does not
+        cover the chain.
+
+        It covers a joint of two coordinates, each taking at least two
+        values, whose weights all reach NULL_MASS; the hybrid chain also
+        needs every rule to be Exact or Lazy(eps) with eps < 1.  Each call
+        checks the formula at this analysis's own selection probabilities
+        against the decomposed pairs T and Th.
+        """
+        joint = self.source
+        if (
+            joint.space.ncoords != 2
+            or min(joint.space.sizes) < 2
+            or np.any(joint.weights < NULL_MASS)
+        ):
+            return None, None
+        chains = [("exact", (0.0, 0.0), self.T)]
+        eps = []
+        for i in range(2):
+            rule = self.scan_spec.rule_for(i)
+            if isinstance(rule, Exact):
+                eps.append(0.0)
+            elif isinstance(rule, Lazy) and rule.epsilon < 1.0:
+                eps.append(float(rule.epsilon))
+        if len(eps) == 2:
+            chains.append(("hybrid", tuple(eps), self.Th))
+        da_gap = spectral_summary(self.S).gap
+        gaps = [None, None]
+        for k, (name, chain_eps, pair) in enumerate(chains):
+            own = _two_coordinate_scan_gap(self.sel.p, chain_eps, da_gap)
+            decomposed = spectral_summary(pair).gap
+            if abs(own - decomposed) > 1e-10:
+                raise CrossCheckFailure(
+                    f"the {name} random-scan gap {decomposed:.12e} differs from "
+                    f"its closed form {own:.12e} in the DA gap"
+                )
+            gaps[k] = _two_coordinate_scan_gap(sel.p, chain_eps, da_gap)
+        return tuple(gaps)
+
     def selection_reweighting(self, p_alt, tol=DEFAULT_TOL, fingerprint=""):
         """Certify how spectral gaps transfer from the selection probabilities
         ``p_alt`` to this analysis's own.
@@ -813,7 +886,9 @@ class Analysis:
         satisfy gap_hybrid(p) >= b (1-C)/(1+C) gap_hybrid(p'), tightened to
         b (1-C) when every approximating kernel is psd; and the min-ratio
         reweighting inequality holds for the exact and hybrid pairs alike.
-        The chains under ``p_alt`` are read for their spectra only.
+        Only the gaps under ``p_alt`` are read: from the DA gap where
+        ``_closed_form_scan_gaps`` covers the chain, otherwise from the
+        spectrum of the chain built under ``p_alt``.
         """
         joint = self.source
         sel = self.sel
@@ -824,9 +899,12 @@ class Analysis:
         qual = self.quality
         C = qual.max_norm
         gap_t = spectral_summary(self.T).gap
-        gap_t_alt = eigvals_summary(exact_random_scan(joint, sel_alt)).gap
         gap_h = spectral_summary(self.Th).gap
-        gap_h_alt = eigvals_summary(hybrid_random_scan(joint, sel_alt, self.scan_spec)).gap
+        gap_t_alt, gap_h_alt = self._closed_form_scan_gaps(sel_alt)
+        if gap_t_alt is None:
+            gap_t_alt = eigvals_summary(exact_random_scan(joint, sel_alt)).gap
+        if gap_h_alt is None:
+            gap_h_alt = eigvals_summary(hybrid_random_scan(joint, sel_alt, self.scan_spec)).gap
         r = float(np.min(sel.p / sel_alt.p))
         reports = [
             make_report(

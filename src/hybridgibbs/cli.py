@@ -21,7 +21,7 @@ from .config import canonicalize, parse_config, serialize
 from .demos import demo_config, list_demos
 from .errors import HybridGibbsError
 from .gibbs import exact_random_scan, hybrid_random_scan
-from .simulate import cross_validate_variance, simulate, write_trajectory
+from .simulate import _cross_validate, simulate, write_trajectory
 from .slicemodel import slice_exact, slice_hybrid
 from .spectral import eigvals_summary
 from .suite import run_suite
@@ -135,11 +135,9 @@ def _cmd_simulate(args):
         else:
             rev = hybrid_random_scan(joint, config.selection(), config.approximator_spec())
     f = _observable(args.f, rev, config)
-    report = cross_validate_variance(
-        rev, f, args.steps, args.seed, batch=args.batch, fingerprint=config.fingerprint
-    )
+    traj = simulate(rev, rev.stationary, args.steps, args.seed)
+    report = _cross_validate(rev, f, traj, batch=args.batch, fingerprint=config.fingerprint)
     if args.traj_out:
-        traj = simulate(rev, rev.stationary, args.steps, args.seed)
         write_trajectory(traj, args.traj_out)
     out = {
         "kernel": args.kernel,

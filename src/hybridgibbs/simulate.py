@@ -25,7 +25,7 @@ from .spectral import (
     ProbVec,
     as_values,
     asymptotic_variance,
-    spectral_summary,
+    eigvals_summary,
 )
 
 
@@ -123,10 +123,18 @@ def cross_validate_variance(rev, f, steps, seed, batch=None, fingerprint=""):
     is drawn from the stationary distribution.
     """
     v = as_values(f, rev.n)
-    exact = asymptotic_variance(rev, v)
-    if batch is None:
-        batch = max(1, int(np.sqrt(int(steps))))
     traj = simulate(rev, rev.stationary, steps, seed)
+    return _cross_validate(rev, v, traj, batch, fingerprint)
+
+
+def _cross_validate(rev, f, traj, batch=None, fingerprint=""):
+    """``cross_validate_variance`` on an existing trajectory ``traj`` of
+    ``rev`` from its stationary start."""
+    v = as_values(f, rev.n)
+    exact = asymptotic_variance(rev, v)
+    steps, seed = traj.steps, traj.seed
+    if batch is None:
+        batch = max(1, int(np.sqrt(steps)))
     est = batch_means_variance(traj, v, batch)
     return make_report(
         "simulation-cross-validation",
@@ -139,8 +147,8 @@ def cross_validate_variance(rev, f, steps, seed, batch=None, fingerprint=""):
             "standard_error": est.standard_error,
             "batch": est.batch,
             "batches": est.batches,
-            "steps": int(steps),
-            "seed": int(seed),
+            "steps": steps,
+            "seed": seed,
         },
         fingerprint=fingerprint or traj.fingerprint,
     )
@@ -186,7 +194,7 @@ def mixing_curve(rev, mu0, tmax):
         dists[t] = np.sqrt(float(np.sum(diff * diff / w[keep])))
         if t < tmax:
             mu = mu @ K
-    norm = spectral_summary(rev).operator_norm
+    norm = eigvals_summary(rev).operator_norm
     rate = _fit_tail_rate(dists)
     if rate > norm + 1e-6:
         raise CrossCheckFailure(

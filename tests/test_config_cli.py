@@ -313,6 +313,44 @@ class TestCli:
         assert out["report"]["status"] == "pass"
         assert traj.read_text().startswith("# seed=5 kernel=")
 
+    def test_simulate_traj_out_simulates_once(self, tmp_path, capsys, monkeypatch):
+        import hybridgibbs._stepper_py as stepper
+        from hybridgibbs import cross_validate_variance, simulate, write_trajectory
+        from hybridgibbs.spectral import eigvals_summary
+
+        config = {"model": {"kind": "random", "sizes": [5, 4], "seed": 3}}
+        path = self._write(tmp_path, config)
+        traj = tmp_path / "traj.txt"
+        walks = []
+        walk = stepper.walk
+
+        def counting_walk(*args):
+            walks.append(1)
+            return walk(*args)
+
+        monkeypatch.setattr(stepper, "walk", counting_walk)
+        argv = ["simulate", path, "--steps", "40000", "--seed", "7", "--batch", "200"]
+        assert main(argv + ["--traj-out", str(traj)]) == 0
+        assert len(walks) == 1
+        # The bytes the command wrote when it simulated once for the report
+        # and once more for the file.
+        canonical = canonicalize(config)
+        joint = canonical.build_joint()
+        rev = exact_random_scan(joint, canonical.selection())
+        f = np.array([joint.space.decode(s)[0] for s in range(rev.n)], dtype=float)
+        report = cross_validate_variance(
+            rev, f, 40000, 7, batch=200, fingerprint=canonical.fingerprint
+        )
+        want = tmp_path / "want.txt"
+        write_trajectory(simulate(rev, rev.stationary, 40000, 7), want)
+        out = {
+            "kernel": "exact",
+            "spectral": eigvals_summary(rev).to_dict(),
+            "report": report.to_dict(),
+        }
+        assert capsys.readouterr().out == json.dumps(out, sort_keys=True, indent=2) + "\n"
+        assert traj.read_bytes() == want.read_bytes()
+
     def test_simulate_vector_observable(self, tmp_path, capsys):
         path = self._write(tmp_path, MINIMAL)
         code = main(

@@ -244,6 +244,19 @@ class TestMixingCurve:
             if separated:
                 assert curve.fitted_rate == pytest.approx(s.operator_norm, abs=1e-3)
 
+    def test_norm_from_eigenvalues_alone(self, eig_counts):
+        from hybridgibbs import spectral_summary
+        from hybridgibbs.randomgen import random_joint
+
+        T = exact_random_scan(random_joint(701, sizes=(10, 10)))
+        mu0 = np.zeros(T.n)
+        mu0[0] = 1.0
+        curve = mixing_curve(T, mu0, 20)
+        assert not eig_counts["eigh"]
+        assert curve.operator_norm == pytest.approx(
+            spectral_summary(T).operator_norm, rel=0, abs=1e-12
+        )
+
     def test_monotone_for_psd(self):
         curve = mixing_curve(TWO_STATE, [0.9, 0.1], 30)
         diffs = np.diff(curve.distances)
