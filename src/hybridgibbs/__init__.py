@@ -13,21 +13,11 @@ from .approximators import (
     make_approximator,
 )
 from .bounds import (
+    Analysis,
     ApproxQuality,
     NormProfile,
     approx_quality,
-    check_block_comparison,
-    check_da_gap_sandwich,
-    check_da_tstep,
-    check_da_variance_tstep,
-    check_dirichlet_sandwich,
-    check_gap_sandwich,
-    check_selection_reweighting,
-    check_slice_tstep,
-    check_uniform_tstep_bound,
-    check_variance_sandwich,
     dominating_norm_profile,
-    exact_norm_profile,
     mean_power_bound,
     rms_power_bound,
 )

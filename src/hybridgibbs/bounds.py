@@ -5,7 +5,7 @@ spectra, exact Dirichlet forms, exact conditional averages) and returns a list
 of BoundReports, one per atomic inequality, each carrying the worst observed
 slack and a witness for where it occurred.  The checks are methods of an
 ``Analysis``, which builds each kernel of a model once and decomposes it
-once; each standalone ``check_*`` function runs one on a fresh Analysis.
+once.
 
 Test-function batteries consist of the full eigenbasis of the relevant
 symmetrized kernel plus seeded random mean-zero vectors: the extremal
@@ -50,7 +50,6 @@ from .spectral import (
     _sym_eigs,
     dirichlet_ratio_extrema,
     eigvals_summary,
-    forget_vectors,
     memoize,
     spectral_summary,
     variances,
@@ -180,11 +179,6 @@ class NormProfile:
         v = np.clip(v, 0.0, 1.0)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-
-def exact_norm_profile(source, spec=None):
-    """Profile built from the exact per-kernel operator norms."""
-    return Analysis(source, spec=spec).inner_profile
 
 
 def dominating_norm_profile(source, values, spec=None):
@@ -337,6 +331,34 @@ def _two_coordinate_scan_gap(p, eps, da_gap):
     return float(num / (s + np.sqrt(max(s * s - 2.0 * num, 0.0))))
 
 
+def _gap_sandwich(name, exact, hybrid, qual, tol, fingerprint):
+    """Reports ``name``-lower/-upper: (1-C)(1-|exact|) <= 1-|hybrid| <=
+    (1+C)(1-|exact|) with C = ``qual.max_norm``, the upper bound tightened
+    to 1-|exact| when every approximating kernel is psd."""
+    gap_exact = spectral_summary(exact).gap
+    gap_hybrid = spectral_summary(hybrid).gap
+    C = qual.max_norm
+    upper = gap_exact if qual.all_psd else (1.0 + C) * gap_exact
+    return [
+        make_report(
+            f"{name}-lower",
+            (1.0 - C) * gap_exact,
+            gap_hybrid,
+            tol,
+            witness={"max_norm": C},
+            fingerprint=fingerprint,
+        ),
+        make_report(
+            f"{name}-upper",
+            gap_hybrid,
+            upper,
+            tol,
+            witness={"max_norm": C, "psd_tightened": qual.all_psd},
+            fingerprint=fingerprint,
+        ),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # The shared analysis of one model
 # ---------------------------------------------------------------------------
@@ -352,8 +374,7 @@ class Analysis:
     marginal chains, that of a slice model its slice chains.  Each kernel is
     built on first use and memoized, so it is decomposed at most once, and
     everything lives as long as this object.  ``run_suite`` builds one
-    Analysis per run; each standalone ``check_*`` builds its own and calls
-    the method of the same name.
+    Analysis per run; a single check is ``Analysis(source, p, spec).<check>()``.
     """
 
     def __init__(self, source, p=None, spec=None):
@@ -364,7 +385,6 @@ class Analysis:
             self.sel = selection_probs(p, source.space.ncoords)
         self._coord_quality = {}
         self._blocks = {}
-        self._pairs = []
 
     # -- kernels and their quality -------------------------------------------
 
@@ -373,25 +393,25 @@ class Analysis:
         """The spec of the random-scan chains: Exact when none was given."""
         return self.spec if self.spec is not None else EXACT_SPEC
 
+    @property
+    def uniform_selection(self):
+        """Whether every selection probability is within 1e-12 of 1/n."""
+        return bool(np.abs(self.sel.p - 1.0 / self.sel.n).max() <= 1e-12)
+
     def _da_spec(self):
         if self.spec is None:
             raise InvalidSpec("an approximator spec is required for joint models")
         return self.spec
 
-    def _own(self, pair):
-        """Memoize a pair this analysis built, so that it is decomposed once."""
-        self._pairs.append(memoize(pair))
-        return pair
-
     @cached_property
     def T(self):
         """The exact random-scan pair."""
-        return self._own(exact_random_scan(self.source, self.sel))
+        return memoize(exact_random_scan(self.source, self.sel))
 
     @cached_property
     def Th(self):
         """The hybrid random-scan pair."""
-        return self._own(hybrid_random_scan(self.source, self.sel, self.scan_spec))
+        return memoize(hybrid_random_scan(self.source, self.sel, self.scan_spec))
 
     def _coordinate_quality(self, i):
         """ApproxQuality of coordinate ``i``'s conditionals, computed once."""
@@ -423,15 +443,15 @@ class Analysis:
     def S(self):
         """The exact DA pair."""
         if self.is_slice:
-            return self._own(slice_exact(self.source))
-        return self._own(da_exact(self.source))
+            return memoize(slice_exact(self.source))
+        return memoize(da_exact(self.source))
 
     @cached_property
     def Sh(self):
         """The hybrid DA pair."""
         if self.is_slice:
-            return self._own(slice_hybrid(self.source))
-        return self._own(da_hybrid(self.source, self._da_spec()))
+            return memoize(slice_hybrid(self.source))
+        return memoize(da_hybrid(self.source, self._da_spec()))
 
     def inner_norms(self):
         """Exact operator norms of the DA chain's inner kernels, with their
@@ -471,14 +491,8 @@ class Analysis:
             if ell == 1 and np.all(self.sel.p == 1.0 / n):
                 self._blocks[ell] = self.T
             else:
-                self._blocks[ell] = self._own(block_random_scan(self.source, ell))
+                self._blocks[ell] = memoize(block_random_scan(self.source, ell))
         return self._blocks[ell]
-
-    def release_vectors(self):
-        """Drop the eigenvectors of every pair built so far, keeping their
-        summaries.  A later reader of the eigenvectors decomposes again."""
-        for pair in self._pairs:
-            forget_vectors(pair)
 
     # -- random-scan checks ---------------------------------------------------
 
@@ -516,35 +530,10 @@ class Analysis:
         ]
 
     def gap_sandwich(self, tol=DEFAULT_TOL, fingerprint=""):
-        """Certify (1-C)(1-|T|) <= 1-|T_hybrid| <= (1+C)(1-|T|).
-
-        When every approximating kernel is psd the upper bound tightens to
-        1-|T| itself.
-        """
+        """Certify the gap sandwich of ``_gap_sandwich`` between the exact
+        and hybrid random-scan chains T and T_hybrid."""
         fingerprint = fingerprint or model_fingerprint(self.source, self.scan_spec)
-        qual = self.quality
-        gap_exact = spectral_summary(self.T).gap
-        gap_hybrid = spectral_summary(self.Th).gap
-        C = qual.max_norm
-        upper = gap_exact if qual.all_psd else (1.0 + C) * gap_exact
-        return [
-            make_report(
-                "gap-sandwich-lower",
-                (1.0 - C) * gap_exact,
-                gap_hybrid,
-                tol,
-                witness={"max_norm": C},
-                fingerprint=fingerprint,
-            ),
-            make_report(
-                "gap-sandwich-upper",
-                gap_hybrid,
-                upper,
-                tol,
-                witness={"max_norm": C, "psd_tightened": qual.all_psd},
-                fingerprint=fingerprint,
-            ),
-        ]
+        return _gap_sandwich("gap-sandwich", self.T, self.Th, self.quality, tol, fingerprint)
 
     def variance_sandwich(self, f=None, trials=8, seed=0, tol=DEFAULT_TOL, fingerprint=""):
         """Certify the asymptotic-variance sandwich between exact and hybrid
@@ -600,32 +589,10 @@ class Analysis:
     # -- data-augmentation checks ---------------------------------------------
 
     def da_gap_sandwich(self, tol=DEFAULT_TOL, fingerprint=""):
-        """Certify (1-C)(1-|S|) <= 1-|S_hybrid| <= (1+C)(1-|S|) for the
-        two-block marginal chain, with the psd tightening of the upper bound."""
+        """Certify the gap sandwich of ``_gap_sandwich`` between the exact
+        and hybrid DA chains S and S_hybrid."""
         fingerprint = fingerprint or model_fingerprint(self.source, self.spec)
-        qual = self.da_quality
-        gap_exact = spectral_summary(self.S).gap
-        gap_hybrid = spectral_summary(self.Sh).gap
-        C = qual.max_norm
-        upper = gap_exact if qual.all_psd else (1.0 + C) * gap_exact
-        return [
-            make_report(
-                "da-gap-sandwich-lower",
-                (1.0 - C) * gap_exact,
-                gap_hybrid,
-                tol,
-                witness={"max_norm": C},
-                fingerprint=fingerprint,
-            ),
-            make_report(
-                "da-gap-sandwich-upper",
-                gap_hybrid,
-                upper,
-                tol,
-                witness={"max_norm": C, "psd_tightened": qual.all_psd},
-                fingerprint=fingerprint,
-            ),
-        ]
+        return _gap_sandwich("da-gap-sandwich", self.S, self.Sh, self.da_quality, tol, fingerprint)
 
     def da_tstep(
         self, t=2, trials=DEFAULT_TRIALS, seed=0, tol=DEFAULT_TOL, fingerprint="", profile=None
@@ -960,7 +927,7 @@ class Analysis:
         n = self.source.space.ncoords
         if n < 2:
             raise PreconditionUnmet("the power bound needs at least two coordinates")
-        if np.abs(self.sel.p - 1.0 / n).max() > 1e-12:
+        if not self.uniform_selection:
             raise NonUniformSelection("this bound is stated for uniform selection")
         t = int(t)
         if t < 1:
@@ -1052,89 +1019,3 @@ class Analysis:
                 fingerprint=fingerprint,
             ),
         ]
-
-
-# ---------------------------------------------------------------------------
-# Standalone checks: each builds its own Analysis
-# ---------------------------------------------------------------------------
-
-
-def check_dirichlet_sandwich(
-    joint, p=None, spec=None, trials=DEFAULT_TRIALS, seed=0, tol=DEFAULT_TOL, fingerprint=""
-):
-    """``Analysis.dirichlet_sandwich`` on a fresh analysis of ``joint``."""
-    return Analysis(joint, p, spec).dirichlet_sandwich(
-        trials=trials, seed=seed, tol=tol, fingerprint=fingerprint
-    )
-
-
-def check_gap_sandwich(joint, p=None, spec=None, tol=DEFAULT_TOL, fingerprint=""):
-    """``Analysis.gap_sandwich`` on a fresh analysis of ``joint``."""
-    return Analysis(joint, p, spec).gap_sandwich(tol=tol, fingerprint=fingerprint)
-
-
-def check_variance_sandwich(
-    joint, p=None, spec=None, f=None, trials=8, seed=0, tol=DEFAULT_TOL, fingerprint=""
-):
-    """``Analysis.variance_sandwich`` on a fresh analysis of ``joint``."""
-    return Analysis(joint, p, spec).variance_sandwich(
-        f=f, trials=trials, seed=seed, tol=tol, fingerprint=fingerprint
-    )
-
-
-def check_da_gap_sandwich(joint, spec, tol=DEFAULT_TOL, fingerprint=""):
-    """``Analysis.da_gap_sandwich`` on a fresh analysis of ``joint``."""
-    return Analysis(joint, spec=spec).da_gap_sandwich(tol=tol, fingerprint=fingerprint)
-
-
-def check_da_tstep(
-    source,
-    spec=None,
-    t=2,
-    trials=DEFAULT_TRIALS,
-    seed=0,
-    tol=DEFAULT_TOL,
-    fingerprint="",
-    profile=None,
-):
-    """``Analysis.da_tstep`` on a fresh analysis of a joint or slice model."""
-    return Analysis(source, spec=spec).da_tstep(
-        t, trials=trials, seed=seed, tol=tol, fingerprint=fingerprint, profile=profile
-    )
-
-
-def check_da_variance_tstep(
-    source, spec=None, t=2, trials=16, seed=0, tol=DEFAULT_TOL, fingerprint=""
-):
-    """``Analysis.da_variance_tstep`` on a fresh analysis of a joint or slice
-    model."""
-    return Analysis(source, spec=spec).da_variance_tstep(
-        t, trials=trials, seed=seed, tol=tol, fingerprint=fingerprint
-    )
-
-
-def check_block_comparison(
-    joint, ell, m, trials=DEFAULT_TRIALS, seed=0, tol=DEFAULT_TOL, fingerprint=""
-):
-    """``Analysis.block_comparison`` on a fresh analysis of ``joint``."""
-    return Analysis(joint).block_comparison(
-        ell, m, trials=trials, seed=seed, tol=tol, fingerprint=fingerprint
-    )
-
-
-def check_selection_reweighting(joint, p, p_alt, spec, tol=DEFAULT_TOL, fingerprint=""):
-    """``Analysis.selection_reweighting`` on a fresh analysis of ``joint``
-    under the selection probabilities ``p``."""
-    return Analysis(joint, p, spec).selection_reweighting(
-        p_alt, tol=tol, fingerprint=fingerprint
-    )
-
-
-def check_uniform_tstep_bound(joint, p=None, spec=None, t=1, tol=DEFAULT_TOL, fingerprint=""):
-    """``Analysis.uniform_tstep_bound`` on a fresh analysis of ``joint``."""
-    return Analysis(joint, p, spec).uniform_tstep_bound(t, tol=tol, fingerprint=fingerprint)
-
-
-def check_slice_tstep(model, t, tol=DEFAULT_TOL, fingerprint="", profile=None):
-    """``Analysis.slice_tstep`` on a fresh analysis of a slice model."""
-    return Analysis(model).slice_tstep(t, tol=tol, fingerprint=fingerprint, profile=profile)

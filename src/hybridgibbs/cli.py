@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import canonicalize, parse_config, serialize
 from .demos import demo_config, list_demos
-from .errors import HybridGibbsError
+from .errors import HybridGibbsError, InvalidArgument
 from .gibbs import exact_random_scan, hybrid_random_scan
 from .simulate import _cross_validate, simulate, write_trajectory
 from .slicemodel import slice_exact, slice_hybrid
@@ -75,9 +75,24 @@ def _parse_suites(raw):
     return [s.strip() for s in raw.split(",") if s.strip()]
 
 
+def _number(convert, raw, what):
+    """``convert(raw)``, with a named error when ``raw`` is not a number."""
+    try:
+        return convert(raw)
+    except ValueError:
+        raise InvalidArgument(f"{what}: {raw!r} is not a valid {convert.__name__}") from None
+
+
+def _int_from(raw, flag, low=1):
+    value = _number(int, raw, flag)
+    if value < low:
+        raise InvalidArgument(f"{flag} must be at least {low}, got {value}")
+    return value
+
+
 def _observable(raw, rev, config):
     if raw.startswith("coord:"):
-        i = int(raw.split(":", 1)[1])
+        i = _number(int, raw.split(":", 1)[1], "coord:<i>")
         if config.is_slice:
             if i != 0:
                 raise HybridGibbsError("slice models have a single coordinate")
@@ -87,9 +102,10 @@ def _observable(raw, rev, config):
             raise HybridGibbsError(f"coordinate {i} out of range")
         return np.array([joint.space.decode(s)[i] for s in range(joint.n)], dtype=float)
     if raw.startswith("vector:"):
-        vals = np.array([float(v) for v in raw.split(":", 1)[1].split(",")], dtype=float)
-        if vals.size != rev.n:
-            raise HybridGibbsError(f"expected {rev.n} values, got {vals.size}")
+        values = raw.split(":", 1)[1].split(",")
+        vals = np.array([_number(float, v, "vector:<csv>") for v in values], dtype=float)
+        if vals.size != rev.n or not np.isfinite(vals).all():
+            raise InvalidArgument(f"vector:<csv> needs {rev.n} finite values, got {vals.tolist()}")
         return vals
     raise HybridGibbsError("--f must look like coord:<i> or vector:<csv>")
 
@@ -114,7 +130,7 @@ def _cmd_check(args, config=None):
     suites = _parse_suites(getattr(args, "suite", None))
     t_values = None
     if getattr(args, "t", None):
-        t_values = [int(v) for v in args.t.split(",") if v.strip()]
+        t_values = [_int_from(v, "--t") for v in args.t.split(",") if v.strip()]
     report = run_suite(config, suites=suites, t_values=t_values, tol=getattr(args, "tol", None))
     _emit(report.to_json(), getattr(args, "out", None))
     if getattr(args, "csv", None):
@@ -124,6 +140,9 @@ def _cmd_check(args, config=None):
 
 
 def _cmd_simulate(args):
+    steps = _int_from(args.steps, "--steps")
+    seed = _int_from(args.seed, "--seed", low=0)
+    batch = None if args.batch is None else _int_from(args.batch, "--batch")
     config = parse_config(args.config)
     if config.is_slice:
         model = config.build_slice_model()
@@ -135,8 +154,8 @@ def _cmd_simulate(args):
         else:
             rev = hybrid_random_scan(joint, config.selection(), config.approximator_spec())
     f = _observable(args.f, rev, config)
-    traj = simulate(rev, rev.stationary, args.steps, args.seed)
-    report = _cross_validate(rev, f, traj, batch=args.batch, fingerprint=config.fingerprint)
+    traj = simulate(rev, rev.stationary, steps, seed)
+    report = _cross_validate(rev, f, traj, batch=batch, fingerprint=config.fingerprint)
     if args.traj_out:
         write_trajectory(traj, args.traj_out)
     out = {
@@ -171,7 +190,7 @@ def main(argv=None):
         if args.command == "list-demos":
             sys.stdout.write("\n".join(list_demos()) + "\n")
             return 0
-    except (HybridGibbsError, KeyError, OSError, ValueError) as exc:
+    except (HybridGibbsError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return 2

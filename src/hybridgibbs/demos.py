@@ -10,6 +10,8 @@ elsewhere.
 
 import numpy as np
 
+from .errors import InvalidArgument
+
 _BETA_GRID = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 _Q_GRID = np.array([0.25, 0.5, 0.75])
 _SLAB_VAR = 2.0
@@ -110,5 +112,5 @@ def list_demos():
 
 def demo_config(name):
     if name not in DEMOS:
-        raise KeyError(f"unknown demo {name!r}; available: {', '.join(list_demos())}")
+        raise InvalidArgument(f"unknown demo {name!r}; available: {', '.join(list_demos())}")
     return DEMOS[name]()

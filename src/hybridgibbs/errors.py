@@ -117,3 +117,7 @@ class ParseError(HybridGibbsError):
 
 class SchemaError(HybridGibbsError):
     pass
+
+
+class InvalidArgument(HybridGibbsError):
+    """A command-line value or builtin name that names nothing usable."""

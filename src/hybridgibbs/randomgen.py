@@ -127,8 +127,3 @@ def random_slice_model(seed, max_points=6, lazy_prob=0.5, with_kernels=True):
             uniform = ProbVec(np.full(members.size, 1.0))
             kernels.append(random_reversible_kernel(rng, uniform))
     return SliceModel(density=base, level_kernels=tuple(kernels))
-
-
-def random_function(seed, n):
-    rng = rng_from(seed)
-    return rng.standard_normal(n)

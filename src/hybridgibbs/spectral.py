@@ -287,19 +287,11 @@ def memoize(rev):
     """Let ``rev`` keep its decomposition and summary once computed.
 
     The object that owns the pair (``bounds.Analysis``) turns this on, so that
-    every check it runs reads one decomposition; ``forget_vectors`` drops the
-    n x n eigenvectors once no reader is left.  Other pairs keep nothing, so a
-    decomposition lives no longer than the object that asked for it.
+    every check it runs reads one decomposition.  Other pairs keep nothing, so
+    a decomposition lives no longer than the object that asked for it.
     """
     object.__setattr__(rev, "_memo", {})
     return rev
-
-
-def forget_vectors(rev):
-    """Drop the memoized eigenvectors of ``rev``, keeping its summary."""
-    if rev._memo and "eigs" in rev._memo:
-        spectral_summary(rev)
-        del rev._memo["eigs"]
 
 
 def _symmetrized(rev):

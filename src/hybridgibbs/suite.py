@@ -137,7 +137,6 @@ def run_suite(config, suites=None, t_values=None, tol=None):
     joint = config.build_joint()
     p = config.selection()
     n = joint.space.ncoords
-    uniform = p is None or np.abs(np.asarray(p, float) / np.sum(p) - 1.0 / n).max() <= 1e-12
 
     analysis = Analysis(joint, p, config.approximator_spec())
     kernels["random_scan_exact"] = spectral_summary(analysis.T).to_dict()
@@ -222,7 +221,7 @@ def run_suite(config, suites=None, t_values=None, tol=None):
                 )
             )
         elif s == "supplement":
-            if not uniform:
+            if not analysis.uniform_selection:
                 if lenient:
                     continue
                 raise HybridGibbsError(
@@ -241,8 +240,6 @@ def run_suite(config, suites=None, t_values=None, tol=None):
             if lenient:
                 continue
             raise HybridGibbsError("suite 'slice' requires a slice model")
-        # Each check family reads only its own pairs' eigenvectors.
-        analysis.release_vectors()
     return _finish(config, kernels, quality, reports, start)
 
 

@@ -12,16 +12,12 @@ import numpy as np
 import pytest
 
 from hybridgibbs import (
+    Analysis,
     ApproximatorSpec,
     Lazy,
     approx_quality,
     block_random_scan,
-    check_block_comparison,
-    check_da_tstep,
-    check_dirichlet_sandwich,
     check_reversibility,
-    check_slice_tstep,
-    check_uniform_tstep_bound,
     cross_validate_variance,
     dominating_norm_profile,
     exact_random_scan,
@@ -33,7 +29,6 @@ from hybridgibbs import (
     spectral_jensen_check,
     spectral_summary,
 )
-from hybridgibbs.bounds import exact_norm_profile
 from hybridgibbs.config import canonicalize
 from hybridgibbs.demos import demo_config
 from hybridgibbs.randomgen import (
@@ -128,7 +123,7 @@ def test_criterion_04_dirichlet_sandwich_100_models():
     for seed in range(100):
         joint = random_joint(4_000 + seed, max_coords=3, max_size=4)
         spec = random_mixed_spec(4_500 + seed, joint)
-        reps = check_dirichlet_sandwich(joint, None, spec, trials=64, seed=seed)
+        reps = Analysis(joint, None, spec).dirichlet_sandwich(trials=64, seed=seed)
         worst = min(worst, min(r.slack for r in reps))
         assert all(r.slack >= -1e-9 for r in reps)
     note(4, f"Dirichlet sandwich over eigenbasis + 64 random f on 100 models (worst slack {worst:.3e})")
@@ -141,9 +136,9 @@ def test_criterion_05_da_tstep_100_models():
         sizes = (int(rng.integers(2, 5)), int(rng.integers(2, 5)))
         joint = random_joint(rng, sizes=sizes)
         spec = random_mixed_spec(rng, joint, coords=(0,))
-        profile = exact_norm_profile(joint, spec)
+        profile = Analysis(joint, spec=spec).inner_profile
         for t in (2, 4, 6):
-            reps = check_da_tstep(joint, spec, t=t, trials=16, seed=seed)
+            reps = Analysis(joint, spec=spec).da_tstep(t=t, trials=16, seed=seed)
             worst = min(worst, min(r.slack for r in reps))
             assert all(r.slack >= -1e-9 for r in reps)
             a_t = mean_power_bound(joint, profile, t)
@@ -155,7 +150,7 @@ def test_criterion_05_da_tstep_100_models():
 def test_criterion_06_block_chain():
     # Equality case first: three fair coins, c1 (1 - |T_2|) = 1 - |T_1|.
     coins = product_joint([[0.5, 0.5]] * 3)
-    reps = check_block_comparison(coins, 2, 1, trials=8)
+    reps = Analysis(coins).block_comparison(2, 1, trials=8)
     gap_lower = next(r for r in reps if r.name == "block-gap-lower")
     assert abs(gap_lower.slack) <= 1e-10
 
@@ -165,7 +160,7 @@ def test_criterion_06_block_chain():
         sizes = tuple(int(rng.integers(2, 4)) for _ in range(4))
         joint = random_joint(rng, sizes=sizes)
         for ell, m in ((2, 1), (3, 1), (3, 2)):
-            reps = check_block_comparison(joint, ell, m, trials=16, seed=seed)
+            reps = Analysis(joint).block_comparison(ell, m, trials=16, seed=seed)
             certified = [r for r in reps if r.status != "hypothesis_unmet"]
             worst = min(worst, min(r.slack for r in certified))
             assert all(r.slack >= -1e-9 for r in certified)
@@ -177,7 +172,7 @@ def test_criterion_07_slice_bound():
     norm_s = spectral_summary(slice_exact(model)).operator_norm
     assert abs(norm_s - 0.25) <= 1e-10
     for t in (2, 4, 8, 16):
-        reps = check_slice_tstep(model, t)
+        reps = Analysis(model).slice_tstep(t)
         assert all(r.status == "pass" for r in reps)
     # Power-average decay for a dominating profile with max value 0.9 <= 0.93.
     profile = dominating_norm_profile(model, [0.5, 0.9])
@@ -198,7 +193,7 @@ def test_criterion_08_uniform_power_bound():
         joint = random_joint(8_000 + seed, max_coords=3, max_size=4)
         spec = random_mixed_spec(8_500 + seed, joint)
         for t in range(1, 7):
-            reps = check_uniform_tstep_bound(joint, None, spec, t=t)
+            reps = Analysis(joint, None, spec).uniform_tstep_bound(t=t)
             lower = next(r for r in reps if r.name == "uniform-power-lower")
             assert lower.slack >= -1e-9
             worst = min(worst, lower.slack)

@@ -1,10 +1,11 @@
 """The shared Analysis: each kernel decomposed once per run, and run_suite's
-reports equal to what the standalone checks return."""
+reports equal to what a fresh Analysis returns for each check."""
 
 import numpy as np
 import pytest
 
 from hybridgibbs import (
+    Analysis,
     ApproximatorSpec,
     Exact,
     Lazy,
@@ -12,16 +13,6 @@ from hybridgibbs import (
     approx_quality,
     block_random_scan,
     canonicalize,
-    check_block_comparison,
-    check_da_gap_sandwich,
-    check_da_tstep,
-    check_da_variance_tstep,
-    check_dirichlet_sandwich,
-    check_gap_sandwich,
-    check_selection_reweighting,
-    check_slice_tstep,
-    check_uniform_tstep_bound,
-    check_variance_sandwich,
     da_exact,
     da_hybrid,
     demo_config,
@@ -34,7 +25,7 @@ from hybridgibbs import (
     slice_hybrid,
 )
 from hybridgibbs import bounds
-from hybridgibbs.bounds import Analysis, _two_coordinate_scan_gap
+from hybridgibbs.bounds import _two_coordinate_scan_gap
 from hybridgibbs.errors import CrossCheckFailure
 from hybridgibbs.randomgen import random_joint
 from hybridgibbs.space import selection_probs
@@ -76,11 +67,14 @@ def test_run_suite_decomposes_each_kernel_once(eig_counts):
     run_suite(canonicalize(R3X8))
     # Three coordinates times 64 complements, each conditional once.
     assert eig_counts["eigh"][8] + eig_counts["eigvalsh"][8] == 192
+    # T (which is also the one-coordinate block chain), T_hybrid and the
+    # two-coordinate block chain: T's eigenvectors serve both families.
+    assert eig_counts["eigh"][512] == 3
 
 
 def standalone(config):
     """Kernel summaries and reports of ``run_suite(config, "all")``, rebuilt
-    from the standalone builders and ``check_*`` functions."""
+    from the standalone builders and a fresh ``Analysis`` for each check."""
     fp, tol, seed, trials = config.fingerprint, config.tol, config.seed, config.trials
     t_values = [int(t) for t in config.t_values]
     kernels, reports = {}, []
@@ -91,7 +85,7 @@ def standalone(config):
             kernels["slice_hybrid"] = spectral_summary(slice_hybrid(model)).to_dict()
             for t in t_values:
                 reports += _guarded(
-                    lambda t=t: check_slice_tstep(model, t, tol=tol, fingerprint=fp),
+                    lambda t=t: Analysis(model).slice_tstep(t, tol=tol, fingerprint=fp),
                     f"slice-tstep-t{t}",
                     fp,
                     tol,
@@ -103,13 +97,13 @@ def standalone(config):
     n = joint.space.ncoords
     kernels["random_scan_exact"] = spectral_summary(exact_random_scan(joint, p)).to_dict()
     kernels["random_scan_hybrid"] = spectral_summary(hybrid_random_scan(joint, p, spec)).to_dict()
-    reports += check_dirichlet_sandwich(
-        joint, p, spec, trials=trials, seed=seed, tol=tol, fingerprint=fp
+    reports += Analysis(joint, p, spec).dirichlet_sandwich(
+        trials=trials, seed=seed, tol=tol, fingerprint=fp
     )
-    reports += check_gap_sandwich(joint, p, spec, tol=tol, fingerprint=fp)
+    reports += Analysis(joint, p, spec).gap_sandwich(tol=tol, fingerprint=fp)
     reports += _guarded(
-        lambda: check_variance_sandwich(
-            joint, p, spec, trials=8, seed=seed, tol=tol, fingerprint=fp
+        lambda: Analysis(joint, p, spec).variance_sandwich(
+            trials=8, seed=seed, tol=tol, fingerprint=fp
         ),
         "variance-sandwich",
         fp,
@@ -118,19 +112,19 @@ def standalone(config):
     if n == 2:
         kernels["da_exact"] = spectral_summary(da_exact(joint)).to_dict()
         kernels["da_hybrid"] = spectral_summary(da_hybrid(joint, spec)).to_dict()
-        reports += check_da_gap_sandwich(joint, spec, tol=tol, fingerprint=fp)
+        reports += Analysis(joint, spec=spec).da_gap_sandwich(tol=tol, fingerprint=fp)
         for t in t_values:
             reports += _guarded(
-                lambda t=t: check_da_tstep(
-                    joint, spec, t, trials=trials, seed=seed, tol=tol, fingerprint=fp
+                lambda t=t: Analysis(joint, spec=spec).da_tstep(
+                    t, trials=trials, seed=seed, tol=tol, fingerprint=fp
                 ),
                 f"da-tstep-t{t}",
                 fp,
                 tol,
             )
             reports += _guarded(
-                lambda t=t: check_da_variance_tstep(
-                    joint, spec, t, seed=seed, tol=tol, fingerprint=fp
+                lambda t=t: Analysis(joint, spec=spec).da_variance_tstep(
+                    t, seed=seed, tol=tol, fingerprint=fp
                 ),
                 f"da-variance-tstep-t{t}",
                 fp,
@@ -139,12 +133,12 @@ def standalone(config):
     for ell in range(2, n):
         kernels[f"block_scan_l{ell}"] = spectral_summary(block_random_scan(joint, ell)).to_dict()
         for m in range(1, ell):
-            reports += check_block_comparison(
-                joint, ell, m, trials=trials, seed=seed, tol=tol, fingerprint=fp
+            reports += Analysis(joint).block_comparison(
+                ell, m, trials=trials, seed=seed, tol=tol, fingerprint=fp
             )
     p_alt = config.selection_alt() or [i + 1.0 for i in range(n)]
     reports += _guarded(
-        lambda: check_selection_reweighting(joint, p, p_alt, spec, tol=tol, fingerprint=fp),
+        lambda: Analysis(joint, p, spec).selection_reweighting(p_alt, tol=tol, fingerprint=fp),
         "selection-reweighting",
         fp,
         tol,
@@ -152,7 +146,9 @@ def standalone(config):
     if p is None or np.abs(np.asarray(p, float) / np.sum(p) - 1.0 / n).max() <= 1e-12:
         for t in t_values:
             reports += _guarded(
-                lambda t=t: check_uniform_tstep_bound(joint, p, spec, t, tol=tol, fingerprint=fp),
+                lambda t=t: Analysis(joint, p, spec).uniform_tstep_bound(
+                    t, tol=tol, fingerprint=fp
+                ),
                 f"uniform-power-t{t}",
                 fp,
                 tol,
@@ -218,7 +214,7 @@ def eigvalsh_selection_reports(joint, p, p_alt, spec):
 
 
 def selection_reports(joint, p, p_alt, spec):
-    reports = check_selection_reweighting(joint, p, p_alt, spec)
+    reports = Analysis(joint, p, spec).selection_reweighting(p_alt)
     return {r.name: (r.lhs, r.rhs) for r in reports}
 
 
@@ -276,7 +272,7 @@ def test_wrong_da_gap_is_caught(monkeypatch):
     other = random_joint(15, sizes=(5, 9))
     monkeypatch.setattr(bounds, "da_exact", lambda _joint: da_exact(other))
     with pytest.raises(CrossCheckFailure, match="closed form"):
-        check_selection_reweighting(joint, P, P_ALT, CLOSED_FORM_SPECS["lazy"])
+        Analysis(joint, P, CLOSED_FORM_SPECS["lazy"]).selection_reweighting(P_ALT)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 9])

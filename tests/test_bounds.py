@@ -4,25 +4,15 @@ import numpy as np
 import pytest
 
 from hybridgibbs import (
+    Analysis,
     ApproximatorSpec,
     Exact,
     Lazy,
     NormProfile,
     SliceModel,
     approx_quality,
-    check_block_comparison,
-    check_da_gap_sandwich,
-    check_da_tstep,
-    check_da_variance_tstep,
-    check_dirichlet_sandwich,
-    check_gap_sandwich,
-    check_selection_reweighting,
-    check_slice_tstep,
-    check_uniform_tstep_bound,
-    check_variance_sandwich,
     da_exact,
     dominating_norm_profile,
-    exact_norm_profile,
     exact_random_scan,
     joint_from_weights,
     mean_power_bound,
@@ -99,7 +89,7 @@ class TestApproxQuality:
 class TestNormProfiles:
     def test_exact_profile_lazy(self):
         spec = ApproximatorSpec(default=Lazy(0.4))
-        prof = exact_norm_profile(SKEWED, spec)
+        prof = Analysis(SKEWED, spec=spec).inner_profile
         np.testing.assert_allclose(prof.values, [0.4, 0.4], atol=1e-12)
         assert prof.kind == "per_z"
 
@@ -127,17 +117,17 @@ class TestNormProfiles:
         joint = random_joint(3, sizes=(2, 3, 2))
         spec = ApproximatorSpec(default=Lazy(0.3))
         with pytest.raises(DimensionMismatch):
-            exact_norm_profile(joint, spec)
+            Analysis(joint, spec=spec).inner_profile
         with pytest.raises(DimensionMismatch):
             dominating_norm_profile(joint, [0.5, 0.5, 0.5], spec)
         with pytest.raises(DimensionMismatch):
-            check_da_tstep(joint, spec, t=2)
+            Analysis(joint, spec=spec).da_tstep(t=2)
 
 
 class TestPowerBounds:
     def test_constant_profile(self):
         spec = ApproximatorSpec(default=Lazy(0.6))
-        prof = exact_norm_profile(SKEWED, spec)
+        prof = Analysis(SKEWED, spec=spec).inner_profile
         for t in (1, 2, 5):
             assert mean_power_bound(SKEWED, prof, t) == pytest.approx(0.6**t, rel=1e-12)
             assert rms_power_bound(SKEWED, prof, t) == pytest.approx(0.6**t, rel=1e-12)
@@ -188,13 +178,13 @@ class TestPowerBounds:
 
 class TestDirichletSandwich:
     def test_exact_spec_equalities(self):
-        reps = check_dirichlet_sandwich(TWO_COINS, None, ApproximatorSpec(), trials=8, seed=0)
+        reps = Analysis(TWO_COINS, None, ApproximatorSpec()).dirichlet_sandwich(trials=8, seed=0)
         assert all_pass(reps)
         assert abs(min_slack(reps)) < 1e-12
 
     def test_lazy_tight_both_sides(self):
-        reps = check_dirichlet_sandwich(
-            SKEWED, None, ApproximatorSpec(default=Lazy(0.4)), trials=8, seed=0
+        reps = Analysis(SKEWED, None, ApproximatorSpec(default=Lazy(0.4))).dirichlet_sandwich(
+            trials=8, seed=0
         )
         assert all_pass(reps)
         assert abs(min_slack(reps)) < 1e-10
@@ -203,30 +193,30 @@ class TestDirichletSandwich:
         for seed in range(50):
             joint = random_joint(seed)
             spec = random_mixed_spec(seed + 1000, joint)
-            reps = check_dirichlet_sandwich(joint, None, spec, trials=16, seed=seed)
+            reps = Analysis(joint, None, spec).dirichlet_sandwich(trials=16, seed=seed)
             assert min_slack(reps) >= -1e-9
 
 
 class TestGapSandwich:
     def test_lazy_lower_bound_tight(self):
-        reps = check_gap_sandwich(SKEWED, None, ApproximatorSpec(default=Lazy(0.3)))
+        reps = Analysis(SKEWED, None, ApproximatorSpec(default=Lazy(0.3))).gap_sandwich()
         lower = next(r for r in reps if r.name.endswith("lower"))
         assert abs(lower.slack) < 1e-10
 
     def test_exact_all_equal(self):
-        reps = check_gap_sandwich(SKEWED, None, ApproximatorSpec())
+        reps = Analysis(SKEWED, None, ApproximatorSpec()).gap_sandwich()
         assert all(abs(r.slack) < 1e-12 for r in reps)
 
     def test_random_sweep(self):
         for seed in range(50):
             joint = random_joint(seed + 7)
             spec = random_mixed_spec(seed + 77, joint)
-            assert min_slack(check_gap_sandwich(joint, None, spec)) >= -1e-9
+            assert min_slack(Analysis(joint, None, spec).gap_sandwich()) >= -1e-9
 
 
 class TestVarianceSandwich:
     def test_exact_spec_collapses(self):
-        reps = check_variance_sandwich(SKEWED, None, ApproximatorSpec(), trials=4)
+        reps = Analysis(SKEWED, None, ApproximatorSpec()).variance_sandwich(trials=4)
         assert all_pass(reps)
         assert abs(min_slack(reps)) < 1e-9
 
@@ -248,7 +238,7 @@ class TestVarianceSandwich:
             lam_h = eps + (1 - eps) * lam
             v = asymptotic_variance(Th, f)
             assert v == pytest.approx((1 + lam_h) / (1 - lam_h), rel=1e-10)
-        reps = check_variance_sandwich(joint, None, ApproximatorSpec(default=Lazy(eps)))
+        reps = Analysis(joint, None, ApproximatorSpec(default=Lazy(eps))).variance_sandwich()
         assert all_pass(reps)
 
     def test_random_sweep(self):
@@ -256,7 +246,7 @@ class TestVarianceSandwich:
         for seed in range(60):
             joint = random_joint(seed + 13)
             spec = random_lazy_spec(seed + 31, joint, eps_range=(0.0, 0.8))
-            reps = check_variance_sandwich(joint, None, spec, trials=8, seed=seed)
+            reps = Analysis(joint, None, spec).variance_sandwich(trials=8, seed=seed)
             assert min_slack(reps) >= -1e-9
             count += 1
         assert count == 60
@@ -264,13 +254,13 @@ class TestVarianceSandwich:
 
 class TestDaChecks:
     def test_gap_sandwich_lazy_tight(self):
-        reps = check_da_gap_sandwich(SKEWED, ApproximatorSpec(default=Lazy(0.5)))
+        reps = Analysis(SKEWED, spec=ApproximatorSpec(default=Lazy(0.5))).da_gap_sandwich()
         lower = next(r for r in reps if r.name.endswith("lower"))
         assert abs(lower.slack) < 1e-10
         assert all_pass(reps)
 
     def test_tstep_exact_spec(self):
-        reps = check_da_tstep(SKEWED, ApproximatorSpec(), t=2, trials=8)
+        reps = Analysis(SKEWED, spec=ApproximatorSpec()).da_tstep(t=2, trials=8)
         assert all_pass(reps)
         gap_lower = next(r for r in reps if r.name == "da-tstep-gap-lower")
         assert gap_lower.witness["alpha"] == pytest.approx(0.0, abs=1e-15)
@@ -284,7 +274,7 @@ class TestDaChecks:
 
         S = da_exact(joint)
         Sh = da_hybrid(joint, spec)
-        prof = exact_norm_profile(joint, spec)
+        prof = Analysis(joint, spec=spec).inner_profile
         t = 4
         a_t = mean_power_bound(joint, prof, t)
         F, labels = function_battery(Sh, trials=0, seed=0)
@@ -303,20 +293,20 @@ class TestDaChecks:
         joint = random_joint(81, sizes=(3, 3))
         spec = random_explicit_spec(82, joint, coords=(0,))
         with pytest.raises(PreconditionUnmet):
-            check_da_tstep(joint, spec, t=3)
+            Analysis(joint, spec=spec).da_tstep(t=3)
 
     def test_tstep_odd_allowed_when_psd(self):
-        reps = check_da_tstep(SKEWED, ApproximatorSpec(default=Lazy(0.4)), t=3, trials=4)
+        reps = Analysis(SKEWED, spec=ApproximatorSpec(default=Lazy(0.4))).da_tstep(t=3, trials=4)
         assert all_pass(reps)
 
     def test_variance_tstep_pass(self):
-        reps = check_da_variance_tstep(SKEWED, ApproximatorSpec(default=Lazy(0.3)), t=4)
+        reps = Analysis(SKEWED, spec=ApproximatorSpec(default=Lazy(0.3))).da_variance_tstep(t=4)
         assert len(reps) == 1 and reps[0].status == "pass"
         # alpha_4 = 0.3^4 = 0.0081, well under half the gap.
         assert reps[0].witness["alpha"] == pytest.approx(0.3**4, rel=1e-12)
 
     def test_variance_tstep_hypothesis_unmet(self):
-        reps = check_da_variance_tstep(SKEWED, ApproximatorSpec(default=Lazy(0.99)), t=2)
+        reps = Analysis(SKEWED, spec=ApproximatorSpec(default=Lazy(0.99))).da_variance_tstep(t=2)
         assert len(reps) == 1
         assert reps[0].status == "hypothesis_unmet"
         assert reps[0].lhs == pytest.approx(0.99**2, rel=1e-12)
@@ -329,13 +319,13 @@ class TestDaChecks:
             joint = random_joint(rng, sizes=(d1, d2))
             spec = random_mixed_spec(rng, joint, coords=(0,))
             for t in (2, 4):
-                assert min_slack(check_da_tstep(joint, spec, t=t, trials=8)) >= -1e-9
+                assert min_slack(Analysis(joint, spec=spec).da_tstep(t=t, trials=8)) >= -1e-9
 
 
 class TestBlockComparison:
     def test_three_coin_equality_case(self):
         joint = product_joint([[0.5, 0.5]] * 3)
-        reps = check_block_comparison(joint, 2, 1, trials=8)
+        reps = Analysis(joint).block_comparison(2, 1, trials=8)
         gap_lower = next(r for r in reps if r.name == "block-gap-lower")
         assert gap_lower.witness["c1"] == pytest.approx(0.5, abs=1e-12)
         # c1 * (1 - |T_2|) = 0.5 * (2/3) = 1/3 = 1 - |T_1| exactly.
@@ -345,33 +335,33 @@ class TestBlockComparison:
     def test_invalid_sizes(self):
         joint = product_joint([[0.5, 0.5]] * 3)
         with pytest.raises(InvalidBlockSize):
-            check_block_comparison(joint, 2, 2)
+            Analysis(joint).block_comparison(2, 2)
         with pytest.raises(InvalidBlockSize):
-            check_block_comparison(joint, 3, 1)
+            Analysis(joint).block_comparison(3, 1)
 
     def test_random_sweep(self):
         for seed in range(20):
             joint = random_joint(seed + 300, sizes=(2, 2, 3))
-            reps = check_block_comparison(joint, 2, 1, trials=8, seed=seed)
+            reps = Analysis(joint).block_comparison(2, 1, trials=8, seed=seed)
             assert min_slack(r for r in reps if r.status != "hypothesis_unmet") >= -1e-9
 
 
 class TestSelectionReweighting:
     def test_equal_probs_reduce_to_weaker_sandwich(self):
         spec = ApproximatorSpec(default=Lazy(0.2))
-        reps = check_selection_reweighting(SKEWED, [0.5, 0.5], [0.5, 0.5], spec)
+        reps = Analysis(SKEWED, [0.5, 0.5], spec).selection_reweighting([0.5, 0.5])
         transfer = next(r for r in reps if r.name == "selection-hybrid-transfer")
         assert transfer.witness["b"] == pytest.approx(1.0, abs=1e-12)
         assert all_pass(reps)
 
     def test_two_coin_spec_example(self):
         spec = ApproximatorSpec(default=Lazy(0.2))
-        reps = check_selection_reweighting(TWO_COINS, [0.5, 0.5], [0.75, 0.25], spec)
+        reps = Analysis(TWO_COINS, [0.5, 0.5], spec).selection_reweighting([0.75, 0.25])
         assert all_pass(reps)
 
     def test_zero_prob_rejected(self):
         with pytest.raises(ZeroSelectionProb):
-            check_selection_reweighting(SKEWED, [1.0, 0.0], [0.5, 0.5], ApproximatorSpec())
+            Analysis(SKEWED, [1.0, 0.0], ApproximatorSpec()).selection_reweighting([0.5, 0.5])
 
     def test_random_sweep(self):
         for seed in range(25):
@@ -381,25 +371,25 @@ class TestSelectionReweighting:
             p = rng.random(n) + 0.2
             p_alt = rng.random(n) + 0.2
             spec = random_mixed_spec(rng, joint)
-            reps = check_selection_reweighting(joint, p, p_alt, spec)
+            reps = Analysis(joint, p, spec).selection_reweighting(p_alt)
             assert min_slack(r for r in reps if r.status != "hypothesis_unmet") >= -1e-9
 
 
 class TestUniformPowerBound:
     def test_exact_t1_equality(self):
-        reps = check_uniform_tstep_bound(SKEWED, None, ApproximatorSpec(), t=1)
+        reps = Analysis(SKEWED, None, ApproximatorSpec()).uniform_tstep_bound(t=1)
         lower = next(r for r in reps if r.name == "uniform-power-lower")
         assert abs(lower.slack) < 1e-12
         assert all_pass(reps)
 
     def test_nonuniform_rejected(self):
         with pytest.raises(NonUniformSelection):
-            check_uniform_tstep_bound(SKEWED, [0.7, 0.3], ApproximatorSpec(), t=2)
+            Analysis(SKEWED, [0.7, 0.3], ApproximatorSpec()).uniform_tstep_bound(t=2)
 
     def test_dominated_by_sandwich_bound(self):
         spec = ApproximatorSpec(default=Lazy(0.5))
         for t in (1, 2, 3, 4):
-            reps = check_uniform_tstep_bound(SKEWED, None, spec, t=t)
+            reps = Analysis(SKEWED, None, spec).uniform_tstep_bound(t=t)
             dom = next(r for r in reps if r.name == "uniform-power-dominated")
             assert dom.status in ("pass", "hypothesis_unmet")
             if dom.status == "pass":
@@ -409,7 +399,7 @@ class TestUniformPowerBound:
 class TestSliceTstep:
     def test_exact_levels_trivial(self):
         model = SliceModel(density=np.array([2.0, 1.0]), level_kernels=(Exact(), Exact()))
-        reps = check_slice_tstep(model, t=2)
+        reps = Analysis(model).slice_tstep(t=2)
         assert all_pass(reps)
         upper = next(r for r in reps if r.name == "slice-tstep-upper")
         assert abs(upper.slack) < 1e-12
@@ -419,7 +409,7 @@ class TestSliceTstep:
             density=np.array([2.0, 1.0]), level_kernels=(Lazy(0.5), Lazy(0.9))
         )
         for t in (2, 4, 6):
-            assert all_pass(check_slice_tstep(model, t=t))
+            assert all_pass(Analysis(model).slice_tstep(t=t))
 
     def test_odd_t_requires_psd_levels(self):
         # Level 1 covers all three points; level 2 is the two top points,
@@ -430,18 +420,18 @@ class TestSliceTstep:
             level_kernels=(Exact(), flip),
         )
         with pytest.raises(PreconditionUnmet):
-            check_slice_tstep(model, t=3)
-        assert all_pass(check_slice_tstep(model, t=2))
+            Analysis(model).slice_tstep(t=3)
+        assert all_pass(Analysis(model).slice_tstep(t=2))
 
     def test_each_level_kernel_decomposed_once(self, eig_counts):
         model = SliceModel(np.array([3.0, 1.0, 2.0, 3.0]), (Lazy(0.35),) * 3)
         # One solve per level (sizes 4, 3, 2) plus the exact and hybrid chains.
-        check_slice_tstep(model, t=2)
+        Analysis(model).slice_tstep(t=2)
         assert sorted(eig_counts["eigh"].elements()) == [2, 3, 4, 4, 4]
         eig_counts["eigh"].clear()
         # The DA t-step check reads the hybrid chain's battery and its norm
         # from one decomposition.
-        check_da_tstep(model, t=2)
+        Analysis(model).da_tstep(t=2)
         assert sorted(eig_counts["eigh"].elements()) == [2, 3, 4, 4, 4]
         assert not eig_counts["eigvalsh"]
 
@@ -454,7 +444,7 @@ class TestHundredModelSweeps:
             rng = rng_from(seed + 500)
             joint = random_joint(rng, sizes=(int(rng.integers(2, 5)), int(rng.integers(2, 5))))
             spec = random_mixed_spec(rng, joint, coords=(0,))
-            assert min_slack(check_da_gap_sandwich(joint, spec)) >= -1e-9
+            assert min_slack(Analysis(joint, spec=spec).da_gap_sandwich()) >= -1e-9
 
     def test_variance_sandwich_sweep(self):
         done = 0
@@ -463,7 +453,7 @@ class TestHundredModelSweeps:
                 break
             joint = random_joint(seed + 900)
             spec = random_lazy_spec(seed + 901, joint, eps_range=(0.0, 0.8))
-            reps = check_variance_sandwich(joint, None, spec, trials=6, seed=seed)
+            reps = Analysis(joint, None, spec).variance_sandwich(trials=6, seed=seed)
             assert min_slack(reps) >= -1e-9
             done += 1
         assert done == 100
@@ -473,8 +463,8 @@ class TestHundredModelSweeps:
         # exact per-mode identity, so both halves are equalities.
         for seed in range(5):
             joint = random_joint(seed + 950)
-            reps = check_variance_sandwich(
-                joint, None, ApproximatorSpec(default=Lazy(0.4)), trials=4, seed=seed
+            reps = Analysis(joint, None, ApproximatorSpec(default=Lazy(0.4))).variance_sandwich(
+                trials=4, seed=seed
             )
             assert max(abs(r.slack) for r in reps) < 1e-8
 
@@ -484,7 +474,7 @@ class TestHundredModelSweeps:
             rng = rng_from(seed + 1500)
             joint = random_joint(rng, sizes=(int(rng.integers(2, 5)), int(rng.integers(2, 5))))
             spec = random_mixed_spec(rng, joint, coords=(0,), lazy_prob=0.7)
-            reps = check_da_variance_tstep(joint, spec, t=2, trials=6, seed=seed)
+            reps = Analysis(joint, spec=spec).da_variance_tstep(t=2, trials=6, seed=seed)
             certified = [r for r in reps if r.status != "hypothesis_unmet"]
             if certified:
                 met += 1
@@ -499,7 +489,7 @@ class TestHundredModelSweeps:
             p = rng.random(n) + 0.1
             p_alt = rng.random(n) + 0.1
             spec = random_mixed_spec(rng, joint)
-            reps = check_selection_reweighting(joint, p, p_alt, spec)
+            reps = Analysis(joint, p, spec).selection_reweighting(p_alt)
             certified = [r for r in reps if r.status != "hypothesis_unmet"]
             assert min_slack(certified) >= -1e-9
 
@@ -509,12 +499,14 @@ class TestHundredModelSweeps:
         for seed in range(100):
             model = random_slice_model(seed + 3500)
             for t in (2, 4):
-                reps = check_slice_tstep(model, t)
+                reps = Analysis(model).slice_tstep(t)
                 assert min_slack(reps) >= -1e-9
 
     def test_dirichlet_and_gap_sweep(self):
         for seed in range(100):
             joint = random_joint(seed + 4500)
             spec = random_mixed_spec(seed + 4501, joint)
-            assert min_slack(check_dirichlet_sandwich(joint, None, spec, trials=8, seed=seed)) >= -1e-9
-            assert min_slack(check_gap_sandwich(joint, None, spec)) >= -1e-9
+            assert min_slack(
+                Analysis(joint, None, spec).dirichlet_sandwich(trials=8, seed=seed)
+            ) >= -1e-9
+            assert min_slack(Analysis(joint, None, spec).gap_sandwich()) >= -1e-9

@@ -384,6 +384,47 @@ class TestCli:
     def test_demo_unknown_exit_two(self):
         assert main(["demo", "does-not-exist"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{config}", "--t", "0"],
+            ["check", "{config}", "--t", "x"],
+            ["simulate", "{config}", "--steps", "0"],
+            ["simulate", "{config}", "--steps", "100", "--batch", "0"],
+            ["simulate", "{config}", "--steps", "100", "--f", "coord:x"],
+            ["simulate", "{config}", "--steps", "100", "--f", "vector:1,x,2,3"],
+            ["demo", "nope"],
+            ["simulate", "{config}", "--steps", "100", "--seed", "-1"],
+            ["simulate", "{config}", "--steps", "100", "--f", "vector:1,nan,2,3"],
+        ],
+        ids=[
+            "t-zero",
+            "t-word",
+            "steps-zero",
+            "batch-zero",
+            "coord-word",
+            "vector-word",
+            "demo",
+            "seed-negative",
+            "vector-nan",
+        ],
+    )
+    def test_bad_argument_is_a_named_error(self, tmp_path, capsys, argv):
+        path = self._write(tmp_path, MINIMAL)
+        assert main([arg.format(config=path) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unexpected_exception_propagates(self, tmp_path, monkeypatch):
+        import hybridgibbs.cli as cli
+
+        def broken(*args, **kwargs):
+            raise KeyError("programming error")
+
+        monkeypatch.setattr(cli, "run_suite", broken)
+        with pytest.raises(KeyError, match="programming error"):
+            main(["check", self._write(tmp_path, MINIMAL)])
+
 
 class TestExitStatusMapping:
     def test_failing_report_gives_exit_one(self):
