@@ -27,7 +27,9 @@ from .errors import HybridGibbsError
 from .gibbs import (
     block_random_scan,
     da_exact,
+    da_exact as slice_exact,
     da_hybrid,
+    da_hybrid as slice_hybrid,
     exact_random_scan,
     hybrid_random_scan,
     inner_block_kernel,
@@ -42,7 +44,7 @@ from .simulate import (
     simulate,
     write_trajectory,
 )
-from .slicemodel import SliceModel, slice_exact, slice_hybrid
+from .slicemodel import SliceModel
 from .space import (
     JointDistribution,
     ProductSpace,

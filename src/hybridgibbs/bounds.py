@@ -35,6 +35,8 @@ from .errors import (
     ZeroSelectionProb,
 )
 from .gibbs import (
+    _inner_kernels,
+    _two_block_parts,
     block_random_scan,
     da_exact,
     da_hybrid,
@@ -43,8 +45,8 @@ from .gibbs import (
     inner_block_kernel,
 )
 from .report import fingerprint_bytes, make_report
-from .slicemodel import SliceModel, level_summaries, slice_exact, slice_hybrid
-from .space import conditional, marginal, selection_probs
+from .slicemodel import SliceModel
+from .space import selection_probs
 from .spectral import (
     NULL_MASS,
     _sym_eigs,
@@ -132,15 +134,20 @@ def approx_quality(joint, spec, coords=None):
             if isinstance(rule, Exact):
                 entry = {"norm": 0.0, "ratio_min": 1.0, "ratio_max": 1.0, "psd": True}
             else:
-                summ = spectral_summary(make_approximator(joint, spec, i, y))
-                entry = {
-                    "norm": summ.operator_norm,
-                    "ratio_min": 1.0 - summ.lambda_max,
-                    "ratio_max": 1.0 - summ.lambda_min,
-                    "psd": summ.psd,
-                }
+                entry = _quality_entry(make_approximator(joint, spec, i, y))
             table[(i, y)] = entry
     return _aggregate(table)
+
+
+def _quality_entry(pair):
+    """One kernel's entry of an ApproxQuality table."""
+    summ = spectral_summary(pair)
+    return {
+        "norm": summ.operator_norm,
+        "ratio_min": 1.0 - summ.lambda_max,
+        "ratio_max": 1.0 - summ.lambda_min,
+        "psd": summ.psd,
+    }
 
 
 def _aggregate(table):
@@ -200,11 +207,10 @@ def dominating_norm_profile(source, values, spec=None):
 
 
 def mean_power_bound(source, profile, t):
-    """Worst conditional average of the profile's t-th power.
-
-    For a two-block joint this is max over supported y of
-    sum_z P(z | y) * profile(z)^t; for a slice model the z-average is the
-    exact piecewise-constant integral over the height interval.
+    """Worst conditional average of the profile's t-th power: the max over
+    supported y of sum_z P(z | y) * profile(z)^t, where z is the second
+    block of a two-block joint or the level of a slice model (see
+    ``gibbs._two_block_parts``).
     """
     return _power_bound(source, profile, t, power=1)
 
@@ -229,26 +235,17 @@ def _power_bound(source, profile, t, power):
     if t < 1:
         raise ValueError("t must be a positive integer")
     g = profile.values ** (power * t)
-    if isinstance(source, SliceModel):
-        if profile.kind != "per_level":
-            raise InvalidSpec("slice models need a per-level profile")
-        if g.shape != source.levels.shape:
-            raise InvalidSpec(f"profile has length {g.size}, expected {source.nlevels}")
-        # y lies in G_1..G_k where density(y) = v_k, and its height interval
-        # covers each of their level intervals whole: a prefix sum over levels.
-        prefix = np.cumsum(np.diff(source.levels, prepend=0.0) * g)
-        top = np.searchsorted(source.levels, source.density)
-        worst = float(np.max(prefix[top] / source.density))
-    else:
-        if profile.kind != "per_z":
-            raise InvalidSpec("two-block joints need a per-z profile")
-        m1 = marginal(source, (0,)).weights
-        worst = 0.0
-        for y in range(source.space.sizes[0]):
-            if m1[y] <= 0.0:
-                continue
-            cond2 = conditional(source, 1, (y,)).weights
-            worst = max(worst, float(cond2 @ g))
+    kind = "per_level" if isinstance(source, SliceModel) else "per_z"
+    m1, fwd = _two_block_parts(source)[:2]
+    if profile.kind != kind or g.shape != fwd.shape[1:]:
+        raise InvalidSpec(
+            f"{profile.kind} profile has length {g.size}, expected {fwd.shape[1]} "
+            f"{kind} values"
+        )
+    # One row at a time: a matrix-vector product may sum in another order.
+    worst = 0.0
+    for y in np.flatnonzero(m1.weights > 0.0):
+        worst = max(worst, float(fwd[y] @ g))
     return worst ** (1.0 / power)
 
 
@@ -370,8 +367,8 @@ class Analysis:
 
     ``source`` is a joint distribution or a SliceModel; ``p`` and ``spec`` are
     the random-scan selection probabilities and the approximator spec of a
-    joint.  The data-augmentation (DA) pair of a joint is its two-block
-    marginal chains, that of a slice model its slice chains.  Each kernel is
+    joint.  The data-augmentation (DA) pair is the exact and hybrid two-block
+    marginal chains, for a slice model its slice chains.  Each kernel is
     built on first use and memoized, so it is decomposed at most once, and
     everything lives as long as this object.  ``run_suite`` builds one
     Analysis per run; a single check is ``Analysis(source, p, spec).<check>()``.
@@ -397,11 +394,6 @@ class Analysis:
     def uniform_selection(self):
         """Whether every selection probability is within 1e-12 of 1/n."""
         return bool(np.abs(self.sel.p - 1.0 / self.sel.n).max() <= 1e-12)
-
-    def _da_spec(self):
-        if self.spec is None:
-            raise InvalidSpec("an approximator spec is required for joint models")
-        return self.spec
 
     @cached_property
     def T(self):
@@ -429,55 +421,50 @@ class Analysis:
 
     @cached_property
     def da_quality(self):
-        """ApproxQuality of the first coordinate's conditionals: the inner
-        kernels of the DA chain of a joint."""
-        self._da_spec()
-        return self._coordinate_quality(0)
-
-    @cached_property
-    def levels(self):
-        """Spectral summary of each level kernel of a slice model."""
-        return level_summaries(self.source)
+        """ApproxQuality of the DA chain's inner kernels: the first
+        coordinate's conditionals of a joint, the level kernels of a slice
+        model.  Level k's entry is keyed (0, (k,)), the point given level k,
+        as a joint's entry is keyed (0, (z,))."""
+        if not self.is_slice:
+            if self.spec is None:
+                raise InvalidSpec("an approximator spec is required for joint models")
+            return self._coordinate_quality(0)
+        return _aggregate(
+            {(0, (k,)): _quality_entry(pair) for k, _idx, pair in _inner_kernels(self.source, None)}
+        )
 
     @cached_property
     def S(self):
         """The exact DA pair."""
-        if self.is_slice:
-            return memoize(slice_exact(self.source))
         return memoize(da_exact(self.source))
 
     @cached_property
     def Sh(self):
         """The hybrid DA pair."""
-        if self.is_slice:
-            return memoize(slice_hybrid(self.source))
-        return memoize(da_hybrid(self.source, self._da_spec()))
+        return memoize(da_hybrid(self.source, self.spec))
 
     def inner_norms(self):
         """Exact operator norms of the DA chain's inner kernels, with their
         profile kind: per level of a slice model, per z of a joint."""
         if self.is_slice:
-            return np.array([s.operator_norm for s in self.levels]), "per_level"
-        if self.source.space.ncoords != 2:
+            width, kind = self.source.nlevels, "per_level"
+        elif self.source.space.ncoords != 2:
             raise DimensionMismatch(
                 "the DA chain's inner kernels need a joint of exactly two "
                 f"coordinates, got {self.source.space.ncoords}"
             )
-        vals = np.zeros(self.source.space.sizes[1])
-        for (_i, y), entry in self.da_quality.per_conditional.items():
-            vals[y[0]] = entry["norm"]
-        return vals, "per_z"
+        else:
+            width, kind = self.source.space.sizes[1], "per_z"
+        vals = np.zeros(width)
+        for (_i, z), entry in self.da_quality.per_conditional.items():
+            vals[z[0]] = entry["norm"]
+        return vals, kind
 
     @cached_property
     def inner_profile(self):
         """The exact norm profile of the DA chain's inner kernels."""
         vals, kind = self.inner_norms()
         return NormProfile(values=vals, kind=kind, derivation="exact")
-
-    def _inner_all_psd(self):
-        if self.is_slice:
-            return all(s.psd for s in self.levels)
-        return self.da_quality.all_psd
 
     def block(self, ell):
         """The block random-scan pair updating ``ell`` coordinates.
@@ -609,7 +596,7 @@ class Analysis:
         if t < 1:
             raise ValueError("t must be a positive integer")
         fingerprint = fingerprint or model_fingerprint(self.source, self.spec)
-        if t % 2 == 1 and not self._inner_all_psd():
+        if t % 2 == 1 and not self.da_quality.all_psd:
             raise PreconditionUnmet(
                 "odd t needs every inner kernel positive semi-definite"
             )
@@ -975,7 +962,7 @@ class Analysis:
             raise ValueError("t must be a positive integer")
         model = self.source
         fingerprint = fingerprint or model_fingerprint(model)
-        all_psd = self._inner_all_psd()
+        all_psd = self.da_quality.all_psd
         if t % 2 == 1 and not all_psd:
             raise PreconditionUnmet("odd t needs every per-level kernel psd")
         profile = profile if profile is not None else self.inner_profile
@@ -983,8 +970,7 @@ class Analysis:
         b_t = rms_power_bound(model, profile, t)
         gap_exact = spectral_summary(self.S).gap
         gap_hybrid = spectral_summary(self.Sh).gap
-        worst_norm = max(s.operator_norm for s in self.levels)
-        upper = gap_exact if all_psd else (1.0 + worst_norm) * gap_exact
+        upper = gap_exact if all_psd else (1.0 + self.da_quality.max_norm) * gap_exact
         return [
             make_report(
                 "slice-tstep-lower",

@@ -20,9 +20,8 @@ import numpy as np
 from .config import canonicalize, parse_config, serialize
 from .demos import demo_config, list_demos
 from .errors import HybridGibbsError, InvalidArgument
-from .gibbs import exact_random_scan, hybrid_random_scan
+from .gibbs import da_exact, da_hybrid, exact_random_scan, hybrid_random_scan
 from .simulate import _cross_validate, simulate, write_trajectory
-from .slicemodel import slice_exact, slice_hybrid
 from .spectral import eigvals_summary
 from .suite import run_suite
 
@@ -146,7 +145,7 @@ def _cmd_simulate(args):
     config = parse_config(args.config)
     if config.is_slice:
         model = config.build_slice_model()
-        rev = slice_exact(model) if args.kernel == "exact" else slice_hybrid(model)
+        rev = da_exact(model) if args.kernel == "exact" else da_hybrid(model)
     else:
         joint = config.build_joint()
         if args.kernel == "exact":

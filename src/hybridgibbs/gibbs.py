@@ -2,10 +2,10 @@
 
 All builders return a ReversiblePair verified against the designated
 stationary distribution: the joint for scan chains, the first-block marginal
-for data-augmentation chains.  Rows belonging to states outside the support
-of the joint get an identity update; those states carry no stationary mass,
-so the convention is invisible to the mean-zero theory while keeping every
-row stochastic.
+for data-augmentation (DA) chains, whose builders also take a SliceModel.
+Rows belonging to states outside the support of the joint get an identity
+update; those states carry no stationary mass, so the convention is
+invisible to the mean-zero theory while keeping every row stochastic.
 """
 
 from itertools import combinations
@@ -14,7 +14,8 @@ from math import comb
 import numpy as np
 
 from .approximators import EXACT_SPEC, kernel_for_target, make_approximator
-from .errors import InvalidBlockSize, NotTwoBlock
+from .errors import InvalidBlockSize, InvalidSpec, NotTwoBlock
+from .slicemodel import SliceModel, _level_pairs
 from .space import conditional, conditional_joint, marginal, selection_probs
 from .spectral import check_reversibility
 
@@ -44,15 +45,7 @@ def _accumulate_block_updates(joint, T, weight, coords, inner):
 def exact_random_scan(joint, p=None):
     """Random-scan Gibbs kernel: pick coordinate i with probability p_i and
     redraw it from its full conditional."""
-    sel = selection_probs(p, joint.space.ncoords)
-    T = np.zeros((joint.n, joint.n))
-    for i, pi in enumerate(sel.p):
-        if pi == 0.0:
-            continue
-        _accumulate_block_updates(
-            joint, T, pi, (i,), lambda coords, y, target: np.tile(target, (target.size, 1))
-        )
-    return check_reversibility(T, joint.dist, tol=_BUILD_TOL)
+    return hybrid_random_scan(joint, p)
 
 
 def hybrid_random_scan(joint, p=None, spec=EXACT_SPEC):
@@ -105,57 +98,88 @@ def inner_block_kernel(joint, coords, y, inner_size):
     return block_random_scan(sub, m)
 
 
-def _two_block_parts(joint):
-    if joint.space.ncoords != 2:
+def _two_block_parts(source):
+    """(m1, fwd, back) of the DA chain: the first block's marginal, the law
+    fwd[y] of the second block given the first and the law back[z] of the
+    first given the second, zero at null states.  A slice model is the joint
+    of (point, level): the height drawn at y covers the interval
+    (v_{k-1}, v_k] whole when y is in G_k, so fwd[y, k] = (v_k - v_{k-1}) /
+    density(y) there, and back[k] is uniform on G_k.  No n L-state joint is
+    built."""
+    if isinstance(source, SliceModel):
+        lengths = np.diff(source.levels, prepend=0.0)
+        fwd = np.zeros((source.n, source.nlevels))
+        back = np.zeros((source.nlevels, source.n))
+        for k, members in enumerate(source.level_sets):
+            fwd[members, k] = lengths[k] / source.density[members]
+            back[k, members] = 1.0 / members.size
+        return source.target(), fwd, back
+    if source.space.ncoords != 2:
         raise NotTwoBlock(
             "data augmentation needs exactly two coordinates; group the rest first"
         )
-    d1, d2 = joint.space.sizes
-    m1 = marginal(joint, (0,))
-    m2 = marginal(joint, (1,))
-    # fwd[y, z] = conditional of the second coordinate given the first.
+    d1, d2 = source.space.sizes
+    m1 = marginal(source, (0,))
+    m2 = marginal(source, (1,))
     fwd = np.zeros((d1, d2))
     for y in range(d1):
         if m1.weights[y] > 0.0:
-            fwd[y] = conditional(joint, 1, (y,)).weights
-    return d1, d2, m1, m2, fwd
-
-
-def da_exact(joint):
-    """Marginal kernel of the two-block deterministic-scan chain: draw the
-    second coordinate from its conditional, then redraw the first."""
-    d1, d2, m1, m2, fwd = _two_block_parts(joint)
-    # Rows of ``back`` for zero-mass z are never reached (fwd puts no mass
-    # there from any supported y) and may stay zero.
+            fwd[y] = conditional(source, 1, (y,)).weights
     back = np.zeros((d2, d1))
     for z in range(d2):
         if m2.weights[z] > 0.0:
-            back[z] = conditional(joint, 0, (z,)).weights
-    S = fwd @ back
-    for y in range(d1):
-        if m1.weights[y] <= 0.0:
-            S[y] = 0.0
-            S[y, y] = 1.0
+            back[z] = conditional(source, 0, (z,)).weights
+    return m1, fwd, back
+
+
+def _inner_kernels(source, spec):
+    """Yield (z, idx, pair): ``pair`` redraws the first block given z on its
+    states ``idx``.  For a joint it is ``spec``'s approximator for the first
+    coordinate's conditional, on the whole block, for each z of positive
+    mass; for a slice model, level k's kernel on G_k."""
+    if isinstance(source, SliceModel):
+        for k, pair in enumerate(_level_pairs(source)):
+            yield k, source.level_sets[k], pair
+        return
+    if spec is None:
+        raise InvalidSpec("an approximator spec is required for joint models")
+    idx = np.arange(source.space.sizes[0])
+    m2 = marginal(source, (1,)).weights
+    for z in range(source.space.sizes[1]):
+        if m2[z] > 0.0:
+            yield z, idx, make_approximator(source, spec, 0, (z,))
+
+
+def _marginal_chain(S, m1):
+    """Give the null states of m1 identity rows, then pair S with m1."""
+    for y in np.flatnonzero(m1.weights <= 0.0):
+        S[y] = 0.0
+        S[y, y] = 1.0
     return check_reversibility(S, m1, tol=_BUILD_TOL)
 
 
-def da_hybrid(joint, spec, t=1):
-    """Hybrid two-block marginal kernel: the redraw of the first coordinate is
-    replaced by ``t`` steps of the approximating kernel for its conditional."""
-    d1, d2, m1, m2, fwd = _two_block_parts(joint)
+def da_exact(source):
+    """Marginal kernel of the two-block deterministic-scan chain: draw the
+    second block given the first, then redraw the first.  For a SliceModel
+    this is the exact slice sampler: a height uniform on (0, density(y)),
+    then a point uniform on the level set of that height."""
+    m1, fwd, back = _two_block_parts(source)
+    return _marginal_chain(fwd @ back, m1)
+
+
+def da_hybrid(source, spec=None, t=1):
+    """Hybrid two-block marginal kernel: the redraw of the first block is
+    replaced by ``t`` steps of its inner kernel: ``spec``'s approximator,
+    which a joint requires, or a SliceModel's level kernel."""
+    # Only fwd is read; dropping back at once holds one n x L array, not two.
+    m1, fwd = _two_block_parts(source)[:2]
     t = int(t)
     if t < 1:
         raise ValueError("t must be a positive integer")
-    S = np.zeros((d1, d1))
-    for z in range(d2):
-        if m2.weights[z] <= 0.0:
-            continue
-        Q = make_approximator(joint, spec, 0, (z,)).kernel.matrix
+    S = np.zeros((m1.n, m1.n))
+    for z, idx, pair in _inner_kernels(source, spec):
+        Q = pair.kernel.matrix
         if t > 1:
             Q = np.linalg.matrix_power(Q, t)
-        S += fwd[:, z : z + 1] * Q
-    for y in range(d1):
-        if m1.weights[y] <= 0.0:
-            S[y] = 0.0
-            S[y, y] = 1.0
-    return check_reversibility(S, m1, tol=_BUILD_TOL)
+        S[np.ix_(idx, idx)] += fwd[idx, z : z + 1] * Q
+    return _marginal_chain(S, m1)

@@ -4,7 +4,9 @@ A SliceModel is an unnormalized positive density over finitely many points.
 The auxiliary variable z ranges over (0, max density); between consecutive
 distinct density values the level set G(z) = {y : density(y) > z} is constant,
 so the z-integral defining the marginal kernel is a finite sum over level
-intervals and the chain can be built exactly, never by Monte Carlo.
+intervals and the chain can be built exactly, never by Monte Carlo: it is
+the data-augmentation chain of (point, level), built by ``gibbs.da_exact``
+and ``gibbs.da_hybrid``.
 
 Level k = 1..K covers the interval (v_{k-1}, v_k] where 0 = v_0 < ... < v_K
 are the distinct density values; its level set G_k = {y : density(y) > v_{k-1}}
@@ -23,7 +25,7 @@ import numpy as np
 from .approximators import RULE_TYPES, kernel_for_target
 from .errors import MissingLevelKernel, NonPositiveWeight, SpaceTooLarge
 from .space import state_cap
-from .spectral import ProbVec, check_reversibility, spectral_summary
+from .spectral import ProbVec, check_reversibility
 
 _BUILD_TOL = 1e-10
 
@@ -105,40 +107,3 @@ def _level_pairs(model):
                     f"{(members.size, members.size)}"
                 )
         yield check_reversibility(Q, uniform, tol=_BUILD_TOL)
-
-
-def _slice_chain(model, level_moves):
-    """S = D^{-1} sum_k (v_k - v_{k-1}) embed_{G_k}(Q_k), verified reversible.
-
-    The height drawn at y covers all of (v_{k-1}, v_k] when y is in G_k and
-    none of it otherwise, so level k adds its length-weighted move on the block
-    G_k x G_k.  ``level_moves`` yields Q_k in ascending k, as a |G_k| x |G_k|
-    matrix or a scalar; memory is O(n^2) whatever the number of levels.
-    """
-    S = np.zeros((model.n, model.n))
-    lengths = np.diff(model.levels, prepend=0.0)
-    for members, length, move in zip(model.level_sets, lengths, level_moves):
-        S[np.ix_(members, members)] += length * move
-    S /= model.density[:, None]
-    return check_reversibility(S, model.target(), tol=_BUILD_TOL)
-
-
-def slice_exact(model):
-    """Exact slice-sampler kernel via piecewise-constant z-integration.
-
-    From state y, the height is uniform on (0, density(y)); conditioned on
-    landing in level interval k the next state is uniform on G_k, so the row
-    is the length-weighted mixture of uniform laws on the nested level sets.
-    """
-    return _slice_chain(model, (1.0 / members.size for members in model.level_sets))
-
-
-def slice_hybrid(model):
-    """Hybrid slice kernel: the uniform redraw on each level set G_k is
-    replaced by one step of that level's kernel on G_k."""
-    return _slice_chain(model, (pair.kernel.matrix for pair in _level_pairs(model)))
-
-
-def level_summaries(model):
-    """Spectral summary of each per-level kernel against uniform on its level set."""
-    return [spectral_summary(pair) for pair in _level_pairs(model)]

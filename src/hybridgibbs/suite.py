@@ -12,6 +12,7 @@ to exit code 2 by the CLI.
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -94,7 +95,9 @@ def run_suite(config, suites=None, t_values=None, tol=None):
 
     ``suites`` may be a list of suite names (strict: inapplicable suites are
     errors), the string "all" (lenient: inapplicable suites are skipped), or
-    None to follow the config's own selection with the same semantics.
+    None to follow the config's own selection with the same semantics.  A
+    name outside ``config.SUITES``, or a ``tol`` that is not finite and
+    positive, is an error raised before any kernel is built.
     """
     start = time.perf_counter()
     requested = suites if suites is not None else config.data["suite"]
@@ -102,8 +105,15 @@ def run_suite(config, suites=None, t_values=None, tol=None):
     from .config import SUITES
 
     suites = list(SUITES) if lenient else list(requested)
+    unknown = [s for s in suites if s not in SUITES]
+    if unknown:
+        raise HybridGibbsError(
+            f"unknown suite {unknown[0]!r}; expected 'all' or names from {', '.join(SUITES)}"
+        )
     t_values = [int(t) for t in (t_values if t_values is not None else config.t_values)]
     tol = float(tol) if tol is not None else config.tol
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise HybridGibbsError(f"tol must be finite and positive, got {tol!r}")
     fp = config.fingerprint
     seed = config.seed
     trials = config.trials

@@ -148,6 +148,10 @@ class TestPowerBounds:
         with pytest.raises(InvalidSpec, match="expected 2"):
             mean_power_bound(model, NormProfile([g1], "per_level", "exact"), 2)
 
+    def test_joint_profile_length_checked(self):
+        with pytest.raises(InvalidSpec, match="expected 2"):
+            mean_power_bound(SKEWED, NormProfile([0.5, 0.5, 0.5], "per_z", "exact"), 2)
+
     def test_alpha_nonincreasing_and_vanishing(self):
         model = SliceModel(density=np.array([2.0, 1.0]))
         prof = dominating_norm_profile(

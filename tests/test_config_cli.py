@@ -396,6 +396,10 @@ class TestCli:
             ["demo", "nope"],
             ["simulate", "{config}", "--steps", "100", "--seed", "-1"],
             ["simulate", "{config}", "--steps", "100", "--f", "vector:1,nan,2,3"],
+            ["check", "{config}", "--suite", "foo"],
+            ["check", "{config}", "--suite", "random-scan,fo"],
+            ["check", "{config}", "--tol", "nan"],
+            ["check", "{config}", "--tol", "-1"],
         ],
         ids=[
             "t-zero",
@@ -407,6 +411,10 @@ class TestCli:
             "demo",
             "seed-negative",
             "vector-nan",
+            "suite-unknown",
+            "suite-typo",
+            "tol-nan",
+            "tol-negative",
         ],
     )
     def test_bad_argument_is_a_named_error(self, tmp_path, capsys, argv):

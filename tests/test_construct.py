@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hybridgibbs import (
+    Analysis,
     ApproximatorSpec,
     Exact,
     ExplicitMatrix,
@@ -14,6 +15,7 @@ from hybridgibbs import (
     MetropolisRW,
     SliceModel,
     block_random_scan,
+    check_reversibility,
     da_exact,
     da_hybrid,
     exact_random_scan,
@@ -34,7 +36,8 @@ from hybridgibbs.errors import (
     NotReversible,
     NotTwoBlock,
 )
-from hybridgibbs.randomgen import random_joint, random_lazy_spec, rng_from
+from hybridgibbs.approximators import RULE_TYPES, kernel_for_target
+from hybridgibbs.randomgen import random_joint, random_lazy_spec, random_slice_model, rng_from
 
 TWO_COINS = product_joint([[0.5, 0.5], [0.5, 0.5]])
 THREE_COINS = product_joint([[0.5, 0.5]] * 3)
@@ -64,6 +67,46 @@ def brute_random_scan(joint, p=None):
                 tot = sum(sl)
                 T[x, xp] += p[i] * (sl[cxp[i]] / tot if tot > 0 else float(cx[i] == cxp[i]))
     return T
+
+
+def tiled_random_scan(joint, p=None):
+    """Random-scan kernel accumulated slice by slice from tiled conditionals,
+    coordinate by coordinate: the bitwise reference for exact_random_scan."""
+    sel = np.full(joint.space.ncoords, 1.0) if p is None else np.asarray(p, dtype=float)
+    sel = sel / sel.sum()
+    T = np.zeros((joint.n, joint.n))
+    for i, pi in enumerate(sel):
+        for y in joint.space.complement_configs((i,)):
+            idx = joint.space.subspace_indices((i,), y)
+            slice_w = joint.weights[idx]
+            total = slice_w.sum()
+            if total <= 0.0:
+                block = np.eye(idx.size)
+            else:
+                target = slice_w / total
+                block = np.tile(target, (target.size, 1))
+            T[np.ix_(idx, idx)] += pi * block
+    return T
+
+
+def level_set_slice_chain(model, moves):
+    """S = D^{-1} sum_k (v_k - v_{k-1}) embed_{G_k}(Q_k), assembled on the
+    level sets: the reference for the slice chains.  ``moves`` yields Q_k in
+    ascending k, as a matrix or a scalar."""
+    S = np.zeros((model.n, model.n))
+    lengths = np.diff(model.levels, prepend=0.0)
+    for members, length, move in zip(model.level_sets, lengths, moves):
+        S[np.ix_(members, members)] += length * move
+    return S / model.density[:, None]
+
+
+def level_moves(model):
+    """Each level's kernel matrix, from its rule or as given."""
+    for k, (members, entry) in enumerate(zip(model.level_sets, model.level_kernels)):
+        if isinstance(entry, RULE_TYPES):
+            yield kernel_for_target(np.full(members.size, 1.0 / members.size), entry, key=("level", k))
+        else:
+            yield np.asarray(entry, dtype=float)
 
 
 class TestApproximators:
@@ -138,6 +181,22 @@ class TestExactRandomScan:
         T = exact_random_scan(SKEWED)
         assert T.reversibility_defect <= 1e-12
         assert spectral_summary(T).psd
+
+    @pytest.mark.parametrize(
+        "joint, p",
+        [
+            (random_joint(1, sizes=(40, 40)), None),
+            (random_joint(2, sizes=(8, 8, 8)), None),
+            (random_joint(3, sizes=(5, 9)), (0.3, 0.7)),
+            (random_joint(4, sizes=(3, 4, 2)), (1.0, 2.0, 3.0)),
+            (joint_from_weights((2, 2), [0.5, 0.0, 0.0, 0.5]), None),
+        ],
+        ids=["40x40", "8x8x8", "5x9-p", "3x4x2-p", "2x2-zeros"],
+    )
+    def test_is_the_exact_spec_hybrid_scan_bit_for_bit(self, joint, p):
+        T = exact_random_scan(joint, p).kernel.matrix
+        assert np.array_equal(T, hybrid_random_scan(joint, p, ApproximatorSpec()).kernel.matrix)
+        assert np.array_equal(T, tiled_random_scan(joint, p))
 
     def test_psd_on_random_joints(self):
         rng = rng_from(42)
@@ -264,6 +323,10 @@ class TestDataAugmentation:
         with pytest.raises(NotTwoBlock):
             da_exact(THREE_COINS)
 
+    def test_hybrid_joint_needs_a_spec(self):
+        with pytest.raises(InvalidSpec, match="spec is required"):
+            da_hybrid(SKEWED)
+
     def test_hybrid_exact_spec(self):
         S = da_exact(SKEWED)
         Sh = da_hybrid(SKEWED, ApproximatorSpec())
@@ -376,3 +439,52 @@ class TestSliceKernels:
     def test_hybrid_needs_level_kernels(self):
         with pytest.raises(MissingLevelKernel):
             slice_hybrid(SliceModel(density=np.array([2.0, 1.0])))
+
+    @staticmethod
+    def point_level_joint(model):
+        """The joint of (point, level): weight v_k - v_{k-1} at index y + n k
+        when density(y) > v_{k-1}, zero otherwise."""
+        n, L = model.n, model.nlevels
+        lower = np.concatenate(([0.0], model.levels[:-1]))
+        w = np.zeros(n * L)
+        for k in range(L):
+            for y in range(n):
+                if model.density[y] > lower[k]:
+                    w[y + n * k] = model.levels[k] - lower[k]
+        return joint_from_weights((n, L), w)
+
+    def test_slice_chains_are_point_level_da_chains(self):
+        for seed in range(20):
+            model = random_slice_model(seed, with_kernels=False)
+            joint = self.point_level_joint(model)
+            np.testing.assert_allclose(
+                da_exact(joint).kernel.matrix, slice_exact(model).kernel.matrix, rtol=0, atol=1e-14
+            )
+            lazy = SliceModel(model.density, (Lazy(0.37),) * model.nlevels)
+            np.testing.assert_allclose(
+                da_hybrid(joint, ApproximatorSpec(default=Lazy(0.37))).kernel.matrix,
+                slice_hybrid(lazy).kernel.matrix,
+                rtol=0,
+                atol=1e-14,
+            )
+
+    def test_slice_chains_match_level_set_assembly(self):
+        kinds = set()
+        for seed in range(30):
+            model = random_slice_model(seed + 900)
+            kinds.update(isinstance(e, Lazy) for e in model.level_kernels)
+            exact = level_set_slice_chain(model, (1.0 / m.size for m in model.level_sets))
+            hybrid = level_set_slice_chain(model, level_moves(model))
+            np.testing.assert_allclose(slice_exact(model).kernel.matrix, exact, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(slice_hybrid(model).kernel.matrix, hybrid, rtol=0, atol=1e-14)
+        assert kinds == {True, False}
+
+    def test_da_quality_has_one_entry_per_level(self):
+        model = random_slice_model(7, max_points=8)
+        qual = Analysis(model).da_quality
+        assert sorted(qual.per_conditional) == [(0, (k,)) for k in range(model.nlevels)]
+        norms = [
+            spectral_summary(check_reversibility(Q, np.full(len(Q), 1.0))).operator_norm
+            for Q in level_moves(model)
+        ]
+        assert qual.max_norm == pytest.approx(max(norms), abs=1e-12)
