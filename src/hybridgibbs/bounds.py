@@ -16,7 +16,7 @@ L2 of the stationary distribution so slacks are on a common scale.
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import combinations
 
 import numpy as np
@@ -33,6 +33,7 @@ from .errors import (
     NoSpectralGap,
     PreconditionUnmet,
     ZeroSelectionProb,
+    positive_int,
 )
 from .gibbs import (
     _inner_kernels,
@@ -231,9 +232,7 @@ def rms_power_bound(source, profile, t):
 
 
 def _power_bound(source, profile, t, power):
-    t = int(t)
-    if t < 1:
-        raise ValueError("t must be a positive integer")
+    t = positive_int(t, "t")
     g = profile.values ** (power * t)
     kind = "per_level" if isinstance(source, SliceModel) else "per_z"
     m1, fwd = _two_block_parts(source)[:2]
@@ -328,60 +327,67 @@ def _two_coordinate_scan_gap(p, eps, da_gap):
     return float(num / (s + np.sqrt(max(s * s - 2.0 * num, 0.0))))
 
 
-def _gap_sandwich(name, exact, hybrid, qual, tol, fingerprint):
-    """Reports ``name``-lower/-upper: (1-C)(1-|exact|) <= 1-|hybrid| <=
-    (1+C)(1-|exact|) with C = ``qual.max_norm``, the upper bound tightened
-    to 1-|exact| when every approximating kernel is psd."""
-    gap_exact = spectral_summary(exact).gap
-    gap_hybrid = spectral_summary(hybrid).gap
-    C = qual.max_norm
-    upper = gap_exact if qual.all_psd else (1.0 + C) * gap_exact
-    return [
-        make_report(
-            f"{name}-lower",
-            (1.0 - C) * gap_exact,
-            gap_hybrid,
-            tol,
-            witness={"max_norm": C},
-            fingerprint=fingerprint,
-        ),
-        make_report(
-            f"{name}-upper",
-            gap_hybrid,
-            upper,
-            tol,
-            witness={"max_norm": C, "psd_tightened": qual.all_psd},
-            fingerprint=fingerprint,
-        ),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # The shared analysis of one model
 # ---------------------------------------------------------------------------
 
 
+def _joint_only(check):
+    """Mark a check of the random-scan or block chains, which a slice model
+    does not have: on one it raises DimensionMismatch."""
+
+    @wraps(check)
+    def checked(self, *args, **kwargs):
+        if self.is_slice:
+            raise DimensionMismatch(
+                f"{check.__name__} needs a joint distribution, not a slice model"
+            )
+        return check(self, *args, **kwargs)
+
+    return checked
+
+
 class Analysis:
     """The kernels, decompositions and approximation quality that the checks
-    on one model read.
+    on one model read, and the settings of the run that certifies it.
 
     ``source`` is a joint distribution or a SliceModel; ``p`` and ``spec`` are
     the random-scan selection probabilities and the approximator spec of a
     joint.  The data-augmentation (DA) pair is the exact and hybrid two-block
     marginal chains, for a slice model its slice chains.  Each kernel is
     built on first use and memoized, so it is decomposed at most once, and
-    everything lives as long as this object.  ``run_suite`` builds one
+    everything lives as long as this object.  Every report is certified at
+    ``tol`` and stamped with ``fingerprint`` (by default the model's and
+    spec's), and every random test-function battery is drawn from ``seed``;
+    a check takes only its mathematical arguments.  ``run_suite`` builds one
     Analysis per run; a single check is ``Analysis(source, p, spec).<check>()``.
     """
 
-    def __init__(self, source, p=None, spec=None):
+    def __init__(self, source, p=None, spec=None, tol=DEFAULT_TOL, seed=0, fingerprint=""):
         self.source = source
         self.spec = spec
         self.is_slice = isinstance(source, SliceModel)
         if not self.is_slice:
             self.sel = selection_probs(p, source.space.ncoords)
+        elif p is not None:
+            raise DimensionMismatch("a slice model has no coordinates to select")
+        self.tol = tol
+        self.seed = seed
+        self.fingerprint = fingerprint or model_fingerprint(source, spec)
         self._coord_quality = {}
         self._blocks = {}
+
+    def report(self, name, lhs, rhs, witness, hypothesis_ok=True):
+        """A report certified at this run's tolerance, with its fingerprint."""
+        return make_report(
+            name,
+            lhs,
+            rhs,
+            self.tol,
+            witness=witness,
+            fingerprint=self.fingerprint,
+            hypothesis_ok=hypothesis_ok,
+        )
 
     # -- kernels and their quality -------------------------------------------
 
@@ -481,48 +487,63 @@ class Analysis:
                 self._blocks[ell] = memoize(block_random_scan(self.source, ell))
         return self._blocks[ell]
 
+    def _gap_sandwich(self, name, exact, hybrid, qual):
+        """Reports ``name``-lower/-upper: (1-C)(1-|exact|) <= 1-|hybrid| <=
+        (1+C)(1-|exact|) with C = ``qual.max_norm``, the upper bound tightened
+        to 1-|exact| when every approximating kernel is psd."""
+        gap_exact = spectral_summary(exact).gap
+        gap_hybrid = spectral_summary(hybrid).gap
+        C = qual.max_norm
+        upper = gap_exact if qual.all_psd else (1.0 + C) * gap_exact
+        return [
+            self.report(f"{name}-lower", (1.0 - C) * gap_exact, gap_hybrid, {"max_norm": C}),
+            self.report(
+                f"{name}-upper",
+                gap_hybrid,
+                upper,
+                {"max_norm": C, "psd_tightened": qual.all_psd},
+            ),
+        ]
+
     # -- random-scan checks ---------------------------------------------------
 
-    def dirichlet_sandwich(self, trials=DEFAULT_TRIALS, seed=0, tol=DEFAULT_TOL, fingerprint=""):
+    @_joint_only
+    def dirichlet_sandwich(self, trials=DEFAULT_TRIALS):
         """Certify c1 * E_exact(f) <= E_hybrid(f) <= c2 * E_exact(f).
 
         The constants are the exact Dirichlet-ratio extremes of the
         approximating kernels; the battery is the eigenbasis of the exact
         chain plus ``trials`` random mean-zero functions.
         """
-        fingerprint = fingerprint or model_fingerprint(self.source, self.scan_spec)
         qual = self.quality
-        F, labels = function_battery(self.T, trials=trials, seed=seed)
+        F, labels = function_battery(self.T, trials=trials, seed=self.seed)
         e_exact = dirichlet_forms(self.T, F)
         e_hybrid = dirichlet_forms(self.Th, F)
         i, _ = _worst(e_hybrid - qual.ratio_min * e_exact)
         j, _ = _worst(qual.ratio_max * e_exact - e_hybrid)
         return [
-            make_report(
+            self.report(
                 "dirichlet-sandwich-lower",
                 qual.ratio_min * e_exact[i],
                 e_hybrid[i],
-                tol,
-                witness={"f": labels[i], "ratio_min": qual.ratio_min},
-                fingerprint=fingerprint,
+                {"f": labels[i], "ratio_min": qual.ratio_min},
             ),
-            make_report(
+            self.report(
                 "dirichlet-sandwich-upper",
                 e_hybrid[j],
                 qual.ratio_max * e_exact[j],
-                tol,
-                witness={"f": labels[j], "ratio_max": qual.ratio_max},
-                fingerprint=fingerprint,
+                {"f": labels[j], "ratio_max": qual.ratio_max},
             ),
         ]
 
-    def gap_sandwich(self, tol=DEFAULT_TOL, fingerprint=""):
+    @_joint_only
+    def gap_sandwich(self):
         """Certify the gap sandwich of ``_gap_sandwich`` between the exact
         and hybrid random-scan chains T and T_hybrid."""
-        fingerprint = fingerprint or model_fingerprint(self.source, self.scan_spec)
-        return _gap_sandwich("gap-sandwich", self.T, self.Th, self.quality, tol, fingerprint)
+        return self._gap_sandwich("gap-sandwich", self.T, self.Th, self.quality)
 
-    def variance_sandwich(self, f=None, trials=8, seed=0, tol=DEFAULT_TOL, fingerprint=""):
+    @_joint_only
+    def variance_sandwich(self, f=None, trials=8):
         """Certify the asymptotic-variance sandwich between exact and hybrid
         chains.
 
@@ -530,7 +551,6 @@ class Analysis:
         var_exact(f)/c2 + (1/c2 - 1)|f|^2 and var_exact(f)/c1 + (1/c1 - 1)|f|^2.
         Requires a positive exact gap and nondegenerate constants.
         """
-        fingerprint = fingerprint or model_fingerprint(self.source, self.scan_spec)
         qual = self.quality
         c1, c2 = qual.ratio_min, qual.ratio_max
         if c1 <= 1e-12:
@@ -544,7 +564,7 @@ class Analysis:
             F = np.column_stack([np.asarray(f, dtype=float)])
             labels = [{"kind": "supplied"}]
         else:
-            F, labels = function_battery(T, trials=trials, seed=seed)
+            F, labels = function_battery(T, trials=trials, seed=self.seed)
         w = T.stationary.weights
         F = F - w @ F
         norms2 = np.einsum("i,ij,ij->j", w, F, F)
@@ -555,35 +575,28 @@ class Analysis:
         i, _ = _worst(var_hybrid - low)
         j, _ = _worst(high - var_hybrid)
         return [
-            make_report(
+            self.report(
                 "variance-sandwich-lower",
                 low[i],
                 var_hybrid[i],
-                tol,
-                witness={"f": labels[i], "ratio_max": c2},
-                fingerprint=fingerprint,
+                {"f": labels[i], "ratio_max": c2},
             ),
-            make_report(
+            self.report(
                 "variance-sandwich-upper",
                 var_hybrid[j],
                 high[j],
-                tol,
-                witness={"f": labels[j], "ratio_min": c1},
-                fingerprint=fingerprint,
+                {"f": labels[j], "ratio_min": c1},
             ),
         ]
 
     # -- data-augmentation checks ---------------------------------------------
 
-    def da_gap_sandwich(self, tol=DEFAULT_TOL, fingerprint=""):
+    def da_gap_sandwich(self):
         """Certify the gap sandwich of ``_gap_sandwich`` between the exact
         and hybrid DA chains S and S_hybrid."""
-        fingerprint = fingerprint or model_fingerprint(self.source, self.spec)
-        return _gap_sandwich("da-gap-sandwich", self.S, self.Sh, self.da_quality, tol, fingerprint)
+        return self._gap_sandwich("da-gap-sandwich", self.S, self.Sh, self.da_quality)
 
-    def da_tstep(
-        self, t=2, trials=DEFAULT_TRIALS, seed=0, tol=DEFAULT_TOL, fingerprint="", profile=None
-    ):
+    def da_tstep(self, t=2, trials=DEFAULT_TRIALS, profile=None):
         """Certify the t-step comparison for (hybrid) data augmentation.
 
         Functional part, over the eigenbasis of the hybrid chain plus random
@@ -592,10 +605,7 @@ class Analysis:
         Spectral part: t * (1 - |S_hybrid|) >= 1 - |S_hybrid|^t >= 1 - |S| - a_t.
         Needs t even or all inner kernels psd.
         """
-        t = int(t)
-        if t < 1:
-            raise ValueError("t must be a positive integer")
-        fingerprint = fingerprint or model_fingerprint(self.source, self.spec)
+        t = positive_int(t, "t")
         if t % 2 == 1 and not self.da_quality.all_psd:
             raise PreconditionUnmet(
                 "odd t needs every inner kernel positive semi-definite"
@@ -603,7 +613,7 @@ class Analysis:
         profile = profile if profile is not None else self.inner_profile
         a_t = mean_power_bound(self.source, profile, t)
         S, Sh = self.S, self.Sh
-        F, labels = function_battery(Sh, trials=trials, seed=seed)
+        F, labels = function_battery(Sh, trials=trials, seed=self.seed)
         quad_h, norms_h = quadratic_forms(Sh, F)
         quad_s, _ = quadratic_forms(S, F)
         lhs_all = (quad_h / norms_h) ** t
@@ -612,39 +622,32 @@ class Analysis:
         norm_s = spectral_summary(S).operator_norm
         norm_h = spectral_summary(Sh).operator_norm
         return [
-            make_report(
+            self.report(
                 "da-tstep-functional",
                 lhs_all[i],
                 rhs_all[i],
-                tol,
-                witness={"t": t, "alpha": a_t, "f": labels[i], "min_lhs": float(lhs_all.min())},
-                fingerprint=fingerprint,
+                {"t": t, "alpha": a_t, "f": labels[i], "min_lhs": float(lhs_all.min())},
             ),
-            make_report(
+            self.report(
                 "da-tstep-bernoulli",
                 1.0 - norm_h**t,
                 t * (1.0 - norm_h),
-                tol,
-                witness={"t": t, "hybrid_norm": norm_h},
-                fingerprint=fingerprint,
+                {"t": t, "hybrid_norm": norm_h},
             ),
-            make_report(
+            self.report(
                 "da-tstep-gap-lower",
                 1.0 - norm_s - a_t,
                 1.0 - norm_h**t,
-                tol,
-                witness={"t": t, "alpha": a_t, "exact_norm": norm_s},
-                fingerprint=fingerprint,
+                {"t": t, "alpha": a_t, "exact_norm": norm_s},
             ),
         ]
 
-    def da_variance_tstep(self, t=2, trials=16, seed=0, tol=DEFAULT_TOL, fingerprint=""):
+    def da_variance_tstep(self, t=2, trials=16):
         """Certify var_hybrid(f) <= 2t var_exact(f) + (2t-1) |f|^2 for the
         two-block marginal chains, under the hypothesis that the t-step power
         average a_t is at most half the exact gap.  When the hypothesis fails
         the single returned report carries status hypothesis_unmet."""
-        t = int(t)
-        fingerprint = fingerprint or model_fingerprint(self.source, self.spec)
+        t = positive_int(t, "t")
         S, Sh = self.S, self.Sh
         summ_s = spectral_summary(S)
         if summ_s.operator_norm >= 1.0 - 1e-12:
@@ -655,19 +658,17 @@ class Analysis:
         half_gap = (1.0 - summ_s.operator_norm) / 2.0
         if a_t > half_gap:
             return [
-                make_report(
+                self.report(
                     "da-variance-tstep",
                     a_t,
                     half_gap,
-                    tol,
-                    witness={"t": t, "hypothesis": "alpha exceeds half the exact gap"},
-                    fingerprint=fingerprint,
+                    {"t": t, "hypothesis": "alpha exceeds half the exact gap"},
                     hypothesis_ok=False,
                 )
             ]
         if spectral_summary(Sh).operator_norm >= 1.0 - 1e-12:
             raise NoSpectralGap("the hybrid marginal chain has no spectral gap")
-        F, labels = function_battery(Sh, trials=trials, seed=seed)
+        F, labels = function_battery(Sh, trials=trials, seed=self.seed)
         w = S.stationary.weights
         F = F - w @ F
         norms2 = np.einsum("i,ij,ij->j", w, F, F)
@@ -676,19 +677,15 @@ class Analysis:
         bound = 2.0 * t * v_exact + (2.0 * t - 1.0) * norms2
         i, _ = _worst(bound - v_hybrid)
         return [
-            make_report(
-                "da-variance-tstep",
-                v_hybrid[i],
-                bound[i],
-                tol,
-                witness={"t": t, "alpha": a_t, "f": labels[i]},
-                fingerprint=fingerprint,
+            self.report(
+                "da-variance-tstep", v_hybrid[i], bound[i], {"t": t, "alpha": a_t, "f": labels[i]}
             )
         ]
 
     # -- block comparison -----------------------------------------------------
 
-    def block_comparison(self, ell, m, trials=DEFAULT_TRIALS, seed=0, tol=DEFAULT_TOL, fingerprint=""):
+    @_joint_only
+    def block_comparison(self, ell, m, trials=DEFAULT_TRIALS):
         """Compare block random scans touching ell versus m coordinates (m < ell).
 
         The m-scan is the ell-scan with each block conditional replaced by an
@@ -705,7 +702,6 @@ class Analysis:
             raise InvalidBlockSize(
                 f"need 1 <= m < l <= {n - 1}, got (l, m) = ({ell}, {m})"
             )
-        fingerprint = fingerprint or model_fingerprint(joint)
         T_ell = self.block(ell)
         T_m = self.block(m)
         c1 = np.inf
@@ -722,43 +718,27 @@ class Analysis:
                     c1_at = {"block": list(coords), "complement": list(y)}
         gap_ell = spectral_summary(T_ell).gap
         gap_m = spectral_summary(T_m).gap
-        F, labels = function_battery(T_ell, trials=trials, seed=seed)
+        F, labels = function_battery(T_ell, trials=trials, seed=self.seed)
         e_ell = dirichlet_forms(T_ell, F)
         e_m = dirichlet_forms(T_m, F)
         i, _ = _worst(e_m - c1 * e_ell)
         j, _ = _worst(e_ell - e_m)
         reports = [
-            make_report(
+            self.report(
                 "block-gap-lower",
                 c1 * gap_ell,
                 gap_m,
-                tol,
-                witness={"c1": float(c1), "c1_at": c1_at, "ell": ell, "m": m},
-                fingerprint=fingerprint,
+                {"c1": float(c1), "c1_at": c1_at, "ell": ell, "m": m},
             ),
-            make_report(
-                "block-gap-upper",
-                gap_m,
-                gap_ell,
-                tol,
-                witness={"ell": ell, "m": m},
-                fingerprint=fingerprint,
-            ),
-            make_report(
+            self.report("block-gap-upper", gap_m, gap_ell, {"ell": ell, "m": m}),
+            self.report(
                 "block-dirichlet-lower",
                 c1 * e_ell[i],
                 e_m[i],
-                tol,
-                witness={"f": labels[i], "c1": float(c1), "ell": ell, "m": m},
-                fingerprint=fingerprint,
+                {"f": labels[i], "c1": float(c1), "ell": ell, "m": m},
             ),
-            make_report(
-                "block-dirichlet-upper",
-                e_m[j],
-                e_ell[j],
-                tol,
-                witness={"f": labels[j], "ell": ell, "m": m},
-                fingerprint=fingerprint,
+            self.report(
+                "block-dirichlet-upper", e_m[j], e_ell[j], {"f": labels[j], "ell": ell, "m": m}
             ),
         ]
         if gap_ell > 1e-12 and gap_m > 1e-12:
@@ -766,24 +746,17 @@ class Analysis:
             v_m = variances(T_m, F)
             k, _ = _worst(v_m - v_ell)
             reports.append(
-                make_report(
-                    "block-variance-order",
-                    v_ell[k],
-                    v_m[k],
-                    tol,
-                    witness={"f": labels[k], "ell": ell, "m": m},
-                    fingerprint=fingerprint,
+                self.report(
+                    "block-variance-order", v_ell[k], v_m[k], {"f": labels[k], "ell": ell, "m": m}
                 )
             )
         else:
             reports.append(
-                make_report(
+                self.report(
                     "block-variance-order",
                     0.0,
                     0.0,
-                    tol,
-                    witness={"hypothesis": "a block chain has no spectral gap", "ell": ell, "m": m},
-                    fingerprint=fingerprint,
+                    {"hypothesis": "a block chain has no spectral gap", "ell": ell, "m": m},
                     hypothesis_ok=False,
                 )
             )
@@ -832,7 +805,8 @@ class Analysis:
             gaps[k] = _two_coordinate_scan_gap(sel.p, chain_eps, da_gap)
         return tuple(gaps)
 
-    def selection_reweighting(self, p_alt, tol=DEFAULT_TOL, fingerprint=""):
+    @_joint_only
+    def selection_reweighting(self, p_alt):
         """Certify how spectral gaps transfer from the selection probabilities
         ``p_alt`` to this analysis's own.
 
@@ -849,7 +823,6 @@ class Analysis:
         sel_alt = selection_probs(p_alt, joint.space.ncoords)
         if np.any(sel.p <= 0.0) or np.any(sel_alt.p <= 0.0):
             raise ZeroSelectionProb("selection probabilities must be strictly positive")
-        fingerprint = fingerprint or model_fingerprint(joint, self.spec)
         qual = self.quality
         C = qual.max_norm
         gap_t = spectral_summary(self.T).gap
@@ -861,53 +834,30 @@ class Analysis:
             gap_h_alt = eigvals_summary(hybrid_random_scan(joint, sel_alt, self.scan_spec)).gap
         r = float(np.min(sel.p / sel_alt.p))
         reports = [
-            make_report(
-                "selection-minratio-exact",
-                r * gap_t_alt,
-                gap_t,
-                tol,
-                witness={"min_ratio": r},
-                fingerprint=fingerprint,
-            ),
-            make_report(
-                "selection-minratio-hybrid",
-                r * gap_h_alt,
-                gap_h,
-                tol,
-                witness={"min_ratio": r},
-                fingerprint=fingerprint,
-            ),
+            self.report("selection-minratio-exact", r * gap_t_alt, gap_t, {"min_ratio": r}),
+            self.report("selection-minratio-hybrid", r * gap_h_alt, gap_h, {"min_ratio": r}),
         ]
         if gap_t_alt <= 1e-14:
-            reports.insert(
-                0,
-                make_report(
-                    "selection-hybrid-transfer",
-                    0.0,
-                    gap_h,
-                    tol,
-                    witness={"hypothesis": "reference exact chain has no gap"},
-                    fingerprint=fingerprint,
-                    hypothesis_ok=False,
-                ),
+            transfer = self.report(
+                "selection-hybrid-transfer",
+                0.0,
+                gap_h,
+                {"hypothesis": "reference exact chain has no gap"},
+                hypothesis_ok=False,
             )
-            return reports
-        b = gap_t / gap_t_alt
-        factor = b * (1.0 - C) if qual.all_psd else b * (1.0 - C) / (1.0 + C)
-        reports.insert(
-            0,
-            make_report(
+        else:
+            b = gap_t / gap_t_alt
+            factor = b * (1.0 - C) if qual.all_psd else b * (1.0 - C) / (1.0 + C)
+            transfer = self.report(
                 "selection-hybrid-transfer",
                 factor * gap_h_alt,
                 gap_h,
-                tol,
-                witness={"b": float(b), "max_norm": C, "psd_tightened": qual.all_psd},
-                fingerprint=fingerprint,
-            ),
-        )
-        return reports
+                {"b": float(b), "max_norm": C, "psd_tightened": qual.all_psd},
+            )
+        return [transfer] + reports
 
-    def uniform_tstep_bound(self, t=1, tol=DEFAULT_TOL, fingerprint=""):
+    @_joint_only
+    def uniform_tstep_bound(self, t=1):
         """Certify the coarse uniform-selection power bound
         1 - |T_hybrid| >= n^{-(t-1)} (1 - |T| - C^t), and that the one-step
         sandwich lower bound dominates it whenever 1 - |T| - C^t >= 0."""
@@ -916,10 +866,7 @@ class Analysis:
             raise PreconditionUnmet("the power bound needs at least two coordinates")
         if not self.uniform_selection:
             raise NonUniformSelection("this bound is stated for uniform selection")
-        t = int(t)
-        if t < 1:
-            raise ValueError("t must be a positive integer")
-        fingerprint = fingerprint or model_fingerprint(self.source, self.scan_spec)
+        t = positive_int(t, "t")
         C = self.quality.max_norm
         norm_t = spectral_summary(self.T).operator_norm
         gap_h = spectral_summary(self.Th).gap
@@ -927,41 +874,30 @@ class Analysis:
         power_bound = raw / n ** (t - 1)
         sandwich_bound = (1.0 - C) * (1.0 - norm_t)
         return [
-            make_report(
-                "uniform-power-lower",
-                power_bound,
-                gap_h,
-                tol,
-                witness={"t": t, "max_norm": C},
-                fingerprint=fingerprint,
-            ),
-            make_report(
+            self.report("uniform-power-lower", power_bound, gap_h, {"t": t, "max_norm": C}),
+            self.report(
                 "uniform-power-dominated",
                 power_bound,
                 sandwich_bound,
-                tol,
-                witness={"t": t, "nontrivial": bool(raw >= 0.0)},
-                fingerprint=fingerprint,
+                {"t": t, "nontrivial": bool(raw >= 0.0)},
                 hypothesis_ok=bool(raw >= 0.0),
             ),
         ]
 
     # -- slice checks ---------------------------------------------------------
 
-    def slice_tstep(self, t, tol=DEFAULT_TOL, fingerprint="", profile=None):
+    def slice_tstep(self, t, profile=None):
         """Certify (1 - |S| - a_t)/t <= 1 - |S_hybrid| <= 1 - |S| for a slice
         model.
 
         The tightened upper bound needs every per-level kernel psd; otherwise
         the upper half falls back to the one-step sandwich (1 + C)(1 - |S|).
         The looser rms-based lower bound is certified alongside, together with
-        the ordering a_t <= b_t that makes the mean-based bound the sharper one.
+        the ordering a_t <= b_t that makes the mean-based bound the sharper
+        one, at the fixed tolerance 1e-12.
         """
-        t = int(t)
-        if t < 1:
-            raise ValueError("t must be a positive integer")
+        t = positive_int(t, "t")
         model = self.source
-        fingerprint = fingerprint or model_fingerprint(model)
         all_psd = self.da_quality.all_psd
         if t % 2 == 1 and not all_psd:
             raise PreconditionUnmet("odd t needs every per-level kernel psd")
@@ -972,29 +908,12 @@ class Analysis:
         gap_hybrid = spectral_summary(self.Sh).gap
         upper = gap_exact if all_psd else (1.0 + self.da_quality.max_norm) * gap_exact
         return [
-            make_report(
-                "slice-tstep-lower",
-                (gap_exact - a_t) / t,
-                gap_hybrid,
-                tol,
-                witness={"t": t, "alpha": a_t},
-                fingerprint=fingerprint,
+            self.report(
+                "slice-tstep-lower", (gap_exact - a_t) / t, gap_hybrid, {"t": t, "alpha": a_t}
             ),
-            make_report(
-                "slice-tstep-upper",
-                gap_hybrid,
-                upper,
-                tol,
-                witness={"t": t, "psd_tightened": all_psd},
-                fingerprint=fingerprint,
-            ),
-            make_report(
-                "slice-tstep-lower-rms",
-                (gap_exact - b_t) / t,
-                gap_hybrid,
-                tol,
-                witness={"t": t, "beta": b_t},
-                fingerprint=fingerprint,
+            self.report("slice-tstep-upper", gap_hybrid, upper, {"t": t, "psd_tightened": all_psd}),
+            self.report(
+                "slice-tstep-lower-rms", (gap_exact - b_t) / t, gap_hybrid, {"t": t, "beta": b_t}
             ),
             make_report(
                 "slice-power-bound-order",
@@ -1002,6 +921,6 @@ class Analysis:
                 b_t,
                 1e-12,
                 witness={"t": t},
-                fingerprint=fingerprint,
+                fingerprint=self.fingerprint,
             ),
         ]

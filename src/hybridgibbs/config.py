@@ -3,7 +3,8 @@
 Configs are JSON documents validated against CONFIG_SCHEMA (a published JSON
 Schema, draft 2020-12) and then semantically checked (weight vector lengths,
 override coordinates, ...).  Canonicalization fills in the documented
-defaults; the canonical form is a fixed point of parse -> canonicalize ->
+defaults, respells rules and stores the step counts ``t`` sorted, each once;
+the canonical form is a fixed point of parse -> canonicalize ->
 serialize -> parse, and its hash is the model fingerprint stamped on every
 report.
 """
@@ -263,6 +264,7 @@ def canonicalize(data):
     out["approximator"] = {**_DEFAULTS["approximator"], **out["approximator"]}
     _semantic_checks(out)
     _canonical_rules(out)
+    out["t"] = sorted({int(t) for t in out["t"]})
     canon = json.loads(json.dumps(out, sort_keys=True))
     return ModelConfig(data=canon, fingerprint=fingerprint_json(canon))
 

@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
 Every error raised by this package derives from HybridGibbsError, so callers
-can catch the whole family with one clause.  Errors that carry diagnostic
+can catch the whole family with one clause; ``positive_int`` is the one check
+of a positive-integer argument.  Errors that carry diagnostic
 payloads (worst state pair, expected lengths, ...) expose them as attributes.
 """
 
@@ -119,5 +120,17 @@ class SchemaError(HybridGibbsError):
     pass
 
 
-class InvalidArgument(HybridGibbsError):
-    """A command-line value or builtin name that names nothing usable."""
+class InvalidArgument(HybridGibbsError, ValueError):
+    """An argument value or builtin name that names nothing usable."""
+
+
+def positive_int(value, name):
+    """``value`` as an int; InvalidArgument unless it is a positive integer
+    (an integral float counts, 2.5 or "2" does not)."""
+    try:
+        k = int(value)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if k is None or k != value or k < 1:
+        raise InvalidArgument(f"{name} must be a positive integer, got {value!r}")
+    return k

@@ -14,7 +14,7 @@ from math import comb
 import numpy as np
 
 from .approximators import EXACT_SPEC, kernel_for_target, make_approximator
-from .errors import InvalidBlockSize, InvalidSpec, NotTwoBlock
+from .errors import InvalidBlockSize, InvalidSpec, NotTwoBlock, positive_int
 from .slicemodel import SliceModel, _level_pairs
 from .space import conditional, conditional_joint, marginal, selection_probs
 from .spectral import check_reversibility
@@ -173,9 +173,7 @@ def da_hybrid(source, spec=None, t=1):
     which a joint requires, or a SliceModel's level kernel."""
     # Only fwd is read; dropping back at once holds one n x L array, not two.
     m1, fwd = _two_block_parts(source)[:2]
-    t = int(t)
-    if t < 1:
-        raise ValueError("t must be a positive integer")
+    t = positive_int(t, "t")
     S = np.zeros((m1.n, m1.n))
     for z, idx, pair in _inner_kernels(source, spec):
         Q = pair.kernel.matrix

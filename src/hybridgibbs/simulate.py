@@ -18,6 +18,7 @@ from .errors import (
     InvalidStart,
     NotAbsolutelyContinuous,
     TooFewBatches,
+    positive_int,
 )
 from .report import fingerprint_bytes, make_report
 from .spectral import (
@@ -64,9 +65,7 @@ def simulate(rev, start, steps, seed):
     draw the initial state from; drawing it takes the first uniform of the
     stream, so the transitions then use the uniforms after it.
     """
-    steps = int(steps)
-    if steps < 1:
-        raise ValueError("steps must be a positive integer")
+    steps = positive_int(steps, "steps")
     n = rev.n
     rng = np.random.Generator(np.random.Philox(int(seed)))
     if isinstance(start, (int, np.integer)):
@@ -99,9 +98,7 @@ def batch_means_variance(traj, f, batch):
     batch * sample variance of the batch means, its standard error the usual
     chi-square spread sqrt(2/(B-1)) times the estimate.
     """
-    batch = int(batch)
-    if batch < 1:
-        raise ValueError("batch size must be positive")
+    batch = positive_int(batch, "batch")
     values = np.asarray(f, dtype=float)[traj.states[1:]]
     nb = values.size // batch
     if nb < 20:
@@ -171,9 +168,7 @@ def mixing_curve(rev, mu0, tmax):
     decay rate is fitted on the tail of the log curve and verified not to
     exceed the operator norm.
     """
-    tmax = int(tmax)
-    if tmax < 1:
-        raise ValueError("tmax must be a positive integer")
+    tmax = positive_int(tmax, "tmax")
     w = rev.stationary.weights
     if isinstance(mu0, ProbVec):
         mu = mu0.weights.copy()

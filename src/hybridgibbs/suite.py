@@ -14,7 +14,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,10 +23,11 @@ from .bounds import Analysis
 from .errors import (
     DegenerateConstants,
     HybridGibbsError,
+    MissingLevelKernel,
     NoSpectralGap,
     PreconditionUnmet,
+    positive_int,
 )
-from .report import HYPOTHESIS_UNMET, make_report
 from .spectral import spectral_summary
 
 
@@ -72,22 +73,13 @@ class RunReport:
         return buf.getvalue()
 
 
-def _guarded(fn, name, fingerprint, tol):
-    """Run a checker; hypothesis failures become hypothesis_unmet reports."""
+def _guarded(analysis, name, fn):
+    """Run a check of ``analysis``; hypothesis failures become
+    hypothesis_unmet reports under the analysis's tolerance and fingerprint."""
     try:
         return fn()
     except (NoSpectralGap, DegenerateConstants, PreconditionUnmet) as exc:
-        return [
-            make_report(
-                name,
-                0.0,
-                0.0,
-                tol,
-                witness={"hypothesis": str(exc)},
-                fingerprint=fingerprint,
-                hypothesis_ok=False,
-            )
-        ]
+        return [analysis.report(name, 0.0, 0.0, {"hypothesis": str(exc)}, hypothesis_ok=False)]
 
 
 def run_suite(config, suites=None, t_values=None, tol=None):
@@ -97,7 +89,8 @@ def run_suite(config, suites=None, t_values=None, tol=None):
     errors), the string "all" (lenient: inapplicable suites are skipped), or
     None to follow the config's own selection with the same semantics.  A
     name outside ``config.SUITES``, or a ``tol`` that is not finite and
-    positive, is an error raised before any kernel is built.
+    positive, is an error raised before any kernel is built.  ``t_values``
+    (default: the config's) run once each, in increasing order.
     """
     start = time.perf_counter()
     requested = suites if suites is not None else config.data["suite"]
@@ -110,12 +103,12 @@ def run_suite(config, suites=None, t_values=None, tol=None):
         raise HybridGibbsError(
             f"unknown suite {unknown[0]!r}; expected 'all' or names from {', '.join(SUITES)}"
         )
-    t_values = [int(t) for t in (t_values if t_values is not None else config.t_values)]
+    t_values = t_values if t_values is not None else config.t_values
+    t_values = sorted({positive_int(t, "t") for t in t_values})
     tol = float(tol) if tol is not None else config.tol
     if not (math.isfinite(tol) and tol > 0.0):
         raise HybridGibbsError(f"tol must be finite and positive, got {tol!r}")
-    fp = config.fingerprint
-    seed = config.seed
+    settings = {"tol": tol, "seed": config.seed, "fingerprint": config.fingerprint}
     trials = config.trials
     kernels = {}
     quality = {}
@@ -126,18 +119,15 @@ def run_suite(config, suites=None, t_values=None, tol=None):
         for s in suites:
             if s != "slice" and not lenient:
                 raise HybridGibbsError(f"suite {s!r} does not apply to slice models")
-        analysis = Analysis(model)
+        if "slice" in suites and model.level_kernels is None and not lenient:
+            raise MissingLevelKernel("suite 'slice' needs the model's level_kernels")
+        analysis = Analysis(model, **settings)
         # The checks come first: they decompose the level kernels, which set
         # the peak memory, before any slice chain is held.
         if "slice" in suites and model.level_kernels is not None:
             for t in t_values:
                 reports.extend(
-                    _guarded(
-                        lambda t=t: analysis.slice_tstep(t, tol=tol, fingerprint=fp),
-                        f"slice-tstep-t{t}",
-                        fp,
-                        tol,
-                    )
+                    _guarded(analysis, f"slice-tstep-t{t}", lambda t=t: analysis.slice_tstep(t))
                 )
         kernels["slice_exact"] = spectral_summary(analysis.S).to_dict()
         if model.level_kernels is not None:
@@ -148,7 +138,7 @@ def run_suite(config, suites=None, t_values=None, tol=None):
     p = config.selection()
     n = joint.space.ncoords
 
-    analysis = Analysis(joint, p, config.approximator_spec())
+    analysis = Analysis(joint, p, config.approximator_spec(), **settings)
     kernels["random_scan_exact"] = spectral_summary(analysis.T).to_dict()
     kernels["random_scan_hybrid"] = spectral_summary(analysis.Th).to_dict()
     qual = analysis.quality
@@ -162,18 +152,11 @@ def run_suite(config, suites=None, t_values=None, tol=None):
 
     for s in suites:
         if s == "random-scan":
-            reports.extend(
-                analysis.dirichlet_sandwich(trials=trials, seed=seed, tol=tol, fingerprint=fp)
-            )
-            reports.extend(analysis.gap_sandwich(tol=tol, fingerprint=fp))
+            reports.extend(analysis.dirichlet_sandwich(trials=trials))
+            reports.extend(analysis.gap_sandwich())
             reports.extend(
                 _guarded(
-                    lambda: analysis.variance_sandwich(
-                        trials=8, seed=seed, tol=tol, fingerprint=fp
-                    ),
-                    "variance-sandwich",
-                    fp,
-                    tol,
+                    analysis, "variance-sandwich", lambda: analysis.variance_sandwich(trials=8)
                 )
             )
         elif s == "da":
@@ -183,26 +166,18 @@ def run_suite(config, suites=None, t_values=None, tol=None):
                 raise HybridGibbsError("suite 'da' requires exactly two coordinates")
             kernels["da_exact"] = spectral_summary(analysis.S).to_dict()
             kernels["da_hybrid"] = spectral_summary(analysis.Sh).to_dict()
-            reports.extend(analysis.da_gap_sandwich(tol=tol, fingerprint=fp))
+            reports.extend(analysis.da_gap_sandwich())
             for t in t_values:
                 reports.extend(
                     _guarded(
-                        lambda t=t: analysis.da_tstep(
-                            t, trials=trials, seed=seed, tol=tol, fingerprint=fp
-                        ),
-                        f"da-tstep-t{t}",
-                        fp,
-                        tol,
+                        analysis, f"da-tstep-t{t}", lambda t=t: analysis.da_tstep(t, trials=trials)
                     )
                 )
                 reports.extend(
                     _guarded(
-                        lambda t=t: analysis.da_variance_tstep(
-                            t, seed=seed, tol=tol, fingerprint=fp
-                        ),
+                        analysis,
                         f"da-variance-tstep-t{t}",
-                        fp,
-                        tol,
+                        lambda t=t: analysis.da_variance_tstep(t),
                     )
                 )
         elif s == "block":
@@ -213,21 +188,16 @@ def run_suite(config, suites=None, t_values=None, tol=None):
             for ell in range(2, n):
                 kernels[f"block_scan_l{ell}"] = spectral_summary(analysis.block(ell)).to_dict()
                 for m in range(1, ell):
-                    reports.extend(
-                        analysis.block_comparison(
-                            ell, m, trials=trials, seed=seed, tol=tol, fingerprint=fp
-                        )
-                    )
+                    reports.extend(analysis.block_comparison(ell, m, trials=trials))
         elif s == "selection":
             p_alt = config.selection_alt()
             if p_alt is None:
                 p_alt = [i + 1.0 for i in range(n)]
             reports.extend(
                 _guarded(
-                    lambda: analysis.selection_reweighting(p_alt, tol=tol, fingerprint=fp),
+                    analysis,
                     "selection-reweighting",
-                    fp,
-                    tol,
+                    lambda: analysis.selection_reweighting(p_alt),
                 )
             )
         elif s == "supplement":
@@ -240,10 +210,7 @@ def run_suite(config, suites=None, t_values=None, tol=None):
             for t in t_values:
                 reports.extend(
                     _guarded(
-                        lambda t=t: analysis.uniform_tstep_bound(t, tol=tol, fingerprint=fp),
-                        f"uniform-power-t{t}",
-                        fp,
-                        tol,
+                        analysis, f"uniform-power-t{t}", lambda t=t: analysis.uniform_tstep_bound(t)
                     )
                 )
         elif s == "slice":
@@ -256,30 +223,14 @@ def run_suite(config, suites=None, t_values=None, tol=None):
 def _finish(config, kernels, quality, reports, start):
     # Distinct t values or block-size pairs reuse a report name; qualify
     # names with their parameters, then sort.
-    seen = {}
     renamed = []
     for r in reports:
-        name = r.name
         w = r.witness if isinstance(r.witness, dict) else {}
         if "t" in w:
-            name = f"{name}-t{w['t']}"
+            r = replace(r, name=f"{r.name}-t{w['t']}")
         elif "ell" in w and "m" in w:
-            name = f"{name}-l{w['ell']}m{w['m']}"
-        count = seen.get(name, 0)
-        seen[name] = count + 1
-        if count:
-            name = f"{name}#{count + 1}"
-        renamed.append(
-            make_report(
-                name,
-                r.lhs,
-                r.rhs,
-                r.tol,
-                witness=r.witness,
-                fingerprint=r.fingerprint,
-                hypothesis_ok=r.status != HYPOTHESIS_UNMET,
-            )
-        )
+            r = replace(r, name=f"{r.name}-l{w['ell']}m{w['m']}")
+        renamed.append(r)
     renamed.sort(key=lambda r: r.name)
     elapsed = time.perf_counter() - start
     return RunReport(

@@ -123,7 +123,7 @@ def test_criterion_04_dirichlet_sandwich_100_models():
     for seed in range(100):
         joint = random_joint(4_000 + seed, max_coords=3, max_size=4)
         spec = random_mixed_spec(4_500 + seed, joint)
-        reps = Analysis(joint, None, spec).dirichlet_sandwich(trials=64, seed=seed)
+        reps = Analysis(joint, None, spec, seed=seed).dirichlet_sandwich(trials=64)
         worst = min(worst, min(r.slack for r in reps))
         assert all(r.slack >= -1e-9 for r in reps)
     note(4, f"Dirichlet sandwich over eigenbasis + 64 random f on 100 models (worst slack {worst:.3e})")
@@ -138,7 +138,7 @@ def test_criterion_05_da_tstep_100_models():
         spec = random_mixed_spec(rng, joint, coords=(0,))
         profile = Analysis(joint, spec=spec).inner_profile
         for t in (2, 4, 6):
-            reps = Analysis(joint, spec=spec).da_tstep(t=t, trials=16, seed=seed)
+            reps = Analysis(joint, spec=spec, seed=seed).da_tstep(t=t, trials=16)
             worst = min(worst, min(r.slack for r in reps))
             assert all(r.slack >= -1e-9 for r in reps)
             a_t = mean_power_bound(joint, profile, t)
@@ -160,7 +160,7 @@ def test_criterion_06_block_chain():
         sizes = tuple(int(rng.integers(2, 4)) for _ in range(4))
         joint = random_joint(rng, sizes=sizes)
         for ell, m in ((2, 1), (3, 1), (3, 2)):
-            reps = Analysis(joint).block_comparison(ell, m, trials=16, seed=seed)
+            reps = Analysis(joint, seed=seed).block_comparison(ell, m, trials=16)
             certified = [r for r in reps if r.status != "hypothesis_unmet"]
             worst = min(worst, min(r.slack for r in certified))
             assert all(r.slack >= -1e-9 for r in certified)

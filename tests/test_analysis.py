@@ -1,6 +1,8 @@
 """The shared Analysis: each kernel decomposed once per run, and run_suite's
 reports equal to what a fresh Analysis returns for each check."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from hybridgibbs import (
     Exact,
     Lazy,
     MetropolisRW,
+    SliceModel,
     approx_quality,
     block_random_scan,
     canonicalize,
@@ -25,8 +28,8 @@ from hybridgibbs import (
     slice_hybrid,
 )
 from hybridgibbs import bounds
-from hybridgibbs.bounds import _two_coordinate_scan_gap
-from hybridgibbs.errors import CrossCheckFailure
+from hybridgibbs.bounds import _two_coordinate_scan_gap, function_battery, model_fingerprint
+from hybridgibbs.errors import CrossCheckFailure, DimensionMismatch, PreconditionUnmet
 from hybridgibbs.randomgen import random_joint
 from hybridgibbs.space import selection_probs
 from hybridgibbs.spectral import eigvals_summary, spectral_summary
@@ -75,7 +78,8 @@ def test_run_suite_decomposes_each_kernel_once(eig_counts):
 def standalone(config):
     """Kernel summaries and reports of ``run_suite(config, "all")``, rebuilt
     from the standalone builders and a fresh ``Analysis`` for each check."""
-    fp, tol, seed, trials = config.fingerprint, config.tol, config.seed, config.trials
+    settings = {"tol": config.tol, "seed": config.seed, "fingerprint": config.fingerprint}
+    trials = config.trials
     t_values = [int(t) for t in config.t_values]
     kernels, reports = {}, []
     if config.is_slice:
@@ -84,11 +88,9 @@ def standalone(config):
         if model.level_kernels is not None:
             kernels["slice_hybrid"] = spectral_summary(slice_hybrid(model)).to_dict()
             for t in t_values:
+                analysis = Analysis(model, **settings)
                 reports += _guarded(
-                    lambda t=t: Analysis(model).slice_tstep(t, tol=tol, fingerprint=fp),
-                    f"slice-tstep-t{t}",
-                    fp,
-                    tol,
+                    analysis, f"slice-tstep-t{t}", lambda t=t: analysis.slice_tstep(t)
                 )
         return kernels, reports
     joint = config.build_joint()
@@ -97,61 +99,39 @@ def standalone(config):
     n = joint.space.ncoords
     kernels["random_scan_exact"] = spectral_summary(exact_random_scan(joint, p)).to_dict()
     kernels["random_scan_hybrid"] = spectral_summary(hybrid_random_scan(joint, p, spec)).to_dict()
-    reports += Analysis(joint, p, spec).dirichlet_sandwich(
-        trials=trials, seed=seed, tol=tol, fingerprint=fp
-    )
-    reports += Analysis(joint, p, spec).gap_sandwich(tol=tol, fingerprint=fp)
+    reports += Analysis(joint, p, spec, **settings).dirichlet_sandwich(trials=trials)
+    reports += Analysis(joint, p, spec, **settings).gap_sandwich()
+    analysis = Analysis(joint, p, spec, **settings)
     reports += _guarded(
-        lambda: Analysis(joint, p, spec).variance_sandwich(
-            trials=8, seed=seed, tol=tol, fingerprint=fp
-        ),
-        "variance-sandwich",
-        fp,
-        tol,
+        analysis, "variance-sandwich", lambda: analysis.variance_sandwich(trials=8)
     )
     if n == 2:
         kernels["da_exact"] = spectral_summary(da_exact(joint)).to_dict()
         kernels["da_hybrid"] = spectral_summary(da_hybrid(joint, spec)).to_dict()
-        reports += Analysis(joint, spec=spec).da_gap_sandwich(tol=tol, fingerprint=fp)
+        reports += Analysis(joint, spec=spec, **settings).da_gap_sandwich()
         for t in t_values:
+            analysis = Analysis(joint, spec=spec, **settings)
             reports += _guarded(
-                lambda t=t: Analysis(joint, spec=spec).da_tstep(
-                    t, trials=trials, seed=seed, tol=tol, fingerprint=fp
-                ),
-                f"da-tstep-t{t}",
-                fp,
-                tol,
+                analysis, f"da-tstep-t{t}", lambda t=t: analysis.da_tstep(t, trials=trials)
             )
+            analysis = Analysis(joint, spec=spec, **settings)
             reports += _guarded(
-                lambda t=t: Analysis(joint, spec=spec).da_variance_tstep(
-                    t, seed=seed, tol=tol, fingerprint=fp
-                ),
-                f"da-variance-tstep-t{t}",
-                fp,
-                tol,
+                analysis, f"da-variance-tstep-t{t}", lambda t=t: analysis.da_variance_tstep(t)
             )
     for ell in range(2, n):
         kernels[f"block_scan_l{ell}"] = spectral_summary(block_random_scan(joint, ell)).to_dict()
         for m in range(1, ell):
-            reports += Analysis(joint).block_comparison(
-                ell, m, trials=trials, seed=seed, tol=tol, fingerprint=fp
-            )
+            reports += Analysis(joint, **settings).block_comparison(ell, m, trials=trials)
     p_alt = config.selection_alt() or [i + 1.0 for i in range(n)]
+    analysis = Analysis(joint, p, spec, **settings)
     reports += _guarded(
-        lambda: Analysis(joint, p, spec).selection_reweighting(p_alt, tol=tol, fingerprint=fp),
-        "selection-reweighting",
-        fp,
-        tol,
+        analysis, "selection-reweighting", lambda: analysis.selection_reweighting(p_alt)
     )
     if p is None or np.abs(np.asarray(p, float) / np.sum(p) - 1.0 / n).max() <= 1e-12:
         for t in t_values:
+            analysis = Analysis(joint, p, spec, **settings)
             reports += _guarded(
-                lambda t=t: Analysis(joint, p, spec).uniform_tstep_bound(
-                    t, tol=tol, fingerprint=fp
-                ),
-                f"uniform-power-t{t}",
-                fp,
-                tol,
+                analysis, f"uniform-power-t{t}", lambda t=t: analysis.uniform_tstep_bound(t)
             )
     return kernels, reports
 
@@ -285,3 +265,114 @@ def test_one_coordinate_block_chain_is_the_random_scan(seed):
     assert np.array_equal(analysis.block(1).kernel.matrix, want)
     skewed = Analysis(joint, [1.0, 1.0, 1.0 + 1e-9])
     assert skewed.block(1) is not skewed.T
+
+
+# ---------------------------------------------------------------------------
+# Run settings: tolerance, seed and fingerprint belong to the Analysis
+# ---------------------------------------------------------------------------
+
+LAZY = ApproximatorSpec(default=Lazy(0.3))
+JOINT2 = joint_from_weights((2, 3), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+JOINT3 = random_joint(7, sizes=(2, 2, 3))
+SLICE = SliceModel(np.array([3.0, 1.0, 2.0, 3.0]), (Lazy(0.35),) * 3)
+SOURCES = {
+    "two-coordinate-lazy": (JOINT2, LAZY),
+    "two-coordinate-exact": (JOINT2, None),
+    "three-coordinate-lazy": (JOINT3, LAZY),
+    "three-coordinate-exact": (JOINT3, None),
+    "slice": (SLICE, None),
+}
+CHECKS = (
+    "dirichlet_sandwich",
+    "gap_sandwich",
+    "variance_sandwich",
+    "da_gap_sandwich",
+    "da_tstep",
+    "da_variance_tstep",
+    "block_comparison",
+    "selection_reweighting",
+    "uniform_tstep_bound",
+    "slice_tstep",
+)
+JOINT_ONLY = {
+    "dirichlet_sandwich": (),
+    "gap_sandwich": (),
+    "variance_sandwich": (),
+    "block_comparison": (2, 1),
+    "selection_reweighting": ([1.0],),
+    "uniform_tstep_bound": (),
+}
+
+
+def every_check(analysis):
+    """The reports of every check family that applies to the model, and one
+    hypothesis_unmet report of ``_guarded``."""
+
+    def unmet():
+        raise PreconditionUnmet("a hypothesis fails")
+
+    a = analysis
+    reports = _guarded(a, "guarded", unmet)
+    if a.is_slice:
+        return reports + a.da_gap_sandwich() + a.da_tstep(2, trials=4) + a.slice_tstep(2)
+    n = a.source.space.ncoords
+    reports += a.dirichlet_sandwich(trials=4) + a.gap_sandwich() + a.variance_sandwich(trials=4)
+    reports += a.selection_reweighting([i + 1.0 for i in range(n)]) + a.uniform_tstep_bound(2)
+    if n == 2 and a.spec is not None:
+        reports += a.da_gap_sandwich() + a.da_tstep(2, trials=4)
+        reports += a.da_variance_tstep(2, trials=4)
+    if n >= 3:
+        reports += a.block_comparison(2, 1, trials=4)
+    return reports
+
+
+@pytest.mark.parametrize("source, spec", list(SOURCES.values()), ids=list(SOURCES))
+def test_analysis_stamps_its_settings_on_every_report(source, spec):
+    reports = every_check(Analysis(source, spec=spec, tol=1e-3, fingerprint="x"))
+    assert any(r.status == "hypothesis_unmet" for r in reports)
+    for r in reports:
+        assert r.fingerprint == "x"
+        assert r.tol == (1e-12 if r.name == "slice-power-bound-order" else 1e-3), r.name
+
+
+@pytest.mark.parametrize("source, spec", list(SOURCES.values()), ids=list(SOURCES))
+def test_default_fingerprint_is_the_model_and_spec(source, spec):
+    want = model_fingerprint(source, spec)
+    assert {r.fingerprint for r in every_check(Analysis(source, spec=spec))} == {want}
+
+
+@pytest.mark.parametrize("source, spec", list(SOURCES.values()), ids=list(SOURCES))
+def test_seed_draws_every_battery(source, spec, monkeypatch):
+    seeds = []
+
+    def recording(rev, trials, seed):
+        seeds.append(seed)
+        return function_battery(rev, trials=trials, seed=seed)
+
+    monkeypatch.setattr(bounds, "function_battery", recording)
+    every_check(Analysis(source, spec=spec, seed=17))
+    assert seeds and set(seeds) == {17}
+
+
+def test_checks_take_only_mathematical_arguments():
+    public = {
+        name
+        for name, member in vars(Analysis).items()
+        if inspect.isfunction(member) and not name.startswith("_")
+    }
+    assert set(CHECKS) <= public
+    for name in public:
+        params = inspect.signature(getattr(Analysis, name)).parameters
+        assert not {"tol", "seed", "fingerprint"} & set(params), name
+
+
+@pytest.mark.parametrize("check", list(JOINT_ONLY))
+def test_joint_only_check_on_a_slice_model_is_named(check):
+    analysis = Analysis(SLICE)
+    with pytest.raises(DimensionMismatch, match=check):
+        _guarded(analysis, check, lambda: getattr(analysis, check)(*JOINT_ONLY[check]))
+
+
+def test_slice_model_takes_no_selection_probabilities():
+    with pytest.raises(DimensionMismatch):
+        Analysis(SLICE, p=[1.0])

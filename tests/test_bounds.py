@@ -182,14 +182,14 @@ class TestPowerBounds:
 
 class TestDirichletSandwich:
     def test_exact_spec_equalities(self):
-        reps = Analysis(TWO_COINS, None, ApproximatorSpec()).dirichlet_sandwich(trials=8, seed=0)
+        reps = Analysis(TWO_COINS, None, ApproximatorSpec(), seed=0).dirichlet_sandwich(trials=8)
         assert all_pass(reps)
         assert abs(min_slack(reps)) < 1e-12
 
     def test_lazy_tight_both_sides(self):
-        reps = Analysis(SKEWED, None, ApproximatorSpec(default=Lazy(0.4))).dirichlet_sandwich(
-            trials=8, seed=0
-        )
+        reps = Analysis(
+            SKEWED, None, ApproximatorSpec(default=Lazy(0.4)), seed=0
+        ).dirichlet_sandwich(trials=8)
         assert all_pass(reps)
         assert abs(min_slack(reps)) < 1e-10
 
@@ -197,7 +197,7 @@ class TestDirichletSandwich:
         for seed in range(50):
             joint = random_joint(seed)
             spec = random_mixed_spec(seed + 1000, joint)
-            reps = Analysis(joint, None, spec).dirichlet_sandwich(trials=16, seed=seed)
+            reps = Analysis(joint, None, spec, seed=seed).dirichlet_sandwich(trials=16)
             assert min_slack(reps) >= -1e-9
 
 
@@ -250,7 +250,7 @@ class TestVarianceSandwich:
         for seed in range(60):
             joint = random_joint(seed + 13)
             spec = random_lazy_spec(seed + 31, joint, eps_range=(0.0, 0.8))
-            reps = Analysis(joint, None, spec).variance_sandwich(trials=8, seed=seed)
+            reps = Analysis(joint, None, spec, seed=seed).variance_sandwich(trials=8)
             assert min_slack(reps) >= -1e-9
             count += 1
         assert count == 60
@@ -346,7 +346,7 @@ class TestBlockComparison:
     def test_random_sweep(self):
         for seed in range(20):
             joint = random_joint(seed + 300, sizes=(2, 2, 3))
-            reps = Analysis(joint).block_comparison(2, 1, trials=8, seed=seed)
+            reps = Analysis(joint, seed=seed).block_comparison(2, 1, trials=8)
             assert min_slack(r for r in reps if r.status != "hypothesis_unmet") >= -1e-9
 
 
@@ -457,7 +457,7 @@ class TestHundredModelSweeps:
                 break
             joint = random_joint(seed + 900)
             spec = random_lazy_spec(seed + 901, joint, eps_range=(0.0, 0.8))
-            reps = Analysis(joint, None, spec).variance_sandwich(trials=6, seed=seed)
+            reps = Analysis(joint, None, spec, seed=seed).variance_sandwich(trials=6)
             assert min_slack(reps) >= -1e-9
             done += 1
         assert done == 100
@@ -467,9 +467,9 @@ class TestHundredModelSweeps:
         # exact per-mode identity, so both halves are equalities.
         for seed in range(5):
             joint = random_joint(seed + 950)
-            reps = Analysis(joint, None, ApproximatorSpec(default=Lazy(0.4))).variance_sandwich(
-                trials=4, seed=seed
-            )
+            reps = Analysis(
+                joint, None, ApproximatorSpec(default=Lazy(0.4)), seed=seed
+            ).variance_sandwich(trials=4)
             assert max(abs(r.slack) for r in reps) < 1e-8
 
     def test_da_variance_tstep_sweep(self):
@@ -478,7 +478,7 @@ class TestHundredModelSweeps:
             rng = rng_from(seed + 1500)
             joint = random_joint(rng, sizes=(int(rng.integers(2, 5)), int(rng.integers(2, 5))))
             spec = random_mixed_spec(rng, joint, coords=(0,), lazy_prob=0.7)
-            reps = Analysis(joint, spec=spec).da_variance_tstep(t=2, trials=6, seed=seed)
+            reps = Analysis(joint, spec=spec, seed=seed).da_variance_tstep(t=2, trials=6)
             certified = [r for r in reps if r.status != "hypothesis_unmet"]
             if certified:
                 met += 1
@@ -511,6 +511,6 @@ class TestHundredModelSweeps:
             joint = random_joint(seed + 4500)
             spec = random_mixed_spec(seed + 4501, joint)
             assert min_slack(
-                Analysis(joint, None, spec).dirichlet_sandwich(trials=8, seed=seed)
+                Analysis(joint, None, spec, seed=seed).dirichlet_sandwich(trials=8)
             ) >= -1e-9
             assert min_slack(Analysis(joint, None, spec).gap_sandwich()) >= -1e-9

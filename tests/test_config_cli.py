@@ -16,7 +16,7 @@ from hybridgibbs.bounds import model_fingerprint
 from hybridgibbs.cli import main
 from hybridgibbs.config import canonicalize, parse_config_text, serialize
 from hybridgibbs.demos import demo_config, list_demos
-from hybridgibbs.errors import ParseError, SchemaError
+from hybridgibbs.errors import MissingLevelKernel, ParseError, SchemaError
 from hybridgibbs.suite import run_suite
 
 MINIMAL = {"model": {"kind": "explicit", "sizes": [2, 2], "weights": [0.1, 0.2, 0.3, 0.4]}}
@@ -209,6 +209,26 @@ class TestRunSuite:
         report = run_suite(canonicalize(demo_config("two-coin")))
         names = [r.name for r in report.reports]
         assert names == sorted(names)
+        assert len(set(names)) == len(names)
+
+    def test_t_is_canonical(self):
+        # A repeated or reordered t runs each step count once, under one
+        # fingerprint: duplicates used to emit "#2" reports.
+        base = demo_config("two-coin")
+        messy = canonicalize({**base, "t": [4, 2, 2]})
+        clean = canonicalize({**base, "t": [2, 4]})
+        assert messy.data["t"] == [2, 4]
+        assert messy.fingerprint == clean.fingerprint
+        want = run_suite(clean).to_json(include_timing=False)
+        assert run_suite(messy).to_json(include_timing=False) == want
+        assert run_suite(clean, t_values=[4, 2, 2]).to_json(include_timing=False) == want
+        assert not any("#" in r.name for r in run_suite(clean, t_values=[2, 2]).reports)
+
+    def test_slice_suite_needs_level_kernels(self):
+        cfg = canonicalize({"model": {"kind": "slice", "density": [2.0, 1.0]}})
+        with pytest.raises(MissingLevelKernel):
+            run_suite(cfg, suites=["slice"])
+        assert run_suite(cfg, suites="all").reports == ()
 
     def test_identity_approximator_degenerates_gracefully(self):
         cfg = canonicalize(
@@ -282,6 +302,12 @@ class TestCli:
         path = tmp_path / "broken.json"
         path.write_text("{nope")
         assert main(["check", str(path), "--suite", "all"]) == 2
+
+    def test_check_slice_suite_without_level_kernels_exit_two(self, tmp_path, capsys):
+        path = self._write(tmp_path, {"model": {"kind": "slice", "density": [2.0, 1.0]}})
+        assert main(["check", path, "--suite", "slice"]) == 2
+        assert "level_kernels" in capsys.readouterr().err
+        assert main(["check", path, "--suite", "all"]) == 0
 
     def test_check_inapplicable_suite_exit_two(self, tmp_path):
         path = self._write(tmp_path, MINIMAL)
