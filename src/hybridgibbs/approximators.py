@@ -192,14 +192,14 @@ def _metropolis_indep(pi, q):
     return Q
 
 
-def make_approximator(joint, spec, i, y, tol=1e-10):
+def make_approximator(joint, spec, i, y):
     """Approximating kernel for conditional ``i`` given ``y``, verified reversible.
 
     Exact rules produce the independence kernel (operator norm 0); whatever
     the rule, the result is paired with the conditional distribution via a
-    detailed-balance check at tolerance ``tol``.
+    detailed-balance check.
     """
     target = conditional(joint, i, y)
     rule = spec.rule_for(i)
     Q = kernel_for_target(target, rule, key=(i, tuple(int(v) for v in y)))
-    return check_reversibility(Q, target, tol=tol)
+    return check_reversibility(Q, target)

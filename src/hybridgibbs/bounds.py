@@ -300,9 +300,15 @@ def dirichlet_forms(rev, F):
     return norms - quad
 
 
-def _worst(slack):
-    i = int(np.argmin(slack))
-    return i, float(slack[i])
+def _variance_pair(exact, hybrid, F):
+    """Centre the columns of F in place under the exact pair's stationary
+    distribution, so that no second copy of a battery is held; return their
+    squared norms and their asymptotic variances under the exact and the
+    hybrid pair."""
+    w = exact.stationary.weights
+    F -= w @ F
+    norms2 = np.einsum("i,ij,ij->j", w, F, F)
+    return norms2, variances(exact, F), variances(hybrid, F)
 
 
 def _two_coordinate_scan_gap(p, eps, da_gap):
@@ -332,19 +338,28 @@ def _two_coordinate_scan_gap(p, eps, da_gap):
 # ---------------------------------------------------------------------------
 
 
-def _joint_only(check):
-    """Mark a check of the random-scan or block chains, which a slice model
-    does not have: on one it raises DimensionMismatch."""
+def _only_for(is_slice):
+    """Mark an Analysis member that only a slice model (``is_slice``) or only
+    a joint has: on the other kind of source it raises DimensionMismatch
+    naming the member."""
+    need = "a slice model" if is_slice else "a joint distribution"
 
-    @wraps(check)
-    def checked(self, *args, **kwargs):
-        if self.is_slice:
-            raise DimensionMismatch(
-                f"{check.__name__} needs a joint distribution, not a slice model"
-            )
-        return check(self, *args, **kwargs)
+    def mark(member):
+        @wraps(member)
+        def checked(self, *args, **kwargs):
+            if self.is_slice != is_slice:
+                raise DimensionMismatch(f"{member.__name__} needs {need}")
+            return member(self, *args, **kwargs)
 
-    return checked
+        return checked
+
+    return mark
+
+
+# The random-scan and block chains need coordinates; the slice bound reads
+# the level sets of a slice model.
+_joint_only = _only_for(False)
+_slice_only = _only_for(True)
 
 
 class Analysis:
@@ -353,8 +368,9 @@ class Analysis:
 
     ``source`` is a joint distribution or a SliceModel; ``p`` and ``spec`` are
     the random-scan selection probabilities and the approximator spec of a
-    joint.  The data-augmentation (DA) pair is the exact and hybrid two-block
-    marginal chains, for a slice model its slice chains.  Each kernel is
+    joint; a slice model takes neither, since its level kernels are its
+    approximators.  The data-augmentation (DA) pair is the exact and hybrid
+    two-block marginal chains, for a slice model its slice chains.  Each kernel is
     built on first use and memoized, so it is decomposed at most once, and
     everything lives as long as this object.  Every report is certified at
     ``tol`` and stamped with ``fingerprint`` (by default the model's and
@@ -369,8 +385,11 @@ class Analysis:
         self.is_slice = isinstance(source, SliceModel)
         if not self.is_slice:
             self.sel = selection_probs(p, source.space.ncoords)
-        elif p is not None:
-            raise DimensionMismatch("a slice model has no coordinates to select")
+        elif p is not None or spec is not None:
+            raise DimensionMismatch(
+                "a slice model takes no selection probabilities and no spec: it has "
+                "no coordinates to select, and its level kernels are the approximators"
+            )
         self.tol = tol
         self.seed = seed
         self.fingerprint = fingerprint or model_fingerprint(source, spec)
@@ -389,6 +408,12 @@ class Analysis:
             hypothesis_ok=hypothesis_ok,
         )
 
+    def _at_worst(self, name, lhs, rhs, labels, **witness):
+        """The report ``name`` at the battery function of least slack
+        rhs - lhs (the first such column), witnessed by its label ``f``."""
+        i = int(np.argmin(rhs - lhs))
+        return self.report(name, lhs[i], rhs[i], {"f": labels[i], **witness})
+
     # -- kernels and their quality -------------------------------------------
 
     @property
@@ -397,16 +422,19 @@ class Analysis:
         return self.spec if self.spec is not None else EXACT_SPEC
 
     @property
+    @_joint_only
     def uniform_selection(self):
         """Whether every selection probability is within 1e-12 of 1/n."""
         return bool(np.abs(self.sel.p - 1.0 / self.sel.n).max() <= 1e-12)
 
     @cached_property
+    @_joint_only
     def T(self):
         """The exact random-scan pair."""
         return memoize(exact_random_scan(self.source, self.sel))
 
     @cached_property
+    @_joint_only
     def Th(self):
         """The hybrid random-scan pair."""
         return memoize(hybrid_random_scan(self.source, self.sel, self.scan_spec))
@@ -418,6 +446,7 @@ class Analysis:
         return self._coord_quality[i]
 
     @cached_property
+    @_joint_only
     def quality(self):
         """ApproxQuality over every coordinate, for the random-scan checks."""
         table = {}
@@ -472,6 +501,7 @@ class Analysis:
         vals, kind = self.inner_norms()
         return NormProfile(values=vals, kind=kind, derivation="exact")
 
+    @_joint_only
     def block(self, ell):
         """The block random-scan pair updating ``ell`` coordinates.
 
@@ -519,20 +549,13 @@ class Analysis:
         F, labels = function_battery(self.T, trials=trials, seed=self.seed)
         e_exact = dirichlet_forms(self.T, F)
         e_hybrid = dirichlet_forms(self.Th, F)
-        i, _ = _worst(e_hybrid - qual.ratio_min * e_exact)
-        j, _ = _worst(qual.ratio_max * e_exact - e_hybrid)
+        c1, c2 = qual.ratio_min, qual.ratio_max
         return [
-            self.report(
-                "dirichlet-sandwich-lower",
-                qual.ratio_min * e_exact[i],
-                e_hybrid[i],
-                {"f": labels[i], "ratio_min": qual.ratio_min},
+            self._at_worst(
+                "dirichlet-sandwich-lower", c1 * e_exact, e_hybrid, labels, ratio_min=c1
             ),
-            self.report(
-                "dirichlet-sandwich-upper",
-                e_hybrid[j],
-                qual.ratio_max * e_exact[j],
-                {"f": labels[j], "ratio_max": qual.ratio_max},
+            self._at_worst(
+                "dirichlet-sandwich-upper", e_hybrid, c2 * e_exact, labels, ratio_max=c2
             ),
         ]
 
@@ -565,28 +588,12 @@ class Analysis:
             labels = [{"kind": "supplied"}]
         else:
             F, labels = function_battery(T, trials=trials, seed=self.seed)
-        w = T.stationary.weights
-        F = F - w @ F
-        norms2 = np.einsum("i,ij,ij->j", w, F, F)
-        var_exact = variances(T, F)
-        var_hybrid = variances(self.Th, F)
+        norms2, var_exact, var_hybrid = _variance_pair(T, self.Th, F)
         low = var_exact / c2 + (1.0 / c2 - 1.0) * norms2
         high = var_exact / c1 + (1.0 / c1 - 1.0) * norms2
-        i, _ = _worst(var_hybrid - low)
-        j, _ = _worst(high - var_hybrid)
         return [
-            self.report(
-                "variance-sandwich-lower",
-                low[i],
-                var_hybrid[i],
-                {"f": labels[i], "ratio_max": c2},
-            ),
-            self.report(
-                "variance-sandwich-upper",
-                var_hybrid[j],
-                high[j],
-                {"f": labels[j], "ratio_min": c1},
-            ),
+            self._at_worst("variance-sandwich-lower", low, var_hybrid, labels, ratio_max=c2),
+            self._at_worst("variance-sandwich-upper", var_hybrid, high, labels, ratio_min=c1),
         ]
 
     # -- data-augmentation checks ---------------------------------------------
@@ -618,15 +625,17 @@ class Analysis:
         quad_s, _ = quadratic_forms(S, F)
         lhs_all = (quad_h / norms_h) ** t
         rhs_all = quad_s / norms_h + a_t
-        i, _ = _worst(rhs_all - lhs_all)
         norm_s = spectral_summary(S).operator_norm
         norm_h = spectral_summary(Sh).operator_norm
         return [
-            self.report(
+            self._at_worst(
                 "da-tstep-functional",
-                lhs_all[i],
-                rhs_all[i],
-                {"t": t, "alpha": a_t, "f": labels[i], "min_lhs": float(lhs_all.min())},
+                lhs_all,
+                rhs_all,
+                labels,
+                t=t,
+                alpha=a_t,
+                min_lhs=float(lhs_all.min()),
             ),
             self.report(
                 "da-tstep-bernoulli",
@@ -669,18 +678,9 @@ class Analysis:
         if spectral_summary(Sh).operator_norm >= 1.0 - 1e-12:
             raise NoSpectralGap("the hybrid marginal chain has no spectral gap")
         F, labels = function_battery(Sh, trials=trials, seed=self.seed)
-        w = S.stationary.weights
-        F = F - w @ F
-        norms2 = np.einsum("i,ij,ij->j", w, F, F)
-        v_exact = variances(S, F)
-        v_hybrid = variances(Sh, F)
+        norms2, v_exact, v_hybrid = _variance_pair(S, Sh, F)
         bound = 2.0 * t * v_exact + (2.0 * t - 1.0) * norms2
-        i, _ = _worst(bound - v_hybrid)
-        return [
-            self.report(
-                "da-variance-tstep", v_hybrid[i], bound[i], {"t": t, "alpha": a_t, "f": labels[i]}
-            )
-        ]
+        return [self._at_worst("da-variance-tstep", v_hybrid, bound, labels, t=t, alpha=a_t)]
 
     # -- block comparison -----------------------------------------------------
 
@@ -721,8 +721,6 @@ class Analysis:
         F, labels = function_battery(T_ell, trials=trials, seed=self.seed)
         e_ell = dirichlet_forms(T_ell, F)
         e_m = dirichlet_forms(T_m, F)
-        i, _ = _worst(e_m - c1 * e_ell)
-        j, _ = _worst(e_ell - e_m)
         reports = [
             self.report(
                 "block-gap-lower",
@@ -731,24 +729,16 @@ class Analysis:
                 {"c1": float(c1), "c1_at": c1_at, "ell": ell, "m": m},
             ),
             self.report("block-gap-upper", gap_m, gap_ell, {"ell": ell, "m": m}),
-            self.report(
-                "block-dirichlet-lower",
-                c1 * e_ell[i],
-                e_m[i],
-                {"f": labels[i], "c1": float(c1), "ell": ell, "m": m},
+            self._at_worst(
+                "block-dirichlet-lower", c1 * e_ell, e_m, labels, c1=float(c1), ell=ell, m=m
             ),
-            self.report(
-                "block-dirichlet-upper", e_m[j], e_ell[j], {"f": labels[j], "ell": ell, "m": m}
-            ),
+            self._at_worst("block-dirichlet-upper", e_m, e_ell, labels, ell=ell, m=m),
         ]
         if gap_ell > 1e-12 and gap_m > 1e-12:
             v_ell = variances(T_ell, F)
             v_m = variances(T_m, F)
-            k, _ = _worst(v_m - v_ell)
             reports.append(
-                self.report(
-                    "block-variance-order", v_ell[k], v_m[k], {"f": labels[k], "ell": ell, "m": m}
-                )
+                self._at_worst("block-variance-order", v_ell, v_m, labels, ell=ell, m=m)
             )
         else:
             reports.append(
@@ -886,6 +876,7 @@ class Analysis:
 
     # -- slice checks ---------------------------------------------------------
 
+    @_slice_only
     def slice_tstep(self, t, profile=None):
         """Certify (1 - |S| - a_t)/t <= 1 - |S_hybrid| <= 1 - |S| for a slice
         model.

@@ -19,8 +19,6 @@ from .slicemodel import SliceModel, _level_pairs
 from .space import conditional, conditional_joint, marginal, selection_probs
 from .spectral import check_reversibility
 
-_BUILD_TOL = 1e-10
-
 
 def _accumulate_block_updates(joint, T, weight, coords, inner):
     """Add ``weight`` times the coords-update kernel to T.
@@ -62,7 +60,7 @@ def hybrid_random_scan(joint, p=None, spec=EXACT_SPEC):
             return kernel_for_target(target, _rule, key=(_i, y))
 
         _accumulate_block_updates(joint, T, pi, (i,), inner)
-    return check_reversibility(T, joint.dist, tol=_BUILD_TOL)
+    return check_reversibility(T, joint.dist)
 
 
 def block_random_scan(joint, block_size):
@@ -78,7 +76,7 @@ def block_random_scan(joint, block_size):
         _accumulate_block_updates(
             joint, T, weight, coords, lambda c, y, target: np.tile(target, (target.size, 1))
         )
-    return check_reversibility(T, joint.dist, tol=_BUILD_TOL)
+    return check_reversibility(T, joint.dist)
 
 
 def inner_block_kernel(joint, coords, y, inner_size):
@@ -155,7 +153,7 @@ def _marginal_chain(S, m1):
     for y in np.flatnonzero(m1.weights <= 0.0):
         S[y] = 0.0
         S[y, y] = 1.0
-    return check_reversibility(S, m1, tol=_BUILD_TOL)
+    return check_reversibility(S, m1)
 
 
 def da_exact(source):

@@ -27,8 +27,6 @@ from .errors import MissingLevelKernel, NonPositiveWeight, SpaceTooLarge
 from .space import state_cap
 from .spectral import ProbVec, check_reversibility
 
-_BUILD_TOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class SliceModel:
@@ -106,4 +104,4 @@ def _level_pairs(model):
                     f"level {k + 1} kernel has shape {Q.shape}, expected "
                     f"{(members.size, members.size)}"
                 )
-        yield check_reversibility(Q, uniform, tol=_BUILD_TOL)
+        yield check_reversibility(Q, uniform)

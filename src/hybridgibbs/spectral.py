@@ -143,14 +143,14 @@ def center(f, dist):
 class ReversiblePair:
     """A kernel paired with a stationary distribution it is reversible for.
 
-    Construction verifies detailed balance to within ``tol`` (default 1e-10,
-    absolute on the probability-flow products) and stationarity of the weight
-    vector to within 1e-10; the worst detailed-balance defect is recorded.
+    Construction verifies detailed balance to within REVERSIBILITY_TOL
+    (absolute on the probability-flow products) and stationarity of the
+    weight vector to within 1e-10; the worst detailed-balance defect is
+    recorded.
     """
 
     kernel: StochasticKernel
     stationary: ProbVec
-    tol: float = REVERSIBILITY_TOL
     reversibility_defect: float = field(init=False)
     # None, or the dict where ``memoize`` lets this pair keep its spectra.
     _memo: dict = field(init=False, default=None, repr=False)
@@ -163,11 +163,11 @@ class ReversiblePair:
         flows = w[:, None] * K
         gap = np.abs(flows - flows.T)
         defect = float(gap.max())
-        if defect > self.tol:
+        if defect > REVERSIBILITY_TOL:
             x, y = np.unravel_index(int(gap.argmax()), gap.shape)
             raise NotReversible(
                 f"detailed balance fails at states ({x}, {y}) with defect "
-                f"{defect:.3e} > {self.tol:.1e}",
+                f"{defect:.3e} > {REVERSIBILITY_TOL:.1e}",
                 pair=(int(x), int(y)),
                 defect=defect,
             )
@@ -183,17 +183,17 @@ class ReversiblePair:
         return self.kernel.n
 
 
-def check_reversibility(kernel, stationary, tol=REVERSIBILITY_TOL):
+def check_reversibility(kernel, stationary):
     """Pair a kernel with a stationary distribution, verifying detailed balance.
 
     Raises NotReversible (carrying the worst-violating state pair and the
-    defect) when max |w(x)K(x,y) - w(y)K(y,x)| exceeds ``tol``.
+    defect) when max |w(x)K(x,y) - w(y)K(y,x)| exceeds REVERSIBILITY_TOL.
     """
     if not isinstance(kernel, StochasticKernel):
         kernel = StochasticKernel(kernel)
     if not isinstance(stationary, ProbVec):
         stationary = ProbVec(np.asarray(stationary, dtype=float))
-    return ReversiblePair(kernel=kernel, stationary=stationary, tol=tol)
+    return ReversiblePair(kernel=kernel, stationary=stationary)
 
 
 def stationary_distribution(kernel):

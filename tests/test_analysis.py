@@ -301,6 +301,12 @@ JOINT_ONLY = {
     "block_comparison": (2, 1),
     "selection_reweighting": ([1.0],),
     "uniform_tstep_bound": (),
+    # Members that are not checks; a property raises on access.
+    "T": (),
+    "Th": (),
+    "quality": (),
+    "uniform_selection": (),
+    "block": (2,),
 }
 
 
@@ -376,3 +382,17 @@ def test_joint_only_check_on_a_slice_model_is_named(check):
 def test_slice_model_takes_no_selection_probabilities():
     with pytest.raises(DimensionMismatch):
         Analysis(SLICE, p=[1.0])
+
+
+def test_slice_model_takes_no_spec():
+    # Its level kernels are the approximators: a spec would change the
+    # fingerprint and nothing else.
+    with pytest.raises(DimensionMismatch, match="spec"):
+        Analysis(SLICE, spec=LAZY)
+
+
+@pytest.mark.parametrize("spec", [LAZY, None], ids=["lazy", "exact"])
+def test_slice_only_check_on_a_joint_is_named(spec):
+    analysis = Analysis(JOINT2, spec=spec)
+    with pytest.raises(DimensionMismatch, match="slice_tstep"):
+        _guarded(analysis, "slice-tstep", lambda: analysis.slice_tstep(2))
