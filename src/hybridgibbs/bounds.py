@@ -36,7 +36,6 @@ from .errors import (
     positive_int,
 )
 from .gibbs import (
-    _inner_kernels,
     _two_block_parts,
     block_random_scan,
     da_exact,
@@ -46,11 +45,12 @@ from .gibbs import (
     inner_block_kernel,
 )
 from .report import fingerprint_bytes, make_report
-from .slicemodel import SliceModel
+from .slicemodel import SliceModel, _level_pair
 from .space import selection_probs
 from .spectral import (
     NULL_MASS,
     _sym_eigs,
+    affine,
     dirichlet_ratio_extrema,
     eigvals_summary,
     memoize,
@@ -133,7 +133,7 @@ def approx_quality(joint, spec, coords=None):
             if joint.weights[idx].sum() <= 0.0:
                 continue
             if isinstance(rule, Exact):
-                entry = {"norm": 0.0, "ratio_min": 1.0, "ratio_max": 1.0, "psd": True}
+                entry = _lazy_entry(0.0)
             else:
                 entry = _quality_entry(make_approximator(joint, spec, i, y))
             table[(i, y)] = entry
@@ -149,6 +149,22 @@ def _quality_entry(pair):
         "ratio_max": 1.0 - summ.lambda_min,
         "psd": summ.psd,
     }
+
+
+def _lazy_entry(eps):
+    """The entry of a Lazy(eps) kernel with at least two states: eps on
+    every mean-zero function.  Exact is eps = 0, and so is one state, by
+    ``spectral._summary``'s convention."""
+    return {"norm": eps, "ratio_min": 1.0 - eps, "ratio_max": 1.0 - eps, "psd": True}
+
+
+def _level_epsilons(model):
+    """Per level of a slice model, the eps of its Lazy(eps) or Exact (eps =
+    0) kernel; None for another rule, an explicit matrix or no kernel."""
+    return [
+        0.0 if isinstance(r, Exact) else float(r.epsilon) if isinstance(r, Lazy) else None
+        for r in model.level_kernels or (None,) * model.nlevels
+    ]
 
 
 def _aggregate(table):
@@ -459,14 +475,21 @@ class Analysis:
         """ApproxQuality of the DA chain's inner kernels: the first
         coordinate's conditionals of a joint, the level kernels of a slice
         model.  Level k's entry is keyed (0, (k,)), the point given level k,
-        as a joint's entry is keyed (0, (z,))."""
+        as a joint's entry is keyed (0, (z,)); a Lazy or Exact level's entry
+        is in closed form, and no kernel is built for it."""
         if not self.is_slice:
             if self.spec is None:
                 raise InvalidSpec("an approximator spec is required for joint models")
             return self._coordinate_quality(0)
-        return _aggregate(
-            {(0, (k,)): _quality_entry(pair) for k, _idx, pair in _inner_kernels(self.source, None)}
-        )
+        table = {}
+        model = self.source
+        for k, (members, eps) in enumerate(zip(model.level_sets, _level_epsilons(model))):
+            if eps is None:
+                entry = _quality_entry(_level_pair(model, k))
+            else:
+                entry = _lazy_entry(eps if members.size > 1 else 0.0)
+            table[(0, (k,))] = entry
+        return _aggregate(table)
 
     @cached_property
     def S(self):
@@ -475,7 +498,17 @@ class Analysis:
 
     @cached_property
     def Sh(self):
-        """The hybrid DA pair."""
+        """The hybrid DA pair.
+
+        When every level kernel of a slice model is Lazy(eps) for one eps
+        (Exact is eps = 0), the hybrid chain is eps I + (1 - eps) S, since
+        the level law of each point sums to one; it is then ``affine`` on
+        S, with no eigensolve, unless S drops a null state.
+        """
+        if self.is_slice:
+            eps = set(_level_epsilons(self.source))
+            if len(eps) == 1 and None not in eps and not spectral_summary(self.S).dropped_states:
+                return affine(self.S, eps.pop())
         return memoize(da_hybrid(self.source, self.spec))
 
     def inner_norms(self):

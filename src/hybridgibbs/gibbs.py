@@ -15,7 +15,7 @@ import numpy as np
 
 from .approximators import EXACT_SPEC, kernel_for_target, make_approximator
 from .errors import InvalidBlockSize, InvalidSpec, NotTwoBlock, positive_int
-from .slicemodel import SliceModel, _level_pairs
+from .slicemodel import SliceModel, _level_pair
 from .space import conditional, conditional_joint, marginal, selection_probs
 from .spectral import check_reversibility
 
@@ -105,12 +105,15 @@ def _two_block_parts(source):
     density(y) there, and back[k] is uniform on G_k.  No n L-state joint is
     built."""
     if isinstance(source, SliceModel):
-        lengths = np.diff(source.levels, prepend=0.0)
-        fwd = np.zeros((source.n, source.nlevels))
-        back = np.zeros((source.nlevels, source.n))
-        for k, members in enumerate(source.level_sets):
-            fwd[members, k] = lengths[k] / source.density[members]
-            back[k, members] = 1.0 / members.size
+        density, levels = source.density, source.levels
+        lower = np.concatenate(([0.0], levels[:-1]))
+        # Column k is G_k, the points above the level's lower end v_{k-1}.
+        mask = density[:, None] > lower[None, :]
+        lengths = levels - lower
+        fwd = np.divide(
+            lengths[None, :], density[:, None], out=np.zeros(mask.shape), where=mask
+        )
+        back = mask.T / mask.sum(axis=0)[:, None]
         return source.target(), fwd, back
     if source.space.ncoords != 2:
         raise NotTwoBlock(
@@ -136,8 +139,8 @@ def _inner_kernels(source, spec):
     coordinate's conditional, on the whole block, for each z of positive
     mass; for a slice model, level k's kernel on G_k."""
     if isinstance(source, SliceModel):
-        for k, pair in enumerate(_level_pairs(source)):
-            yield k, source.level_sets[k], pair
+        for k, members in enumerate(source.level_sets):
+            yield k, members, _level_pair(source, k)
         return
     if spec is None:
         raise InvalidSpec("an approximator spec is required for joint models")

@@ -334,6 +334,29 @@ def _sym_eigs(rev):
     return eigs
 
 
+def affine(base, c):
+    """The pair c I + (1 - c) K of a pair K that drops no null state, for
+    0 <= c <= 1, paired with K's stationary distribution.
+
+    The matrix is verified like any other pair.  Its decomposition is
+    read from K's (memoized when ``base`` is): the same eigenvectors, not
+    copied, and eigenvalues c + (1 - c) lambda; its symmetrization
+    residue is (1 - c) times K's.  So the new pair is memoized and its
+    spectral quantities cost no eigensolve.  A dropped state would be
+    renormalized on a different restriction, so it raises InvalidKernel.
+    """
+    keep, dropped, ws, d, vals, vecs, k0, asym = _sym_eigs(base)
+    if dropped:
+        raise InvalidKernel(
+            f"an affine pair needs a base that drops no state, got {len(dropped)} dropped"
+        )
+    M = (1.0 - c) * base.kernel.matrix
+    M[np.diag_indices_from(M)] += c
+    rev = memoize(check_reversibility(M, base.stationary))
+    rev._memo["eigs"] = keep, dropped, ws, d, c + (1.0 - c) * vals, vecs, k0, (1.0 - c) * asym
+    return rev
+
+
 def _summary(rest, dropped, asym):
     """SpectralSummary from the ascending mean-zero spectrum ``rest``.
 

@@ -122,8 +122,9 @@ def run_suite(config, suites=None, t_values=None, tol=None):
         if "slice" in suites and model.level_kernels is None and not lenient:
             raise MissingLevelKernel("suite 'slice' needs the model's level_kernels")
         analysis = Analysis(model, **settings)
-        # The checks come first: they decompose the level kernels, which set
-        # the peak memory, before any slice chain is held.
+        # The checks come first: they decompose the level kernels that have
+        # no closed form, which set the peak memory, before any slice chain
+        # is held.
         if "slice" in suites and model.level_kernels is not None:
             for t in t_values:
                 reports.extend(

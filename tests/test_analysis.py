@@ -32,7 +32,7 @@ from hybridgibbs.bounds import _two_coordinate_scan_gap, function_battery, model
 from hybridgibbs.errors import CrossCheckFailure, DimensionMismatch, PreconditionUnmet
 from hybridgibbs.randomgen import random_joint
 from hybridgibbs.space import selection_probs
-from hybridgibbs.spectral import eigvals_summary, spectral_summary
+from hybridgibbs.spectral import _sym_eigs, eigvals_summary, spectral_summary
 from hybridgibbs.suite import _finish, _guarded
 
 R2X40 = {
@@ -57,6 +57,18 @@ LAZY_SLICE = {
 }
 
 
+MIXED_SLICE = {
+    "model": dict(
+        LAZY_SLICE["model"],
+        level_kernels=[{"rule": "lazy", "epsilon": 0.3}] * 2
+        + [{"rule": "metropolis_rw", "radius": 1}]
+        + [{"rule": "lazy", "epsilon": 0.3}] * 2,
+    ),
+    "suite": ["slice"],
+    "t": [2, 3],
+}
+
+
 def test_run_suite_decomposes_each_kernel_once(eig_counts):
     run_suite(canonicalize(R2X40))
     # T and T_hybrid by eigh; the gaps under selection_probs_alt come from
@@ -73,6 +85,26 @@ def test_run_suite_decomposes_each_kernel_once(eig_counts):
     # T (which is also the one-coordinate block chain), T_hybrid and the
     # two-coordinate block chain: T's eigenvectors serve both families.
     assert eig_counts["eigh"][512] == 3
+
+
+def test_lazy_slice_run_suite_makes_one_eigensolve(eig_counts):
+    # 1,000 points and 1,000 levels, one Lazy eps: the hybrid chain and
+    # every level's quality come from the exact chain's one decomposition.
+    run_suite(
+        canonicalize(
+            {
+                "model": {
+                    "kind": "slice",
+                    "density": [float(k) for k in range(1, 1001)],
+                    "level_kernels": [{"rule": "lazy", "epsilon": 0.3}] * 1000,
+                },
+                "suite": ["slice"],
+                "t": [2],
+            }
+        )
+    )
+    assert eig_counts["eigh"] == {1000: 1}
+    assert not eig_counts["eigvalsh"]
 
 
 def standalone(config):
@@ -138,16 +170,26 @@ def standalone(config):
 
 @pytest.mark.parametrize(
     "config",
-    [demo_config(name) for name in list_demos()] + [R2X40, R3X8, LAZY_SLICE],
-    ids=list(list_demos()) + ["r2x40", "r3x8", "lazy-slice"],
+    [demo_config(name) for name in list_demos()] + [R2X40, R3X8, LAZY_SLICE, MIXED_SLICE],
+    ids=list(list_demos()) + ["r2x40", "r3x8", "lazy-slice", "mixed-slice"],
 )
-def test_shared_analysis_changes_no_report(config):
+def test_shared_analysis_changes_no_report(config, request):
     # Exact equality: under Lazy rules the sandwiches hold with equality for
     # every test function, so a 1-ulp change can move the witness.
     config = canonicalize(config)
     got = run_suite(config, suites="all")
     kernels, reports = standalone(config)
     want = _finish(config, kernels, {}, reports, 0.0)
+    if request.node.callspec.id == "lazy-slice":
+        # One Lazy eps at every level: the suite's hybrid chain is affine in
+        # the exact one and takes its spectrum from it, while ``standalone``
+        # builds and decomposes slice_hybrid(model).
+        got_h, want_h = got.kernels.pop("slice_hybrid"), want.kernels.pop("slice_hybrid")
+        for key in ("psd", "n_eigenvalues", "dropped_states"):
+            assert got_h.pop(key) == want_h.pop(key)
+        # Relative to the value; the absolute floor is for the symmetrization
+        # residue, which is rounding error near 1e-17.
+        assert got_h == pytest.approx(want_h, rel=1e-12, abs=1e-15)
     assert got.kernels == want.kernels
     assert len(got.reports) == len(want.reports)
     for a, b in zip(got.reports, want.reports):
@@ -158,6 +200,91 @@ def test_shared_analysis_changes_no_report(config):
             b.rhs,
             b.witness,
         )
+
+
+# ---------------------------------------------------------------------------
+# Slice models with one Lazy eps: the hybrid chain is affine in the exact one
+# ---------------------------------------------------------------------------
+
+
+def tied_slice_model(seed, rules):
+    """Twelve points with tied densities in 1..5 and one point above them
+    all, so that the top level is a singleton; ``rules(L)`` gives the L
+    level rules."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    density = np.append(rng.integers(1, 6, size=11).astype(float), 6.5)
+    nlevels = np.unique(density).size
+    return SliceModel(rng.permutation(density), tuple(rules(nlevels)))
+
+
+AFFINE_LEVEL_RULES = {
+    "exact": lambda n: [Exact()] * n,
+    "lazy-0": lambda n: [Lazy(0.0)] * n,
+    "lazy-0.3": lambda n: [Lazy(0.3)] * n,
+    "lazy-0.95": lambda n: [Lazy(0.95)] * n,
+    "lazy-1": lambda n: [Lazy(1.0)] * n,
+    "exact-lazy-0": lambda n: [Exact(), Lazy(0.0)] * (n // 2) + [Exact()] * (n % 2),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("rules", list(AFFINE_LEVEL_RULES), ids=list(AFFINE_LEVEL_RULES))
+def test_affine_slice_route_matches_built_kernels(rules, seed, monkeypatch):
+    model = tied_slice_model(seed, AFFINE_LEVEL_RULES[rules])
+    affine = Analysis(model)
+    # The reference builds every level kernel: no level rule has an eps.
+    with monkeypatch.context() as m:
+        m.setattr(bounds, "_level_epsilons", lambda model: [None] * model.nlevels)
+        built = Analysis(model)
+        want_sh = built.Sh
+        want_quality = built.da_quality
+        want_reports = built.slice_tstep(2) + built.slice_tstep(3) + built.da_tstep(2)
+    # The affine route shares the exact chain's eigenvectors.
+    assert _sym_eigs(affine.Sh)[5] is _sym_eigs(affine.S)[5]
+    assert np.abs(affine.Sh.kernel.matrix - da_hybrid(model).kernel.matrix).max() <= 1e-15
+    got, want = spectral_summary(affine.Sh), spectral_summary(want_sh)
+    assert got.psd == want.psd and got.dropped_states == want.dropped_states == ()
+    for key in ("operator_norm", "gap", "lambda_max", "lambda_min"):
+        assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12, abs=1e-12)
+    assert got.eigenvalues == pytest.approx(want.eigenvalues, rel=1e-12, abs=1e-12)
+    qual = affine.da_quality
+    assert qual.per_conditional.keys() == want_quality.per_conditional.keys()
+    for key, entry in qual.per_conditional.items():
+        assert entry == pytest.approx(want_quality.per_conditional[key], rel=1e-12, abs=1e-12)
+    for key in ("max_norm", "ratio_min", "ratio_max", "all_psd"):
+        assert getattr(qual, key) == pytest.approx(
+            getattr(want_quality, key), rel=1e-12, abs=1e-12
+        )
+    reports = affine.slice_tstep(2) + affine.slice_tstep(3) + affine.da_tstep(2)
+    assert [(r.name, r.status) for r in reports] == [(r.name, r.status) for r in want_reports]
+    for a, b in zip(reports, want_reports):
+        if rules == "lazy-1" and a.name == "da-tstep-functional":
+            # At eps = 1 the hybrid chain is the identity. The built route's
+            # battery is LAPACK's basis of it, whose columns other than the
+            # stationary one are not mean-zero; the affine route's is S's
+            # eigenbasis, where the least slack is the true minimum.
+            assert a.slack <= b.slack + 1e-12
+            continue
+        assert (a.lhs, a.rhs) == pytest.approx((b.lhs, b.rhs), rel=1e-12, abs=1e-12), a.name
+
+
+@pytest.mark.parametrize(
+    "model, dropped",
+    [
+        # The lowest point carries mass below NULL_MASS, so the exact chain
+        # drops it.
+        (SliceModel(np.array([1e-16, 1.0, 2.0, 2.0]), (Lazy(0.3),) * 3), (0,)),
+        # Two eps on levels of two or more points: no affine map of S.
+        (SliceModel(np.array([1.0, 2.0, 2.0, 3.0, 3.0]), (Lazy(0.3), Lazy(0.6), Lazy(0.3))), ()),
+    ],
+    ids=["null-state", "two-eps"],
+)
+def test_hybrid_chain_built_when_not_affine(model, dropped, eig_counts):
+    analysis = Analysis(model)
+    assert spectral_summary(analysis.S).dropped_states == dropped
+    assert spectral_summary(analysis.Sh).dropped_states == dropped
+    assert np.array_equal(analysis.Sh.kernel.matrix, da_hybrid(model).kernel.matrix)
+    assert eig_counts["eigh"] == {model.n - len(dropped): 2}
 
 
 # ---------------------------------------------------------------------------

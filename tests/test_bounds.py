@@ -8,6 +8,7 @@ from hybridgibbs import (
     ApproximatorSpec,
     Exact,
     Lazy,
+    MetropolisRW,
     NormProfile,
     SliceModel,
     approx_quality,
@@ -19,6 +20,8 @@ from hybridgibbs import (
     product_joint,
     rms_power_bound,
 )
+from hybridgibbs import slicemodel
+from hybridgibbs.approximators import kernel_for_target
 from hybridgibbs.bounds import function_battery
 from hybridgibbs.errors import (
     DimensionMismatch,
@@ -427,17 +430,51 @@ class TestSliceTstep:
             Analysis(model).slice_tstep(t=3)
         assert all_pass(Analysis(model).slice_tstep(t=2))
 
-    def test_each_level_kernel_decomposed_once(self, eig_counts):
+    @staticmethod
+    def count_level_kernels(monkeypatch):
+        """Count the level kernels built by rule."""
+        built = []
+
+        def counting(target, rule, key=None):
+            built.append(key)
+            return kernel_for_target(target, rule, key)
+
+        monkeypatch.setattr(slicemodel, "kernel_for_target", counting)
+        return built
+
+    def test_each_level_kernel_decomposed_once(self, eig_counts, monkeypatch):
+        built = self.count_level_kernels(monkeypatch)
         model = SliceModel(np.array([3.0, 1.0, 2.0, 3.0]), (Lazy(0.35),) * 3)
-        # One solve per level (sizes 4, 3, 2) plus the exact and hybrid chains.
+        # One Lazy eps at every level: the hybrid chain is affine in the
+        # exact one, so its one solve serves both, and no level kernel is
+        # built.
         Analysis(model).slice_tstep(t=2)
-        assert sorted(eig_counts["eigh"].elements()) == [2, 3, 4, 4, 4]
+        assert sorted(eig_counts["eigh"].elements()) == [4]
         eig_counts["eigh"].clear()
         # The DA t-step check reads the hybrid chain's battery and its norm
         # from one decomposition.
         Analysis(model).da_tstep(t=2)
-        assert sorted(eig_counts["eigh"].elements()) == [2, 3, 4, 4, 4]
+        assert sorted(eig_counts["eigh"].elements()) == [4]
         assert not eig_counts["eigvalsh"]
+        assert built == []
+
+    def test_other_level_rules_decomposed_once(self, eig_counts, monkeypatch):
+        built = self.count_level_kernels(monkeypatch)
+        model = SliceModel(
+            np.array([3.0, 1.0, 2.0, 3.0]), (Lazy(0.35), MetropolisRW(1), Lazy(0.35))
+        )
+        # The MetropolisRW level (size 3) is solved for its quality, and the
+        # exact and hybrid chains once each; the Lazy levels are in closed
+        # form.
+        Analysis(model).slice_tstep(t=2)
+        assert sorted(eig_counts["eigh"].elements()) == [3, 4, 4]
+        eig_counts["eigh"].clear()
+        Analysis(model).da_tstep(t=2)
+        assert sorted(eig_counts["eigh"].elements()) == [3, 4, 4]
+        assert not eig_counts["eigvalsh"]
+        # Each of the two analyses builds the hybrid chain from every level
+        # kernel, and the quality table from the MetropolisRW level's alone.
+        assert sorted(built) == [("level", 0)] * 2 + [("level", 1)] * 4 + [("level", 2)] * 2
 
 
 class TestHundredModelSweeps:

@@ -37,6 +37,7 @@ from hybridgibbs.errors import (
     NotTwoBlock,
 )
 from hybridgibbs.approximators import RULE_TYPES, kernel_for_target
+from hybridgibbs.gibbs import _two_block_parts
 from hybridgibbs.randomgen import random_joint, random_lazy_spec, random_slice_model, rng_from
 
 TWO_COINS = product_joint([[0.5, 0.5], [0.5, 0.5]])
@@ -383,6 +384,22 @@ class TestDataAugmentation:
 
 
 class TestSliceKernels:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_two_block_parts_match_the_level_loop(self, seed):
+        # Even seeds tie densities, odd seeds draw them all distinct.
+        rng = rng_from(seed)
+        n = int(rng.integers(1, 40))
+        density = rng.integers(1, 6, size=n) * 0.7 if seed % 2 == 0 else rng.random(n) + 0.05
+        model = SliceModel(density)
+        _m1, fwd, back = _two_block_parts(model)
+        lengths = np.diff(model.levels, prepend=0.0)
+        want_fwd = np.zeros((model.n, model.nlevels))
+        want_back = np.zeros((model.nlevels, model.n))
+        for k, members in enumerate(model.level_sets):
+            want_fwd[members, k] = lengths[k] / model.density[members]
+            want_back[k, members] = 1.0 / members.size
+        assert np.array_equal(fwd, want_fwd) and np.array_equal(back, want_back)
+
     def test_two_point_closed_form(self):
         S = slice_exact(SliceModel(density=np.array([2.0, 1.0])))
         np.testing.assert_allclose(S.kernel.matrix, [[0.75, 0.25], [0.5, 0.5]], atol=1e-12)

@@ -26,7 +26,7 @@ from hybridgibbs.errors import (
     ZeroFunction,
 )
 from hybridgibbs.randomgen import random_probvec, random_reversible_kernel, rng_from
-from hybridgibbs.spectral import memoize, variances
+from hybridgibbs.spectral import affine, memoize, variances
 
 TWO_STATE = [[0.7, 0.3], [0.3, 0.7]]
 UNIFORM2 = [0.5, 0.5]
@@ -144,6 +144,27 @@ class TestSpectralSummary:
             num = abs(w.weights @ (f * (K @ f)))
             den = w.weights @ (f * f)
             assert num / den <= s.operator_norm + 1e-9
+
+
+class TestAffine:
+    @pytest.mark.parametrize("c", [0.0, 0.3, 0.95])
+    def test_spectrum_and_variances_match_a_fresh_decomposition(self, c):
+        w = random_probvec(11, 7)
+        base = memoize(pair(random_reversible_kernel(12, w), w))
+        rev = affine(base, c)
+        fresh = pair(c * np.eye(7) + (1.0 - c) * base.kernel.matrix, w)
+        np.testing.assert_allclose(rev.kernel.matrix, fresh.kernel.matrix, rtol=0, atol=1e-15)
+        got, want = spectral_summary(rev), spectral_summary(fresh)
+        np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-12)
+        assert got.operator_norm == pytest.approx(want.operator_norm, abs=1e-12)
+        F = rng_from(13).standard_normal((7, 3))
+        np.testing.assert_allclose(variances(rev, F), variances(fresh, F), rtol=1e-10)
+
+    def test_dropped_state_rejected(self):
+        # The third state carries no stationary mass.
+        base = pair([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]], [0.5, 0.5, 0.0])
+        with pytest.raises(InvalidKernel, match="drops no state"):
+            affine(base, 0.3)
 
 
 class TestDirichletForm:
