@@ -119,16 +119,29 @@ EXACT_SPEC = ApproximatorSpec()
 
 
 def kernel_for_target(target, rule, key=None):
-    """Matrix of the rule's kernel for a target distribution on a slice."""
+    """Matrix of the rule's kernel for a target distribution on a slice: the
+    one-target case of ``stacked_kernels``."""
     pi = target.weights if isinstance(target, ProbVec) else np.asarray(target, float)
-    d = pi.size
+    return np.array(stacked_kernels(pi[None, :], rule, keys=[key])[0])
+
+
+def stacked_kernels(targets, rule, keys=None):
+    """The rule's kernels for a stack of targets on slices of one size.
+
+    ``targets`` is (Y, d), one distribution per row; the result is (Y, d, d),
+    each matrix equal bit for bit to the rule's kernel built alone.  An
+    ExplicitMatrix reads its table under ``keys[y]`` for row y.  Exact's
+    kernels, every row its target, are a read-only view of ``targets``.
+    """
+    targets = np.asarray(targets, float)
+    Y, d = targets.shape
     if isinstance(rule, Exact):
-        return np.tile(pi, (d, 1))
+        return np.broadcast_to(targets[:, None, :], (Y, d, d))
     if isinstance(rule, Lazy):
         eps = float(rule.epsilon)
-        return eps * np.eye(d) + (1.0 - eps) * np.tile(pi, (d, 1))
+        return eps * np.eye(d) + (1.0 - eps) * targets[:, None, :]
     if isinstance(rule, MetropolisRW):
-        return _metropolis_rw(pi, int(rule.radius))
+        return _metropolis_rw(targets, int(rule.radius))
     if isinstance(rule, MetropolisIndep):
         if isinstance(rule.proposal, str):
             if rule.proposal != "uniform":
@@ -138,57 +151,66 @@ def kernel_for_target(target, rule, key=None):
             q = ProbVec(np.asarray(rule.proposal, float)).weights
             if q.size != d:
                 raise InvalidSpec("independence proposal has the wrong length")
-        return _metropolis_indep(pi, q)
+        return _metropolis_indep(targets, q)
     if isinstance(rule, ExplicitMatrix):
-        if key not in rule.tables:
-            raise InvalidSpec(f"no explicit kernel supplied for {key}")
-        m = np.asarray(rule.tables[key], dtype=float)
-        if m.shape != (d, d):
-            raise InvalidSpec(f"explicit kernel for {key} has shape {m.shape}, expected {(d, d)}")
-        return m
+        out = np.empty((Y, d, d))
+        for y, key in enumerate(keys):
+            if key not in rule.tables:
+                raise InvalidSpec(f"no explicit kernel supplied for {key}")
+            m = np.asarray(rule.tables[key], dtype=float)
+            if m.shape != (d, d):
+                raise InvalidSpec(
+                    f"explicit kernel for {key} has shape {m.shape}, expected {(d, d)}"
+                )
+            out[y] = m
+        return out
     raise InvalidSpec(f"unknown approximator rule {rule!r}")
 
 
+def _acceptance(num, den):
+    """min(1, num/den) where den > 0; otherwise 1 if num > 0, else 0."""
+    ratio = np.divide(num, den, out=np.ones_like(num), where=den > 0.0)
+    return np.where(den > 0.0, np.minimum(1.0, ratio), (num > 0.0).astype(float))
+
+
 def _metropolis_rw(pi, radius):
-    d = pi.size
-    Q = np.zeros((d, d))
+    """Random-walk Metropolis kernels for the rows of ``pi``.  Each step
+    from -radius to radius is one shifted comparison, and a state's holding
+    mass adds up over the steps in that order."""
+    Y, d = pi.shape
+    Q = np.zeros((Y, d, d))
+    stay = np.zeros((Y, d))
     prop = 1.0 / (2 * radius)
-    for x in range(d):
-        stay = 0.0
-        for step in range(-radius, radius + 1):
-            if step == 0:
-                continue
-            y = x + step
-            if y < 0 or y >= d:
-                stay += prop
-                continue
-            if pi[x] > 0.0:
-                acc = min(1.0, pi[y] / pi[x])
-            else:
-                acc = 1.0 if pi[y] > 0.0 else 0.0
-            Q[x, y] = prop * acc
-            stay += prop * (1.0 - acc)
-        Q[x, x] = stay
+    for step in range(-radius, radius + 1):
+        if step == 0:
+            continue
+        # States x with x + step in range; the rest propose off the end.
+        xs = np.arange(max(0, -step), min(d, d - step))
+        held = np.full((Y, d), prop)
+        if xs.size:
+            acc = _acceptance(pi[:, xs + step], pi[:, xs])
+            Q[:, xs, xs + step] = prop * acc
+            held[:, xs] = prop * (1.0 - acc)
+        stay += held
+    Q[:, np.arange(d), np.arange(d)] = stay
     return Q
 
 
 def _metropolis_indep(pi, q):
-    d = pi.size
-    Q = np.zeros((d, d))
-    for x in range(d):
-        stay = 0.0
-        for y in range(d):
-            if y == x:
-                continue
-            num = pi[y] * q[x]
-            den = pi[x] * q[y]
-            if den > 0.0:
-                acc = min(1.0, num / den)
-            else:
-                acc = 1.0 if num > 0.0 else 0.0
-            Q[x, y] = q[y] * acc
-            stay += q[y] * (1.0 - acc)
-        Q[x, x] = q[x] + stay
+    """Independence Metropolis kernels for the rows of ``pi`` with proposal
+    ``q``, one proposal column at a time, so that each state's holding mass
+    adds up over the columns in order."""
+    Y, d = pi.shape
+    Q = np.zeros((Y, d, d))
+    stay = np.zeros((Y, d))
+    for y in range(d):
+        # Column y: the move from every x to y.
+        acc = _acceptance(pi[:, y : y + 1] * q[None, :], pi * q[y])
+        Q[:, :, y] = q[y] * acc
+        held = q[y] * (1.0 - acc)
+        held[:, y] = 0.0
+        stay += held
+    Q[:, np.arange(d), np.arange(d)] = q[None, :] + stay
     return Q
 
 

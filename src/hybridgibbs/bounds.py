@@ -36,17 +36,19 @@ from .errors import (
     positive_int,
 )
 from .gibbs import (
+    ConditionalTable,
+    _hybrid_marginal_chain,
+    _inner_kernels,
+    _scan_chain,
     _two_block_parts,
     block_random_scan,
     da_exact,
     da_hybrid,
-    exact_random_scan,
-    hybrid_random_scan,
     inner_block_kernel,
 )
 from .report import fingerprint_bytes, make_report
 from .slicemodel import SliceModel, _level_pair
-from .space import selection_probs
+from .space import selection_probs, slices
 from .spectral import (
     NULL_MASS,
     _sym_eigs,
@@ -55,6 +57,7 @@ from .spectral import (
     eigvals_summary,
     memoize,
     spectral_summary,
+    stacked_summaries,
     variances,
 )
 
@@ -122,27 +125,41 @@ def approx_quality(joint, spec, coords=None):
     contribute norm 0 and ratios (1, 1) without an eigendecomposition, since
     the independence kernel annihilates mean-zero functions.
     """
-    space = joint.space
     if coords is None:
-        coords = tuple(range(space.ncoords))
+        coords = range(joint.space.ncoords)
     table = {}
     for i in coords:
-        rule = spec.rule_for(i)
-        for y in space.complement_configs((i,)):
-            idx = space.subspace_indices((i,), y)
-            if joint.weights[idx].sum() <= 0.0:
-                continue
-            if isinstance(rule, Exact):
-                entry = _lazy_entry(0.0)
-            else:
-                entry = _quality_entry(make_approximator(joint, spec, i, y))
-            table[(i, y)] = entry
+        table.update(_table_quality(ConditionalTable(joint, i), spec))
     return _aggregate(table)
+
+
+def _table_quality(table, spec):
+    """Entries of every live conditional of a ConditionalTable, keyed
+    (i, y) in order.  The kernels are checked as one batch and decomposed
+    by one stacked eigensolve; a slice with a state below NULL_MASS is
+    restricted, so it is paired and decomposed on its own."""
+    i = table.i
+    keys = [(i, y) for y in table.configs]
+    if isinstance(spec.rule_for(i), Exact):
+        return {key: _lazy_entry(0.0) for key in keys}
+    K, w = table.checked(spec), table.targets
+    whole = w.min(axis=1) >= NULL_MASS
+    stacked = iter(stacked_summaries(K[whole], w[whole]))
+    return {
+        key: _entry(next(stacked))
+        if ok
+        else _quality_entry(make_approximator(table.joint, spec, i, key[1]))
+        for key, ok in zip(keys, whole)
+    }
 
 
 def _quality_entry(pair):
     """One kernel's entry of an ApproxQuality table."""
-    summ = spectral_summary(pair)
+    return _entry(spectral_summary(pair))
+
+
+def _entry(summ):
+    """The ApproxQuality entry of a kernel's SpectralSummary."""
     return {
         "norm": summ.operator_norm,
         "ratio_min": 1.0 - summ.lambda_max,
@@ -276,6 +293,7 @@ def function_battery(rev, trials=DEFAULT_TRIALS, seed=0):
     non-null states of the pair, each with unit stationary-L2 norm.
     """
     keep, _dropped, ws, d, vals, vecs, k0, _asym = _sym_eigs(rev)
+    unit = _mean_zero_unit_eigenspace(vals, vecs, k0, d)
     n = rev.n
     cols = []
     labels = []
@@ -283,7 +301,7 @@ def function_battery(rev, trials=DEFAULT_TRIALS, seed=0):
         if k == k0:
             continue
         full = np.zeros(n)
-        full[keep] = vecs[:, k] / d
+        full[keep] = unit.get(k, vecs[:, k]) / d
         cols.append(full)
         labels.append({"kind": "eigenvector", "index": int(k)})
     rng = np.random.Generator(np.random.Philox(int(seed)))
@@ -300,6 +318,25 @@ def function_battery(rev, trials=DEFAULT_TRIALS, seed=0):
     if not cols:
         raise PreconditionUnmet("the mean-zero subspace is empty")
     return np.column_stack(cols), labels
+
+
+def _mean_zero_unit_eigenspace(vals, vecs, k0, d):
+    """Mean-zero replacements for the columns of a repeated eigenvalue 1.
+
+    When more than one eigenvalue lies within 1e-9 of the stationary one,
+    LAPACK's basis of that eigenspace need not be orthogonal to sqrt(ws) =
+    d.  Then d is projected out of the cluster and what is left is
+    re-orthonormalized; the new columns are returned keyed by the cluster's
+    indices other than ``k0``.  A simple eigenvalue 1 returns {}, so its
+    battery is unchanged.
+    """
+    cluster = np.flatnonzero(np.abs(vals - vals[k0]) <= 1e-9)
+    if cluster.size < 2:
+        return {}
+    V = vecs[:, cluster]
+    V = V - np.outer(d, d @ V)
+    basis = np.linalg.svd(V, full_matrices=False)[0][:, : cluster.size - 1]
+    return dict(zip(cluster[cluster != k0].tolist(), basis.T))
 
 
 def quadratic_forms(rev, F):
@@ -409,6 +446,7 @@ class Analysis:
         self.tol = tol
         self.seed = seed
         self.fingerprint = fingerprint or model_fingerprint(source, spec)
+        self._tables = {}
         self._coord_quality = {}
         self._blocks = {}
 
@@ -443,22 +481,29 @@ class Analysis:
         """Whether every selection probability is within 1e-12 of 1/n."""
         return bool(np.abs(self.sel.p - 1.0 / self.sel.n).max() <= 1e-12)
 
+    def _table(self, i):
+        """Coordinate ``i``'s ConditionalTable, built once: every chain and
+        quality entry of the joint reads its conditionals from it."""
+        if i not in self._tables:
+            self._tables[i] = ConditionalTable(self.source, i)
+        return self._tables[i]
+
     @cached_property
     @_joint_only
     def T(self):
         """The exact random-scan pair."""
-        return memoize(exact_random_scan(self.source, self.sel))
+        return memoize(_scan_chain(self.source, self.sel, EXACT_SPEC, self._table))
 
     @cached_property
     @_joint_only
     def Th(self):
         """The hybrid random-scan pair."""
-        return memoize(hybrid_random_scan(self.source, self.sel, self.scan_spec))
+        return memoize(_scan_chain(self.source, self.sel, self.scan_spec, self._table))
 
     def _coordinate_quality(self, i):
         """ApproxQuality of coordinate ``i``'s conditionals, computed once."""
         if i not in self._coord_quality:
-            self._coord_quality[i] = approx_quality(self.source, self.scan_spec, coords=(i,))
+            self._coord_quality[i] = _aggregate(_table_quality(self._table(i), self.scan_spec))
         return self._coord_quality[i]
 
     @cached_property
@@ -503,13 +548,16 @@ class Analysis:
         When every level kernel of a slice model is Lazy(eps) for one eps
         (Exact is eps = 0), the hybrid chain is eps I + (1 - eps) S, since
         the level law of each point sums to one; it is then ``affine`` on
-        S, with no eigensolve, unless S drops a null state.
+        S, with no eigensolve, unless S drops a null state.  A joint's inner
+        kernels are read from its first coordinate's ConditionalTable.
         """
         if self.is_slice:
             eps = set(_level_epsilons(self.source))
             if len(eps) == 1 and None not in eps and not spectral_summary(self.S).dropped_states:
                 return affine(self.S, eps.pop())
-        return memoize(da_hybrid(self.source, self.spec))
+            return memoize(da_hybrid(self.source))
+        inner = _inner_kernels(self.source, self.spec, self._table(0))
+        return memoize(_hybrid_marginal_chain(self.source, inner))
 
     def inner_norms(self):
         """Exact operator norms of the DA chain's inner kernels, with their
@@ -740,9 +788,9 @@ class Analysis:
         c1 = np.inf
         c1_at = None
         for coords in combinations(range(n), ell):
-            for y in joint.space.complement_configs(coords):
-                idx = joint.space.subspace_indices(coords, y)
-                if joint.weights[idx].sum() <= 0.0:
+            totals = slices(joint, coords)[1].sum(axis=1)
+            for y, total in zip(joint.space.complement_configs(coords), totals):
+                if total <= 0.0:
                     continue
                 inner = inner_block_kernel(joint, coords, y, m)
                 rmin, _rmax = dirichlet_ratio_extrema(inner)
@@ -852,9 +900,11 @@ class Analysis:
         gap_h = spectral_summary(self.Th).gap
         gap_t_alt, gap_h_alt = self._closed_form_scan_gaps(sel_alt)
         if gap_t_alt is None:
-            gap_t_alt = eigvals_summary(exact_random_scan(joint, sel_alt)).gap
+            gap_t_alt = eigvals_summary(_scan_chain(joint, sel_alt, EXACT_SPEC, self._table)).gap
         if gap_h_alt is None:
-            gap_h_alt = eigvals_summary(hybrid_random_scan(joint, sel_alt, self.scan_spec)).gap
+            gap_h_alt = eigvals_summary(
+                _scan_chain(joint, sel_alt, self.scan_spec, self._table)
+            ).gap
         r = float(np.min(sel.p / sel_alt.p))
         reports = [
             self.report("selection-minratio-exact", r * gap_t_alt, gap_t, {"min_ratio": r}),

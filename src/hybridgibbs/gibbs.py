@@ -13,31 +13,91 @@ from math import comb
 
 import numpy as np
 
-from .approximators import EXACT_SPEC, kernel_for_target, make_approximator
-from .errors import InvalidBlockSize, InvalidSpec, NotTwoBlock, positive_int
+from .approximators import EXACT_SPEC, Exact, make_approximator, stacked_kernels
+from .errors import CrossCheckFailure, InvalidBlockSize, InvalidSpec, NotTwoBlock, positive_int
 from .slicemodel import SliceModel, _level_pair
-from .space import conditional, conditional_joint, marginal, selection_probs
-from .spectral import check_reversibility
+from .space import conditional_joint, marginal, selection_probs, slices
+from .spectral import check_reversibility, checked_stack
 
 
-def _accumulate_block_updates(joint, T, weight, coords, inner):
-    """Add ``weight`` times the coords-update kernel to T.
+class ConditionalTable:
+    """Every conditional of coordinate ``i`` of a joint, as stacked arrays.
 
-    ``inner(coords, y, target)`` returns the update matrix on the slice where
-    the complement equals y and the conditional there is ``target`` (raw,
-    unnormalized slice weights).  Null slices get the identity.
+    ``idx`` is the (Y, d) state indices of the coordinate's slices in
+    ``complement_configs`` order, ``live`` the rows of positive mass,
+    ``configs`` their complements and ``targets`` their conditionals, one
+    per row.  A rule's kernels for the L live slices are built on first
+    use, as one (L, d, d) stack, and kept as long as the table.
     """
-    space = joint.space
-    w = joint.weights
-    for y in space.complement_configs(coords):
-        idx = space.subspace_indices(coords, y)
-        slice_w = w[idx]
-        total = slice_w.sum()
-        if total <= 0.0:
-            block = np.eye(idx.size)
-        else:
-            block = inner(coords, y, slice_w / total)
-        T[np.ix_(idx, idx)] += weight * block
+
+    def __init__(self, joint, i):
+        self.joint, self.i = joint, i
+        self.idx, w = slices(joint, (i,))
+        live, self.targets = _conditionals(w)
+        self.live = np.flatnonzero(live)
+        configs = joint.space.complement_configs((i,))
+        self.configs = [y for y, ok in zip(configs, live) if ok]
+        self._kernels = {}
+        self._checked = {}
+
+    def kernels(self, rule):
+        """``rule``'s kernel for each live slice, as ``kernel_for_target``
+        builds it."""
+        if rule not in self._kernels:
+            keys = [(self.i, y) for y in self.configs]
+            self._kernels[rule] = stacked_kernels(self.targets, rule, keys)
+        return self._kernels[rule]
+
+    def checked(self, spec):
+        """The kernels of ``spec``'s rule as ``make_approximator`` pairs
+        them: entries clamped at 0, each slice verified stochastic and
+        reversible for its target, all in one batch.  A slice that fails is
+        rebuilt by ``make_approximator``, which raises its named error."""
+        rule = spec.rule_for(self.i)
+        if rule not in self._checked:
+            K, bad = checked_stack(self.kernels(rule), self.targets)
+            if bad.size:
+                make_approximator(self.joint, spec, self.i, self.configs[bad[0]])
+                raise CrossCheckFailure(
+                    f"slice {self.configs[bad[0]]} of coordinate {self.i} failed the "
+                    "batched check but not its own"
+                )
+            self._checked[rule] = K
+        return self._checked[rule]
+
+
+def _conditionals(w):
+    """(live, targets) for the raw slice weights ``w``, one slice per row:
+    the mask of slices of positive mass and their conditionals, divided by
+    their sums as ``ProbVec`` divides them."""
+    total = w.sum(axis=1)
+    live = total > 0.0
+    return live, w[live] / total[live, None]
+
+
+def _scatter(T, idx, live, weight, K):
+    """Add ``weight`` times each slice's update to T, for every slice of a
+    block with indices ``idx`` at once: the kernels K on the ``live``
+    slices, the identity on null ones.  The slices are disjoint, so each
+    entry takes one term."""
+    Y, D = idx.shape
+    U = np.broadcast_to(np.eye(D), (Y, D, D)).copy()
+    U[live] = K
+    T[idx[:, :, None], idx[:, None, :]] += weight * U
+
+
+def _scan_chain(joint, sel, spec, table):
+    """Random-scan pair that updates coordinate i with probability p_i by
+    ``spec``'s kernels, read from ``table(i)``, a ConditionalTable.  The
+    coordinates are added in order, so each diagonal entry sums its terms
+    in that order."""
+    T = np.zeros((joint.n, joint.n))
+    for i, pi in enumerate(sel.p):
+        if pi == 0.0:
+            continue
+        tab = table(i)
+        _scatter(T, tab.idx, tab.live, pi, tab.kernels(spec.rule_for(i)))
+    return check_reversibility(T, joint.dist)
 
 
 def exact_random_scan(joint, p=None):
@@ -50,17 +110,7 @@ def hybrid_random_scan(joint, p=None, spec=EXACT_SPEC):
     """Random-scan kernel with each conditional draw replaced by one step of
     the approximating kernel prescribed by ``spec``."""
     sel = selection_probs(p, joint.space.ncoords)
-    T = np.zeros((joint.n, joint.n))
-    for i, pi in enumerate(sel.p):
-        if pi == 0.0:
-            continue
-        rule = spec.rule_for(i)
-
-        def inner(coords, y, target, _rule=rule, _i=i):
-            return kernel_for_target(target, _rule, key=(_i, y))
-
-        _accumulate_block_updates(joint, T, pi, (i,), inner)
-    return check_reversibility(T, joint.dist)
+    return _scan_chain(joint, sel, spec, lambda i: ConditionalTable(joint, i))
 
 
 def block_random_scan(joint, block_size):
@@ -73,9 +123,9 @@ def block_random_scan(joint, block_size):
     T = np.zeros((joint.n, joint.n))
     weight = 1.0 / comb(n, ell)
     for coords in combinations(range(n), ell):
-        _accumulate_block_updates(
-            joint, T, weight, coords, lambda c, y, target: np.tile(target, (target.size, 1))
-        )
+        idx, w = slices(joint, coords)
+        live, targets = _conditionals(w)
+        _scatter(T, idx, live, weight, stacked_kernels(targets, Exact()))
     return check_reversibility(T, joint.dist)
 
 
@@ -120,35 +170,31 @@ def _two_block_parts(source):
             "data augmentation needs exactly two coordinates; group the rest first"
         )
     d1, d2 = source.space.sizes
-    m1 = marginal(source, (0,))
-    m2 = marginal(source, (1,))
-    fwd = np.zeros((d1, d2))
-    for y in range(d1):
-        if m1.weights[y] > 0.0:
-            fwd[y] = conditional(source, 1, (y,)).weights
-    back = np.zeros((d2, d1))
-    for z in range(d2):
-        if m2.weights[z] > 0.0:
-            back[z] = conditional(source, 0, (z,)).weights
-    return m1, fwd, back
+    fwd, back = np.zeros((d1, d2)), np.zeros((d2, d1))
+    # Row y of fwd is the second coordinate's conditional given the first
+    # at y, row z of back the first's given the second at z.
+    for i, laws in ((1, fwd), (0, back)):
+        live, targets = _conditionals(slices(source, (i,))[1])
+        laws[live] = targets
+    return marginal(source, (0,)), fwd, back
 
 
-def _inner_kernels(source, spec):
-    """Yield (z, idx, pair): ``pair`` redraws the first block given z on its
-    states ``idx``.  For a joint it is ``spec``'s approximator for the first
+def _inner_kernels(source, spec, table=None):
+    """Yield (z, idx, Q): Q redraws the first block given z on its states
+    ``idx``.  For a joint it is ``spec``'s approximator for the first
     coordinate's conditional, on the whole block, for each z of positive
-    mass; for a slice model, level k's kernel on G_k."""
+    mass, read from ``table`` (by default a new ConditionalTable); for a
+    slice model, level k's kernel on G_k."""
     if isinstance(source, SliceModel):
         for k, members in enumerate(source.level_sets):
-            yield k, members, _level_pair(source, k)
+            yield k, members, _level_pair(source, k).kernel.matrix
         return
     if spec is None:
         raise InvalidSpec("an approximator spec is required for joint models")
+    table = table if table is not None else ConditionalTable(source, 0)
     idx = np.arange(source.space.sizes[0])
-    m2 = marginal(source, (1,)).weights
-    for z in range(source.space.sizes[1]):
-        if m2[z] > 0.0:
-            yield z, idx, make_approximator(source, spec, 0, (z,))
+    for z, Q in zip(table.live, table.checked(spec)):
+        yield z, idx, Q
 
 
 def _marginal_chain(S, m1):
@@ -172,12 +218,17 @@ def da_hybrid(source, spec=None, t=1):
     """Hybrid two-block marginal kernel: the redraw of the first block is
     replaced by ``t`` steps of its inner kernel: ``spec``'s approximator,
     which a joint requires, or a SliceModel's level kernel."""
+    return _hybrid_marginal_chain(source, _inner_kernels(source, spec), t)
+
+
+def _hybrid_marginal_chain(source, inner, t=1):
+    """``da_hybrid`` with the inner kernels ``inner`` of ``_inner_kernels``,
+    added in their order."""
     # Only fwd is read; dropping back at once holds one n x L array, not two.
     m1, fwd = _two_block_parts(source)[:2]
     t = positive_int(t, "t")
     S = np.zeros((m1.n, m1.n))
-    for z, idx, pair in _inner_kernels(source, spec):
-        Q = pair.kernel.matrix
+    for z, idx, Q in inner:
         if t > 1:
             Q = np.linalg.matrix_power(Q, t)
         S[np.ix_(idx, idx)] += fwd[idx, z : z + 1] * Q

@@ -189,6 +189,23 @@ def conditional_joint(joint, coords, y):
     return JointDistribution(sub, dist)
 
 
+def slices(joint, coords):
+    """Every slice of the block ``coords`` at once: (idx, w), where row y
+    of the (Y, D) index array ``idx`` is ``subspace_indices(coords, c)``
+    for the y-th configuration c of ``complement_configs(coords)`` and
+    ``w = joint.weights[idx]`` holds the raw slice weights."""
+    space = joint.space
+    coords = _check_coords(space, coords)
+    D = math.prod(space.sizes[c] for c in coords)
+    grid = np.arange(space.total, dtype=np.int64).reshape(space.sizes, order="F")
+    # The block's axes first, then the complement's, each first-fastest.
+    idx = grid.transpose(coords + space.complement(coords)).reshape((D, -1), order="F")
+    # C order, so that each slice's weights are contiguous and sum as
+    # ``subspace_indices``' do, bit for bit.
+    idx = np.ascontiguousarray(idx.T)
+    return idx, joint.weights[idx]
+
+
 def marginal(joint, keep):
     """Marginal over the kept coordinates (ascending order, first fastest)."""
     keep = _check_coords(joint.space, keep)

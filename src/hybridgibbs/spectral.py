@@ -183,6 +183,24 @@ class ReversiblePair:
         return self.kernel.n
 
 
+def checked_stack(K, w):
+    """The checks of ``check_reversibility`` on a stack of pairs (K[y],
+    w[y]) at once, with ``w`` normalized: (Kc, bad), where Kc is K clamped
+    at 0 as StochasticKernel clamps it and ``bad`` lists the pairs that
+    fail a check, in order.  Kc must not be written to."""
+    finite = np.isfinite(K).all(axis=(1, 2))
+    negative = (K < -1e-15).any(axis=(1, 2))
+    # Clamping changes nothing, not even the sign of a zero, where no
+    # entry has its sign bit set; then K itself is returned.
+    Kc = np.maximum(K, 0.0) if np.signbit(K).any() else K
+    rows = np.abs(Kc.sum(axis=2) - 1.0).max(axis=1)
+    flows = w[:, :, None] * Kc
+    defect = np.abs(flows - flows.transpose(0, 2, 1)).max(axis=(1, 2))
+    resid = np.abs(np.matmul(w[:, None, :], Kc)[:, 0, :] - w).max(axis=1)
+    bad = ~finite | negative | (rows > 1e-12) | (defect > REVERSIBILITY_TOL) | (resid > 1e-10)
+    return Kc, np.flatnonzero(bad)
+
+
 def check_reversibility(kernel, stationary):
     """Pair a kernel with a stationary distribution, verifying detailed balance.
 
@@ -276,12 +294,18 @@ def _restrict(rev):
         rows = Ks.sum(axis=1)
         if np.abs(rows - 1.0).max() <= 1e-9:
             dropped = tuple(sorted(set(range(w.size)) - set(keep.tolist())))
-            ws = w[keep] / w[keep].sum()
-            Ks /= rows[:, None]
-            return keep, dropped, ws, Ks
+            return keep, dropped, _renormalize(Ks, rows, w[keep]), Ks
     raise InvalidKernel(
         "support is not closed: rows leak more than 1e-9 mass to zero-mass states"
     )
+
+
+def _renormalize(Ks, rows, wk):
+    """Divide the rows of the restricted kernel(s) ``Ks`` by their sums
+    ``rows`` in place; return the restricted weights ``wk`` renormalized.
+    Works on one matrix or a stack, with the same arithmetic."""
+    Ks /= rows[..., None]
+    return wk / wk.sum(axis=-1, keepdims=True)
 
 
 def memoize(rev):
@@ -299,19 +323,32 @@ def _symmetrized(rev):
     """Restricted, symmetrized kernel: (keep, dropped, ws, d, A, asym).
 
     A = (M + M^T)/2 for M = D^{1/2} K D^{-1/2} on the support, and asym is
-    max |M - M^T|.  M is the restricted kernel scaled in place, and one n x n
-    buffer holds first |M - M^T|, then A.
+    max |M - M^T|.
     """
     keep, dropped, ws, M = _restrict(rev)
+    d, A, asym = _symmetrize(M, ws)
+    return keep, dropped, ws, d, A, float(asym)
+
+
+def _symmetrize(M, ws):
+    """(d, A, asym) of ``_symmetrized`` for one restricted kernel M or a
+    stack of them, with the same arithmetic: M is scaled in place, and one
+    buffer holds first |M - M^T|, then A."""
     d = np.sqrt(ws)
-    M *= d[:, None]
-    M /= d[None, :]
-    A = np.subtract(M, M.T)
+    M *= d[..., :, None]
+    M /= d[..., None, :]
+    Mt = np.swapaxes(M, -1, -2)
+    A = np.subtract(M, Mt)
     np.abs(A, out=A)
-    asym = float(A.max())
-    np.add(M, M.T, out=A)
+    asym = A.max(axis=(-2, -1))
+    np.add(M, Mt, out=A)
     A /= 2.0
-    return keep, dropped, ws, d, A, asym
+    return d, A, asym
+
+
+def _stationary_column(vecs, d):
+    """The column of ``vecs`` of maximal overlap with sqrt(ws) = d."""
+    return int(np.argmax(np.abs(vecs.T @ d)))
 
 
 def _sym_eigs(rev):
@@ -327,11 +364,25 @@ def _sym_eigs(rev):
         return memo["eigs"]
     keep, dropped, ws, d, A, asym = _symmetrized(rev)
     vals, vecs = np.linalg.eigh(A)
-    k0 = int(np.argmax(np.abs(vecs.T @ d)))
-    eigs = keep, dropped, ws, d, vals, vecs, k0, asym
+    eigs = keep, dropped, ws, d, vals, vecs, _stationary_column(vecs, d), asym
     if memo is not None:
         memo["eigs"] = eigs
     return eigs
+
+
+def stacked_summaries(K, w):
+    """``spectral_summary`` of each pair (K[y], w[y]) of a stack that
+    ``checked_stack`` passed and whose weights all reach NULL_MASS, so that
+    no state is dropped: one batched restriction and symmetrization and one
+    stacked ``eigh``, bit for bit the arithmetic of each pair alone."""
+    M = K.copy()
+    ws = _renormalize(M, M.sum(axis=2), w)
+    d, A, asym = _symmetrize(M, ws)
+    vals, vecs = np.linalg.eigh(A)
+    return [
+        _summary(np.delete(vals[y], _stationary_column(vecs[y], d[y])), (), float(asym[y]))
+        for y in range(K.shape[0])
+    ]
 
 
 def affine(base, c):

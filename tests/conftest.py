@@ -1,5 +1,6 @@
 """Shared test fixtures."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -11,8 +12,9 @@ def eig_counts(monkeypatch):
     """Count dense ``np.linalg`` calls by matrix size: the eigensolvers
     ``eigh`` and ``eigvalsh``, and ``cholesky`` and ``solve``.
 
-    ``eig_counts["eigh"][n]`` is the number of n x n ``eigh`` calls made so
-    far, likewise for the other three names; clear the counters to start
+    ``eig_counts["eigh"][n]`` is the number of n x n matrices that ``eigh``
+    has decomposed so far, likewise for the other three names; a stacked
+    call counts each matrix of its stack.  Clear the counters to start
     again.
     """
     counts = {name: Counter() for name in ("eigh", "eigvalsh", "cholesky", "solve")}
@@ -20,7 +22,8 @@ def eig_counts(monkeypatch):
         solve = getattr(np.linalg, name)
 
         def counting(a, *args, _solve=solve, _counter=counter, **kwargs):
-            _counter[np.shape(a)[0]] += 1
+            shape = np.shape(a)
+            _counter[shape[-1]] += math.prod(shape[:-2])
             return _solve(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)

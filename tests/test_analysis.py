@@ -2,6 +2,8 @@
 reports equal to what a fresh Analysis returns for each check."""
 
 import inspect
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from hybridgibbs import (
     slice_exact,
     slice_hybrid,
 )
-from hybridgibbs import bounds
+from hybridgibbs import approximators, bounds, gibbs, spectral
 from hybridgibbs.bounds import _two_coordinate_scan_gap, function_battery, model_fingerprint
 from hybridgibbs.errors import CrossCheckFailure, DimensionMismatch, PreconditionUnmet
 from hybridgibbs.randomgen import random_joint
@@ -85,6 +87,53 @@ def test_run_suite_decomposes_each_kernel_once(eig_counts):
     # T (which is also the one-coordinate block chain), T_hybrid and the
     # two-coordinate block chain: T's eigenvectors serve both families.
     assert eig_counts["eigh"][512] == 3
+
+
+def count_calls(monkeypatch, *functions):
+    """Count calls of each function by name, through every binding of it in
+    the package's modules, since modules import them by name."""
+    counts = Counter()
+    modules = [m for name, m in sys.modules.items() if name.startswith("hybridgibbs")]
+    for fn in functions:
+
+        def counting(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return counts
+
+
+def test_each_coordinate_table_is_built_once(monkeypatch):
+    counts = count_calls(
+        monkeypatch,
+        approximators.kernel_for_target,
+        spectral.check_reversibility,
+        gibbs.slices,
+    )
+    tables = Counter()
+    init = gibbs.ConditionalTable.__init__
+
+    def counting_init(self, joint, i):
+        tables[i] += 1
+        init(self, joint, i)
+
+    monkeypatch.setattr(gibbs.ConditionalTable, "__init__", counting_init)
+    run_suite(canonicalize(R3X8))
+    # One table per coordinate, and every approximator read from it.
+    assert tables == {0: 1, 1: 1, 2: 1}
+    assert counts["kernel_for_target"] == 0
+    # T, T_hybrid, the two chains under p_alt, the two-coordinate block
+    # chain and 24 inner block chains: 29, where each conditional was once
+    # paired on its own (221).
+    assert counts["check_reversibility"] <= 35
+    # The three tables, the three blocks of the two-coordinate block chain,
+    # the same three blocks read once more by block_comparison, and 24
+    # inner chains of two blocks each: no call per conditional.
+    assert counts["slices"] == 3 + 3 + 3 + 24 * 2
 
 
 def test_lazy_slice_run_suite_makes_one_eigensolve(eig_counts):
@@ -260,9 +309,9 @@ def test_affine_slice_route_matches_built_kernels(rules, seed, monkeypatch):
     for a, b in zip(reports, want_reports):
         if rules == "lazy-1" and a.name == "da-tstep-functional":
             # At eps = 1 the hybrid chain is the identity. The built route's
-            # battery is LAPACK's basis of it, whose columns other than the
-            # stationary one are not mean-zero; the affine route's is S's
-            # eigenbasis, where the least slack is the true minimum.
+            # battery is an arbitrary mean-zero basis of it, LAPACK's with
+            # the stationary direction projected out; the affine route's is
+            # S's eigenbasis, where the least slack is the true minimum.
             assert a.slack <= b.slack + 1e-12
             continue
         assert (a.lhs, a.rhs) == pytest.approx((b.lhs, b.rhs), rel=1e-12, abs=1e-12), a.name

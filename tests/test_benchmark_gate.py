@@ -2,10 +2,12 @@
 
 ``perfbench/`` gates every benchmark run against ``perfbench/reference.json``:
 the certified report names, statuses and values of its first operations at
-seed 0. This test runs that gate on the first operation of each suite
-workload at one BLAS thread, and of ``slice-levels`` at two as well, and the
-benchmark tracer's own self-check, so that a change which
-would fail the benchmark fails here first. It only reads ``perfbench/``.
+seed 0. This test runs that gate at one BLAS thread on operations 0-3 of
+``block-small``, 0-1 of ``rscan-dense`` and 0 of ``slice-levels``, so that
+the stacked conditional arithmetic is pinned on several models; on
+``slice-levels`` at two threads as well; and the benchmark tracer's own
+self-check, so that a change which would fail the benchmark fails here
+first. It only reads ``perfbench/``.
 """
 
 import os
@@ -16,17 +18,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
+# Arguments: the reference file, then workloads as NAME or NAME:COUNT, which
+# gates operations 0 to COUNT - 1 of that workload.
 GATE = """
 import json, sys
 import workloads
 with open(sys.argv[1]) as fh:
     reference = json.load(fh)
 found = []
-for name in sys.argv[2:]:
-    prep = workloads.Prepared(name, workloads.DEFAULT_SEED, 0)
-    _, _, _, certified, xval = workloads.run_op(prep)
-    rec = workloads.record(prep, certified, xval)
-    found += [f"{name}/0: {p}" for p in workloads.problems(prep, rec, xval, reference[name][0])]
+for arg in sys.argv[2:]:
+    name, _, count = arg.partition(":")
+    for index in range(int(count or 1)):
+        prep = workloads.Prepared(name, workloads.DEFAULT_SEED, index)
+        _, _, _, certified, xval = workloads.run_op(prep)
+        rec = workloads.record(prep, certified, xval)
+        ref = reference[name][index]
+        found += [f"{name}/{index}: {p}" for p in workloads.problems(prep, rec, xval, ref)]
 print("\\n".join(found))
 sys.exit(1 if found else 0)
 """
@@ -56,7 +63,12 @@ def run_pinned(*args, threads=1):
 
 def test_first_operations_match_the_benchmark_reference():
     proc = run_pinned(
-        "-c", GATE, str(PERFBENCH / "reference.json"), "rscan-dense", "block-small", "slice-levels"
+        "-c",
+        GATE,
+        str(PERFBENCH / "reference.json"),
+        "rscan-dense:2",
+        "block-small:4",
+        "slice-levels",
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
 

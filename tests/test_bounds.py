@@ -12,6 +12,7 @@ from hybridgibbs import (
     NormProfile,
     SliceModel,
     approx_quality,
+    canonicalize,
     da_exact,
     dominating_norm_profile,
     exact_random_scan,
@@ -19,10 +20,12 @@ from hybridgibbs import (
     mean_power_bound,
     product_joint,
     rms_power_bound,
+    run_suite,
 )
 from hybridgibbs import slicemodel
 from hybridgibbs.approximators import kernel_for_target
 from hybridgibbs.bounds import function_battery
+from hybridgibbs.spectral import _sym_eigs
 from hybridgibbs.errors import (
     DimensionMismatch,
     DominationViolated,
@@ -551,3 +554,38 @@ class TestHundredModelSweeps:
                 Analysis(joint, None, spec, seed=seed).dirichlet_sandwich(trials=8)
             ) >= -1e-9
             assert min_slack(Analysis(joint, None, spec).gap_sandwich()) >= -1e-9
+
+
+class TestBatteryMeanZero:
+    LAZY_ONE = {
+        "model": {"kind": "random", "sizes": [4, 3], "seed": 3},
+        "approximator": {"default": {"rule": "lazy", "epsilon": 1.0}},
+        "suite": ["da"],
+    }
+
+    def test_repeated_eigenvalue_one_is_projected(self):
+        # Every inner kernel is Lazy(1), so the hybrid DA chain is the
+        # identity and eigenvalue 1 fills the whole space.
+        config = canonicalize(self.LAZY_ONE)
+        Sh = Analysis(config.build_joint(), spec=config.approximator_spec()).Sh
+        np.testing.assert_allclose(Sh.kernel.matrix, np.eye(4), atol=1e-15)
+        F, labels = function_battery(Sh, trials=8, seed=0)
+        w = Sh.stationary.weights
+        assert np.abs(w @ F).max() <= 1e-12
+        np.testing.assert_allclose(np.einsum("i,ij,ij->j", w, F, F), 1.0, rtol=1e-12)
+        assert sum(label["kind"] == "eigenvector" for label in labels) == 3
+        # The eigenvector columns span the mean-zero functions.
+        eig = F[:, [k for k, label in enumerate(labels) if label["kind"] == "eigenvector"]]
+        assert np.linalg.matrix_rank(eig) == 3
+        # Before the projection the least slack was 1.0063621310043438.
+        reports = run_suite(config).reports
+        functional = next(r for r in reports if r.name == "da-tstep-functional-t2")
+        assert functional.rhs <= 1.0063621310043438
+
+    def test_simple_eigenvalue_one_keeps_the_eigenvectors(self):
+        T = exact_random_scan(random_joint(91, sizes=(3, 4)))
+        keep, _dropped, _ws, d, _vals, vecs, k0, _asym = _sym_eigs(T)
+        F, labels = function_battery(T, trials=0, seed=0)
+        want = np.delete(vecs, k0, axis=1) / d[:, None]
+        assert keep.size == T.n
+        assert np.array_equal(F, want)

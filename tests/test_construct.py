@@ -1,5 +1,6 @@
 """Kernel builders: random scan, hybrid scan, blocks, data augmentation, slice."""
 
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hybridgibbs import (
     Analysis,
     ApproximatorSpec,
+    approx_quality,
     Exact,
     ExplicitMatrix,
     Lazy,
@@ -30,6 +32,7 @@ from hybridgibbs import (
 )
 from hybridgibbs.errors import (
     InvalidBlockSize,
+    InvalidKernel,
     InvalidSpec,
     MissingLevelKernel,
     NonPositiveWeight,
@@ -37,8 +40,15 @@ from hybridgibbs.errors import (
     NotTwoBlock,
 )
 from hybridgibbs.approximators import RULE_TYPES, kernel_for_target
+from hybridgibbs.bounds import _quality_entry
 from hybridgibbs.gibbs import _two_block_parts
-from hybridgibbs.randomgen import random_joint, random_lazy_spec, random_slice_model, rng_from
+from hybridgibbs.randomgen import (
+    random_explicit_spec,
+    random_joint,
+    random_lazy_spec,
+    random_slice_model,
+    rng_from,
+)
 
 TWO_COINS = product_joint([[0.5, 0.5], [0.5, 0.5]])
 THREE_COINS = product_joint([[0.5, 0.5]] * 3)
@@ -505,3 +515,265 @@ class TestSliceKernels:
             for Q in level_moves(model)
         ]
         assert qual.max_norm == pytest.approx(max(norms), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Reference loops: the kernels built one slice and one entry at a time, as
+# the stacked builders replaced them.  The stacked chains must equal them
+# bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def loop_metropolis_rw(pi, radius):
+    d = pi.size
+    Q = np.zeros((d, d))
+    prop = 1.0 / (2 * radius)
+    for x in range(d):
+        stay = 0.0
+        for step in range(-radius, radius + 1):
+            if step == 0:
+                continue
+            y = x + step
+            if y < 0 or y >= d:
+                stay += prop
+                continue
+            if pi[x] > 0.0:
+                acc = min(1.0, pi[y] / pi[x])
+            else:
+                acc = 1.0 if pi[y] > 0.0 else 0.0
+            Q[x, y] = prop * acc
+            stay += prop * (1.0 - acc)
+        Q[x, x] = stay
+    return Q
+
+
+def loop_metropolis_indep(pi, q):
+    d = pi.size
+    Q = np.zeros((d, d))
+    for x in range(d):
+        stay = 0.0
+        for y in range(d):
+            if y == x:
+                continue
+            num = pi[y] * q[x]
+            den = pi[x] * q[y]
+            if den > 0.0:
+                acc = min(1.0, num / den)
+            else:
+                acc = 1.0 if num > 0.0 else 0.0
+            Q[x, y] = q[y] * acc
+            stay += q[y] * (1.0 - acc)
+        Q[x, x] = q[x] + stay
+    return Q
+
+
+def loop_kernel(pi, rule, key):
+    d = pi.size
+    if isinstance(rule, Exact):
+        return np.tile(pi, (d, 1))
+    if isinstance(rule, Lazy):
+        eps = float(rule.epsilon)
+        return eps * np.eye(d) + (1.0 - eps) * np.tile(pi, (d, 1))
+    if isinstance(rule, MetropolisRW):
+        return loop_metropolis_rw(pi, int(rule.radius))
+    if isinstance(rule, MetropolisIndep):
+        if isinstance(rule.proposal, str):
+            q = np.full(d, 1.0 / d)
+        else:
+            q = np.asarray(rule.proposal, float)
+            q = q / q.sum()
+        return loop_metropolis_indep(pi, q)
+    return np.asarray(rule.tables[key], dtype=float)
+
+
+def loop_accumulate(joint, T, weight, coords, inner):
+    """Add ``weight`` times the coords-update kernel to T, one slice at a
+    time; ``inner(y, target)`` is the update on a slice of positive mass,
+    and a null slice gets the identity."""
+    for y in joint.space.complement_configs(coords):
+        idx = joint.space.subspace_indices(coords, y)
+        slice_w = joint.weights[idx]
+        total = slice_w.sum()
+        if total <= 0.0:
+            block = np.eye(idx.size)
+        else:
+            block = inner(y, slice_w / total)
+        T[np.ix_(idx, idx)] += weight * block
+
+
+def loop_random_scan(joint, p, spec):
+    sel = np.full(joint.space.ncoords, 1.0) if p is None else np.asarray(p, dtype=float)
+    sel = sel / sel.sum()
+    T = np.zeros((joint.n, joint.n))
+    for i, pi in enumerate(sel):
+        rule = spec.rule_for(i)
+        loop_accumulate(
+            joint, T, pi, (i,), lambda y, target, i=i, rule=rule: loop_kernel(target, rule, (i, y))
+        )
+    return check_reversibility(T, joint.dist).kernel.matrix
+
+
+def loop_block_scan(joint, ell):
+    n = joint.space.ncoords
+    T = np.zeros((joint.n, joint.n))
+    for coords in combinations(range(n), ell):
+        loop_accumulate(
+            joint,
+            T,
+            1.0 / comb(n, ell),
+            coords,
+            lambda y, target: np.tile(target, (target.size, 1)),
+        )
+    return check_reversibility(T, joint.dist).kernel.matrix
+
+
+def loop_da_hybrid(joint, spec):
+    """The hybrid DA chain with each inner kernel paired on its own, added
+    over z in order."""
+    m1, fwd = _two_block_parts(joint)[:2]
+    m2 = joint.weights.reshape(joint.space.sizes, order="F").sum(axis=0)
+    S = np.zeros((m1.n, m1.n))
+    for z in range(joint.space.sizes[1]):
+        if m2[z] > 0.0:
+            S += fwd[:, z : z + 1] * make_approximator(joint, spec, 0, (z,)).kernel.matrix
+    for y in np.flatnonzero(m1.weights <= 0.0):
+        S[y] = 0.0
+        S[y, y] = 1.0
+    return check_reversibility(S, m1).kernel.matrix
+
+
+def _holed_joint(seed, sizes, holes):
+    """A random joint with the states matching any of ``holes`` (dicts of
+    coordinate values) set to weight zero."""
+    joint = random_joint(seed, sizes=sizes)
+    w = np.array(joint.weights)
+    for x in range(joint.n):
+        cfg = joint.space.decode(x)
+        if any(all(cfg[c] == v for c, v in hole.items()) for hole in holes):
+            w[x] = 0.0
+    return joint_from_weights(sizes, w)
+
+
+STACK_JOINTS = {
+    "positive": random_joint(61, sizes=(3, 4, 2)),
+    # Coordinate 0 has a null slice at (x1, x2) = (2, 0); the block {1, 2}
+    # has a null slice at x0 = 1; other slices hold zero-weight states.
+    "null-slice": _holed_joint(62, (3, 4, 2), [{1: 2, 2: 0}, {0: 1}]),
+    "zero-state": _holed_joint(63, (3, 4, 2), [{0: 1, 1: 3, 2: 1}]),
+    "two-null-slice": _holed_joint(64, (4, 3), [{1: 1}, {0: 2, 1: 0}]),
+    "two-positive": random_joint(65, sizes=(5, 3)),
+}
+
+
+def stack_spec(name, joint):
+    sizes = joint.space.sizes
+    rng = rng_from(66)
+    if name == "indep-vector":
+        return ApproximatorSpec(
+            default=MetropolisIndep("uniform"),
+            overrides={i: MetropolisIndep(tuple(rng.random(d) + 0.1)) for i, d in enumerate(sizes)},
+        )
+    if name == "explicit":
+        return random_explicit_spec(67, joint)
+    rules = {
+        "exact": Exact(),
+        "lazy": Lazy(0.3),
+        "rw1": MetropolisRW(1),
+        "rw2": MetropolisRW(2),
+        "indep-uniform": MetropolisIndep("uniform"),
+    }
+    return ApproximatorSpec(default=rules[name])
+
+
+STACK_SPECS = ["exact", "lazy", "rw1", "rw2", "indep-uniform", "indep-vector", "explicit"]
+
+
+class TestStackedTables:
+    @pytest.mark.parametrize("joint_name", sorted(STACK_JOINTS))
+    @pytest.mark.parametrize("spec_name", STACK_SPECS)
+    def test_chains_match_the_slice_loop(self, joint_name, spec_name):
+        joint = STACK_JOINTS[joint_name]
+        spec = stack_spec(spec_name, joint)
+        n = joint.space.ncoords
+        for p in (None, tuple(range(1, n + 1))):
+            analysis = Analysis(joint, p, spec)
+            want_T = loop_random_scan(joint, p, ApproximatorSpec())
+            want_Th = loop_random_scan(joint, p, spec)
+            assert np.array_equal(analysis.T.kernel.matrix, want_T)
+            assert np.array_equal(exact_random_scan(joint, p).kernel.matrix, want_T)
+            assert np.array_equal(analysis.Th.kernel.matrix, want_Th)
+            assert np.array_equal(hybrid_random_scan(joint, p, spec).kernel.matrix, want_Th)
+        for ell in range(1, n):
+            block = block_random_scan(joint, ell).kernel.matrix
+            assert np.array_equal(block, loop_block_scan(joint, ell))
+        if n == 2:
+            want_Sh = loop_da_hybrid(joint, spec)
+            assert np.array_equal(Analysis(joint, spec=spec).Sh.kernel.matrix, want_Sh)
+            assert np.array_equal(da_hybrid(joint, spec).kernel.matrix, want_Sh)
+
+    @pytest.mark.parametrize("joint_name", sorted(STACK_JOINTS))
+    @pytest.mark.parametrize("spec_name", STACK_SPECS)
+    def test_quality_entries_match_each_approximator(self, joint_name, spec_name):
+        joint = STACK_JOINTS[joint_name]
+        spec = stack_spec(spec_name, joint)
+        table = Analysis(joint, spec=spec).quality.per_conditional
+        want = {}
+        for i in range(joint.space.ncoords):
+            for y in joint.space.complement_configs((i,)):
+                idx = joint.space.subspace_indices((i,), y)
+                if joint.weights[idx].sum() <= 0.0:
+                    continue
+                pair = make_approximator(joint, spec, i, y)
+                target = pair.stationary.weights
+                loop = loop_kernel(target, spec.rule_for(i), (i, y))
+                assert np.array_equal(pair.kernel.matrix, np.maximum(loop, 0.0))
+                if isinstance(spec.rule_for(i), Exact):
+                    want[(i, y)] = {"norm": 0.0, "ratio_min": 1.0, "ratio_max": 1.0, "psd": True}
+                else:
+                    want[(i, y)] = _quality_entry(pair)
+        assert list(table) == list(want)
+        assert table == want
+        assert approx_quality(joint, spec).per_conditional == want
+
+    def test_one_bad_slice_raises_its_own_error(self):
+        joint = random_joint(71, sizes=(3, 4))
+        tables = dict(random_explicit_spec(72, joint).default.tables)
+        # A stochastic cycle on slice (0, (2,)) only: not reversible.
+        tables[(0, (2,))] = np.roll(np.eye(3), 1, axis=1)
+        spec = ApproximatorSpec(default=ExplicitMatrix(tables))
+        with pytest.raises(NotReversible) as want:
+            make_approximator(joint, spec, 0, (2,))
+        for build in (
+            lambda: Analysis(joint, spec=spec).quality,
+            lambda: Analysis(joint, spec=spec).Sh,
+            lambda: approx_quality(joint, spec),
+            lambda: da_hybrid(joint, spec),
+        ):
+            with pytest.raises(NotReversible) as got:
+                build()
+            assert str(got.value) == str(want.value)
+            assert got.value.pair == want.value.pair
+
+    def test_bad_row_sums_raise_the_kernel_error(self):
+        joint = random_joint(73, sizes=(3, 4))
+        tables = dict(random_explicit_spec(74, joint).default.tables)
+        tables[(1, (1,))] = np.full((4, 4), 0.2)
+        spec = ApproximatorSpec(default=ExplicitMatrix(tables))
+        with pytest.raises(InvalidKernel) as want:
+            make_approximator(joint, spec, 1, (1,))
+        with pytest.raises(InvalidKernel) as got:
+            Analysis(joint, spec=spec).quality
+        assert str(got.value) == str(want.value)
+
+    def test_missing_key_is_named(self):
+        joint = random_joint(75, sizes=(3, 4))
+        tables = dict(random_explicit_spec(76, joint).default.tables)
+        del tables[(1, (1,))]
+        spec = ApproximatorSpec(default=ExplicitMatrix(tables))
+        for build in (
+            lambda: Analysis(joint, spec=spec).quality,
+            lambda: Analysis(joint, spec=spec).Th,
+            lambda: hybrid_random_scan(joint, spec=spec),
+        ):
+            with pytest.raises(InvalidSpec, match=r"no explicit kernel supplied for \(1, \(1,\)\)"):
+                build()
