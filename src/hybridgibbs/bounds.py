@@ -63,6 +63,9 @@ from .spectral import (
 
 DEFAULT_TOL = 1e-9
 DEFAULT_TRIALS = 64
+# Least disc at which ``_two_coordinate_scan_gap`` is read: a rounding of 1e-16
+# in the DA gap moves its result by at most 2.5e-14 there.
+WELL_CONDITIONED_DISC = 1e-6
 
 
 def model_fingerprint(source, spec=None):
@@ -138,11 +141,11 @@ def _table_quality(table, spec):
     (i, y) in order.  The kernels are checked as one batch and decomposed
     by one stacked eigensolve; a slice with a state below NULL_MASS is
     restricted, so it is paired and decomposed on its own."""
-    i = table.i
+    i, rule = table.i, spec.rule_for(table.i)
     keys = [(i, y) for y in table.configs]
-    if isinstance(spec.rule_for(i), Exact):
+    if isinstance(rule, Exact):
         return {key: _lazy_entry(0.0) for key in keys}
-    K, w = table.checked(spec), table.targets
+    K, w = table.kernels(rule), table.targets
     whole = w.min(axis=1) >= NULL_MASS
     stacked = iter(stacked_summaries(K[whole], w[whole]))
     return {
@@ -374,16 +377,22 @@ def _two_coordinate_scan_gap(p, eps, da_gap):
     c I + a_0 P_0 + a_1 P_1 with c = sum p_i eps_i and a_i = p_i (1 - eps_i).
     By the two-subspace theorem (Halmos, Trans. AMS 144, 1969) each DA
     eigenvalue 1 - g on mean-zero functions gives the pair
-    c + (s +- sqrt(s^2 - 4 a_0 a_1 g)) / 2 with s = a_0 + a_1; the other
-    eigenvalues, c + a_i and c, lie below the largest pair.  The gap is
-    therefore 2 a_0 a_1 g / (s + sqrt(s^2 - 4 a_0 a_1 g)) at the DA gap g.
+    c + (s +- sqrt(disc)) / 2 with s = a_0 + a_1 and disc = s^2 - 4 a_0 a_1 g;
+    the other eigenvalues, c + a_i and c, lie below the largest pair.  The
+    gap is therefore 2 a_0 a_1 g / (s + sqrt(disc)) at the DA gap g.
     This holds when both coordinates take at least two values and no
     state is null; elsewhere the theorem's subspaces change.
+    The gap moves by a_0 a_1 / sqrt(disc) per unit of g, so rounding in g
+    grows without bound as disc nears 0 (independent coordinates, g = 1,
+    under equal a_i); below WELL_CONDITIONED_DISC the result is None.
     """
     a0, a1 = np.asarray(p, dtype=float) * (1.0 - np.asarray(eps, dtype=float))
     s = a0 + a1
     num = 2.0 * a0 * a1 * da_gap
-    return float(num / (s + np.sqrt(max(s * s - 2.0 * num, 0.0))))
+    disc = s * s - 2.0 * num
+    if disc < WELL_CONDITIONED_DISC:
+        return None
+    return float(num / (s + np.sqrt(disc)))
 
 
 # ---------------------------------------------------------------------------
@@ -842,9 +851,10 @@ class Analysis:
 
         It covers a joint of two coordinates, each taking at least two
         values, whose weights all reach NULL_MASS; the hybrid chain also
-        needs every rule to be Exact or Lazy(eps) with eps < 1.  Each call
-        checks the formula at this analysis's own selection probabilities
-        against the decomposed pairs T and Th.
+        needs every rule to be Exact or Lazy(eps) with eps < 1.  A chain
+        takes it only where it is well conditioned under both ``sel`` and
+        this analysis's own selection probabilities; it is checked at the
+        latter against the decomposed pairs T and Th.
         """
         joint = self.source
         if (
@@ -867,13 +877,16 @@ class Analysis:
         gaps = [None, None]
         for k, (name, chain_eps, pair) in enumerate(chains):
             own = _two_coordinate_scan_gap(self.sel.p, chain_eps, da_gap)
+            alt = _two_coordinate_scan_gap(sel.p, chain_eps, da_gap)
+            if own is None or alt is None:
+                continue
             decomposed = spectral_summary(pair).gap
             if abs(own - decomposed) > 1e-10:
                 raise CrossCheckFailure(
                     f"the {name} random-scan gap {decomposed:.12e} differs from "
                     f"its closed form {own:.12e} in the DA gap"
                 )
-            gaps[k] = _two_coordinate_scan_gap(sel.p, chain_eps, da_gap)
+            gaps[k] = alt
         return tuple(gaps)
 
     @_joint_only

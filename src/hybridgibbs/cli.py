@@ -37,6 +37,7 @@ def _build_parser():
     p_analyze = sub.add_parser("analyze", help="build kernels and report spectra")
     p_analyze.add_argument("config")
     p_analyze.add_argument("--out", default=None)
+    p_analyze.set_defaults(handler=_cmd_analyze)
 
     p_check = sub.add_parser("check", help="run certification suites")
     p_check.add_argument("config")
@@ -49,6 +50,7 @@ def _build_parser():
     p_check.add_argument("--tol", type=float, default=None)
     p_check.add_argument("--out", default=None, help="write the JSON report here")
     p_check.add_argument("--csv", default=None, help="also write a CSV table here")
+    p_check.set_defaults(handler=_cmd_check)
 
     p_sim = sub.add_parser("simulate", help="simulate and cross-validate variance")
     p_sim.add_argument("config")
@@ -58,13 +60,16 @@ def _build_parser():
     p_sim.add_argument("--f", default="coord:0", help="coord:<i> or vector:<csv>")
     p_sim.add_argument("--batch", type=int, default=None)
     p_sim.add_argument("--traj-out", default=None, help="write the trajectory here")
+    p_sim.set_defaults(handler=_cmd_simulate)
 
     p_demo = sub.add_parser("demo", help="print or run a builtin demo")
     p_demo.add_argument("name")
     p_demo.add_argument("--run", action="store_true")
     p_demo.add_argument("--out", default=None)
+    p_demo.set_defaults(handler=_cmd_demo)
 
-    sub.add_parser("list-demos", help="list builtin demo names")
+    p_list = sub.add_parser("list-demos", help="list builtin demo names")
+    p_list.set_defaults(handler=_cmd_list_demos)
     return parser
 
 
@@ -126,13 +131,13 @@ def _cmd_analyze(args):
 
 def _cmd_check(args, config=None):
     config = config if config is not None else parse_config(args.config)
-    suites = _parse_suites(getattr(args, "suite", None))
+    suites = _parse_suites(args.suite)
     t_values = None
-    if getattr(args, "t", None):
+    if args.t:
         t_values = [_int_from(v, "--t") for v in args.t.split(",") if v.strip()]
-    report = run_suite(config, suites=suites, t_values=t_values, tol=getattr(args, "tol", None))
-    _emit(report.to_json(), getattr(args, "out", None))
-    if getattr(args, "csv", None):
+    report = run_suite(config, suites=suites, t_values=t_values, tol=args.tol)
+    _emit(report.to_json(), args.out)
+    if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(report.to_csv())
     return report.exit_status()
@@ -175,24 +180,18 @@ def _cmd_demo(args):
     return _cmd_check(ns, config=config)
 
 
+def _cmd_list_demos(args):
+    sys.stdout.write("\n".join(list_demos()) + "\n")
+    return 0
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "demo":
-            return _cmd_demo(args)
-        if args.command == "list-demos":
-            sys.stdout.write("\n".join(list_demos()) + "\n")
-            return 0
+        return args.handler(args)
     except (HybridGibbsError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-from .approximators import EXACT_SPEC, Exact, make_approximator, stacked_kernels
+from .approximators import EXACT_SPEC, ApproximatorSpec, Exact, make_approximator, stacked_kernels
 from .errors import CrossCheckFailure, InvalidBlockSize, InvalidSpec, NotTwoBlock, positive_int
 from .slicemodel import SliceModel, _level_pair
 from .space import conditional_joint, marginal, selection_probs, slices
@@ -26,8 +26,9 @@ class ConditionalTable:
     ``idx`` is the (Y, d) state indices of the coordinate's slices in
     ``complement_configs`` order, ``live`` the rows of positive mass,
     ``configs`` their complements and ``targets`` their conditionals, one
-    per row.  A rule's kernels for the L live slices are built on first
-    use, as one (L, d, d) stack, and kept as long as the table.
+    per row.  A rule's kernels for the L live slices are built and verified
+    on first use, as one (L, d, d) stack, and kept as long as the table;
+    every chain and quality entry reads this one stack.
     """
 
     def __init__(self, joint, i):
@@ -38,32 +39,24 @@ class ConditionalTable:
         configs = joint.space.complement_configs((i,))
         self.configs = [y for y, ok in zip(configs, live) if ok]
         self._kernels = {}
-        self._checked = {}
 
     def kernels(self, rule):
-        """``rule``'s kernel for each live slice, as ``kernel_for_target``
-        builds it."""
+        """``rule``'s kernel for each live slice as ``make_approximator``
+        pairs it: built as ``kernel_for_target`` builds it, clamped at 0,
+        and verified stochastic and reversible for its target, all in one
+        batch.  A slice that fails is rebuilt by ``make_approximator``,
+        which raises its named error."""
         if rule not in self._kernels:
             keys = [(self.i, y) for y in self.configs]
-            self._kernels[rule] = stacked_kernels(self.targets, rule, keys)
-        return self._kernels[rule]
-
-    def checked(self, spec):
-        """The kernels of ``spec``'s rule as ``make_approximator`` pairs
-        them: entries clamped at 0, each slice verified stochastic and
-        reversible for its target, all in one batch.  A slice that fails is
-        rebuilt by ``make_approximator``, which raises its named error."""
-        rule = spec.rule_for(self.i)
-        if rule not in self._checked:
-            K, bad = checked_stack(self.kernels(rule), self.targets)
+            K, bad = checked_stack(stacked_kernels(self.targets, rule, keys), self.targets)
             if bad.size:
-                make_approximator(self.joint, spec, self.i, self.configs[bad[0]])
+                y = self.configs[bad[0]]
+                make_approximator(self.joint, ApproximatorSpec(rule), self.i, y)
                 raise CrossCheckFailure(
-                    f"slice {self.configs[bad[0]]} of coordinate {self.i} failed the "
-                    "batched check but not its own"
+                    f"slice {y} of coordinate {self.i} failed the batched check but not its own"
                 )
-            self._checked[rule] = K
-        return self._checked[rule]
+            self._kernels[rule] = K
+        return self._kernels[rule]
 
 
 def _conditionals(w):
@@ -193,7 +186,7 @@ def _inner_kernels(source, spec, table=None):
         raise InvalidSpec("an approximator spec is required for joint models")
     table = table if table is not None else ConditionalTable(source, 0)
     idx = np.arange(source.space.sizes[0])
-    for z, Q in zip(table.live, table.checked(spec)):
+    for z, Q in zip(table.live, table.kernels(spec.rule_for(0))):
         yield z, idx, Q
 
 

@@ -15,6 +15,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -85,12 +86,13 @@ def _guarded(analysis, name, fn):
 def run_suite(config, suites=None, t_values=None, tol=None):
     """Run the configured check suites and assemble a RunReport.
 
-    ``suites`` may be a list of suite names (strict: inapplicable suites are
-    errors), the string "all" (lenient: inapplicable suites are skipped), or
-    None to follow the config's own selection with the same semantics.  A
-    name outside ``config.SUITES``, or a ``tol`` that is not finite and
-    positive, is an error raised before any kernel is built.  ``t_values``
-    (default: the config's) run once each, in increasing order.
+    ``suites`` may be a list of suite names (strict: the first inapplicable
+    suite, in the given order, is an error), the string "all" (lenient:
+    inapplicable suites are skipped), or None to follow the config's own
+    selection with the same semantics.  A name outside ``config.SUITES``, a
+    ``tol`` that is not finite and positive, or an inapplicable strict suite
+    is an error raised before any kernel is built.  ``t_values`` (default:
+    the config's) run once each, in increasing order.
     """
     start = time.perf_counter()
     requested = suites if suites is not None else config.data["suite"]
@@ -109,116 +111,107 @@ def run_suite(config, suites=None, t_values=None, tol=None):
     if not (math.isfinite(tol) and tol > 0.0):
         raise HybridGibbsError(f"tol must be finite and positive, got {tol!r}")
     settings = {"tol": tol, "seed": config.seed, "fingerprint": config.fingerprint}
-    trials = config.trials
-    kernels = {}
-    quality = {}
-    reports = []
-
     if config.is_slice:
-        model = config.build_slice_model()
-        for s in suites:
-            if s != "slice" and not lenient:
-                raise HybridGibbsError(f"suite {s!r} does not apply to slice models")
-        if "slice" in suites and model.level_kernels is None and not lenient:
-            raise MissingLevelKernel("suite 'slice' needs the model's level_kernels")
-        analysis = Analysis(model, **settings)
-        # The checks come first: they decompose the level kernels that have
-        # no closed form, which set the peak memory, before any slice chain
-        # is held.
-        if "slice" in suites and model.level_kernels is not None:
-            for t in t_values:
-                reports.extend(
-                    _guarded(analysis, f"slice-tstep-t{t}", lambda t=t: analysis.slice_tstep(t))
-                )
-        kernels["slice_exact"] = spectral_summary(analysis.S).to_dict()
-        if model.level_kernels is not None:
-            kernels["slice_hybrid"] = spectral_summary(analysis.Sh).to_dict()
-        return _finish(config, kernels, quality, reports, start)
-
-    joint = config.build_joint()
-    p = config.selection()
-    n = joint.space.ncoords
-
-    analysis = Analysis(joint, p, config.approximator_spec(), **settings)
-    kernels["random_scan_exact"] = spectral_summary(analysis.T).to_dict()
-    kernels["random_scan_hybrid"] = spectral_summary(analysis.Th).to_dict()
-    qual = analysis.quality
-    quality = {
-        "max_norm": qual.max_norm,
-        "ratio_min": qual.ratio_min,
-        "ratio_max": qual.ratio_max,
-        "all_psd": qual.all_psd,
-        "n_conditionals": len(qual.per_conditional),
-    }
-
+        analysis = Analysis(config.build_slice_model(), **settings)
+    else:
+        joint = config.build_joint()
+        analysis = Analysis(joint, config.selection(), config.approximator_spec(), **settings)
+    selected = []
     for s in suites:
-        if s == "random-scan":
-            reports.extend(analysis.dirichlet_sandwich(trials=trials))
-            reports.extend(analysis.gap_sandwich())
-            reports.extend(
-                _guarded(
-                    analysis, "variance-sandwich", lambda: analysis.variance_sandwich(trials=8)
+        error = _inapplicable(s, analysis)
+        if error is None:
+            selected.append(s)
+        elif not lenient:
+            raise error
+    reports = []
+    for s in selected:
+        for name, check in _checks(s, analysis, config, t_values):
+            reports.extend(_guarded(analysis, name, check))
+    # The summaries come after the checks: a slice model's checks decompose
+    # the level kernels that have no closed form, which set the peak memory,
+    # before any slice chain is held.
+    return _finish(config, _summaries(analysis, selected), _quality(analysis), reports, start)
+
+
+def _inapplicable(suite, analysis):
+    """The error that a strict selection of ``suite`` raises on the model of
+    ``analysis``, or None where the suite applies."""
+    if analysis.is_slice:
+        if suite != "slice":
+            return HybridGibbsError(f"suite {suite!r} does not apply to slice models")
+        if analysis.source.level_kernels is None:
+            return MissingLevelKernel("suite 'slice' needs the model's level_kernels")
+        return None
+    n = analysis.source.space.ncoords
+    if suite == "slice":
+        return HybridGibbsError("suite 'slice' requires a slice model")
+    if suite == "da" and n != 2:
+        return HybridGibbsError("suite 'da' requires exactly two coordinates")
+    if suite == "block" and n < 3:
+        return HybridGibbsError("suite 'block' requires at least three coordinates")
+    if suite == "supplement" and not analysis.uniform_selection:
+        return HybridGibbsError("suite 'supplement' requires uniform selection probabilities")
+    return None
+
+
+def _checks(suite, analysis, config, t_values):
+    """Each check call of ``suite`` as (name, call): ``name`` is the
+    hypothesis_unmet report that stands for the call when its hypotheses
+    fail."""
+    a, trials = analysis, config.trials
+    if suite == "random-scan":
+        yield "dirichlet-sandwich", partial(a.dirichlet_sandwich, trials=trials)
+        yield "gap-sandwich", a.gap_sandwich
+        yield "variance-sandwich", partial(a.variance_sandwich, trials=8)
+    elif suite == "da":
+        yield "da-gap-sandwich", a.da_gap_sandwich
+        for t in t_values:
+            yield f"da-tstep-t{t}", partial(a.da_tstep, t, trials=trials)
+            yield f"da-variance-tstep-t{t}", partial(a.da_variance_tstep, t)
+    elif suite == "block":
+        for ell in range(2, a.source.space.ncoords):
+            for m in range(1, ell):
+                yield f"block-comparison-l{ell}m{m}", partial(
+                    a.block_comparison, ell, m, trials=trials
                 )
-            )
-        elif s == "da":
-            if n != 2:
-                if lenient:
-                    continue
-                raise HybridGibbsError("suite 'da' requires exactly two coordinates")
-            kernels["da_exact"] = spectral_summary(analysis.S).to_dict()
-            kernels["da_hybrid"] = spectral_summary(analysis.Sh).to_dict()
-            reports.extend(analysis.da_gap_sandwich())
-            for t in t_values:
-                reports.extend(
-                    _guarded(
-                        analysis, f"da-tstep-t{t}", lambda t=t: analysis.da_tstep(t, trials=trials)
-                    )
-                )
-                reports.extend(
-                    _guarded(
-                        analysis,
-                        f"da-variance-tstep-t{t}",
-                        lambda t=t: analysis.da_variance_tstep(t),
-                    )
-                )
-        elif s == "block":
-            if n < 3:
-                if lenient:
-                    continue
-                raise HybridGibbsError("suite 'block' requires at least three coordinates")
-            for ell in range(2, n):
-                kernels[f"block_scan_l{ell}"] = spectral_summary(analysis.block(ell)).to_dict()
-                for m in range(1, ell):
-                    reports.extend(analysis.block_comparison(ell, m, trials=trials))
-        elif s == "selection":
-            p_alt = config.selection_alt()
-            if p_alt is None:
-                p_alt = [i + 1.0 for i in range(n)]
-            reports.extend(
-                _guarded(
-                    analysis,
-                    "selection-reweighting",
-                    lambda: analysis.selection_reweighting(p_alt),
-                )
-            )
-        elif s == "supplement":
-            if not analysis.uniform_selection:
-                if lenient:
-                    continue
-                raise HybridGibbsError(
-                    "suite 'supplement' requires uniform selection probabilities"
-                )
-            for t in t_values:
-                reports.extend(
-                    _guarded(
-                        analysis, f"uniform-power-t{t}", lambda t=t: analysis.uniform_tstep_bound(t)
-                    )
-                )
-        elif s == "slice":
-            if lenient:
-                continue
-            raise HybridGibbsError("suite 'slice' requires a slice model")
-    return _finish(config, kernels, quality, reports, start)
+    elif suite == "selection":
+        p_alt = config.selection_alt() or [i + 1.0 for i in range(a.source.space.ncoords)]
+        yield "selection-reweighting", partial(a.selection_reweighting, p_alt)
+    elif suite == "supplement":
+        for t in t_values:
+            yield f"uniform-power-t{t}", partial(a.uniform_tstep_bound, t)
+    elif suite == "slice":
+        for t in t_values:
+            yield f"slice-tstep-t{t}", partial(a.slice_tstep, t)
+
+
+def _summaries(analysis, selected):
+    """Spectral summaries of the chains the run reports, keyed as in
+    ``RunReport.kernels``: the exact and hybrid chain of the model, and those
+    of the selected DA and block suites."""
+    a = analysis
+    if a.is_slice:
+        pairs = {"slice_exact": a.S}
+        if a.source.level_kernels is not None:
+            pairs["slice_hybrid"] = a.Sh
+    else:
+        pairs = {"random_scan_exact": a.T, "random_scan_hybrid": a.Th}
+        if "da" in selected:
+            pairs.update(da_exact=a.S, da_hybrid=a.Sh)
+        if "block" in selected:
+            for ell in range(2, a.source.space.ncoords):
+                pairs[f"block_scan_l{ell}"] = a.block(ell)
+    return {key: spectral_summary(pair).to_dict() for key, pair in pairs.items()}
+
+
+def _quality(analysis):
+    """The aggregate approximation quality of a joint's random-scan chain;
+    empty for a slice model."""
+    if analysis.is_slice:
+        return {}
+    qual = analysis.quality
+    worst = {key: getattr(qual, key) for key in ("max_norm", "ratio_min", "ratio_max", "all_psd")}
+    return dict(worst, n_conditionals=len(qual.per_conditional))
 
 
 def _finish(config, kernels, quality, reports, start):

@@ -25,6 +25,7 @@ from hybridgibbs import (
     hybrid_random_scan,
     joint_from_weights,
     list_demos,
+    product_joint,
     run_suite,
     slice_exact,
     slice_hybrid,
@@ -421,6 +422,32 @@ def test_selection_gaps_outside_the_formula(joint, p_alt, eig_counts):
         formula = _two_coordinate_scan_gap(sel_alt.p, (0.0, 0.0), da_gap)
         chain = eigvals_summary(exact_random_scan(joint, sel_alt)).gap
         assert abs(formula - chain) > 0.2
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [[0.2, 0.3, 0.5], [0.1, 0.9]],
+        [[0.2, 0.3, 0.5], [0.1, 0.6, 0.3]],
+        [[0.1, 0.2, 0.3, 0.4], [0.05, 0.15, 0.2, 0.25, 0.35]],
+    ],
+    ids=["3x2", "3x3", "4x5"],
+)
+@pytest.mark.parametrize("spec_name", ["exact"] + sorted(CLOSED_FORM_SPECS))
+def test_ill_conditioned_selection_gaps_come_from_the_spectrum(factors, spec_name):
+    # Independent coordinates have DA gap 1 up to rounding; under uniform
+    # selection the exact chain's disc is then about 1e-16, where the closed
+    # form turns that rounding into an error of 5e-9.  Those gaps are read
+    # from the chains built under p_alt; a well-conditioned hybrid chain
+    # (Lazy(0.2) with an Exact override) keeps the closed form.
+    joint = product_joint(factors)
+    spec = CLOSED_FORM_SPECS.get(spec_name, ApproximatorSpec())
+    p, p_alt = [1.0, 1.0], [1.0, 2.0]
+    want = eigvalsh_selection_reports(joint, p, p_alt, spec)
+    got = selection_reports(joint, p, p_alt, spec)
+    assert sorted(got) == sorted(want)
+    for name, values in want.items():
+        assert got[name] == pytest.approx(values, rel=1e-12, abs=0)
 
 
 def test_wrong_da_gap_is_caught(monkeypatch):

@@ -745,8 +745,10 @@ class TestStackedTables:
             make_approximator(joint, spec, 0, (2,))
         for build in (
             lambda: Analysis(joint, spec=spec).quality,
+            lambda: Analysis(joint, spec=spec).Th,
             lambda: Analysis(joint, spec=spec).Sh,
             lambda: approx_quality(joint, spec),
+            lambda: hybrid_random_scan(joint, None, spec),
             lambda: da_hybrid(joint, spec),
         ):
             with pytest.raises(NotReversible) as got:
