@@ -125,6 +125,10 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
+# One validator, built once: ``jsonschema.validate`` would check the schema
+# against its metaschema and build a new validator on every call.
+_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
 _DEFAULTS = {
     "selection_probs": None,
     "selection_probs_alt": None,
@@ -253,9 +257,8 @@ def parse_config_text(raw):
 
 def canonicalize(data):
     """Validate against the schema, apply defaults, run semantic checks."""
-    try:
-        jsonschema.validate(data, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(data))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise SchemaError(f"at {path}: {exc.message}") from exc
     out = dict(_DEFAULTS)

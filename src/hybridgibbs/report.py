@@ -70,7 +70,7 @@ def make_report(name, lhs, rhs, tol, witness=None, fingerprint="", hypothesis_ok
 
 
 def fingerprint_bytes(*chunks):
-    """Stable short hex fingerprint of a sequence of byte strings."""
+    """Stable short hex fingerprint of a sequence of bytes-like objects."""
     h = hashlib.sha256()
     for chunk in chunks:
         h.update(chunk)

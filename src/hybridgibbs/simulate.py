@@ -31,9 +31,10 @@ from .spectral import (
 
 
 def kernel_fingerprint(rev):
+    # hashlib reads a C-contiguous array's buffer in place: no bytes copy.
     return fingerprint_bytes(
-        np.ascontiguousarray(rev.kernel.matrix).tobytes(),
-        np.ascontiguousarray(rev.stationary.weights).tobytes(),
+        np.ascontiguousarray(rev.kernel.matrix),
+        np.ascontiguousarray(rev.stationary.weights),
     )
 
 

@@ -5,7 +5,7 @@ with a verified stationary distribution.  The spectral quantities (operator
 norm on mean-zero functions, absolute gap, Dirichlet forms, asymptotic
 variance) come from the symmetrized matrix A = D^{1/2} K D^{-1/2} with
 D = diag of the stationary weights: from its dense eigendecomposition, or
-for a single asymptotic variance from one linear solve with it; A is symmetric
+for a single asymptotic variance from one Cholesky factor; A is symmetric
 exactly when detailed balance holds, and is symmetrized defensively to absorb
 floating-point residue.  States carrying stationary mass below NULL_MASS are
 dropped before analysis: the mean-zero L2 theory is blind to null sets.
@@ -290,7 +290,8 @@ def _restrict(rev):
     for keep in (np.flatnonzero(w >= NULL_MASS), np.flatnonzero(w > 0.0)):
         if keep.size == 0:
             raise SingularStationary("no state carries positive stationary mass")
-        Ks = K[np.ix_(keep, keep)]
+        # A copy is the same matrix as the gather and much cheaper.
+        Ks = K.copy() if keep.size == w.size else K[np.ix_(keep, keep)]
         rows = Ks.sum(axis=1)
         if np.abs(rows - 1.0).max() <= 1e-9:
             dropped = tuple(sorted(set(range(w.size)) - set(keep.tolist())))
@@ -532,38 +533,65 @@ def variances(rev, F):
     return ratios @ (coef * coef)
 
 
+def _cholesky_solve(L, b):
+    """Solve L L^T x = b for a lower-triangular L by blocked forward and
+    back substitution: a small dense solve on each diagonal block and
+    matrix-vector products elsewhere, O(n^2) in all."""
+    block = 128
+    x = np.array(b, dtype=np.float64)
+    starts = range(0, x.size, block)
+    for s in starts:
+        e = s + block
+        x[s:e] = np.linalg.solve(L[s:e, s:e], x[s:e])
+        x[e:] -= L[e:, s:e] @ x[s:e]
+    for s in reversed(starts):
+        e = s + block
+        x[s:e] = np.linalg.solve(L[s:e, s:e].T, x[s:e])
+        x[:s] -= L[s:e, :s].T @ x[s:e]
+    return x
+
+
 def asymptotic_variance(rev, f):
     """Asymptotic variance of time-averages of f along the chain, from one
-    linear solve and no eigendecomposition: the one-column traffic of
+    Cholesky factor and no eigendecomposition: the one-column traffic of
     simulation cross-validation, on pairs that hold no decomposition.
 
     With A the symmetrized kernel on the support, d = sqrt(ws) its
     stationary direction and g = d * f0, the variance is 2 g^T x - g^T g
-    where (I - A + d d^T) x = g.  As in ``variances``, an operator norm of
-    at least 1 - 1e-12 on mean-zero functions raises NoSpectralGap: the
-    check is that (1 - 1e-12) I - A + d d^T and (1 - 1e-12) I + A both have
-    a Cholesky factor.
+    where B x = g for B = I - A + d d^T.  As in ``variances``, an operator
+    norm of at least 1 - 1e-12 on mean-zero functions raises NoSpectralGap.
+    The upper edge is certified by the Cholesky factor L of B - 1e-12 I,
+    which also solves for x: substitution with L, then one step of
+    iterative refinement against B itself.  The lower edge needs
+    lambda_min(A) > -1 + 1e-12.  Gershgorin's discs for the similar matrix
+    D^{-1/2} A D^{1/2} (A is nonnegative) bound it below by
+    min_i 2 A_ii - (A d)_i / d_i, one matrix-vector product; only where that
+    bound falls short by 1e-9, as for a chain with a zero diagonal entry,
+    must (1 - 1e-12) I + A have a Cholesky factor too.
     """
     keep, _dropped, ws, d, A, _asym = _symmetrized(rev)
     v = as_values(f, rev.n)[keep]
     g = d * (v - float(ws @ v))
     margin = 1e-12
     diag = np.diag_indices_from(A)
+    low = float(np.min(2.0 * A[diag] - (A @ d) / d))
     B = np.outer(d, d)
     B -= A
+    B[diag] += 1.0 - margin
     try:
-        B[diag] += 1.0 - margin
-        np.linalg.cholesky(B)
-        A[diag] += 1.0 - margin
-        np.linalg.cholesky(A)
+        if not (np.isfinite(low) and low > -1.0 + margin + 1e-9):
+            A[diag] += 1.0 - margin
+            np.linalg.cholesky(A)
+        del A  # one n x n buffer fewer while B is factored
+        L = np.linalg.cholesky(B)
     except np.linalg.LinAlgError:
         raise NoSpectralGap(
             "operator norm on mean-zero functions is at least 1 - 1e-12: "
             "no spectral gap"
         ) from None
-    del A  # one n x n buffer fewer while the solve factors its copy of B
     B[diag] += margin
-    x = np.linalg.solve(B, g)
+    x = _cholesky_solve(L, g)
+    x += _cholesky_solve(L, g - B @ x)
     return 2.0 * float(g @ x) - float(g @ g)
 
 

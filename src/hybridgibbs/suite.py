@@ -27,6 +27,7 @@ from .errors import (
     MissingLevelKernel,
     NoSpectralGap,
     PreconditionUnmet,
+    ZeroSelectionProb,
     positive_int,
 )
 from .spectral import spectral_summary
@@ -79,7 +80,7 @@ def _guarded(analysis, name, fn):
     hypothesis_unmet reports under the analysis's tolerance and fingerprint."""
     try:
         return fn()
-    except (NoSpectralGap, DegenerateConstants, PreconditionUnmet) as exc:
+    except (NoSpectralGap, DegenerateConstants, PreconditionUnmet, ZeroSelectionProb) as exc:
         return [analysis.report(name, 0.0, 0.0, {"hypothesis": str(exc)}, hypothesis_ok=False)]
 
 

@@ -2,6 +2,7 @@
 
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -14,7 +15,7 @@ from hybridgibbs import (
 )
 from hybridgibbs.bounds import model_fingerprint
 from hybridgibbs.cli import main
-from hybridgibbs.config import canonicalize, parse_config_text, serialize
+from hybridgibbs.config import CONFIG_SCHEMA, canonicalize, parse_config_text, serialize
 from hybridgibbs.demos import demo_config, list_demos
 from hybridgibbs.errors import MissingLevelKernel, ParseError, SchemaError
 from hybridgibbs.suite import run_suite
@@ -93,6 +94,24 @@ class TestConfig:
     def test_schema_error_rejects_unknown_key(self):
         with pytest.raises(SchemaError):
             canonicalize({"model": {"kind": "explicit"}, "bogus": 1})
+
+    def test_schema_is_checked_and_errors_read_as_jsonschema_validate(self):
+        jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+        bad = [
+            {"model": {"kind": "explicit"}, "bogus": 1},
+            {"model": {"kind": "random", "sizes": [2, "x"], "seed": 1}},
+            {**MINIMAL, "tol": -1},
+            {**MINIMAL, "approximator": {"default": {"rule": "lazy", "epsilon": 2}}},
+            {**MINIMAL, "suite": "some"},
+            [],
+        ]
+        for data in bad:
+            with pytest.raises(jsonschema.ValidationError) as want:
+                jsonschema.validate(data, CONFIG_SCHEMA)
+            path = "/".join(str(p) for p in want.value.absolute_path) or "<root>"
+            with pytest.raises(SchemaError) as got:
+                canonicalize(data)
+            assert str(got.value) == f"at {path}: {want.value.message}"
 
     def test_roundtrip_fixed_point(self):
         cfg = canonicalize(MINIMAL)

@@ -23,6 +23,7 @@ from hybridgibbs.errors import (
     NotAbsolutelyContinuous,
     TooFewBatches,
 )
+from hybridgibbs.simulate import kernel_fingerprint
 
 TWO_STATE = check_reversibility([[0.7, 0.3], [0.3, 0.7]], [0.5, 0.5])
 SWAP = check_reversibility([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
@@ -33,6 +34,11 @@ SKEWED = check_reversibility(
 
 
 class TestSimulate:
+    def test_fingerprint_hashes_rows_of_a_fortran_ordered_kernel(self):
+        rev = check_reversibility(np.asfortranarray(SKEWED.kernel.matrix), SKEWED.stationary)
+        assert not rev.kernel.matrix.flags.c_contiguous
+        assert kernel_fingerprint(rev) == kernel_fingerprint(SKEWED) == "720a413e3e16c6d3"
+
     def test_identity_kernel_constant(self):
         traj = simulate(IDENTITY, 1, 50, seed=3)
         assert set(traj.states.tolist()) == {1}
@@ -195,8 +201,8 @@ class TestCrossValidate:
         f = np.arange(rev.n) % 40.0
         cross_validate_variance(rev, f, 10_000, seed=1)
         assert not eig_counts["eigh"] and not eig_counts["eigvalsh"]
-        assert eig_counts["cholesky"] == {1600: 2}
-        assert eig_counts["solve"] == {1600: 1}
+        assert eig_counts["cholesky"] == {1600: 1}
+        assert 1600 not in eig_counts["solve"]
 
     def test_random_pairs_mostly_pass(self):
         from hybridgibbs import exact_random_scan

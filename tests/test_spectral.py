@@ -235,6 +235,7 @@ class TestAsymptoticVariance:
         assert asymptotic_variance(rev, [1.0, -1.0]) == pytest.approx(7 / 3, rel=1e-12)
 
     def test_identity_has_no_gap(self):
+        # The Gershgorin bound certifies the lower edge; the upper edge fails.
         with pytest.raises(NoSpectralGap):
             asymptotic_variance(pair(np.eye(2), UNIFORM2), [1.0, -1.0])
 
@@ -266,14 +267,41 @@ class TestAsymptoticVariance:
         K[:3, :3] = random_reversible_kernel(3, w)
         K[3] = [0.2, 0.3, 0.1, 0.4]
         chains.append(pair(K, np.append(w.weights, 0.0)))
+        # An aperiodic 3-cycle: its zero diagonal leaves the Gershgorin
+        # bound at -1, so the lower edge takes a second Cholesky factor.
+        cycle = [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]
+        chains.append(pair(cycle, [1 / 3] * 3))
         for k, rev in enumerate(chains):
             f = rng_from(k).standard_normal(rev.n)
             solved = asymptotic_variance(rev, f)
             assert not eig_counts["eigh"] and not eig_counts["eigvalsh"]
+            cholesky = dict(eig_counts["cholesky"])
             expected = float(variances(memoize(rev), f[:, None])[0])
             assert solved == pytest.approx(expected, rel=1e-12)
             for counter in eig_counts.values():
                 counter.clear()
+        assert cholesky == {3: 2}
+
+    def test_large_chain_matches_fundamental_matrix(self, eig_counts):
+        # A random walk on a dense weighted graph with 2,000 states, more
+        # than one substitution block and not a multiple of one.  Its
+        # positive diagonal certifies the lower edge with no second factor.
+        rng = rng_from(31)
+        n = 2000
+        C = rng.random((n, n))
+        C += C.T
+        w = C.sum(axis=1)
+        K = C / w[:, None]
+        rev = pair(K, w)
+        f = rng.standard_normal(n)
+        solved = asymptotic_variance(rev, f)
+        assert eig_counts["cholesky"] == {n: 1}
+        assert n not in eig_counts["solve"]
+        pi = rev.stationary.weights
+        f0 = f - pi @ f
+        x = np.linalg.solve(np.eye(n) - rev.kernel.matrix + np.outer(np.ones(n), pi), f0)
+        expected = 2.0 * float(pi @ (f0 * x)) - float(pi @ (f0 * f0))
+        assert solved == pytest.approx(expected, rel=1e-12)
 
     def test_psd_variance_at_least_plain_variance(self):
         for seed in range(20):

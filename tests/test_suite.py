@@ -157,3 +157,23 @@ def test_every_check_call_is_guarded(data, names, monkeypatch):
     reports = run_suite(canonicalize(data), suites="all").reports
     assert {r.status for r in reports} == {"hypothesis_unmet"}
     assert sorted(r.name for r in reports) == sorted(names)
+
+
+ZERO_SELECTION = {
+    "alternative": {
+        "model": {"kind": "random", "sizes": [2, 2], "seed": 1},
+        "selection_probs_alt": [0, 1],
+    },
+    "own": {"model": {"kind": "random", "sizes": [2, 3], "seed": 1}, "selection_probs": [0, 1]},
+}
+
+
+@pytest.mark.parametrize("data", ZERO_SELECTION.values(), ids=list(ZERO_SELECTION))
+def test_zero_selection_probability_is_an_unmet_hypothesis(data, tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 0
+    reports = {r["name"]: r for r in json.loads(capsys.readouterr().out)["reports"]}
+    selection = reports["selection-reweighting"]
+    assert selection["status"] == "hypothesis_unmet"
+    assert "strictly positive" in selection["witness"]["hypothesis"]
