@@ -63,9 +63,6 @@ from .spectral import (
 
 DEFAULT_TOL = 1e-9
 DEFAULT_TRIALS = 64
-# Least disc at which ``_two_coordinate_scan_gap`` is read: a rounding of 1e-16
-# in the DA gap moves its result by at most 2.5e-14 there.
-WELL_CONDITIONED_DISC = 1e-6
 
 
 def model_fingerprint(source, spec=None):
@@ -178,13 +175,17 @@ def _lazy_entry(eps):
     return {"norm": eps, "ratio_min": 1.0 - eps, "ratio_max": 1.0 - eps, "psd": True}
 
 
+def _epsilon(rule):
+    """The eps of a Lazy(eps) or Exact (eps = 0) rule; None for another
+    rule, an explicit matrix or no kernel."""
+    if isinstance(rule, Exact):
+        return 0.0
+    return float(rule.epsilon) if isinstance(rule, Lazy) else None
+
+
 def _level_epsilons(model):
-    """Per level of a slice model, the eps of its Lazy(eps) or Exact (eps =
-    0) kernel; None for another rule, an explicit matrix or no kernel."""
-    return [
-        0.0 if isinstance(r, Exact) else float(r.epsilon) if isinstance(r, Lazy) else None
-        for r in model.level_kernels or (None,) * model.nlevels
-    ]
+    """Per level of a slice model, the eps of its kernel, as ``_epsilon``."""
+    return [_epsilon(r) for r in model.level_kernels or (None,) * model.nlevels]
 
 
 def _aggregate(table):
@@ -367,32 +368,30 @@ def _variance_pair(exact, hybrid, F):
     return norms2, variances(exact, F), variances(hybrid, F)
 
 
-def _two_coordinate_scan_gap(p, eps, da_gap):
-    """Spectral gap of a two-coordinate random-scan chain, from the gap of
-    the exact DA chain.
+def _scan_gap(joint, p, eps, table):
+    """Spectral gap of the random-scan chain that updates coordinate i with
+    probability p_i by eps_i I + (1 - eps_i) P_i, where P_i redraws it from
+    its conditional (eps_i = 0 for an exact update), with the conditionals
+    of ``table(i)``, a ConditionalTable whose slices are all live.
 
-    The chain updates coordinate i with probability p_i by
-    eps_i I + (1 - eps_i) P_i, where P_i is the projection that redraws it
-    from its conditional (eps_i = 0 for an exact update).  It is
-    c I + a_0 P_0 + a_1 P_1 with c = sum p_i eps_i and a_i = p_i (1 - eps_i).
-    By the two-subspace theorem (Halmos, Trans. AMS 144, 1969) each DA
-    eigenvalue 1 - g on mean-zero functions gives the pair
-    c + (s +- sqrt(disc)) / 2 with s = a_0 + a_1 and disc = s^2 - 4 a_0 a_1 g;
-    the other eigenvalues, c + a_i and c, lie below the largest pair.  The
-    gap is therefore 2 a_0 a_1 g / (s + sqrt(disc)) at the DA gap g.
-    This holds when both coordinates take at least two values and no
-    state is null; elsewhere the theorem's subspaces change.
-    The gap moves by a_0 a_1 / sqrt(disc) per unit of g, so rounding in g
-    grows without bound as disc nears 0 (independent coordinates, g = 1,
-    under equal a_i); below WELL_CONDITIONED_DISC the result is None.
+    Symmetrized, P_i is U_i U_i^T, where column y of U_i is the root of
+    slice y's conditional, placed on that slice, so the chain is
+    c I + B B^T with c = sum p_i eps_i and B = [sqrt(a_i) U_i],
+    a_i = p_i (1 - eps_i).  It is psd, so its gap is 1 - c - mu_2, with
+    mu_2 the second eigenvalue of the Gram matrix B^T B, whose order is
+    sum_i n / d_i; its top eigenvalue, 1 - c, is the stationary one.  When
+    that order is below n, B B^T is singular, so mu_2 is at least 0.
     """
-    a0, a1 = np.asarray(p, dtype=float) * (1.0 - np.asarray(eps, dtype=float))
-    s = a0 + a1
-    num = 2.0 * a0 * a1 * da_gap
-    disc = s * s - 2.0 * num
-    if disc < WELL_CONDITIONED_DISC:
-        return None
-    return float(num / (s + np.sqrt(disc)))
+    a = p * (1.0 - eps)
+    cols = []
+    for i, ai in enumerate(a):
+        tab = table(i)
+        U = np.zeros((joint.n, tab.live.size))
+        U[tab.idx, np.arange(tab.live.size)[:, None]] = np.sqrt(ai * tab.targets)
+        cols.append(U)
+    B = np.hstack(cols)
+    mu = np.linalg.eigvalsh(B.T @ B)
+    return float(1.0 - p @ eps - mu[:-1].max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -844,50 +843,33 @@ class Analysis:
 
     # -- selection-probability and uniform-selection power bounds -------------
 
-    def _closed_form_scan_gaps(self, sel):
-        """Gaps of the exact and hybrid random-scan chains under ``sel`` from
-        ``_two_coordinate_scan_gap``, each None where the formula does not
-        cover the chain.
+    def _gap_under(self, sel, spec, pair):
+        """The gap of the random-scan chain of ``spec``'s rules under the
+        selection probabilities ``sel``.
 
-        It covers a joint of two coordinates, each taking at least two
-        values, whose weights all reach NULL_MASS; the hybrid chain also
-        needs every rule to be Exact or Lazy(eps) with eps < 1.  A chain
-        takes it only where it is well conditioned under both ``sel`` and
-        this analysis's own selection probabilities; it is checked at the
-        latter against the decomposed pairs T and Th.
+        ``_scan_gap`` gives it when every weight reaches NULL_MASS, the Gram
+        order sum_i n / d_i is below n and every rule is Exact or Lazy; it
+        is then checked at this analysis's own selection probabilities
+        against the decomposed ``pair``.  Otherwise it is read from the
+        spectrum of the chain built under ``sel``.
         """
         joint = self.source
+        eps = [_epsilon(spec.rule_for(i)) for i in range(joint.space.ncoords)]
         if (
-            joint.space.ncoords != 2
-            or min(joint.space.sizes) < 2
+            None in eps
             or np.any(joint.weights < NULL_MASS)
+            or sum(joint.n // d for d in joint.space.sizes) >= joint.n
         ):
-            return None, None
-        chains = [("exact", (0.0, 0.0), self.T)]
-        eps = []
-        for i in range(2):
-            rule = self.scan_spec.rule_for(i)
-            if isinstance(rule, Exact):
-                eps.append(0.0)
-            elif isinstance(rule, Lazy) and rule.epsilon < 1.0:
-                eps.append(float(rule.epsilon))
-        if len(eps) == 2:
-            chains.append(("hybrid", tuple(eps), self.Th))
-        da_gap = spectral_summary(self.S).gap
-        gaps = [None, None]
-        for k, (name, chain_eps, pair) in enumerate(chains):
-            own = _two_coordinate_scan_gap(self.sel.p, chain_eps, da_gap)
-            alt = _two_coordinate_scan_gap(sel.p, chain_eps, da_gap)
-            if own is None or alt is None:
-                continue
-            decomposed = spectral_summary(pair).gap
-            if abs(own - decomposed) > 1e-10:
-                raise CrossCheckFailure(
-                    f"the {name} random-scan gap {decomposed:.12e} differs from "
-                    f"its closed form {own:.12e} in the DA gap"
-                )
-            gaps[k] = alt
-        return tuple(gaps)
+            return eigvals_summary(_scan_chain(joint, sel, spec, self._table)).gap
+        eps = np.array(eps)
+        own = _scan_gap(joint, self.sel.p, eps, self._table)
+        decomposed = spectral_summary(pair).gap
+        if abs(own - decomposed) > 1e-10:
+            raise CrossCheckFailure(
+                f"the random-scan gap {decomposed:.12e} differs from its Gram "
+                f"matrix's {own:.12e}"
+            )
+        return _scan_gap(joint, sel.p, eps, self._table)
 
     @_joint_only
     def selection_reweighting(self, p_alt):
@@ -898,9 +880,7 @@ class Analysis:
         satisfy gap_hybrid(p) >= b (1-C)/(1+C) gap_hybrid(p'), tightened to
         b (1-C) when every approximating kernel is psd; and the min-ratio
         reweighting inequality holds for the exact and hybrid pairs alike.
-        Only the gaps under ``p_alt`` are read: from the DA gap where
-        ``_closed_form_scan_gaps`` covers the chain, otherwise from the
-        spectrum of the chain built under ``p_alt``.
+        The gaps under ``p_alt`` are read by ``_gap_under``.
         """
         joint = self.source
         sel = self.sel
@@ -911,13 +891,8 @@ class Analysis:
         C = qual.max_norm
         gap_t = spectral_summary(self.T).gap
         gap_h = spectral_summary(self.Th).gap
-        gap_t_alt, gap_h_alt = self._closed_form_scan_gaps(sel_alt)
-        if gap_t_alt is None:
-            gap_t_alt = eigvals_summary(_scan_chain(joint, sel_alt, EXACT_SPEC, self._table)).gap
-        if gap_h_alt is None:
-            gap_h_alt = eigvals_summary(
-                _scan_chain(joint, sel_alt, self.scan_spec, self._table)
-            ).gap
+        gap_t_alt = self._gap_under(sel_alt, EXACT_SPEC, self.T)
+        gap_h_alt = self._gap_under(sel_alt, self.scan_spec, self.Th)
         r = float(np.min(sel.p / sel_alt.p))
         reports = [
             self.report("selection-minratio-exact", r * gap_t_alt, gap_t, {"min_ratio": r}),
@@ -957,7 +932,10 @@ class Analysis:
         norm_t = spectral_summary(self.T).operator_norm
         gap_h = spectral_summary(self.Th).gap
         raw = 1.0 - norm_t - C**t
-        power_bound = raw / n ** (t - 1)
+        # n^(t-1) overflows a float beyond t = 1024 on two coordinates; the
+        # bound is then 0.
+        with np.errstate(over="ignore"):
+            power_bound = raw / np.float64(n) ** (t - 1)
         sandwich_bound = (1.0 - C) * (1.0 - norm_t)
         return [
             self.report("uniform-power-lower", power_bound, gap_h, {"t": t, "max_norm": C}),

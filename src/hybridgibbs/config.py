@@ -10,6 +10,7 @@ report.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import jsonschema
@@ -89,7 +90,7 @@ CONFIG_SCHEMA = {
                     "minItems": 1,
                 },
                 "level_kernels": {"type": "array", "items": _RULE_SCHEMA},
-                "seed": {"type": "integer"},
+                "seed": {"type": "integer", "minimum": 0},
             },
             "required": ["kind"],
             "additionalProperties": False,
@@ -118,7 +119,7 @@ CONFIG_SCHEMA = {
         },
         "t": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
         "tol": {"type": "number", "exclusiveMinimum": 0},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "trials": {"type": "integer", "minimum": 1},
     },
     "required": ["model"],
@@ -278,7 +279,7 @@ def _semantic_checks(out):
     if kind == "explicit":
         _require(m, "sizes", "explicit models")
         _require(m, "weights", "explicit models")
-        expected = int(np.prod(m["sizes"]))
+        expected = math.prod(m["sizes"])
         if len(m["weights"]) != expected:
             raise SchemaError(
                 f"expected {expected} weights for sizes {m['sizes']}, "

@@ -152,11 +152,12 @@ def joint_from_weights(sizes, weights):
 def product_joint(factors):
     """Joint of independent coordinates from per-coordinate weight vectors."""
     factors = [ProbVec(np.asarray(f, dtype=float)) for f in factors]
-    sizes = tuple(f.n for f in factors)
+    # The space checks the state cap before the outer product is built.
+    space = ProductSpace(tuple(f.n for f in factors))
     w = np.ones(1)
     for f in factors:
         w = np.multiply.outer(f.weights, w).ravel()
-    return joint_from_weights(sizes, w)
+    return JointDistribution(space, ProbVec(w))
 
 
 def conditional(joint, i, y):

@@ -31,7 +31,7 @@ from hybridgibbs import (
     slice_hybrid,
 )
 from hybridgibbs import approximators, bounds, gibbs, spectral
-from hybridgibbs.bounds import _two_coordinate_scan_gap, function_battery, model_fingerprint
+from hybridgibbs.bounds import _scan_gap, function_battery, model_fingerprint
 from hybridgibbs.errors import CrossCheckFailure, DimensionMismatch, PreconditionUnmet
 from hybridgibbs.randomgen import random_joint
 from hybridgibbs.space import selection_probs
@@ -74,8 +74,8 @@ MIXED_SLICE = {
 
 def test_run_suite_decomposes_each_kernel_once(eig_counts):
     run_suite(canonicalize(R2X40))
-    # T and T_hybrid by eigh; the gaps under selection_probs_alt come from
-    # the DA gap in closed form, with no chain built.
+    # T and T_hybrid by eigh; the gaps under selection_probs_alt are
+    # eigenvalues of Gram matrices of order 80, with no chain built.
     assert eig_counts["eigh"][1600] == 2
     assert eig_counts["eigvalsh"][1600] == 0
     # 80 conditionals plus the two DA chains.
@@ -88,6 +88,9 @@ def test_run_suite_decomposes_each_kernel_once(eig_counts):
     # T (which is also the one-coordinate block chain), T_hybrid and the
     # two-coordinate block chain: T's eigenvectors serve both families.
     assert eig_counts["eigh"][512] == 3
+    # Under selection_probs_alt only the MetropolisRW hybrid chain is built;
+    # the exact chain's gap is an eigenvalue of a Gram matrix of order 192.
+    assert eig_counts["eigvalsh"][512] == 1
 
 
 def count_calls(monkeypatch, *functions):
@@ -338,15 +341,22 @@ def test_hybrid_chain_built_when_not_affine(model, dropped, eig_counts):
 
 
 # ---------------------------------------------------------------------------
-# Selection gaps of two-coordinate chains from the DA gap
+# Selection gaps of random-scan chains from their Gram matrices
 # ---------------------------------------------------------------------------
 
 P, P_ALT = [0.3, 0.7], [0.8, 0.25]
+# Selection probabilities and their alternative, by number of coordinates.
+SELECTION_PROBS = {1: ([1.0], [1.0]), 2: (P, P_ALT), 3: ([0.3, 0.45, 0.25], [0.8, 0.25, 0.6])}
 CLOSED_FORM_SPECS = {
     "lazy": ApproximatorSpec(default=Lazy(0.35)),
     "lazy-exact": ApproximatorSpec(default=Lazy(0.2), overrides={1: Exact()}),
 }
-SELECTION_SPECS = dict(CLOSED_FORM_SPECS, metropolis=ApproximatorSpec(default=MetropolisRW(1)))
+SELECTION_SPECS = {
+    **CLOSED_FORM_SPECS,
+    "metropolis": ApproximatorSpec(default=MetropolisRW(1)),
+    # Lazy(1) is the identity: the hybrid chain never moves, its gap is 0.
+    "lazy-one": ApproximatorSpec(default=Lazy(1.0)),
+}
 
 
 def eigvalsh_selection_reports(joint, p, p_alt, spec):
@@ -375,20 +385,25 @@ def selection_reports(joint, p, p_alt, spec):
     return {r.name: (r.lhs, r.rhs) for r in reports}
 
 
-@pytest.mark.parametrize("sizes", [(5, 9), (9, 5), (12, 7)])
+@pytest.mark.parametrize("sizes", [(5, 9), (9, 5), (12, 7), (8, 8, 8), (7,)])
 @pytest.mark.parametrize("spec_name", sorted(SELECTION_SPECS))
 def test_closed_form_selection_gaps(sizes, spec_name, eig_counts):
     joint = random_joint(sum(sizes), sizes=sizes)
     spec = SELECTION_SPECS[spec_name]
-    want = eigvalsh_selection_reports(joint, P, P_ALT, spec)
+    p, p_alt = SELECTION_PROBS[len(sizes)]
+    want = eigvalsh_selection_reports(joint, p, p_alt, spec)
     for counter in eig_counts.values():
         counter.clear()
-    got = selection_reports(joint, P, P_ALT, spec)
+    got = selection_reports(joint, p, p_alt, spec)
     assert sorted(got) == sorted(want)
+    # A hybrid gap of 0 is read to rounding either way: 1.6e-15 at n = 512.
+    zero_gap = 1e-14 if spec_name == "lazy-one" else 0
     for name, values in want.items():
-        assert got[name] == pytest.approx(values, rel=1e-12, abs=0)
+        assert got[name] == pytest.approx(values, rel=1e-12, abs=zero_gap)
     n = joint.n
-    assert eig_counts["eigh"][n] == 2
+    # T and T_hybrid; a single coordinate's conditional is the whole joint,
+    # so its quality entry is one more eigensolve at n.
+    assert eig_counts["eigh"][n] == 2 + (len(sizes) == 1)
     # Only the hybrid chain of a rule that is neither Lazy nor Exact is built
     # under p_alt.
     assert eig_counts["eigvalsh"][n] == (spec_name == "metropolis")
@@ -397,12 +412,13 @@ def test_closed_form_selection_gaps(sizes, spec_name, eig_counts):
 @pytest.mark.parametrize(
     "joint, p_alt",
     [
-        # A size-1 coordinate: its update is the identity, not a projection
-        # of the two-subspace theorem; the formula gives 0.39, the chain 0.61.
+        # A size-1 coordinate: its slices are single states, so the Gram
+        # order, 5 + 1, exceeds the 5 states.
         (random_joint(1, sizes=(1, 5)), [0.39, 0.61]),
-        # Three zero weights: the restriction drops states; the formula gives
-        # 0.11, the chain 1.0.
+        # Three zero weights: the restriction drops states, and two slices
+        # carry no mass.
         (joint_from_weights((2, 2), [1.0, 0.0, 0.0, 0.0]), [0.89, 0.11]),
+        # Gram order 6 + 4 + 6 against 12 states.
         (random_joint(2, sizes=(2, 3, 2)), [0.2, 0.5, 0.3]),
     ],
     ids=["size-one", "zero-mass", "three-coordinates"],
@@ -414,14 +430,33 @@ def test_selection_gaps_outside_the_formula(joint, p_alt, eig_counts):
     for counter in eig_counts.values():
         counter.clear()
     assert selection_reports(joint, p, p_alt, spec) == want
-    # Both chains under p_alt, each on its support.
+    # Both chains under p_alt, each on its support, and no Gram matrix.
     assert sum(eig_counts["eigvalsh"].values()) == 2
-    if joint.space.ncoords == 2:
-        sel_alt = selection_probs(p_alt, 2)
-        da_gap = spectral_summary(da_exact(joint)).gap
-        formula = _two_coordinate_scan_gap(sel_alt.p, (0.0, 0.0), da_gap)
-        chain = eigvals_summary(exact_random_scan(joint, sel_alt)).gap
-        assert abs(formula - chain) > 0.2
+
+
+@pytest.mark.parametrize(
+    "joint",
+    [
+        random_joint(3, sizes=(5, 9)),
+        random_joint(4, sizes=(3, 4, 2)),
+        random_joint(5, sizes=(2, 3, 2, 2)),
+        product_joint([[0.2, 0.3, 0.5], [0.1, 0.9]]),
+        product_joint([[0.2, 0.8], [0.5, 0.5], [0.1, 0.6, 0.3]]),
+        random_joint(6, sizes=(7,)),
+    ],
+    ids=["2-coordinates", "3-coordinates", "4-coordinates", "product", "product3", "single"],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gram_gap_is_the_chain_gap(joint, seed):
+    k = joint.space.ncoords
+    rng = np.random.default_rng(seed)
+    sel = selection_probs(list(rng.uniform(0.1, 1.0, k)), k)
+    # Exact, Lazy and Lazy(1) updates mixed across the coordinates.
+    eps = rng.choice([0.0, 0.35, 1.0], k)
+    rules = {i: Lazy(float(e)) if e else Exact() for i, e in enumerate(eps)}
+    chain = eigvals_summary(hybrid_random_scan(joint, sel, ApproximatorSpec(overrides=rules))).gap
+    gram = _scan_gap(joint, sel.p, eps, lambda i: gibbs.ConditionalTable(joint, i))
+    assert gram == pytest.approx(chain, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -435,11 +470,10 @@ def test_selection_gaps_outside_the_formula(joint, p_alt, eig_counts):
 )
 @pytest.mark.parametrize("spec_name", ["exact"] + sorted(CLOSED_FORM_SPECS))
 def test_ill_conditioned_selection_gaps_come_from_the_spectrum(factors, spec_name):
-    # Independent coordinates have DA gap 1 up to rounding; under uniform
-    # selection the exact chain's disc is then about 1e-16, where the closed
-    # form turns that rounding into an error of 5e-9.  Those gaps are read
-    # from the chains built under p_alt; a well-conditioned hybrid chain
-    # (Lazy(0.2) with an Exact override) keeps the closed form.
+    # Independent coordinates have DA gap 1 up to rounding: under uniform
+    # selection a gap formula in the DA gap is ill conditioned there (its
+    # error reached 5e-9), and the Gram gaps must still match the spectra
+    # of the chains built under p_alt.
     joint = product_joint(factors)
     spec = CLOSED_FORM_SPECS.get(spec_name, ApproximatorSpec())
     p, p_alt = [1.0, 1.0], [1.0, 2.0]
@@ -450,11 +484,11 @@ def test_ill_conditioned_selection_gaps_come_from_the_spectrum(factors, spec_nam
         assert got[name] == pytest.approx(values, rel=1e-12, abs=0)
 
 
-def test_wrong_da_gap_is_caught(monkeypatch):
+def test_wrong_gram_gap_is_caught(monkeypatch):
     joint = random_joint(14, sizes=(5, 9))
-    other = random_joint(15, sizes=(5, 9))
-    monkeypatch.setattr(bounds, "da_exact", lambda _joint: da_exact(other))
-    with pytest.raises(CrossCheckFailure, match="closed form"):
+    gram_gap = bounds._scan_gap
+    monkeypatch.setattr(bounds, "_scan_gap", lambda *args: gram_gap(*args) + 1e-9)
+    with pytest.raises(CrossCheckFailure, match="Gram"):
         Analysis(joint, P, CLOSED_FORM_SPECS["lazy"]).selection_reweighting(P_ALT)
 
 

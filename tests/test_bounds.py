@@ -25,7 +25,7 @@ from hybridgibbs import (
 from hybridgibbs import slicemodel
 from hybridgibbs.approximators import kernel_for_target
 from hybridgibbs.bounds import function_battery
-from hybridgibbs.spectral import _sym_eigs
+from hybridgibbs.spectral import _sym_eigs, spectral_summary
 from hybridgibbs.errors import (
     DimensionMismatch,
     DominationViolated,
@@ -404,6 +404,26 @@ class TestUniformPowerBound:
             assert dom.status in ("pass", "hypothesis_unmet")
             if dom.status == "pass":
                 assert dom.slack >= -1e-12
+
+
+    def test_large_t_gives_zero_not_an_overflow(self):
+        # n^(t-1) = 2^1999 is no float: the bound is 0 there.
+        config = canonicalize(
+            {"model": {"kind": "product", "factors": [[1, 1], [1, 1]]}, "t": [2000]}
+        )
+        reports = {r.name: r for r in run_suite(config).reports}
+        assert reports["uniform-power-lower-t2000"].lhs == 0.0
+        assert reports["uniform-power-lower-t2000"].status == "pass"
+
+    def test_bound_divides_by_the_exact_power(self):
+        joint = random_joint(3, sizes=(2, 3, 2))
+        spec = ApproximatorSpec(default=Lazy(0.4))
+        for t in range(1, 12):
+            analysis = Analysis(joint, None, spec)
+            lower = analysis.uniform_tstep_bound(t=t)[0]
+            C = analysis.quality.max_norm
+            raw = 1.0 - spectral_summary(analysis.T).operator_norm - C**t
+            assert lower.lhs == raw / 3 ** (t - 1)
 
 
 class TestSliceTstep:

@@ -37,6 +37,27 @@ class TestConfig:
         with pytest.raises(SchemaError, match="expected 4 weights"):
             canonicalize(bad)
 
+    def test_explicit_state_count_does_not_wrap(self):
+        # 2^32 * 2^32 wraps to 0 in int64.
+        bad = {"model": {"kind": "explicit", "sizes": [2**32, 2**32], "weights": [1.0]}}
+        with pytest.raises(SchemaError, match="expected 18446744073709551616 weights"):
+            canonicalize(bad)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"model": {"kind": "random", "sizes": [2, 2], "seed": -1}},
+            {"model": {"kind": "random", "sizes": [2, 2], "seed": 1}, "seed": -5},
+        ],
+        ids=["model-seed", "run-seed"],
+    )
+    def test_negative_seed_is_a_schema_error(self, config, tmp_path):
+        with pytest.raises(SchemaError, match="minimum of 0"):
+            canonicalize(config)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(config))
+        assert main(["check", str(path)]) == 2
+
     def test_slice_levels_detected(self):
         cfg = canonicalize(
             {

@@ -1,5 +1,7 @@
 """Product-space codec and joint-distribution extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,16 @@ class TestCodec:
         with pytest.raises(SpaceTooLarge):
             SliceModel(np.arange(1.0, 12.0))
         SliceModel(np.arange(1.0, 11.0))
+
+    def test_product_cap_checked_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpaceTooLarge):
+                product_joint([np.ones(10)] * 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_subspace_indices_order(self):
         sp = ProductSpace((2, 3))
