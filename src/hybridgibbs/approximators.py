@@ -175,13 +175,15 @@ def _acceptance(num, den):
 
 def _metropolis_rw(pi, radius):
     """Random-walk Metropolis kernels for the rows of ``pi``.  Each step
-    from -radius to radius is one shifted comparison, and a state's holding
-    mass adds up over the steps in that order."""
+    from -r to r, r = min(radius, d - 1), is one shifted comparison, and a
+    state's holding mass adds up over the steps in that order; every longer
+    step falls off the end, and their holding mass is added as one term."""
     Y, d = pi.shape
     Q = np.zeros((Y, d, d))
     stay = np.zeros((Y, d))
-    prop = 1.0 / (2 * radius)
-    for step in range(-radius, radius + 1):
+    prop = 1 / (2 * radius)  # exact integer division: no radius overflows a float
+    r = min(radius, d - 1)
+    for step in range(-r, r + 1):
         if step == 0:
             continue
         # States x with x + step in range; the rest propose off the end.
@@ -192,6 +194,7 @@ def _metropolis_rw(pi, radius):
             Q[:, xs, xs + step] = prop * acc
             held[:, xs] = prop * (1.0 - acc)
         stay += held
+    stay += (radius - r) / radius
     Q[:, np.arange(d), np.arange(d)] = stay
     return Q
 

@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .approximators import EXACT_SPEC, Exact, Lazy, make_approximator
+from .approximators import EXACT_SPEC, Exact, Lazy
 from .errors import (
     CrossCheckFailure,
     DegenerateConstants,
@@ -37,23 +37,25 @@ from .errors import (
 )
 from .gibbs import (
     ConditionalTable,
+    _conditionals,
     _hybrid_marginal_chain,
     _inner_kernels,
     _scan_chain,
     _two_block_parts,
     block_random_scan,
+    block_scans,
     da_exact,
     da_hybrid,
     inner_block_kernel,
 )
 from .report import fingerprint_bytes, make_report
 from .slicemodel import SliceModel, _level_pair
-from .space import selection_probs, slices
+from .space import ProductSpace, selection_probs, slices
 from .spectral import (
     NULL_MASS,
     _sym_eigs,
     affine,
-    dirichlet_ratio_extrema,
+    checked_stack,
     eigvals_summary,
     memoize,
     spectral_summary,
@@ -135,27 +137,14 @@ def approx_quality(joint, spec, coords=None):
 
 def _table_quality(table, spec):
     """Entries of every live conditional of a ConditionalTable, keyed
-    (i, y) in order.  The kernels are checked as one batch and decomposed
-    by one stacked eigensolve; a slice with a state below NULL_MASS is
-    restricted, so it is paired and decomposed on its own."""
+    (i, y) in order, from the table's verified stack of kernels by
+    ``stacked_summaries``."""
     i, rule = table.i, spec.rule_for(table.i)
     keys = [(i, y) for y in table.configs]
     if isinstance(rule, Exact):
         return {key: _lazy_entry(0.0) for key in keys}
-    K, w = table.kernels(rule), table.targets
-    whole = w.min(axis=1) >= NULL_MASS
-    stacked = iter(stacked_summaries(K[whole], w[whole]))
-    return {
-        key: _entry(next(stacked))
-        if ok
-        else _quality_entry(make_approximator(table.joint, spec, i, key[1]))
-        for key, ok in zip(keys, whole)
-    }
-
-
-def _quality_entry(pair):
-    """One kernel's entry of an ApproxQuality table."""
-    return _entry(spectral_summary(pair))
+    summaries = stacked_summaries(table.kernels(rule), table.targets)
+    return {key: _entry(summ) for key, summ in zip(keys, summaries)}
 
 
 def _entry(summ):
@@ -505,8 +494,12 @@ class Analysis:
     @cached_property
     @_joint_only
     def Th(self):
-        """The hybrid random-scan pair."""
-        return memoize(_scan_chain(self.source, self.sel, self.scan_spec, self._table))
+        """The hybrid random-scan pair: the exact one, T, when every rule
+        is Exact."""
+        spec = self.scan_spec
+        if all(isinstance(spec.rule_for(i), Exact) for i in range(self.sel.n)):
+            return self.T
+        return memoize(_scan_chain(self.source, self.sel, spec, self._table))
 
     def _coordinate_quality(self, i):
         """ApproxQuality of coordinate ``i``'s conditionals, computed once."""
@@ -538,7 +531,7 @@ class Analysis:
         model = self.source
         for k, (members, eps) in enumerate(zip(model.level_sets, _level_epsilons(model))):
             if eps is None:
-                entry = _quality_entry(_level_pair(model, k))
+                entry = _entry(spectral_summary(_level_pair(model, k)))
             else:
                 entry = _lazy_entry(eps if members.size > 1 else 0.0)
             table[(0, (k,))] = entry
@@ -781,10 +774,12 @@ class Analysis:
         inner random scan, so with c1 the worst inner Dirichlet-ratio minimum:
         c1 (1 - |T_ell|) <= 1 - |T_m| <= 1 - |T_ell|, the same chain holds for
         Dirichlet forms, and the variances are ordered when both gaps are
-        positive.
+        positive.  The inner scans of the live slices of each ell-block are
+        built, verified and decomposed as one stack; c1_at is the first
+        least ratio in (block, complement) order.
         """
         joint = self.source
-        n = joint.space.ncoords
+        space, n = joint.space, joint.space.ncoords
         ell = int(ell)
         m = int(m)
         if not 1 <= m < ell <= n - 1:
@@ -793,15 +788,14 @@ class Analysis:
             )
         T_ell = self.block(ell)
         T_m = self.block(m)
-        c1 = np.inf
-        c1_at = None
+        c1, c1_at = np.inf, None
         for coords in combinations(range(n), ell):
-            totals = slices(joint, coords)[1].sum(axis=1)
-            for y, total in zip(joint.space.complement_configs(coords), totals):
-                if total <= 0.0:
-                    continue
-                inner = inner_block_kernel(joint, coords, y, m)
-                rmin, _rmax = dirichlet_ratio_extrema(inner)
+            live, w = _conditionals(slices(space, coords, joint.weights)[1])
+            configs = [y for y, ok in zip(space.complement_configs(coords), live) if ok]
+            inner = block_scans(ProductSpace([space.sizes[c] for c in coords]), w, m)
+            K = checked_stack(inner, w, lambda y: inner_block_kernel(joint, coords, configs[y], m))
+            for y, summ in zip(configs, stacked_summaries(K, w)):
+                rmin = 1.0 - summ.lambda_max
                 if rmin < c1:
                     c1 = rmin
                     c1_at = {"block": list(coords), "complement": list(y)}

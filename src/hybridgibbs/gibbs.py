@@ -14,7 +14,7 @@ from math import comb
 import numpy as np
 
 from .approximators import EXACT_SPEC, ApproximatorSpec, Exact, make_approximator, stacked_kernels
-from .errors import CrossCheckFailure, InvalidBlockSize, InvalidSpec, NotTwoBlock, positive_int
+from .errors import InvalidBlockSize, InvalidSpec, NotTwoBlock, positive_int
 from .slicemodel import SliceModel, _level_pair
 from .space import conditional_joint, marginal, selection_probs, slices
 from .spectral import check_reversibility, checked_stack
@@ -33,7 +33,7 @@ class ConditionalTable:
 
     def __init__(self, joint, i):
         self.joint, self.i = joint, i
-        self.idx, w = slices(joint, (i,))
+        self.idx, w = slices(joint.space, (i,), joint.weights)
         live, self.targets = _conditionals(w)
         self.live = np.flatnonzero(live)
         configs = joint.space.complement_configs((i,))
@@ -48,35 +48,32 @@ class ConditionalTable:
         which raises its named error."""
         if rule not in self._kernels:
             keys = [(self.i, y) for y in self.configs]
-            K, bad = checked_stack(stacked_kernels(self.targets, rule, keys), self.targets)
-            if bad.size:
-                y = self.configs[bad[0]]
-                make_approximator(self.joint, ApproximatorSpec(rule), self.i, y)
-                raise CrossCheckFailure(
-                    f"slice {y} of coordinate {self.i} failed the batched check but not its own"
-                )
-            self._kernels[rule] = K
+            self._kernels[rule] = checked_stack(
+                stacked_kernels(self.targets, rule, keys),
+                self.targets,
+                lambda y: make_approximator(self.joint, ApproximatorSpec(rule), *keys[y]),
+            )
         return self._kernels[rule]
 
 
 def _conditionals(w):
-    """(live, targets) for the raw slice weights ``w``, one slice per row:
-    the mask of slices of positive mass and their conditionals, divided by
-    their sums as ``ProbVec`` divides them."""
-    total = w.sum(axis=1)
+    """(live, targets) for the raw slice weights ``w``, one slice per last
+    axis: the mask of slices of positive mass and their conditionals,
+    divided by their sums as ``ProbVec`` divides them."""
+    total = w.sum(axis=-1)
     live = total > 0.0
-    return live, w[live] / total[live, None]
+    return live, w[live] / total[live][:, None]
 
 
 def _scatter(T, idx, live, weight, K):
-    """Add ``weight`` times each slice's update to T, for every slice of a
-    block with indices ``idx`` at once: the kernels K on the ``live``
-    slices, the identity on null ones.  The slices are disjoint, so each
-    entry takes one term."""
-    Y, D = idx.shape
-    U = np.broadcast_to(np.eye(D), (Y, D, D)).copy()
+    """Add ``weight`` times each slice's update to T (or each matrix of a
+    stack T), for every slice of a block with indices ``idx`` at once: the
+    kernels K on the ``live`` slices, the identity on null ones.  The slices
+    are disjoint, so each entry takes one term."""
+    D = idx.shape[1]
+    U = np.broadcast_to(np.eye(D), T.shape[:-2] + idx.shape + (D,)).copy()
     U[live] = K
-    T[idx[:, :, None], idx[:, None, :]] += weight * U
+    T[..., idx[:, :, None], idx[:, None, :]] += weight * U
 
 
 def _scan_chain(joint, sel, spec, table):
@@ -109,17 +106,24 @@ def hybrid_random_scan(joint, p=None, spec=EXACT_SPEC):
 def block_random_scan(joint, block_size):
     """Random-scan kernel updating a uniformly chosen set of ``block_size``
     coordinates from their joint conditional."""
-    n = joint.space.ncoords
+    T = block_scans(joint.space, joint.weights[None], block_size)[0]
+    return check_reversibility(T, joint.dist)
+
+
+def block_scans(space, W, block_size):
+    """``block_random_scan``'s kernel for the joint of each weight row W[y]
+    over ``space``, bit for bit, as one (Y, D, D) stack."""
+    n = space.ncoords
     ell = int(block_size)
     if not 1 <= ell <= n - 1:
         raise InvalidBlockSize(f"block size must satisfy 1 <= l <= {n - 1}, got {ell}")
-    T = np.zeros((joint.n, joint.n))
+    T = np.zeros((W.shape[0], space.total, space.total))
     weight = 1.0 / comb(n, ell)
     for coords in combinations(range(n), ell):
-        idx, w = slices(joint, coords)
+        idx, w = slices(space, coords, W)
         live, targets = _conditionals(w)
         _scatter(T, idx, live, weight, stacked_kernels(targets, Exact()))
-    return check_reversibility(T, joint.dist)
+    return T
 
 
 def inner_block_kernel(joint, coords, y, inner_size):
@@ -129,14 +133,7 @@ def inner_block_kernel(joint, coords, y, inner_size):
     Equals the block random-scan kernel of the conditional joint on the
     slice, so it is reversible with respect to that conditional and psd.
     """
-    coords = tuple(sorted(coords))
-    m = int(inner_size)
-    if not 1 <= m < len(coords):
-        raise InvalidBlockSize(
-            f"inner block size must satisfy 1 <= m < {len(coords)}, got {m}"
-        )
-    sub = conditional_joint(joint, coords, y)
-    return block_random_scan(sub, m)
+    return block_random_scan(conditional_joint(joint, coords, y), inner_size)
 
 
 def _two_block_parts(source):
@@ -167,7 +164,7 @@ def _two_block_parts(source):
     # Row y of fwd is the second coordinate's conditional given the first
     # at y, row z of back the first's given the second at z.
     for i, laws in ((1, fwd), (0, back)):
-        live, targets = _conditionals(slices(source, (i,))[1])
+        live, targets = _conditionals(slices(source.space, (i,), source.weights)[1])
         laws[live] = targets
     return marginal(source, (0,)), fwd, back
 

@@ -190,12 +190,12 @@ def conditional_joint(joint, coords, y):
     return JointDistribution(sub, dist)
 
 
-def slices(joint, coords):
-    """Every slice of the block ``coords`` at once: (idx, w), where row y
-    of the (Y, D) index array ``idx`` is ``subspace_indices(coords, c)``
-    for the y-th configuration c of ``complement_configs(coords)`` and
-    ``w = joint.weights[idx]`` holds the raw slice weights."""
-    space = joint.space
+def slices(space, coords, weights):
+    """Every slice of the block ``coords`` of ``space`` at once: (idx, w),
+    where row y of the (Y, D) index array ``idx`` is
+    ``subspace_indices(coords, c)`` for the y-th configuration c of
+    ``complement_configs(coords)`` and ``w = weights[..., idx]`` holds the
+    raw slice weights of each weight vector in ``weights``, C-contiguous."""
     coords = _check_coords(space, coords)
     D = math.prod(space.sizes[c] for c in coords)
     grid = np.arange(space.total, dtype=np.int64).reshape(space.sizes, order="F")
@@ -204,7 +204,7 @@ def slices(joint, coords):
     # C order, so that each slice's weights are contiguous and sum as
     # ``subspace_indices``' do, bit for bit.
     idx = np.ascontiguousarray(idx.T)
-    return idx, joint.weights[idx]
+    return idx, np.ascontiguousarray(weights[..., idx])
 
 
 def marginal(joint, keep):

@@ -54,6 +54,9 @@ class ProbVec:
             raise InvalidDistribution("weights must be finite")
         if np.any(w < 0):
             raise InvalidDistribution("weights must be nonnegative")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(w.sum()):  # it overflows: scale by the largest weight first
+                w /= w.max()
         total = w.sum()
         if total <= 0:
             raise InvalidDistribution("total mass must be positive")
@@ -183,11 +186,11 @@ class ReversiblePair:
         return self.kernel.n
 
 
-def checked_stack(K, w):
+def checked_stack(K, w, rebuild):
     """The checks of ``check_reversibility`` on a stack of pairs (K[y],
-    w[y]) at once, with ``w`` normalized: (Kc, bad), where Kc is K clamped
-    at 0 as StochasticKernel clamps it and ``bad`` lists the pairs that
-    fail a check, in order.  Kc must not be written to."""
+    w[y]) at once, with ``w`` normalized: K clamped at 0 as StochasticKernel
+    clamps it, not to be written to.  The first pair y that fails a check
+    is rebuilt alone by ``rebuild(y)``, which raises its named error."""
     finite = np.isfinite(K).all(axis=(1, 2))
     negative = (K < -1e-15).any(axis=(1, 2))
     # Clamping changes nothing, not even the sign of a zero, where no
@@ -198,7 +201,10 @@ def checked_stack(K, w):
     defect = np.abs(flows - flows.transpose(0, 2, 1)).max(axis=(1, 2))
     resid = np.abs(np.matmul(w[:, None, :], Kc)[:, 0, :] - w).max(axis=1)
     bad = ~finite | negative | (rows > 1e-12) | (defect > REVERSIBILITY_TOL) | (resid > 1e-10)
-    return Kc, np.flatnonzero(bad)
+    if bad.any():
+        rebuild(int(np.argmax(bad)))
+        raise CrossCheckFailure(f"pair {np.argmax(bad)} failed the batched check but not its own")
+    return Kc
 
 
 def check_reversibility(kernel, stationary):
@@ -276,8 +282,9 @@ class SpectralSummary:
         }
 
 
-def _restrict(rev):
-    """Restrict a pair to its non-null support; renormalize rows and weights.
+def _restrict(K, w):
+    """Restrict the kernel K of a pair with stationary weights w to its
+    non-null support; renormalize rows and weights.
 
     States below NULL_MASS are dropped when the restriction stays closed
     (rows leak at most 1e-9).  Models with a huge dynamic range can carry
@@ -285,8 +292,6 @@ def _restrict(rev):
     falls back to dropping exact zeros only, which is always closed for a
     valid reversible pair.
     """
-    w = rev.stationary.weights
-    K = rev.kernel.matrix
     for keep in (np.flatnonzero(w >= NULL_MASS), np.flatnonzero(w > 0.0)):
         if keep.size == 0:
             raise SingularStationary("no state carries positive stationary mass")
@@ -326,7 +331,7 @@ def _symmetrized(rev):
     A = (M + M^T)/2 for M = D^{1/2} K D^{-1/2} on the support, and asym is
     max |M - M^T|.
     """
-    keep, dropped, ws, M = _restrict(rev)
+    keep, dropped, ws, M = _restrict(rev.kernel.matrix, rev.stationary.weights)
     d, A, asym = _symmetrize(M, ws)
     return keep, dropped, ws, d, A, float(asym)
 
@@ -373,16 +378,26 @@ def _sym_eigs(rev):
 
 def stacked_summaries(K, w):
     """``spectral_summary`` of each pair (K[y], w[y]) of a stack that
-    ``checked_stack`` passed and whose weights all reach NULL_MASS, so that
-    no state is dropped: one batched restriction and symmetrization and one
-    stacked ``eigh``, bit for bit the arithmetic of each pair alone."""
-    M = K.copy()
-    ws = _renormalize(M, M.sum(axis=2), w)
+    ``checked_stack`` passed, bit for bit.  The pairs whose weights all
+    reach NULL_MASS drop no state: they are restricted and symmetrized as
+    one batch and decomposed by one stacked ``eigh``.  Any other pair is
+    restricted and decomposed on its own."""
+    whole = w.min(axis=1) >= NULL_MASS
+    M = K[whole]
+    summaries = _decomposed(M, _renormalize(M, M.sum(axis=2), w[whole]))
+    for y in np.flatnonzero(~whole):
+        _keep, dropped, ws, My = _restrict(K[y], w[y])
+        summaries.insert(y, _decomposed(My[None], ws[None], dropped)[0])
+    return summaries
+
+
+def _decomposed(M, ws, dropped=()):
+    """Each summary of the restricted stack M with weights ws and ``dropped``: one eigh."""
     d, A, asym = _symmetrize(M, ws)
     vals, vecs = np.linalg.eigh(A)
     return [
-        _summary(np.delete(vals[y], _stationary_column(vecs[y], d[y])), (), float(asym[y]))
-        for y in range(K.shape[0])
+        _summary(np.delete(vals[y], _stationary_column(vecs[y], d[y])), dropped, float(asym[y]))
+        for y in range(M.shape[0])
     ]
 
 

@@ -126,8 +126,8 @@ def run_suite(config, suites=None, t_values=None, tol=None):
             raise error
     reports = []
     for s in selected:
-        for name, check in _checks(s, analysis, config, t_values):
-            reports.extend(_guarded(analysis, name, check))
+        for name, suffix, check in _checks(s, analysis, config, t_values):
+            reports += [replace(r, name=r.name + suffix) for r in _guarded(analysis, name, check)]
     # The summaries come after the checks: a slice model's checks decompose
     # the level kernels that have no closed form, which set the peak memory,
     # before any slice chain is held.
@@ -156,34 +156,36 @@ def _inapplicable(suite, analysis):
 
 
 def _checks(suite, analysis, config, t_values):
-    """Each check call of ``suite`` as (name, call): ``name`` is the
+    """Each check call of ``suite`` as (name, suffix, call): ``name`` is the
     hypothesis_unmet report that stands for the call when its hypotheses
-    fail."""
+    fail, and ``suffix``, the call's parameters, qualifies the name of every
+    report of the call, since distinct t values or block-size pairs reuse a
+    name."""
     a, trials = analysis, config.trials
     if suite == "random-scan":
-        yield "dirichlet-sandwich", partial(a.dirichlet_sandwich, trials=trials)
-        yield "gap-sandwich", a.gap_sandwich
-        yield "variance-sandwich", partial(a.variance_sandwich, trials=8)
+        yield "dirichlet-sandwich", "", partial(a.dirichlet_sandwich, trials=trials)
+        yield "gap-sandwich", "", a.gap_sandwich
+        yield "variance-sandwich", "", partial(a.variance_sandwich, trials=8)
     elif suite == "da":
-        yield "da-gap-sandwich", a.da_gap_sandwich
+        yield "da-gap-sandwich", "", a.da_gap_sandwich
         for t in t_values:
-            yield f"da-tstep-t{t}", partial(a.da_tstep, t, trials=trials)
-            yield f"da-variance-tstep-t{t}", partial(a.da_variance_tstep, t)
+            yield "da-tstep", f"-t{t}", partial(a.da_tstep, t, trials=trials)
+            yield "da-variance-tstep", f"-t{t}", partial(a.da_variance_tstep, t)
     elif suite == "block":
         for ell in range(2, a.source.space.ncoords):
             for m in range(1, ell):
-                yield f"block-comparison-l{ell}m{m}", partial(
+                yield "block-comparison", f"-l{ell}m{m}", partial(
                     a.block_comparison, ell, m, trials=trials
                 )
     elif suite == "selection":
         p_alt = config.selection_alt() or [i + 1.0 for i in range(a.source.space.ncoords)]
-        yield "selection-reweighting", partial(a.selection_reweighting, p_alt)
+        yield "selection-reweighting", "", partial(a.selection_reweighting, p_alt)
     elif suite == "supplement":
         for t in t_values:
-            yield f"uniform-power-t{t}", partial(a.uniform_tstep_bound, t)
+            yield "uniform-power", f"-t{t}", partial(a.uniform_tstep_bound, t)
     elif suite == "slice":
         for t in t_values:
-            yield f"slice-tstep-t{t}", partial(a.slice_tstep, t)
+            yield "slice-tstep", f"-t{t}", partial(a.slice_tstep, t)
 
 
 def _summaries(analysis, selected):
@@ -216,24 +218,12 @@ def _quality(analysis):
 
 
 def _finish(config, kernels, quality, reports, start):
-    # Distinct t values or block-size pairs reuse a report name; qualify
-    # names with their parameters, then sort.
-    renamed = []
-    for r in reports:
-        w = r.witness if isinstance(r.witness, dict) else {}
-        if "t" in w:
-            r = replace(r, name=f"{r.name}-t{w['t']}")
-        elif "ell" in w and "m" in w:
-            r = replace(r, name=f"{r.name}-l{w['ell']}m{w['m']}")
-        renamed.append(r)
-    renamed.sort(key=lambda r: r.name)
-    elapsed = time.perf_counter() - start
     return RunReport(
         fingerprint=config.fingerprint,
         config=config.data,
         kernels=dict(sorted(kernels.items())),
         quality=quality,
-        reports=tuple(renamed),
-        timing={"seconds": elapsed},
+        reports=tuple(sorted(reports, key=lambda r: r.name)),
+        timing={"seconds": time.perf_counter() - start},
         versions={"hybridgibbs": __version__, "numpy": np.__version__},
     )

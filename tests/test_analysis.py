@@ -4,6 +4,7 @@ reports equal to what a fresh Analysis returns for each check."""
 import inspect
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,6 +94,19 @@ def test_run_suite_decomposes_each_kernel_once(eig_counts):
     assert eig_counts["eigvalsh"][512] == 1
 
 
+def test_all_exact_hybrid_chain_is_the_exact_one(eig_counts):
+    # Exact is the default rule: the hybrid random scan adds the same
+    # kernels as T, so it is T, and one eigh at n=400 serves both.
+    config = canonicalize({"model": {"kind": "random", "sizes": [20, 20], "seed": 3}})
+    run_suite(config)
+    assert eig_counts["eigh"][400] == 1
+    spec = ApproximatorSpec(default=Lazy(0.3), overrides={0: Exact(), 1: Exact()})
+    analysis = Analysis(config.build_joint(), spec=spec)
+    assert analysis.Th is analysis.T
+    lazy = Analysis(config.build_joint(), spec=ApproximatorSpec(Lazy(0.0)))
+    assert lazy.Th is not lazy.T
+
+
 def count_calls(monkeypatch, *functions):
     """Count calls of each function by name, through every binding of it in
     the package's modules, since modules import them by name."""
@@ -130,14 +144,16 @@ def test_each_coordinate_table_is_built_once(monkeypatch):
     # One table per coordinate, and every approximator read from it.
     assert tables == {0: 1, 1: 1, 2: 1}
     assert counts["kernel_for_target"] == 0
-    # T, T_hybrid, the two chains under p_alt, the two-coordinate block
-    # chain and 24 inner block chains: 29, where each conditional was once
-    # paired on its own (221).
-    assert counts["check_reversibility"] <= 35
+    # T, T_hybrid, the MetropolisRW chain under p_alt and the two-coordinate
+    # block chain.  The 24 inner block chains of block_comparison are one
+    # verified stack per block, with no pair of their own (29 calls when
+    # each was paired alone, 221 when each conditional was).
+    assert counts["check_reversibility"] == 4
     # The three tables, the three blocks of the two-coordinate block chain,
-    # the same three blocks read once more by block_comparison, and 24
-    # inner chains of two blocks each: no call per conditional.
-    assert counts["slices"] == 3 + 3 + 3 + 24 * 2
+    # the same three blocks read once more by block_comparison, and the two
+    # inner blocks of each, read once for all of its slices (3 * 2 = 6, where
+    # each of the 24 inner chains read its two, 48): no call per conditional.
+    assert counts["slices"] == 3 + 3 + 3 + 3 * 2
 
 
 def test_lazy_slice_run_suite_makes_one_eigensolve(eig_counts):
@@ -221,6 +237,19 @@ def standalone(config):
     return kernels, reports
 
 
+def witness_named(report):
+    """``report`` qualified by the parameters its witness records: ``-t<t>``,
+    or ``-l<ell>m<m>`` for a block-size pair.  ``run_suite`` names reports
+    by their check call instead, so comparing the two checks that both
+    rules agree."""
+    w = report.witness if isinstance(report.witness, dict) else {}
+    if "t" in w:
+        return replace(report, name=f"{report.name}-t{w['t']}")
+    if "ell" in w and "m" in w:
+        return replace(report, name=f"{report.name}-l{w['ell']}m{w['m']}")
+    return report
+
+
 @pytest.mark.parametrize(
     "config",
     [demo_config(name) for name in list_demos()] + [R2X40, R3X8, LAZY_SLICE, MIXED_SLICE],
@@ -232,7 +261,7 @@ def test_shared_analysis_changes_no_report(config, request):
     config = canonicalize(config)
     got = run_suite(config, suites="all")
     kernels, reports = standalone(config)
-    want = _finish(config, kernels, {}, reports, 0.0)
+    want = _finish(config, kernels, {}, [witness_named(r) for r in reports], 0.0)
     if request.node.callspec.id == "lazy-slice":
         # One Lazy eps at every level: the suite's hybrid chain is affine in
         # the exact one and takes its spectrum from it, while ``standalone``

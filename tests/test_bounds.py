@@ -1,5 +1,7 @@
 """Approximation quality, power bounds, and every certification check."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from hybridgibbs import (
     da_exact,
     dominating_norm_profile,
     exact_random_scan,
+    inner_block_kernel,
     joint_from_weights,
     mean_power_bound,
     product_joint,
@@ -354,6 +357,50 @@ class TestBlockComparison:
             joint = random_joint(seed + 300, sizes=(2, 2, 3))
             reps = Analysis(joint, seed=seed).block_comparison(2, 1, trials=8)
             assert min_slack(r for r in reps if r.status != "hypothesis_unmet") >= -1e-9
+
+
+def loop_c1(joint, ell, m):
+    """c1 and c1_at of ``block_comparison(ell, m)``, one inner block chain
+    at a time: the first least inner Dirichlet-ratio minimum in (block,
+    complement) order."""
+    c1, at = np.inf, None
+    for coords in combinations(range(joint.space.ncoords), ell):
+        for y in joint.space.complement_configs(coords):
+            if joint.weights[joint.space.subspace_indices(coords, y)].sum() <= 0.0:
+                continue
+            rmin = 1.0 - spectral_summary(inner_block_kernel(joint, coords, y, m)).lambda_max
+            if rmin < c1:
+                c1, at = rmin, {"block": list(coords), "complement": list(y)}
+    return c1, at
+
+
+def holed(seed, sizes):
+    """A random joint with about a fifth of its states at weight zero and a
+    tenth at 1e-16, below NULL_MASS."""
+    rng = rng_from(seed)
+    w = np.array(random_joint(seed, sizes=sizes).weights)
+    w[rng.random(w.size) < 0.2] = 0.0
+    w[rng.random(w.size) < 0.1] = 1e-16
+    return joint_from_weights(sizes, w)
+
+
+@pytest.mark.parametrize("sizes", [(2, 3, 2), (3, 3, 3), (2, 2, 2, 2), (2, 3, 2, 2)], ids=str)
+@pytest.mark.parametrize("kind", ["positive", "holed"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_stacked_c1_equals_the_inner_kernel_loop(sizes, kind, seed):
+    # Bit for bit, also where a slice has a state below NULL_MASS and is
+    # decomposed on its own.
+    if kind == "positive":
+        joint = random_joint(400 + seed, sizes=sizes)
+    else:
+        joint = holed(410 + seed, sizes)
+    n = joint.space.ncoords
+    for ell in range(2, n):
+        for m in range(1, ell):
+            reps = Analysis(joint).block_comparison(ell, m, trials=2)
+            witness = next(r for r in reps if r.name == "block-gap-lower").witness
+            c1, at = loop_c1(joint, ell, m)
+            assert (witness["c1"], witness["c1_at"]) == (c1, at), (ell, m)
 
 
 class TestSelectionReweighting:

@@ -10,6 +10,7 @@ from hybridgibbs import (
     Analysis,
     ApproximatorSpec,
     approx_quality,
+    canonicalize,
     Exact,
     ExplicitMatrix,
     Lazy,
@@ -26,6 +27,7 @@ from hybridgibbs import (
     joint_from_weights,
     make_approximator,
     product_joint,
+    run_suite,
     slice_exact,
     slice_hybrid,
     spectral_summary,
@@ -40,7 +42,7 @@ from hybridgibbs.errors import (
     NotTwoBlock,
 )
 from hybridgibbs.approximators import RULE_TYPES, kernel_for_target
-from hybridgibbs.bounds import _quality_entry
+from hybridgibbs.bounds import _entry
 from hybridgibbs.gibbs import _two_block_parts
 from hybridgibbs.randomgen import (
     random_explicit_spec,
@@ -142,6 +144,26 @@ class TestApproximators:
         spec = ApproximatorSpec(default=MetropolisRW(2))
         q = make_approximator(joint, spec, 0, ())
         assert q.reversibility_defect <= 1e-12
+
+    @pytest.mark.parametrize("radius", [3, 4, 7, 10**5, 10**30])
+    def test_metropolis_rw_radius_beyond_the_slice(self, radius):
+        # From radius d - 1 = 3 on, every pair of states is one proposal
+        # apart and every longer step falls off the end.
+        pi = np.array([0.1, 0.3, 0.2, 0.4])
+        want = np.minimum(1.0, pi[None, :] / pi[:, None]) / (2 * radius)
+        np.fill_diagonal(want, 0.0)
+        want[np.diag_indices(4)] = 1.0 - want.sum(axis=1)
+        got = kernel_for_target(pi, MetropolisRW(radius))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        if radius < 10:
+            np.testing.assert_allclose(got, loop_metropolis_rw(pi, radius), rtol=1e-15, atol=0.0)
+
+    def test_metropolis_rw_any_radius_certifies(self):
+        config = {
+            "model": {"kind": "random", "sizes": [2, 3], "seed": 1},
+            "approximator": {"default": {"rule": "metropolis_rw", "radius": 10**30}},
+        }
+        assert run_suite(canonicalize(config)).exit_status() == 0
 
     def test_metropolis_indep_reversible(self):
         spec = ApproximatorSpec(default=MetropolisIndep("uniform"))
@@ -730,7 +752,7 @@ class TestStackedTables:
                 if isinstance(spec.rule_for(i), Exact):
                     want[(i, y)] = {"norm": 0.0, "ratio_min": 1.0, "ratio_max": 1.0, "psd": True}
                 else:
-                    want[(i, y)] = _quality_entry(pair)
+                    want[(i, y)] = _entry(spectral_summary(pair))
         assert list(table) == list(want)
         assert table == want
         assert approx_quality(joint, spec).per_conditional == want

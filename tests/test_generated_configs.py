@@ -2,9 +2,11 @@
 and either runs or fails with a named error.
 
 The strategy draws small configs of every model kind and every rule, with
-zero weights, repeated slice densities, selection vectors with zeros, suite
-subsets, negative seeds, a t of 1025 and optional keys left out.  A ``CrossCheckFailure`` counts as a
-failure: it means two routes of the program disagree about one number.
+zero weights, weights and densities of 1e308 whose sums overflow, repeated
+slice densities, selection vectors with zeros, suite subsets, negative
+seeds, a t of 1025, a random-walk radius of 10^30 and optional keys left
+out.  A ``CrossCheckFailure`` counts as a failure: it means two routes of
+the program disagree about one number.
 """
 
 from hypothesis import example, given, settings
@@ -16,8 +18,8 @@ from hybridgibbs.suite import run_suite
 
 MAX_COORDS, MAX_VALUES, MAX_POINTS = 3, 3, 5
 
-masses = st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, 2.5])
-positive = st.sampled_from([0.1, 0.5, 1.0, 2.5, 4.0])
+masses = st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, 2.5, 1e308])
+positive = st.sampled_from([0.1, 0.5, 1.0, 2.5, 4.0, 1e308])
 sizes = st.lists(st.integers(1, MAX_VALUES), min_size=1, max_size=MAX_COORDS)
 # Negative seeds are schema errors.
 seeds = st.integers(0, 99) | st.just(-1)
@@ -32,7 +34,8 @@ def rules(explicit=True):
             {"rule": st.just("lazy")}, optional={"epsilon": st.sampled_from([0.0, 0.3, 1.0])}
         ),
         st.fixed_dictionaries(
-            {"rule": st.just("metropolis_rw")}, optional={"radius": st.integers(1, 2)}
+            {"rule": st.just("metropolis_rw")},
+            optional={"radius": st.integers(1, 2) | st.just(10**30)},
         ),
         st.fixed_dictionaries(
             {"rule": st.just("metropolis_indep")},

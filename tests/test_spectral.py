@@ -42,6 +42,14 @@ class TestProbVec:
         np.testing.assert_allclose(v.weights, [0.25, 0.75])
         assert abs(v.weights.sum() - 1.0) < 1e-12
 
+    def test_sum_that_overflows(self):
+        # The sum of these weights is inf; scaled by the largest first, they
+        # normalize as their scaled copy does.
+        v = ProbVec(np.array([1e308, 1.7e308, 0.0, 1e308]))
+        scaled = np.array([1e308, 1.7e308, 0.0, 1e308]) / 1.7e308
+        assert np.array_equal(v.weights, ProbVec(scaled).weights)
+        assert np.array_equal(ProbVec(np.array([1e308] * 4)).weights, [0.25] * 4)
+
     def test_rejects_negative(self):
         with pytest.raises(InvalidDistribution):
             ProbVec(np.array([0.5, -0.1]))

@@ -177,3 +177,31 @@ def test_zero_selection_probability_is_an_unmet_hypothesis(data, tmp_path, capsy
     selection = reports["selection-reweighting"]
     assert selection["status"] == "hypothesis_unmet"
     assert "strictly positive" in selection["witness"]["hypothesis"]
+
+
+OVERFLOW = {
+    "explicit": {"model": {"kind": "explicit", "sizes": [2, 2], "weights": [1e308] * 4}},
+    "product": {"model": {"kind": "product", "factors": [[1e308, 1e308], [1, 1]]}},
+    "slice": {
+        "model": {
+            "kind": "slice",
+            "density": [1e308, 1.7e308],
+            "level_kernels": [{"rule": "lazy", "epsilon": 0.3}] * 2,
+        }
+    },
+    "selection": dict(JOINT2, selection_probs=[1e308, 1e308]),
+}
+
+
+@pytest.mark.parametrize("data", OVERFLOW.values(), ids=list(OVERFLOW))
+def test_weights_whose_sum_overflows_certify(data):
+    report = run_suite(canonicalize(data))
+    assert report.reports and report.exit_status() == 0
+
+
+def test_overflowing_weights_certify_as_their_scaled_copy():
+    def certified(weights):
+        data = {"model": {"kind": "explicit", "sizes": [2, 2], "weights": weights}}
+        return [(r.name, r.status, r.lhs, r.rhs) for r in run_suite(canonicalize(data)).reports]
+
+    assert certified([1e308] * 4) == certified([1.0] * 4)
