@@ -169,7 +169,9 @@ def stacked_kernels(targets, rule, keys=None):
 
 def _acceptance(num, den):
     """min(1, num/den) where den > 0; otherwise 1 if num > 0, else 0."""
-    ratio = np.divide(num, den, out=np.ones_like(num), where=den > 0.0)
+    # A subnormal den overflows the ratio to inf, whose min with 1 is right.
+    with np.errstate(over="ignore"):
+        ratio = np.divide(num, den, out=np.ones_like(num), where=den > 0.0)
     return np.where(den > 0.0, np.minimum(1.0, ratio), (num > 0.0).astype(float))
 
 

@@ -886,7 +886,10 @@ class Analysis:
         gap_t = spectral_summary(self.T).gap
         gap_h = spectral_summary(self.Th).gap
         gap_t_alt = self._gap_under(sel_alt, EXACT_SPEC, self.T)
-        gap_h_alt = self._gap_under(sel_alt, self.scan_spec, self.Th)
+        if self.Th is self.T:
+            gap_h_alt = gap_t_alt
+        else:
+            gap_h_alt = self._gap_under(sel_alt, self.scan_spec, self.Th)
         r = float(np.min(sel.p / sel_alt.p))
         reports = [
             self.report("selection-minratio-exact", r * gap_t_alt, gap_t, {"min_ratio": r}),

@@ -12,8 +12,8 @@ report.
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 
-import jsonschema
 import numpy as np
 
 from .approximators import (
@@ -126,9 +126,20 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
-# One validator, built once: ``jsonschema.validate`` would check the schema
-# against its metaschema and build a new validator on every call.
-_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+@cache
+def _validator():
+    """The one schema validator and jsonschema's ``best_match``, imported and
+    built at the first validation.
+
+    ``jsonschema.validate`` would check the schema against its metaschema and
+    build a new validator on every call; importing jsonschema at module load
+    would cost every process that never validates a config.
+    """
+    import jsonschema
+
+    return jsonschema.Draft202012Validator(CONFIG_SCHEMA), jsonschema.exceptions.best_match
+
 
 _DEFAULTS = {
     "selection_probs": None,
@@ -258,7 +269,8 @@ def parse_config_text(raw):
 
 def canonicalize(data):
     """Validate against the schema, apply defaults, run semantic checks."""
-    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(data))
+    validator, best_match = _validator()
+    exc = best_match(validator.iter_errors(data))
     if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise SchemaError(f"at {path}: {exc.message}") from exc

@@ -107,6 +107,20 @@ def test_all_exact_hybrid_chain_is_the_exact_one(eig_counts):
     assert lazy.Th is not lazy.T
 
 
+def test_all_exact_selection_reads_the_alternative_gap_once(eig_counts):
+    # T_hybrid is T, so the hybrid gap under selection_probs_alt is the exact
+    # one: one Gram matrix of order 40 at the run's own selection (the cross
+    # check) and one under the alternative.
+    config = canonicalize(
+        {"model": {"kind": "random", "sizes": [20, 20], "seed": 3}, "suite": ["selection"]}
+    )
+    report = run_suite(config)
+    assert eig_counts["eigvalsh"] == {40: 2}
+    by_name = {r.name: r for r in report.reports}
+    exact, hybrid = by_name["selection-minratio-exact"], by_name["selection-minratio-hybrid"]
+    assert (exact.lhs, exact.rhs) == (hybrid.lhs, hybrid.rhs)
+
+
 def count_calls(monkeypatch, *functions):
     """Count calls of each function by name, through every binding of it in
     the package's modules, since modules import them by name."""

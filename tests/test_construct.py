@@ -1,5 +1,6 @@
 """Kernel builders: random scan, hybrid scan, blocks, data augmentation, slice."""
 
+import warnings
 from itertools import combinations
 from math import comb
 
@@ -164,6 +165,31 @@ class TestApproximators:
             "approximator": {"default": {"rule": "metropolis_rw", "radius": 10**30}},
         }
         assert run_suite(canonicalize(config)).exit_status() == 0
+
+    @pytest.mark.parametrize(
+        "rule", [{"rule": "metropolis_rw", "radius": 1}, {"rule": "metropolis_indep"}]
+    )
+    def test_subnormal_conditional_mass_accepts_without_warning(self, rule):
+        # Normalized, the weights are 1 and about 1e-309: the acceptance
+        # ratio away from a subnormal state overflows to inf, and min(1, inf)
+        # is 1.
+        config = canonicalize(
+            {
+                "model": {"kind": "explicit", "sizes": [2, 2], "weights": [1e308, 0.1, 0.5, 1.0]},
+                "approximator": {"default": rule},
+            }
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_suite(config).exit_status() == 0
+            th = hybrid_random_scan(config.build_joint(), None, config.approximator_spec())
+        want = [
+            [1.0, 2.5e-310, 1.25e-309, 0.0],
+            [0.25, 0.5, 0.0, 0.25],
+            [0.25, 0.0, 0.5, 0.25],
+            [0.0, 0.025, 0.125, 0.85],
+        ]
+        np.testing.assert_allclose(th.kernel.matrix, want, rtol=1e-12, atol=1e-320)
 
     def test_metropolis_indep_reversible(self):
         spec = ApproximatorSpec(default=MetropolisIndep("uniform"))
