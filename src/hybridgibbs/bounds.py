@@ -46,7 +46,6 @@ from .gibbs import (
     block_scans,
     da_exact,
     da_hybrid,
-    inner_block_kernel,
 )
 from .report import fingerprint_bytes, make_report
 from .slicemodel import SliceModel, _level_pair
@@ -57,7 +56,6 @@ from .spectral import (
     affine,
     checked_stack,
     eigvals_summary,
-    memoize,
     spectral_summary,
     stacked_summaries,
     variances,
@@ -420,13 +418,14 @@ class Analysis:
     the random-scan selection probabilities and the approximator spec of a
     joint; a slice model takes neither, since its level kernels are its
     approximators.  The data-augmentation (DA) pair is the exact and hybrid
-    two-block marginal chains, for a slice model its slice chains.  Each kernel is
-    built on first use and memoized, so it is decomposed at most once, and
-    everything lives as long as this object.  Every report is certified at
-    ``tol`` and stamped with ``fingerprint`` (by default the model's and
-    spec's), and every random test-function battery is drawn from ``seed``;
-    a check takes only its mathematical arguments.  ``run_suite`` builds one
-    Analysis per run; a single check is ``Analysis(source, p, spec).<check>()``.
+    two-block marginal chains, for a slice model its slice chains.  Each
+    kernel is built on first use and kept; each pair keeps its own
+    decomposition, so it is decomposed at most once.  Every report is
+    certified at ``tol`` and stamped with ``fingerprint`` (by default the
+    model's and spec's), and every random test-function battery is drawn
+    from ``seed``; a check takes only its mathematical arguments.
+    ``run_suite`` builds one Analysis per run; a single check is
+    ``Analysis(source, p, spec).<check>()``.
     """
 
     def __init__(self, source, p=None, spec=None, tol=DEFAULT_TOL, seed=0, fingerprint=""):
@@ -489,7 +488,7 @@ class Analysis:
     @_joint_only
     def T(self):
         """The exact random-scan pair."""
-        return memoize(_scan_chain(self.source, self.sel, EXACT_SPEC, self._table))
+        return _scan_chain(self.source, self.sel, EXACT_SPEC, self._table)
 
     @cached_property
     @_joint_only
@@ -499,7 +498,7 @@ class Analysis:
         spec = self.scan_spec
         if all(isinstance(spec.rule_for(i), Exact) for i in range(self.sel.n)):
             return self.T
-        return memoize(_scan_chain(self.source, self.sel, spec, self._table))
+        return _scan_chain(self.source, self.sel, spec, self._table)
 
     def _coordinate_quality(self, i):
         """ApproxQuality of coordinate ``i``'s conditionals, computed once."""
@@ -540,7 +539,7 @@ class Analysis:
     @cached_property
     def S(self):
         """The exact DA pair."""
-        return memoize(da_exact(self.source))
+        return da_exact(self.source)
 
     @cached_property
     def Sh(self):
@@ -556,9 +555,9 @@ class Analysis:
             eps = set(_level_epsilons(self.source))
             if len(eps) == 1 and None not in eps and not spectral_summary(self.S).dropped_states:
                 return affine(self.S, eps.pop())
-            return memoize(da_hybrid(self.source))
+            return da_hybrid(self.source)
         inner = _inner_kernels(self.source, self.spec, self._table(0))
-        return memoize(_hybrid_marginal_chain(self.source, inner))
+        return _hybrid_marginal_chain(self.source, inner)
 
     def inner_norms(self):
         """Exact operator norms of the DA chain's inner kernels, with their
@@ -596,7 +595,7 @@ class Analysis:
             if ell == 1 and np.all(self.sel.p == 1.0 / n):
                 self._blocks[ell] = self.T
             else:
-                self._blocks[ell] = memoize(block_random_scan(self.source, ell))
+                self._blocks[ell] = block_random_scan(self.source, ell)
         return self._blocks[ell]
 
     def _gap_sandwich(self, name, exact, hybrid, qual):
@@ -793,7 +792,7 @@ class Analysis:
             live, w = _conditionals(slices(space, coords, joint.weights)[1])
             configs = [y for y, ok in zip(space.complement_configs(coords), live) if ok]
             inner = block_scans(ProductSpace([space.sizes[c] for c in coords]), w, m)
-            K = checked_stack(inner, w, lambda y: inner_block_kernel(joint, coords, configs[y], m))
+            K = checked_stack(inner, w)
             for y, summ in zip(configs, stacked_summaries(K, w)):
                 rmin = 1.0 - summ.lambda_max
                 if rmin < c1:

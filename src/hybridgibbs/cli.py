@@ -94,17 +94,17 @@ def _int_from(raw, flag, low=1):
     return value
 
 
-def _observable(raw, rev, config):
+def _observable(raw, rev, space):
+    """The --f observable; ``space`` is the joint's, None for a slice model."""
     if raw.startswith("coord:"):
         i = _number(int, raw.split(":", 1)[1], "coord:<i>")
-        if config.is_slice:
+        if space is None:
             if i != 0:
                 raise HybridGibbsError("slice models have a single coordinate")
             return np.arange(rev.n, dtype=float)
-        joint = config.build_joint()
-        if not 0 <= i < joint.space.ncoords:
+        if not 0 <= i < space.ncoords:
             raise HybridGibbsError(f"coordinate {i} out of range")
-        return np.array([joint.space.decode(s)[i] for s in range(joint.n)], dtype=float)
+        return np.array([space.decode(s)[i] for s in range(space.total)], dtype=float)
     if raw.startswith("vector:"):
         values = raw.split(":", 1)[1].split(",")
         vals = np.array([_number(float, v, "vector:<csv>") for v in values], dtype=float)
@@ -151,13 +151,15 @@ def _cmd_simulate(args):
     if config.is_slice:
         model = config.build_slice_model()
         rev = da_exact(model) if args.kernel == "exact" else da_hybrid(model)
+        space = None
     else:
         joint = config.build_joint()
         if args.kernel == "exact":
             rev = exact_random_scan(joint, config.selection())
         else:
             rev = hybrid_random_scan(joint, config.selection(), config.approximator_spec())
-    f = _observable(args.f, rev, config)
+        space = joint.space
+    f = _observable(args.f, rev, space)
     traj = simulate(rev, rev.stationary, steps, seed)
     report = _cross_validate(rev, f, traj, batch=batch, fingerprint=config.fingerprint)
     if args.traj_out:

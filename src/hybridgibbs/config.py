@@ -252,9 +252,9 @@ def _table_key(key, path):
 def parse_config(path):
     """Load, validate and canonicalize a configuration file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_config_text(raw)
 

@@ -13,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-from .approximators import EXACT_SPEC, ApproximatorSpec, Exact, make_approximator, stacked_kernels
+from .approximators import EXACT_SPEC, Exact, stacked_kernels
 from .errors import InvalidBlockSize, InvalidSpec, NotTwoBlock, positive_int
 from .slicemodel import SliceModel, _level_pair
 from .space import conditional_joint, marginal, selection_probs, slices
@@ -32,7 +32,7 @@ class ConditionalTable:
     """
 
     def __init__(self, joint, i):
-        self.joint, self.i = joint, i
+        self.i = i
         self.idx, w = slices(joint.space, (i,), joint.weights)
         live, self.targets = _conditionals(w)
         self.live = np.flatnonzero(live)
@@ -44,15 +44,10 @@ class ConditionalTable:
         """``rule``'s kernel for each live slice as ``make_approximator``
         pairs it: built as ``kernel_for_target`` builds it, clamped at 0,
         and verified stochastic and reversible for its target, all in one
-        batch.  A slice that fails is rebuilt by ``make_approximator``,
-        which raises its named error."""
+        batch, which raises the named error of the first slice that fails."""
         if rule not in self._kernels:
-            keys = [(self.i, y) for y in self.configs]
-            self._kernels[rule] = checked_stack(
-                stacked_kernels(self.targets, rule, keys),
-                self.targets,
-                lambda y: make_approximator(self.joint, ApproximatorSpec(rule), *keys[y]),
-            )
+            stack = stacked_kernels(self.targets, rule, [(self.i, y) for y in self.configs])
+            self._kernels[rule] = checked_stack(stack, self.targets)
         return self._kernels[rule]
 
 

@@ -12,6 +12,7 @@ dropped before analysis: the mean-zero L2 theory is blind to null sets.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -149,14 +150,12 @@ class ReversiblePair:
     Construction verifies detailed balance to within REVERSIBILITY_TOL
     (absolute on the probability-flow products) and stationarity of the
     weight vector to within 1e-10; the worst detailed-balance defect is
-    recorded.
+    recorded.  The pair keeps its decomposition and summary from first use.
     """
 
     kernel: StochasticKernel
     stationary: ProbVec
     reversibility_defect: float = field(init=False)
-    # None, or the dict where ``memoize`` lets this pair keep its spectra.
-    _memo: dict = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         K = self.kernel.matrix
@@ -185,12 +184,26 @@ class ReversiblePair:
     def n(self):
         return self.kernel.n
 
+    @cached_property
+    def _eigs(self):
+        """What ``_sym_eigs`` returns: one eigh."""
+        keep, dropped, ws, d, A, asym = _symmetrized(self)
+        vals, vecs = np.linalg.eigh(A)
+        return keep, dropped, ws, d, vals, vecs, _stationary_column(vecs, d), asym
 
-def checked_stack(K, w, rebuild):
+    @cached_property
+    def _spectrum(self):
+        """What ``spectral_summary`` returns."""
+        _keep, dropped, _ws, _d, vals, _vecs, k0, asym = self._eigs
+        return _summary(np.delete(vals, k0), dropped, asym)
+
+
+def checked_stack(K, w):
     """The checks of ``check_reversibility`` on a stack of pairs (K[y],
     w[y]) at once, with ``w`` normalized: K clamped at 0 as StochasticKernel
     clamps it, not to be written to.  The first pair y that fails a check
-    is rebuilt alone by ``rebuild(y)``, which raises its named error."""
+    is checked alone by ``check_reversibility``, which raises its named
+    error."""
     finite = np.isfinite(K).all(axis=(1, 2))
     negative = (K < -1e-15).any(axis=(1, 2))
     # Clamping changes nothing, not even the sign of a zero, where no
@@ -202,8 +215,9 @@ def checked_stack(K, w, rebuild):
     resid = np.abs(np.matmul(w[:, None, :], Kc)[:, 0, :] - w).max(axis=1)
     bad = ~finite | negative | (rows > 1e-12) | (defect > REVERSIBILITY_TOL) | (resid > 1e-10)
     if bad.any():
-        rebuild(int(np.argmax(bad)))
-        raise CrossCheckFailure(f"pair {np.argmax(bad)} failed the batched check but not its own")
+        y = int(np.argmax(bad))
+        check_reversibility(K[y], w[y])
+        raise CrossCheckFailure(f"pair {y} failed the batched check but not its own")
     return Kc
 
 
@@ -314,17 +328,6 @@ def _renormalize(Ks, rows, wk):
     return wk / wk.sum(axis=-1, keepdims=True)
 
 
-def memoize(rev):
-    """Let ``rev`` keep its decomposition and summary once computed.
-
-    The object that owns the pair (``bounds.Analysis``) turns this on, so that
-    every check it runs reads one decomposition.  Other pairs keep nothing, so
-    a decomposition lives no longer than the object that asked for it.
-    """
-    object.__setattr__(rev, "_memo", {})
-    return rev
-
-
 def _symmetrized(rev):
     """Restricted, symmetrized kernel: (keep, dropped, ws, d, A, asym).
 
@@ -362,18 +365,10 @@ def _sym_eigs(rev):
 
     Returns (keep, dropped, ws, sqrt_ws, vals, vecs, k0, asym) where column
     ``k0`` of ``vecs`` is the stationary direction, identified by maximal
-    overlap with sqrt(ws) rather than by eigenvalue proximity to 1.  A
-    memoized pair (see ``memoize``) computes this once.
+    overlap with sqrt(ws) rather than by eigenvalue proximity to 1.  The
+    pair computes this once, at its first use.
     """
-    memo = rev._memo
-    if memo is not None and "eigs" in memo:
-        return memo["eigs"]
-    keep, dropped, ws, d, A, asym = _symmetrized(rev)
-    vals, vecs = np.linalg.eigh(A)
-    eigs = keep, dropped, ws, d, vals, vecs, _stationary_column(vecs, d), asym
-    if memo is not None:
-        memo["eigs"] = eigs
-    return eigs
+    return rev._eigs
 
 
 def stacked_summaries(K, w):
@@ -406,11 +401,11 @@ def affine(base, c):
     0 <= c <= 1, paired with K's stationary distribution.
 
     The matrix is verified like any other pair.  Its decomposition is
-    read from K's (memoized when ``base`` is): the same eigenvectors, not
-    copied, and eigenvalues c + (1 - c) lambda; its symmetrization
-    residue is (1 - c) times K's.  So the new pair is memoized and its
-    spectral quantities cost no eigensolve.  A dropped state would be
-    renormalized on a different restriction, so it raises InvalidKernel.
+    read from K's: the same eigenvectors, not copied, and eigenvalues
+    c + (1 - c) lambda; its symmetrization residue is (1 - c) times K's.
+    So the new pair's spectral quantities cost no eigensolve.  A dropped
+    state would be renormalized on a different restriction, so it raises
+    InvalidKernel.
     """
     keep, dropped, ws, d, vals, vecs, k0, asym = _sym_eigs(base)
     if dropped:
@@ -419,8 +414,9 @@ def affine(base, c):
         )
     M = (1.0 - c) * base.kernel.matrix
     M[np.diag_indices_from(M)] += c
-    rev = memoize(check_reversibility(M, base.stationary))
-    rev._memo["eigs"] = keep, dropped, ws, d, c + (1.0 - c) * vals, vecs, k0, (1.0 - c) * asym
+    rev = check_reversibility(M, base.stationary)
+    eigs = keep, dropped, ws, d, c + (1.0 - c) * vals, vecs, k0, (1.0 - c) * asym
+    object.__setattr__(rev, "_eigs", eigs)
     return rev
 
 
@@ -467,15 +463,8 @@ def _summary(rest, dropped, asym):
 
 def spectral_summary(rev):
     """Operator norm, gap and mean-zero spectrum of a reversible pair, from
-    its eigendecomposition; a memoized pair computes it once."""
-    memo = rev._memo
-    if memo is not None and "summary" in memo:
-        return memo["summary"]
-    _keep, dropped, _ws, _d, vals, _vecs, k0, asym = _sym_eigs(rev)
-    summ = _summary(np.delete(vals, k0), dropped, asym)
-    if memo is not None:
-        memo["summary"] = summ
-    return summ
+    its eigendecomposition; the pair computes it once."""
+    return rev._spectrum
 
 
 def eigvals_summary(rev):

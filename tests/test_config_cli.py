@@ -343,6 +343,12 @@ class TestCli:
         path.write_text("{nope")
         assert main(["check", str(path), "--suite", "all"]) == 2
 
+    def test_check_undecodable_config_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(MINIMAL).encode("utf-16-le"))
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read ")
+
     def test_check_slice_suite_without_level_kernels_exit_two(self, tmp_path, capsys):
         path = self._write(tmp_path, {"model": {"kind": "slice", "density": [2.0, 1.0]}})
         assert main(["check", path, "--suite", "slice"]) == 2
@@ -416,6 +422,35 @@ class TestCli:
         }
         assert capsys.readouterr().out == json.dumps(out, sort_keys=True, indent=2) + "\n"
         assert traj.read_bytes() == want.read_bytes()
+
+    def test_simulate_builds_the_joint_once(self, tmp_path, capsys, monkeypatch):
+        from hybridgibbs import cross_validate_variance
+        from hybridgibbs.config import ModelConfig
+        from hybridgibbs.spectral import eigvals_summary
+
+        config = {"model": {"kind": "random", "sizes": [4, 3], "seed": 5}}
+        path = self._write(tmp_path, config)
+        canonical = canonicalize(config)
+        joint = canonical.build_joint()
+        rev = exact_random_scan(joint, canonical.selection())
+        f = np.array([joint.space.decode(s)[1] for s in range(rev.n)], dtype=float)
+        report = cross_validate_variance(rev, f, 20000, 6, fingerprint=canonical.fingerprint)
+        want = {
+            "kernel": "exact",
+            "spectral": eigvals_summary(rev).to_dict(),
+            "report": report.to_dict(),
+        }
+        builds = []
+        build_joint = ModelConfig.build_joint
+
+        def counting_build(self):
+            builds.append(1)
+            return build_joint(self)
+
+        monkeypatch.setattr(ModelConfig, "build_joint", counting_build)
+        assert main(["simulate", path, "--steps", "20000", "--seed", "6", "--f", "coord:1"]) == 0
+        assert len(builds) == 1
+        assert capsys.readouterr().out == json.dumps(want, sort_keys=True, indent=2) + "\n"
 
     def test_simulate_vector_observable(self, tmp_path, capsys):
         path = self._write(tmp_path, MINIMAL)

@@ -7,13 +7,16 @@ must not move, and each marginal only has its axes permuted. Permuting the
 points of a slice model, with its explicit level kernels reindexed,
 relabels the slice chains the same way. These guard the mixed-radix codec,
 the Fortran-order reshapes of the joint's weights and the level-set
-bookkeeping.
+bookkeeping. Scaling a model's unnormalized weights, factors or density by
+a power of two changes no bit of any report or kernel summary, since every
+distribution is normalized before it is used.
 
 Battery reports are left out: their witnesses are eigenvectors, and where an
 eigenvalue repeats LAPACK picks an arbitrary basis, which a relabelling may
 change.
 """
 
+import json
 from itertools import combinations, permutations
 
 import numpy as np
@@ -28,7 +31,10 @@ from hybridgibbs import (
     MetropolisIndep,
     MetropolisRW,
     SliceModel,
+    canonicalize,
+    demo_config,
     joint_from_weights,
+    run_suite,
 )
 from hybridgibbs.randomgen import random_joint, random_mixed_spec, random_slice_model, rng_from
 from hybridgibbs.space import marginal
@@ -161,3 +167,64 @@ def test_permuting_points_changes_no_slice_report(seed, within_ties):
     for want, got in zip(Analysis(model).slice_tstep(t), Analysis(moved).slice_tstep(t)):
         assert (want.name, want.status) == (got.name, got.status)
         assert close([want.lhs, want.rhs], [got.lhs, got.rhs]), want.name
+
+
+SCALE_CONFIGS = {
+    "spike-slab-toy": demo_config("spike-slab-toy"),
+    "two-point-slice": demo_config("two-point-slice"),
+    "three-coin-block": demo_config("three-coin-block"),
+    "five-point-slice": {
+        "model": {
+            "kind": "slice",
+            "density": [0.3, 1.7, 0.9, 2.4, 1.1],
+            "level_kernels": [
+                {"rule": "lazy", "epsilon": 0.4},
+                {"rule": "metropolis_rw", "radius": 1},
+                {"rule": "metropolis_indep", "proposal": "uniform"},
+                {"rule": "metropolis_rw", "radius": 1},
+                {"rule": "lazy", "epsilon": 0.1},
+            ],
+        },
+        "suite": ["slice"],
+    },
+    "metropolis-rw-3x2x2": {
+        "model": {
+            "kind": "explicit",
+            "sizes": [3, 2, 2],
+            "weights": (rng_from(7).random(12) + 0.05).tolist(),
+        },
+        "approximator": {"default": {"rule": "metropolis_rw", "radius": 1}, "overrides": {}},
+        "suite": "all",
+    },
+}
+
+
+def scaled(config, factor):
+    """``config`` with its model's weights, factors or density times ``factor``."""
+    model = dict(config["model"])
+    for key in ("weights", "density"):
+        if key in model:
+            model[key] = [factor * v for v in model[key]]
+    if "factors" in model:
+        model["factors"] = [[factor * v for v in f] for f in model["factors"]]
+    return {**config, "model": model}
+
+
+def certified(config):
+    """(fingerprint, the JSON of every report and kernel summary of a run
+    with the reports' fingerprints left out)."""
+    out = run_suite(canonicalize(config)).to_dict(include_timing=False)
+    for report in out["reports"]:
+        report.pop("fingerprint")
+    body = {key: out[key] for key in ("kernels", "quality", "reports")}
+    return out["fingerprint"], json.dumps(body, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", sorted(SCALE_CONFIGS))
+def test_scaling_the_weights_changes_no_bit_of_any_report(name):
+    config = SCALE_CONFIGS[name]
+    fingerprint, want = certified(config)
+    for factor in (2.0**-7, 2.0**9):
+        moved, got = certified(scaled(config, factor))
+        assert moved != fingerprint
+        assert got == want, factor

@@ -26,7 +26,8 @@ from hybridgibbs.errors import (
     ZeroFunction,
 )
 from hybridgibbs.randomgen import random_probvec, random_reversible_kernel, rng_from
-from hybridgibbs.spectral import affine, memoize, variances
+from hybridgibbs.bounds import function_battery
+from hybridgibbs.spectral import affine, checked_stack, variances
 
 TWO_STATE = [[0.7, 0.3], [0.3, 0.7]]
 UNIFORM2 = [0.5, 0.5]
@@ -113,6 +114,32 @@ class TestCheckReversibility:
         assert set(exc.value.pair) == {0, 1}
 
 
+class TestCheckedStack:
+    def stack(self):
+        ws = [random_probvec(40 + y, 4).weights for y in range(3)]
+        Ks = [random_reversible_kernel(50 + y, w) for y, w in enumerate(ws)]
+        return np.array(Ks), np.array(ws)
+
+    def test_passing_stack_is_returned_as_verified(self):
+        K, w = self.stack()
+        np.testing.assert_array_equal(checked_stack(K, w), K)
+
+    @pytest.mark.parametrize("defect", ["row sum", "detailed balance"])
+    def test_failing_slice_raises_its_own_error(self, defect):
+        K, w = self.stack()
+        if defect == "row sum":
+            K[1, 2] *= 1.01
+        else:
+            # A stochastic cycle: not reversible for non-uniform weights.
+            K[1] = np.roll(np.eye(4), 1, axis=1)
+        with pytest.raises((InvalidKernel, NotReversible)) as want:
+            check_reversibility(K[1], w[1])
+        with pytest.raises(type(want.value)) as got:
+            checked_stack(K, w)
+        assert str(got.value) == str(want.value)
+        assert getattr(got.value, "pair", None) == getattr(want.value, "pair", None)
+
+
 class TestSpectralSummary:
     def test_independence_kernel(self):
         w = random_probvec(1, 5)
@@ -154,11 +181,24 @@ class TestSpectralSummary:
             assert num / den <= s.operator_norm + 1e-9
 
 
+class TestKeptDecomposition:
+    def test_a_pair_decomposes_once(self, eig_counts):
+        # Outside any Analysis: the summary, the battery and its variances
+        # read one decomposition.
+        w = random_probvec(21, 12)
+        rev = pair(random_reversible_kernel(22, w), w)
+        summary = spectral_summary(rev)
+        F, _labels = function_battery(rev)
+        variances(rev, F)
+        assert spectral_summary(rev) is summary
+        assert dict(eig_counts["eigh"]) == {12: 1}
+
+
 class TestAffine:
     @pytest.mark.parametrize("c", [0.0, 0.3, 0.95])
     def test_spectrum_and_variances_match_a_fresh_decomposition(self, c):
         w = random_probvec(11, 7)
-        base = memoize(pair(random_reversible_kernel(12, w), w))
+        base = pair(random_reversible_kernel(12, w), w)
         rev = affine(base, c)
         fresh = pair(c * np.eye(7) + (1.0 - c) * base.kernel.matrix, w)
         np.testing.assert_allclose(rev.kernel.matrix, fresh.kernel.matrix, rtol=0, atol=1e-15)
@@ -284,7 +324,7 @@ class TestAsymptoticVariance:
             solved = asymptotic_variance(rev, f)
             assert not eig_counts["eigh"] and not eig_counts["eigvalsh"]
             cholesky = dict(eig_counts["cholesky"])
-            expected = float(variances(memoize(rev), f[:, None])[0])
+            expected = float(variances(rev, f[:, None])[0])
             assert solved == pytest.approx(expected, rel=1e-12)
             for counter in eig_counts.values():
                 counter.clear()
