@@ -27,6 +27,7 @@ from .errors import (
     DegenerateConstants,
     DimensionMismatch,
     DominationViolated,
+    InvalidArgument,
     InvalidBlockSize,
     InvalidSpec,
     NonUniformSelection,
@@ -47,13 +48,14 @@ from .gibbs import (
     da_exact,
     da_hybrid,
 )
+from .randomgen import rng_from
 from .report import fingerprint_bytes, make_report
 from .slicemodel import SliceModel, _level_pair
 from .space import ProductSpace, selection_probs, slices
 from .spectral import (
     NULL_MASS,
-    _sym_eigs,
     affine,
+    as_values,
     checked_stack,
     eigvals_summary,
     spectral_summary,
@@ -283,7 +285,7 @@ def function_battery(rev, trials=DEFAULT_TRIALS, seed=0):
     Returns (F, labels) where F has one function per column, supported on the
     non-null states of the pair, each with unit stationary-L2 norm.
     """
-    keep, _dropped, ws, d, vals, vecs, k0, _asym = _sym_eigs(rev)
+    keep, _dropped, ws, d, vals, vecs, k0, _asym = rev._eigs
     unit = _mean_zero_unit_eigenspace(vals, vecs, k0, d)
     n = rev.n
     cols = []
@@ -295,8 +297,8 @@ def function_battery(rev, trials=DEFAULT_TRIALS, seed=0):
         full[keep] = unit.get(k, vecs[:, k]) / d
         cols.append(full)
         labels.append({"kind": "eigenvector", "index": int(k)})
-    rng = np.random.Generator(np.random.Philox(int(seed)))
-    for j in range(int(trials)):
+    rng = rng_from(seed)
+    for j in range(positive_int(trials, "trials", low=0)):
         g = rng.standard_normal(keep.size)
         g -= float(ws @ g)
         nrm = float(np.sqrt(ws @ (g * g)))
@@ -439,7 +441,9 @@ class Analysis:
                 "a slice model takes no selection probabilities and no spec: it has "
                 "no coordinates to select, and its level kernels are the approximators"
             )
-        self.tol = tol
+        self.tol = float(tol)
+        if not 0.0 < self.tol < np.inf:
+            raise InvalidArgument(f"tol must be finite and positive, got {tol!r}")
         self.seed = seed
         self.fingerprint = fingerprint or model_fingerprint(source, spec)
         self._tables = {}
@@ -665,7 +669,7 @@ class Analysis:
         if spectral_summary(T).operator_norm >= 1.0 - 1e-12:
             raise NoSpectralGap("the exact chain has no spectral gap")
         if f is not None:
-            F = np.column_stack([np.asarray(f, dtype=float)])
+            F = np.array(as_values(f, T.n)[:, None])  # a copy: it is centred in place
             labels = [{"kind": "supplied"}]
         else:
             F, labels = function_battery(T, trials=trials, seed=self.seed)
@@ -779,8 +783,8 @@ class Analysis:
         """
         joint = self.source
         space, n = joint.space, joint.space.ncoords
-        ell = int(ell)
-        m = int(m)
+        ell = positive_int(ell, "ell")
+        m = positive_int(m, "m")
         if not 1 <= m < ell <= n - 1:
             raise InvalidBlockSize(
                 f"need 1 <= m < l <= {n - 1}, got (l, m) = ({ell}, {m})"
@@ -889,7 +893,9 @@ class Analysis:
             gap_h_alt = gap_t_alt
         else:
             gap_h_alt = self._gap_under(sel_alt, self.scan_spec, self.Th)
-        r = float(np.min(sel.p / sel_alt.p))
+        # A subnormal p_alt overflows the ratio to inf, which never wins the min.
+        with np.errstate(over="ignore"):
+            r = float(np.min(sel.p / sel_alt.p))
         reports = [
             self.report("selection-minratio-exact", r * gap_t_alt, gap_t, {"min_ratio": r}),
             self.report("selection-minratio-hybrid", r * gap_h_alt, gap_h, {"min_ratio": r}),

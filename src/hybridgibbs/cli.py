@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import canonicalize, parse_config, serialize
 from .demos import demo_config, list_demos
-from .errors import HybridGibbsError, InvalidArgument
+from .errors import HybridGibbsError, InvalidArgument, positive_int
 from .gibbs import da_exact, da_hybrid, exact_random_scan, hybrid_random_scan
 from .simulate import _cross_validate, simulate, write_trajectory
 from .spectral import eigvals_summary
@@ -87,13 +87,6 @@ def _number(convert, raw, what):
         raise InvalidArgument(f"{what}: {raw!r} is not a valid {convert.__name__}") from None
 
 
-def _int_from(raw, flag, low=1):
-    value = _number(int, raw, flag)
-    if value < low:
-        raise InvalidArgument(f"{flag} must be at least {low}, got {value}")
-    return value
-
-
 def _observable(raw, rev, space):
     """The --f observable; ``space`` is the joint's, None for a slice model."""
     if raw.startswith("coord:"):
@@ -134,7 +127,7 @@ def _cmd_check(args, config=None):
     suites = _parse_suites(args.suite)
     t_values = None
     if args.t:
-        t_values = [_int_from(v, "--t") for v in args.t.split(",") if v.strip()]
+        t_values = [_number(int, v, "--t") for v in args.t.split(",") if v.strip()]
     report = run_suite(config, suites=suites, t_values=t_values, tol=args.tol)
     _emit(report.to_json(), args.out)
     if args.csv:
@@ -144,9 +137,9 @@ def _cmd_check(args, config=None):
 
 
 def _cmd_simulate(args):
-    steps = _int_from(args.steps, "--steps")
-    seed = _int_from(args.seed, "--seed", low=0)
-    batch = None if args.batch is None else _int_from(args.batch, "--batch")
+    steps = positive_int(args.steps, "--steps")
+    seed = positive_int(args.seed, "--seed", low=0)
+    batch = None if args.batch is None else positive_int(args.batch, "--batch")
     config = parse_config(args.config)
     if config.is_slice:
         model = config.build_slice_model()

@@ -1,9 +1,10 @@
 """Exception hierarchy.
 
 Every error raised by this package derives from HybridGibbsError, so callers
-can catch the whole family with one clause; ``positive_int`` is the one check
-of a positive-integer argument.  Errors that carry diagnostic
-payloads (worst state pair, expected lengths, ...) expose them as attributes.
+can catch the whole family with one clause.  ``positive_int`` is the one
+check of an integer argument, library and CLI alike.  Errors that carry
+diagnostic payloads (worst state pair, expected lengths, ...) expose them
+as attributes.
 """
 
 
@@ -124,13 +125,15 @@ class InvalidArgument(HybridGibbsError, ValueError):
     """An argument value or builtin name that names nothing usable."""
 
 
-def positive_int(value, name):
-    """``value`` as an int; InvalidArgument unless it is a positive integer
+def positive_int(value, name, low=1):
+    """``value`` as an int; InvalidArgument unless it is an integer of at
+    least ``low``: 1 for a count, 0 for a seed or a number of random trials
     (an integral float counts, 2.5 or "2" does not)."""
     try:
         k = int(value)
     except (TypeError, ValueError, OverflowError):
         k = None
-    if k is None or k != value or k < 1:
-        raise InvalidArgument(f"{name} must be a positive integer, got {value!r}")
+    if k is None or k != value or k < low:
+        rule = "a positive integer" if low else "a positive integer or 0"
+        raise InvalidArgument(f"{name} must be {rule}, got {value!r}")
     return k

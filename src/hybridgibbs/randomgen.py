@@ -8,14 +8,16 @@ reproducible from an integer seed.
 import numpy as np
 
 from .approximators import ApproximatorSpec, ExplicitMatrix, Lazy
+from .errors import positive_int
 from .space import JointDistribution, ProductSpace, conditional
 from .spectral import ProbVec
 
 
 def rng_from(seed):
+    """The Philox generator of a seed, an integer of at least 0; a Generator is returned as is."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.Generator(np.random.Philox(int(seed)))
+    return np.random.Generator(np.random.Philox(positive_int(seed, "seed", low=0)))
 
 
 def random_probvec(seed, n, floor=0.05):

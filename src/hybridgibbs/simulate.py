@@ -20,6 +20,7 @@ from .errors import (
     TooFewBatches,
     positive_int,
 )
+from .randomgen import rng_from
 from .report import fingerprint_bytes, make_report
 from .spectral import (
     NULL_MASS,
@@ -68,7 +69,7 @@ def simulate(rev, start, steps, seed):
     """
     steps = positive_int(steps, "steps")
     n = rev.n
-    rng = np.random.Generator(np.random.Philox(int(seed)))
+    rng = rng_from(seed)
     if isinstance(start, (int, np.integer)):
         s0 = int(start)
         if not 0 <= s0 < n:

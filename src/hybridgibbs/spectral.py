@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     CrossCheckFailure,
     DimensionMismatch,
+    InvalidArgument,
     InvalidDistribution,
     InvalidKernel,
     NonUniqueStationary,
@@ -132,7 +133,7 @@ def as_values(f, n):
     if v.ndim != 1 or v.size != n:
         raise DimensionMismatch(f"expected a function over {n} states, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise ValueError("function values must be finite")
+        raise InvalidArgument("function values must be finite")
     return v
 
 
@@ -186,7 +187,12 @@ class ReversiblePair:
 
     @cached_property
     def _eigs(self):
-        """What ``_sym_eigs`` returns: one eigh."""
+        """Symmetrized eigendecomposition on the support, from one eigh.
+
+        (keep, dropped, ws, sqrt_ws, vals, vecs, k0, asym), where column
+        ``k0`` of ``vecs`` is the stationary direction, identified by maximal
+        overlap with sqrt(ws) rather than by eigenvalue proximity to 1.
+        """
         keep, dropped, ws, d, A, asym = _symmetrized(self)
         vals, vecs = np.linalg.eigh(A)
         return keep, dropped, ws, d, vals, vecs, _stationary_column(vecs, d), asym
@@ -360,17 +366,6 @@ def _stationary_column(vecs, d):
     return int(np.argmax(np.abs(vecs.T @ d)))
 
 
-def _sym_eigs(rev):
-    """Symmetrized eigendecomposition on the support.
-
-    Returns (keep, dropped, ws, sqrt_ws, vals, vecs, k0, asym) where column
-    ``k0`` of ``vecs`` is the stationary direction, identified by maximal
-    overlap with sqrt(ws) rather than by eigenvalue proximity to 1.  The
-    pair computes this once, at its first use.
-    """
-    return rev._eigs
-
-
 def stacked_summaries(K, w):
     """``spectral_summary`` of each pair (K[y], w[y]) of a stack that
     ``checked_stack`` passed, bit for bit.  The pairs whose weights all
@@ -407,7 +402,7 @@ def affine(base, c):
     state would be renormalized on a different restriction, so it raises
     InvalidKernel.
     """
-    keep, dropped, ws, d, vals, vecs, k0, asym = _sym_eigs(base)
+    keep, dropped, ws, d, vals, vecs, k0, asym = base._eigs
     if dropped:
         raise InvalidKernel(
             f"an affine pair needs a base that drops no state, got {len(dropped)} dropped"
@@ -427,19 +422,7 @@ def _summary(rest, dropped, asym):
     summary then reports norm 0, gap 1 and extreme eigenvalues 0 by
     convention.
     """
-    if rest.size == 0:
-        return SpectralSummary(
-            operator_norm=0.0,
-            gap=1.0,
-            lambda_max=0.0,
-            lambda_min=0.0,
-            psd=True,
-            eigenvalues=rest,
-            dropped_states=dropped,
-            max_asymmetry=asym,
-        )
-    lam_min = float(rest[0])
-    lam_max = float(rest[-1])
+    lam_min, lam_max = (float(rest[0]), float(rest[-1])) if rest.size else (0.0, 0.0)
     norm = max(abs(lam_max), abs(lam_min))
     gap = 1.0 - norm
     # Cross-check against the min-formula for the gap in terms of Dirichlet
@@ -471,18 +454,11 @@ def eigvals_summary(rev):
     """``spectral_summary`` from eigenvalues alone, for a pair whose
     eigenvectors nothing reads: one ``eigvalsh``, and nothing is kept.
 
-    Subtracting 3 d d^T moves the stationary eigenvalue (A d = d, |d| = 1)
-    to -2, below the rest of the spectrum, which lies in [-1, 1]; the
-    minimum is dropped.
+    The spectrum of a reversible stochastic kernel lies in [-1, 1] and
+    A d = d, so the stationary eigenvalue is the largest; it is dropped.
     """
-    _keep, dropped, _ws, d, A, asym = _symmetrized(rev)
-    A -= np.outer(3.0 * d, d)
-    vals = np.linalg.eigvalsh(A)
-    if vals.size > 1 and vals[1] - vals[0] < 0.5:
-        raise CrossCheckFailure(
-            f"the shifted stationary eigenvalue {vals[0]:.6f} is not isolated"
-        )
-    return _summary(vals[1:], dropped, asym)
+    _keep, dropped, _ws, _d, A, asym = _symmetrized(rev)
+    return _summary(np.linalg.eigvalsh(A)[:-1], dropped, asym)
 
 
 def dirichlet_form(rev, f):
@@ -522,9 +498,8 @@ def variances(rev, F):
     costs less through ``asymptotic_variance``.  Requires a positive
     spectral gap.
     """
-    keep, _dropped, ws, d, vals, vecs, k0, _asym = _sym_eigs(rev)
-    rest = np.delete(vals, k0)
-    norm = float(np.abs(rest).max()) if rest.size else 0.0
+    keep, _dropped, ws, d, vals, vecs, k0, _asym = rev._eigs
+    norm = rev._spectrum.operator_norm
     if norm >= 1.0 - 1e-12:
         raise NoSpectralGap(f"operator norm {norm:.12f} leaves no spectral gap")
     Fk = F[keep]

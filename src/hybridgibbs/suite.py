@@ -12,7 +12,6 @@ to exit code 2 by the CLI.
 import csv
 import io
 import json
-import math
 import time
 from dataclasses import dataclass, replace
 from functools import partial
@@ -108,9 +107,7 @@ def run_suite(config, suites=None, t_values=None, tol=None):
         )
     t_values = t_values if t_values is not None else config.t_values
     t_values = sorted({positive_int(t, "t") for t in t_values})
-    tol = float(tol) if tol is not None else config.tol
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise HybridGibbsError(f"tol must be finite and positive, got {tol!r}")
+    tol = tol if tol is not None else config.tol
     settings = {"tol": tol, "seed": config.seed, "fingerprint": config.fingerprint}
     if config.is_slice:
         analysis = Analysis(config.build_slice_model(), **settings)

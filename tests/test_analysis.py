@@ -36,7 +36,7 @@ from hybridgibbs.bounds import _scan_gap, function_battery, model_fingerprint
 from hybridgibbs.errors import CrossCheckFailure, DimensionMismatch, PreconditionUnmet
 from hybridgibbs.randomgen import random_joint
 from hybridgibbs.space import selection_probs
-from hybridgibbs.spectral import _sym_eigs, eigvals_summary, spectral_summary
+from hybridgibbs.spectral import eigvals_summary, spectral_summary
 from hybridgibbs.suite import _finish, _guarded
 
 R2X40 = {
@@ -336,7 +336,7 @@ def test_affine_slice_route_matches_built_kernels(rules, seed, monkeypatch):
         want_quality = built.da_quality
         want_reports = built.slice_tstep(2) + built.slice_tstep(3) + built.da_tstep(2)
     # The affine route shares the exact chain's eigenvectors.
-    assert _sym_eigs(affine.Sh)[5] is _sym_eigs(affine.S)[5]
+    assert affine.Sh._eigs[5] is affine.S._eigs[5]
     assert np.abs(affine.Sh.kernel.matrix - da_hybrid(model).kernel.matrix).max() <= 1e-15
     got, want = spectral_summary(affine.Sh), spectral_summary(want_sh)
     assert got.psd == want.psd and got.dropped_states == want.dropped_states == ()

@@ -1,5 +1,6 @@
-"""One positive-integer check for every step count, path length and batch
-size: a bad value is an InvalidArgument, which is also a ValueError."""
+"""One integer check for every step count, path length, batch and block
+size, seed and number of random trials: a bad value is an InvalidArgument,
+which is also a ValueError."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hybridgibbs import (
     SliceModel,
     batch_means_variance,
     check_reversibility,
+    cross_validate_variance,
     da_hybrid,
     joint_from_weights,
     mean_power_bound,
@@ -19,14 +21,18 @@ from hybridgibbs import (
     spectral_jensen_check,
     t_step,
 )
+from hybridgibbs.bounds import function_battery
 from hybridgibbs.errors import HybridGibbsError, InvalidArgument, positive_int
+from hybridgibbs.randomgen import random_joint, rng_from
 
 SKEWED = joint_from_weights((2, 2), [0.1, 0.2, 0.3, 0.4])
 LAZY = ApproximatorSpec(default=Lazy(0.4))
 SLICE = SliceModel(np.array([2.0, 1.0]), (Lazy(0.5), Lazy(0.9)))
 TWO_STATE = check_reversibility(np.array([[0.7, 0.3], [0.3, 0.7]]), np.array([0.5, 0.5]))
+THREE_COORDS = random_joint(4, sizes=(2, 2, 2))
 
-SITES = {
+# Counts must be positive.
+COUNTS = {
     "da_tstep": lambda t: Analysis(SKEWED, spec=LAZY).da_tstep(t),
     "da_variance_tstep": lambda t: Analysis(SKEWED, spec=LAZY).da_variance_tstep(t),
     "uniform_tstep_bound": lambda t: Analysis(SKEWED, spec=LAZY).uniform_tstep_bound(t),
@@ -40,11 +46,26 @@ SITES = {
         simulate(TWO_STATE, 0, 100, seed=0), [1.0, -1.0], batch
     ),
     "mixing_curve": lambda tmax: mixing_curve(TWO_STATE, [1.0, 0.0], tmax),
+    "block_comparison_ell": lambda ell: Analysis(THREE_COORDS).block_comparison(ell, 1),
+    "block_comparison_m": lambda m: Analysis(THREE_COORDS).block_comparison(2, m),
 }
+# Seeds and numbers of random trials may also be 0.
+NONNEGATIVE = {
+    "function_battery_trials": lambda trials: function_battery(TWO_STATE, trials=trials),
+    "function_battery_seed": lambda seed: function_battery(TWO_STATE, seed=seed),
+    "analysis_seed": lambda seed: Analysis(SKEWED, spec=LAZY, seed=seed).dirichlet_sandwich(),
+    "simulate_seed": lambda seed: simulate(TWO_STATE, 0, 10, seed=seed),
+    "cross_validate_variance_seed": lambda seed: cross_validate_variance(
+        TWO_STATE, [1.0, -1.0], 100, seed
+    ),
+    "rng_from": rng_from,
+}
+SITES = {**COUNTS, **NONNEGATIVE}
+CASES = [(site, value) for site in COUNTS for value in (0, 2.5, "2")]
+CASES += [(site, value) for site in NONNEGATIVE for value in (-1, 2.5, "2")]
 
 
-@pytest.mark.parametrize("value", [0, 2.5, "2"])
-@pytest.mark.parametrize("site", list(SITES))
+@pytest.mark.parametrize("site, value", CASES, ids=[f"{s}-{v}" for s, v in CASES])
 def test_bad_count_is_a_named_error(site, value):
     with pytest.raises(InvalidArgument, match="must be a positive integer"):
         SITES[site](value)
@@ -62,3 +83,9 @@ def test_integral_values_pass():
     for bad in (float("nan"), float("inf"), 1.5, 0):
         with pytest.raises(InvalidArgument):
             positive_int(bad, "t")
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_tol_is_a_named_error(tol):
+    with pytest.raises(InvalidArgument, match="tol must be finite and positive"):
+        Analysis(SKEWED, spec=LAZY, tol=tol)

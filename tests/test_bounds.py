@@ -28,10 +28,11 @@ from hybridgibbs import (
 from hybridgibbs import slicemodel
 from hybridgibbs.approximators import kernel_for_target
 from hybridgibbs.bounds import function_battery
-from hybridgibbs.spectral import _sym_eigs, spectral_summary
+from hybridgibbs.spectral import spectral_summary
 from hybridgibbs.errors import (
     DimensionMismatch,
     DominationViolated,
+    InvalidArgument,
     InvalidBlockSize,
     InvalidSpec,
     NonUniformSelection,
@@ -263,6 +264,26 @@ class TestVarianceSandwich:
             assert min_slack(reps) >= -1e-9
             count += 1
         assert count == 60
+
+    def test_supplied_function_is_validated(self):
+        analysis = Analysis(SKEWED, spec=ApproximatorSpec(default=Lazy(0.3)))
+        with pytest.raises(DimensionMismatch):
+            analysis.variance_sandwich(f=[1.0, -1.0])
+        with pytest.raises(InvalidArgument, match="finite"):
+            analysis.variance_sandwich(f=[1.0, np.nan, 0.0, -1.0])
+
+    def test_supplied_battery_column_reads_its_battery_report(self):
+        joint = random_joint(5, sizes=(3, 2))
+        analysis = Analysis(joint, spec=random_lazy_spec(6, joint, eps_range=(0.1, 0.6)), seed=3)
+        F, labels = function_battery(analysis.T, trials=8, seed=3)
+        for want in analysis.variance_sandwich(trials=8):
+            f = F[:, labels.index(want.witness["f"])]
+            before = f.copy()
+            got = {r.name: r for r in analysis.variance_sandwich(f=f)}[want.name]
+            assert np.array_equal(f, before)
+            assert got.witness["f"] == {"kind": "supplied"}
+            assert got.lhs == pytest.approx(want.lhs, rel=1e-12, abs=1e-12)
+            assert got.rhs == pytest.approx(want.rhs, rel=1e-12, abs=1e-12)
 
 
 class TestDaChecks:
@@ -651,7 +672,7 @@ class TestBatteryMeanZero:
 
     def test_simple_eigenvalue_one_keeps_the_eigenvectors(self):
         T = exact_random_scan(random_joint(91, sizes=(3, 4)))
-        keep, _dropped, _ws, d, _vals, vecs, k0, _asym = _sym_eigs(T)
+        keep, _dropped, _ws, d, _vals, vecs, k0, _asym = T._eigs
         F, labels = function_battery(T, trials=0, seed=0)
         want = np.delete(vecs, k0, axis=1) / d[:, None]
         assert keep.size == T.n

@@ -21,6 +21,17 @@ from hybridgibbs.errors import MissingLevelKernel, ParseError, SchemaError
 from hybridgibbs.suite import run_suite
 
 MINIMAL = {"model": {"kind": "explicit", "sizes": [2, 2], "weights": [0.1, 0.2, 0.3, 0.4]}}
+SLICE = {
+    "model": {
+        "kind": "slice",
+        "density": [3.0, 1.0, 2.0, 1.0],
+        "level_kernels": [
+            {"rule": "lazy", "epsilon": 0.3},
+            {"rule": "lazy", "epsilon": 0.6},
+            {"rule": "metropolis_rw", "radius": 1},
+        ],
+    }
+}
 
 
 class TestConfig:
@@ -484,6 +495,49 @@ class TestCli:
 
     def test_demo_unknown_exit_two(self):
         assert main(["demo", "does-not-exist"]) == 2
+
+    @pytest.mark.parametrize("name", list_demos())
+    def test_demo_prints_its_canonical_config(self, capsys, name):
+        assert main(["demo", name]) == 0
+        printed = parse_config_text(capsys.readouterr().out)
+        want = canonicalize(demo_config(name))
+        assert printed.data == want.data
+        assert printed.fingerprint == want.fingerprint
+
+    @pytest.mark.parametrize("kernel", ["exact", "hybrid"])
+    def test_simulate_slice_model(self, tmp_path, capsys, kernel):
+        from hybridgibbs import cross_validate_variance, da_exact, da_hybrid
+        from hybridgibbs.spectral import eigvals_summary
+
+        config = canonicalize(SLICE)
+        model = config.build_slice_model()
+        rev = da_exact(model) if kernel == "exact" else da_hybrid(model)
+        f = np.arange(rev.n, dtype=float)
+        report = cross_validate_variance(rev, f, 20000, 2, fingerprint=config.fingerprint)
+        want = {
+            "kernel": kernel,
+            "spectral": eigvals_summary(rev).to_dict(),
+            "report": report.to_dict(),
+        }
+        path = self._write(tmp_path, SLICE)
+        code = main(["simulate", path, "--kernel", kernel, "--steps", "20000", "--seed", "2"])
+        assert capsys.readouterr().out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+        assert code == (1 if report.status == "fail" else 0)
+
+    @pytest.mark.parametrize(
+        "config, f, message",
+        [
+            (SLICE, "coord:1", "slice models have a single coordinate"),
+            (MINIMAL, "coord:2", "coordinate 2 out of range"),
+            (MINIMAL, "sum", "--f must look like"),
+        ],
+        ids=["slice-coord", "coord-out-of-range", "malformed"],
+    )
+    def test_bad_observable_is_a_named_error(self, tmp_path, capsys, config, f, message):
+        path = self._write(tmp_path, config)
+        assert main(["simulate", path, "--steps", "100", "--f", f]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",

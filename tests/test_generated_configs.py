@@ -126,6 +126,15 @@ def configs(draw):
 # selection_probs_alt read from the DA gap by a two-coordinate closed form
 # turned the DA gap's rounding into a CrossCheckFailure.
 @example({"model": {"kind": "product", "factors": [[0.2, 0.3, 0.5], [0.1, 0.9]]}})
+# A normalized selection_probs_alt with a subnormal entry overflows the
+# selection check's probability ratio to inf.
+@example(
+    {
+        "model": {"kind": "random", "sizes": [2, 2], "seed": 1},
+        "selection_probs_alt": [1e308, 0.1],
+        "suite": ["selection"],
+    }
+)
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(configs())
 def test_generated_config_is_canonical_and_runs_or_names_its_error(data):

@@ -27,7 +27,7 @@ from hybridgibbs.errors import (
 )
 from hybridgibbs.randomgen import random_probvec, random_reversible_kernel, rng_from
 from hybridgibbs.bounds import function_battery
-from hybridgibbs.spectral import affine, checked_stack, variances
+from hybridgibbs.spectral import affine, checked_stack, eigvals_summary, variances
 
 TWO_STATE = [[0.7, 0.3], [0.3, 0.7]]
 UNIFORM2 = [0.5, 0.5]
@@ -179,6 +179,44 @@ class TestSpectralSummary:
             num = abs(w.weights @ (f * (K @ f)))
             den = w.weights @ (f * f)
             assert num / den <= s.operator_norm + 1e-9
+
+
+REDUCIBLE = {
+    "identity": (np.eye(4), [0.25, 0.25, 0.25, 0.25]),
+    "swap": (np.array([[0.0, 1.0], [1.0, 0.0]]), UNIFORM2),
+    "block-diagonal": (
+        np.array(
+            [[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.2, 0.8], [0.0, 0.0, 0.8, 0.2]]
+        ),
+        [0.25, 0.25, 0.25, 0.25],
+    ),
+}
+
+
+class TestEigvalsSummary:
+    """The eigenvalues-only summary drops the top eigenvalue, the stationary one."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_the_eigenvector_route(self, seed):
+        w = random_probvec(seed + 300, 30)
+        rev = pair(random_reversible_kernel(seed + 400, w), w)
+        got, want = eigvals_summary(rev), spectral_summary(rev)
+        for key in ("gap", "lambda_min", "lambda_max"):
+            assert abs(getattr(got, key) - getattr(want, key)) <= 2e-15
+        assert got.eigenvalues.size == want.eigenvalues.size == 29
+
+    @pytest.mark.parametrize("name", list(REDUCIBLE))
+    def test_a_repeated_eigenvalue_one_reads_no_gap(self, name):
+        K, w = REDUCIBLE[name]
+        s = eigvals_summary(pair(K, w))
+        assert s.gap == 0.0
+        assert s.operator_norm == 1.0
+        assert max(abs(s.lambda_min), abs(s.lambda_max)) == 1.0
+
+    def test_one_state_convention(self):
+        s = eigvals_summary(pair([[1.0]], [1.0]))
+        got = (s.operator_norm, s.gap, s.lambda_min, s.lambda_max, s.psd, s.eigenvalues.size)
+        assert got == (0.0, 1.0, 0.0, 0.0, True, 0)
 
 
 class TestKeptDecomposition:
