@@ -17,10 +17,11 @@ An ApproximatorSpec bundles a default rule with per-coordinate overrides.
 """
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, positive_int
 from .space import conditional
 from .spectral import ProbVec, check_reversibility
 
@@ -36,8 +37,8 @@ class Lazy:
     epsilon: float
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise InvalidSpec(f"lazy mixing weight must lie in [0, 1], got {self.epsilon}")
+        if not (isinstance(self.epsilon, Real) and 0.0 <= self.epsilon <= 1.0):
+            raise InvalidSpec(f"lazy epsilon must be a number in [0, 1], got {self.epsilon!r}")
 
     def describe(self):
         return {"rule": "lazy", "epsilon": float(self.epsilon)}
@@ -48,11 +49,10 @@ class MetropolisRW:
     radius: int = 1
 
     def __post_init__(self):
-        if int(self.radius) < 1:
-            raise InvalidSpec("random-walk radius must be at least 1")
+        object.__setattr__(self, "radius", positive_int(self.radius, "random-walk radius"))
 
     def describe(self):
-        return {"rule": "metropolis_rw", "radius": int(self.radius)}
+        return {"rule": "metropolis_rw", "radius": self.radius}
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +64,7 @@ class MetropolisIndep:
     def describe(self):
         if isinstance(self.proposal, str):
             return {"rule": "metropolis_indep", "proposal": self.proposal}
-        return {"rule": "metropolis_indep", "proposal": list(np.asarray(self.proposal, float))}
+        return {"rule": "metropolis_indep", "proposal": np.asarray(self.proposal, float).tolist()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +141,7 @@ def stacked_kernels(targets, rule, keys=None):
         eps = float(rule.epsilon)
         return eps * np.eye(d) + (1.0 - eps) * targets[:, None, :]
     if isinstance(rule, MetropolisRW):
-        return _metropolis_rw(targets, int(rule.radius))
+        return _metropolis_rw(targets, rule.radius)
     if isinstance(rule, MetropolisIndep):
         if isinstance(rule.proposal, str):
             if rule.proposal != "uniform":

@@ -208,8 +208,8 @@ class NormProfile:
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
-        if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-9):
-            raise InvalidSpec("norm bounds must lie in [0, 1]")
+        if not np.all((v >= -1e-12) & (v <= 1.0 + 1e-9)):
+            raise InvalidSpec("norm bounds must be finite and lie in [0, 1]")
         v = np.clip(v, 0.0, 1.0)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)

@@ -2,13 +2,14 @@
 
 Subcommands:
   analyze    build the configured kernels and report their spectra
-  check      run certification suites; exit 0 when nothing fails,
-             1 on a failed bound, 2 on input errors
+  check      run certification suites
   simulate   run a trajectory and cross-validate the asymptotic variance
   demo       print (or run) a builtin demo model
   list-demos list builtin demo names
 
-The state-space cap honours the HYBRIDGIBBS_STATE_CAP environment variable.
+Exit codes: 0 when nothing fails, 1 when a bound or the simulation check
+fails, 2 on an input or file error or a model too large for memory.  The
+state-space cap honours the HYBRIDGIBBS_STATE_CAP environment variable.
 """
 
 import argparse
@@ -184,7 +185,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (HybridGibbsError, OSError) as exc:
+    except (HybridGibbsError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

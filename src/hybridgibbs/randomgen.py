@@ -9,7 +9,8 @@ import numpy as np
 
 from .approximators import ApproximatorSpec, ExplicitMatrix, Lazy
 from .errors import positive_int
-from .space import JointDistribution, ProductSpace, conditional
+from .gibbs import ConditionalTable
+from .space import JointDistribution, ProductSpace
 from .spectral import ProbVec
 
 
@@ -63,17 +64,7 @@ def random_reversible_kernel(seed, target):
 def random_explicit_spec(seed, joint, coords=None):
     """Explicit random reversible approximators for every supported conditional."""
     rng = rng_from(seed)
-    space = joint.space
-    if coords is None:
-        coords = tuple(range(space.ncoords))
-    tables = {}
-    for i in coords:
-        for y in space.complement_configs((i,)):
-            idx = space.subspace_indices((i,), y)
-            if joint.weights[idx].sum() <= 0.0:
-                continue
-            target = conditional(joint, i, y)
-            tables[(i, y)] = random_reversible_kernel(rng, target)
+    tables = {(i, y): random_reversible_kernel(rng, t) for i, y, t in _targets(joint, coords)}
     return ApproximatorSpec(default=ExplicitMatrix(tables))
 
 
@@ -84,24 +75,23 @@ def random_mixed_spec(seed, joint, coords=None, lazy_prob=0.4):
     sweeps built from this cover both branches of the psd tightenings.
     """
     rng = rng_from(seed)
-    space = joint.space
-    if coords is None:
-        coords = tuple(range(space.ncoords))
     tables = {}
-    for i in coords:
-        for y in space.complement_configs((i,)):
-            idx = space.subspace_indices((i,), y)
-            if joint.weights[idx].sum() <= 0.0:
-                continue
-            target = conditional(joint, i, y)
-            if rng.random() < lazy_prob:
-                eps = float(rng.uniform(0.0, 0.9))
-                d = target.n
-                Q = eps * np.eye(d) + (1.0 - eps) * np.tile(target.weights, (d, 1))
-                tables[(i, y)] = Q
-            else:
-                tables[(i, y)] = random_reversible_kernel(rng, target)
+    for i, y, target in _targets(joint, coords):
+        if rng.random() < lazy_prob:
+            eps = float(rng.uniform(0.0, 0.9))
+            d = target.size
+            tables[(i, y)] = eps * np.eye(d) + (1.0 - eps) * np.tile(target, (d, 1))
+        else:
+            tables[(i, y)] = random_reversible_kernel(rng, target)
     return ApproximatorSpec(default=ExplicitMatrix(tables))
+
+
+def _targets(joint, coords):
+    """(i, y, target) for each supported conditional of each coordinate i
+    in ``coords`` (all by default), read from the coordinate's table."""
+    for i in range(joint.space.ncoords) if coords is None else coords:
+        table = ConditionalTable(joint, i)
+        yield from ((i, y, t) for y, t in zip(table.configs, table.targets))
 
 
 def random_lazy_spec(seed, joint, eps_range=(0.0, 0.9)):

@@ -15,6 +15,7 @@ from . import _stepper_py
 from .errors import (
     CrossCheckFailure,
     DimensionMismatch,
+    InvalidArgument,
     InvalidStart,
     NotAbsolutelyContinuous,
     TooFewBatches,
@@ -101,7 +102,12 @@ def batch_means_variance(traj, f, batch):
     chi-square spread sqrt(2/(B-1)) times the estimate.
     """
     batch = positive_int(batch, "batch")
-    values = np.asarray(f, dtype=float)[traj.states[1:]]
+    values = np.asarray(f, dtype=float)
+    if values.ndim != 1 or not np.isfinite(values).all():
+        raise InvalidArgument("f must be a finite 1-d vector")
+    if values.size <= traj.states.max():
+        raise DimensionMismatch(f"f has length {values.size}; the path visits {traj.states.max()}")
+    values = values[traj.states[1:]]
     nb = values.size // batch
     if nb < 20:
         raise TooFewBatches(

@@ -85,17 +85,7 @@ class StochasticKernel:
         m = np.array(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
             raise InvalidKernel("kernel must be a nonempty square matrix")
-        if not np.all(np.isfinite(m)):
-            raise InvalidKernel("kernel entries must be finite")
-        if np.any(m < -1e-15):
-            raise InvalidKernel("kernel entries must be nonnegative")
-        np.maximum(m, 0.0, out=m)
-        rows = m.sum(axis=1)
-        worst = np.abs(rows - 1.0).max()
-        if worst > row_tol:
-            raise InvalidKernel(
-                f"row sums deviate from 1 by {worst:.3e} (tolerance {row_tol:.1e})"
-            )
+        m = _verified(m[None], row_tol=row_tol)[0][0]
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -113,9 +103,9 @@ class FunctionVec:
     def __post_init__(self):
         v = np.array(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size == 0:
-            raise ValueError("function values must be a nonempty 1-d vector")
+            raise InvalidArgument("function values must be a nonempty 1-d vector")
         if not np.all(np.isfinite(v)):
-            raise ValueError("function values must be finite")
+            raise InvalidArgument("function values must be finite")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -148,10 +138,9 @@ def center(f, dist):
 class ReversiblePair:
     """A kernel paired with a stationary distribution it is reversible for.
 
-    Construction verifies detailed balance to within REVERSIBILITY_TOL
-    (absolute on the probability-flow products) and stationarity of the
-    weight vector to within 1e-10; the worst detailed-balance defect is
-    recorded.  The pair keeps its decomposition and summary from first use.
+    Construction verifies detailed balance within REVERSIBILITY_TOL (on
+    the probability flows) and stationarity within 1e-10, and records the
+    worst defect.  The pair keeps its decomposition and summary from first use.
     """
 
     kernel: StochasticKernel
@@ -159,27 +148,11 @@ class ReversiblePair:
     reversibility_defect: float = field(init=False)
 
     def __post_init__(self):
-        K = self.kernel.matrix
-        w = self.stationary.weights
+        K, w = self.kernel.matrix, self.stationary.weights
         if w.size != K.shape[0]:
             raise DimensionMismatch("kernel and stationary distribution sizes differ")
-        flows = w[:, None] * K
-        gap = np.abs(flows - flows.T)
-        defect = float(gap.max())
-        if defect > REVERSIBILITY_TOL:
-            x, y = np.unravel_index(int(gap.argmax()), gap.shape)
-            raise NotReversible(
-                f"detailed balance fails at states ({x}, {y}) with defect "
-                f"{defect:.3e} > {REVERSIBILITY_TOL:.1e}",
-                pair=(int(x), int(y)),
-                defect=defect,
-            )
-        resid = float(np.abs(w @ K - w).max())
-        if resid > 1e-10:
-            raise NotReversible(
-                f"weights are not stationary: residual {resid:.3e}", defect=defect
-            )
-        object.__setattr__(self, "reversibility_defect", defect)
+        defect = _verified(K[None], w[None])[1][0]
+        object.__setattr__(self, "reversibility_defect", float(defect))
 
     @property
     def n(self):
@@ -205,26 +178,49 @@ class ReversiblePair:
 
 
 def checked_stack(K, w):
-    """The checks of ``check_reversibility`` on a stack of pairs (K[y],
-    w[y]) at once, with ``w`` normalized: K clamped at 0 as StochasticKernel
-    clamps it, not to be written to.  The first pair y that fails a check
-    is checked alone by ``check_reversibility``, which raises its named
-    error."""
-    finite = np.isfinite(K).all(axis=(1, 2))
-    negative = (K < -1e-15).any(axis=(1, 2))
-    # Clamping changes nothing, not even the sign of a zero, where no
-    # entry has its sign bit set; then K itself is returned.
-    Kc = np.maximum(K, 0.0) if np.signbit(K).any() else K
-    rows = np.abs(Kc.sum(axis=2) - 1.0).max(axis=1)
-    flows = w[:, :, None] * Kc
-    defect = np.abs(flows - flows.transpose(0, 2, 1)).max(axis=(1, 2))
-    resid = np.abs(np.matmul(w[:, None, :], Kc)[:, 0, :] - w).max(axis=1)
-    bad = ~finite | negative | (rows > 1e-12) | (defect > REVERSIBILITY_TOL) | (resid > 1e-10)
-    if bad.any():
-        y = int(np.argmax(bad))
-        check_reversibility(K[y], w[y])
-        raise CrossCheckFailure(f"pair {y} failed the batched check but not its own")
-    return Kc
+    """``check_reversibility`` on a stack of pairs (K[y], w[y]) with ``w``
+    normalized, at once: K clamped at 0, not to be written to.  Each check
+    raises its named error for the first pair that fails it."""
+    return _verified(K, w, row_tol=1e-12)[0]
+
+
+def _verified(K, w=None, row_tol=None):
+    """The one kernel check, on a (Y, d, d) stack K.  Given ``row_tol``,
+    every entry is finite and at least -1e-15 (then clamped at 0) and each
+    row sums to 1 within row_tol.  Given (Y, d) weights ``w``, each pair
+    (K[y], w[y]) holds detailed balance within REVERSIBILITY_TOL and w[y]
+    is stationary within 1e-10.  The checks run in that order, each raising
+    its named error for the first slice that fails it.  Returns the clamped
+    stack, not to be written to, and each pair's detailed-balance defect."""
+    if row_tol is not None:
+        if not np.isfinite(K).all():
+            raise InvalidKernel("kernel entries must be finite")
+        if (K < -1e-15).any():
+            raise InvalidKernel("kernel entries must be nonnegative")
+        # Clamping changes nothing, not even the sign of a zero, where no
+        # entry has its sign bit set; then K itself is returned.
+        K = np.maximum(K, 0.0) if np.signbit(K).any() else K
+        rows = np.abs(K.sum(axis=2) - 1.0).max(axis=1)
+        for worst in rows[rows > row_tol][:1]:  # the first failing slice, if any
+            raise InvalidKernel(f"row sums deviate from 1 by {worst:.3e} (tolerance {row_tol:.1e})")
+    if w is None:
+        return K, None
+    flows = w[:, :, None] * K
+    gap = np.abs(flows - flows.transpose(0, 2, 1))
+    defect = gap.max(axis=(1, 2))
+    for y in np.flatnonzero(defect > REVERSIBILITY_TOL)[:1]:
+        x, z = np.unravel_index(int(gap[y].argmax()), gap[y].shape)
+        raise NotReversible(
+            f"detailed balance fails at states ({x}, {z}) with defect "
+            f"{defect[y]:.3e} > {REVERSIBILITY_TOL:.1e}",
+            pair=(int(x), int(z)),
+            defect=float(defect[y]),
+        )
+    resid = np.abs(np.matmul(w[:, None, :], K)[:, 0, :] - w).max(axis=1)
+    for y in np.flatnonzero(resid > 1e-10)[:1]:
+        message = f"weights are not stationary: residual {resid[y]:.3e}"
+        raise NotReversible(message, defect=float(defect[y]))
+    return K, defect
 
 
 def check_reversibility(kernel, stationary):

@@ -9,6 +9,7 @@ from hybridgibbs import (
     Analysis,
     ApproximatorSpec,
     Lazy,
+    MetropolisRW,
     SliceModel,
     batch_means_variance,
     check_reversibility,
@@ -48,6 +49,7 @@ COUNTS = {
     "mixing_curve": lambda tmax: mixing_curve(TWO_STATE, [1.0, 0.0], tmax),
     "block_comparison_ell": lambda ell: Analysis(THREE_COORDS).block_comparison(ell, 1),
     "block_comparison_m": lambda m: Analysis(THREE_COORDS).block_comparison(2, m),
+    "metropolis_rw_radius": MetropolisRW,
 }
 # Seeds and numbers of random trials may also be 0.
 NONNEGATIVE = {
@@ -89,3 +91,9 @@ def test_integral_values_pass():
 def test_bad_tol_is_a_named_error(tol):
     with pytest.raises(InvalidArgument, match="tol must be finite and positive"):
         Analysis(SKEWED, spec=LAZY, tol=tol)
+
+
+def test_radius_is_stored_as_an_int():
+    rule = MetropolisRW(2.0)
+    assert type(rule.radius) is int and rule == MetropolisRW(2)
+    assert rule.describe() == {"rule": "metropolis_rw", "radius": 2}

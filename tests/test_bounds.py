@@ -118,6 +118,14 @@ class TestNormProfiles:
         with pytest.raises(InvalidSpec):
             dominating_norm_profile(SKEWED, [0.5, 1.5], spec)
 
+    def test_non_finite_profile_is_rejected(self):
+        # NaN never compares below the exact norms, nor wins a max.
+        model = SliceModel(np.array([1.0, 2.0, 2.0]), (Lazy(0.3), MetropolisRW(1)))
+        with pytest.raises(InvalidSpec, match="finite"):
+            NormProfile(np.array([np.nan, np.nan]), "per_level", "supplied")
+        with pytest.raises(InvalidSpec, match="finite"):
+            dominating_norm_profile(model, [np.nan, np.nan])
+
     def test_profiles_need_two_coordinates(self):
         # With three coordinates, coordinate-0 conditionals that share their
         # second coordinate would overwrite each other's entry in a per-z

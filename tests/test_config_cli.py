@@ -578,6 +578,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_out_of_memory_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        import hybridgibbs.cli as cli
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 191. GiB for an array")
+
+        monkeypatch.setattr(cli, "run_suite", out_of_memory)
+        assert main(["check", self._write(tmp_path, MINIMAL)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unexpected_exception_propagates(self, tmp_path, monkeypatch):
         import hybridgibbs.cli as cli
 

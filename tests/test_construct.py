@@ -35,6 +35,7 @@ from hybridgibbs import (
 )
 from hybridgibbs.errors import (
     InvalidBlockSize,
+    InvalidDistribution,
     InvalidKernel,
     InvalidSpec,
     MissingLevelKernel,
@@ -210,6 +211,17 @@ class TestApproximators:
     def test_lazy_epsilon_range(self):
         with pytest.raises(InvalidSpec):
             Lazy(1.5)
+
+    @pytest.mark.parametrize("eps", ["0.3", None, float("nan"), -0.1])
+    def test_lazy_epsilon_is_a_number_in_range(self, eps):
+        with pytest.raises(InvalidSpec, match="lazy epsilon must be a number in"):
+            Lazy(eps)
+
+    @pytest.mark.parametrize("proposal", [[[1, 1]], 3], ids=["matrix", "scalar"])
+    def test_malformed_independence_proposal_is_a_named_error(self, proposal):
+        analysis = Analysis(SKEWED, spec=ApproximatorSpec(default=MetropolisIndep(proposal)))
+        with pytest.raises(InvalidDistribution, match="nonempty 1-d vector"):
+            analysis.dirichlet_sandwich()
 
     def test_overrides(self):
         spec = ApproximatorSpec(default=Exact(), overrides={1: Lazy(0.5)})

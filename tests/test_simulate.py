@@ -19,6 +19,8 @@ from hybridgibbs import (
 )
 from hybridgibbs._stepper_py import walk
 from hybridgibbs.errors import (
+    DimensionMismatch,
+    InvalidArgument,
     InvalidStart,
     NotAbsolutelyContinuous,
     TooFewBatches,
@@ -187,6 +189,17 @@ class TestBatchMeans:
         traj = simulate(TWO_STATE, 0, 100, seed=14)
         with pytest.raises(TooFewBatches):
             batch_means_variance(traj, [1.0, -1.0], batch=50)
+
+    @pytest.mark.parametrize(
+        "f, error",
+        [([1.0], DimensionMismatch), ([1.0, np.nan], InvalidArgument), ([[1.0, -1.0]], InvalidArgument)],
+        ids=["short", "nan", "matrix"],
+    )
+    def test_bad_function_is_a_named_error(self, f, error):
+        traj = simulate(TWO_STATE, 0, 100, seed=14)
+        assert traj.states.max() == 1
+        with pytest.raises(error):
+            batch_means_variance(traj, f, batch=5)
 
 
 class TestCrossValidate:

@@ -17,6 +17,9 @@ from hybridgibbs import (
     t_step,
 )
 from hybridgibbs.errors import (
+    DimensionMismatch,
+    HybridGibbsError,
+    InvalidArgument,
     InvalidDistribution,
     InvalidKernel,
     NonUniqueStationary,
@@ -138,6 +141,115 @@ class TestCheckedStack:
             checked_stack(K, w)
         assert str(got.value) == str(want.value)
         assert getattr(got.value, "pair", None) == getattr(want.value, "pair", None)
+
+
+def off_stationary():
+    """The 3-state uniform kernel with K[0, 2] and K[1, 2] raised by 2.7e-10
+    and the diagonal lowered to match: detailed balance holds within 9e-11,
+    but the uniform weights miss stationarity by 1.8e-10."""
+    K = np.full((3, 3), 1 / 3)
+    for x in (0, 1):
+        K[x, 2] += 2.7e-10
+        K[x, x] -= 2.7e-10
+    return K
+
+
+def stack_of_three():
+    ws = [random_probvec(40 + y, 3).weights for y in range(3)]
+    Ks = [random_reversible_kernel(50 + y, w) for y, w in enumerate(ws)]
+    return np.array(Ks), np.array(ws)
+
+
+def break_slice_1(K, w, fault):
+    """Make pair 1 of a stack fail ``fault`` alone; weights that sum to 1
+    exactly keep the defect of the pair checked alone bit for bit."""
+    if fault == "non-finite":
+        K[1, 0, 0] = np.nan
+    elif fault == "negative":
+        K[1, 0, 1] -= 0.2
+        K[1, 0, 0] += 0.2
+    elif fault == "row sum":
+        K[1, 0, 2] *= 1.01
+    elif fault == "detailed balance":
+        K[1], w[1] = np.roll(np.eye(3), 1, axis=1), [0.25, 0.25, 0.5]
+    else:
+        K[1], w[1] = off_stationary(), np.full(3, 1 / 3)
+
+
+def raised(call, *args):
+    with pytest.raises(HybridGibbsError) as exc:
+        call(*args)
+    e = exc.value
+    return type(e), str(e), getattr(e, "pair", None), getattr(e, "defect", None)
+
+
+class TestKernelChecks:
+    """Every check of a kernel and of a pair, with its error's type, message
+    and payload, alone and in a stack."""
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[0.5, 0.5]], "kernel must be a nonempty square matrix"),
+            ([[np.nan, 1.0], [0.5, 0.5]], "kernel entries must be finite"),
+            ([[1.2, -0.2], [0.3, 0.7]], "kernel entries must be nonnegative"),
+            ([[0.5, 0.4], [0.3, 0.7]], "row sums deviate from 1 by 1.000e-01 (tolerance 1.0e-12)"),
+        ],
+        ids=["non-square", "non-finite", "negative", "row-sum"],
+    )
+    def test_kernel_error(self, matrix, message):
+        assert raised(StochasticKernel, matrix) == (InvalidKernel, message, None, None)
+
+    def test_tiny_negative_entry_is_clamped(self):
+        m = StochasticKernel([[1.0, -1e-16], [0.5, 0.5]]).matrix
+        assert m[0, 1] == 0.0 and not np.signbit(m[0, 1])
+        assert not m.flags.writeable
+
+    def test_kernel_at_its_own_row_tolerance_still_pairs(self):
+        K = np.full((3, 3), 1 / 3)
+        K[0, 0] += 5e-11
+        with pytest.raises(InvalidKernel):
+            StochasticKernel(K)
+        rev = check_reversibility(StochasticKernel(K, row_tol=1e-10), np.full(3, 1 / 3))
+        assert rev.reversibility_defect == 0.0
+
+    def test_pair_size_mismatch(self):
+        want = (DimensionMismatch, "kernel and stationary distribution sizes differ", None, None)
+        assert raised(check_reversibility, TWO_STATE, [0.2, 0.3, 0.5]) == want
+
+    def test_detailed_balance(self):
+        got = raised(check_reversibility, np.roll(np.eye(3), 1, axis=1), [0.2, 0.3, 0.5])
+        message = "detailed balance fails at states (0, 2) with defect 5.000e-01 > 1.0e-10"
+        assert got == (NotReversible, message, (0, 2), 0.5)
+
+    def test_stationarity(self):
+        kind, message, where, defect = raised(check_reversibility, off_stationary(), [1, 1, 1])
+        assert (kind, where) == (NotReversible, None)
+        assert message == "weights are not stationary: residual 1.800e-10"
+        assert defect == pytest.approx(9.0e-11, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "fault", ["non-finite", "negative", "row sum", "detailed balance", "stationarity"]
+    )
+    def test_stack_raises_the_error_of_its_slice_alone(self, fault):
+        K, w = stack_of_three()
+        break_slice_1(K, w, fault)
+        want = raised(check_reversibility, K[1], w[1])
+        assert raised(checked_stack, K, w) == want
+
+    def test_stack_raises_for_the_first_check_that_fails(self):
+        # Slice 0 breaks detailed balance and slice 2 a row sum: the row
+        # check runs first, so slice 2's error is raised.
+        K, w = stack_of_three()
+        K[0] = np.roll(np.eye(3), 1, axis=1)
+        K[2, 0, 2] *= 1.01
+        assert raised(check_reversibility, K[0], w[0])[0] is NotReversible
+        assert raised(checked_stack, K, w) == raised(StochasticKernel, K[2])
+
+    def test_function_vector_errors_are_named(self):
+        for values in ([1.0, np.nan], []):
+            with pytest.raises(InvalidArgument):
+                FunctionVec(values)
 
 
 class TestSpectralSummary:
