@@ -46,11 +46,10 @@ from .gibbs import (
     block_random_scan,
     block_scans,
     da_exact,
-    da_hybrid,
 )
 from .randomgen import rng_from
 from .report import fingerprint_bytes, make_report
-from .slicemodel import SliceModel, _level_pair
+from .slicemodel import SliceModel, _level_pairs
 from .space import ProductSpace, selection_probs, slices
 from .spectral import (
     NULL_MASS,
@@ -525,7 +524,7 @@ class Analysis:
         coordinate's conditionals of a joint, the level kernels of a slice
         model.  Level k's entry is keyed (0, (k,)), the point given level k,
         as a joint's entry is keyed (0, (z,)); a Lazy or Exact level's entry
-        is in closed form, and no kernel is built for it."""
+        is in closed form, and any other level's is read from ``_level_walk``."""
         if not self.is_slice:
             if self.spec is None:
                 raise InvalidSpec("an approximator spec is required for joint models")
@@ -534,11 +533,24 @@ class Analysis:
         model = self.source
         for k, (members, eps) in enumerate(zip(model.level_sets, _level_epsilons(model))):
             if eps is None:
-                entry = _entry(spectral_summary(_level_pair(model, k)))
+                entry = self._level_walk[0][k]
             else:
                 entry = _lazy_entry(eps if members.size > 1 else 0.0)
             table[(0, (k,))] = entry
         return _aggregate(table)
+
+    @cached_property
+    def _level_walk(self):
+        """(entries, Sh) of a slice model, from one pass over its levels: each level
+        kernel is built and verified once, gives its quality entry from its
+        eigenvalues alone where it has no closed form, and is added into S_h and dropped."""
+        model, entries = self.source, {}
+        def inner():
+            for (k, members, pair), eps in zip(_level_pairs(model), _level_epsilons(model)):
+                if eps is None:
+                    entries[k] = _entry(eigvals_summary(pair))
+                yield k, members, pair.kernel.matrix
+        return entries, _hybrid_marginal_chain(model, inner())
 
     @cached_property
     def S(self):
@@ -559,7 +571,7 @@ class Analysis:
             eps = set(_level_epsilons(self.source))
             if len(eps) == 1 and None not in eps and not spectral_summary(self.S).dropped_states:
                 return affine(self.S, eps.pop())
-            return da_hybrid(self.source)
+            return self._level_walk[1]
         inner = _inner_kernels(self.source, self.spec, self._table(0))
         return _hybrid_marginal_chain(self.source, inner)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .approximators import EXACT_SPEC, Exact, stacked_kernels
 from .errors import InvalidBlockSize, InvalidSpec, NotTwoBlock, positive_int
-from .slicemodel import SliceModel, _level_pair
+from .slicemodel import SliceModel, _level_pairs
 from .space import conditional_joint, marginal, selection_probs, slices
 from .spectral import check_reversibility, checked_stack
 
@@ -171,8 +171,8 @@ def _inner_kernels(source, spec, table=None):
     mass, read from ``table`` (by default a new ConditionalTable); for a
     slice model, level k's kernel on G_k."""
     if isinstance(source, SliceModel):
-        for k, members in enumerate(source.level_sets):
-            yield k, members, _level_pair(source, k).kernel.matrix
+        for k, members, pair in _level_pairs(source):
+            yield k, members, pair.kernel.matrix
         return
     if spec is None:
         raise InvalidSpec("an approximator spec is required for joint models")

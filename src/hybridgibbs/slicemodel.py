@@ -85,23 +85,23 @@ class SliceModel:
         return ProbVec(self.density)
 
 
-def _level_pair(model, k):
-    """Level k's kernel, verified reversible against uniform on G_k.
+def _level_pairs(model):
+    """Each level's (k, G_k, pair): its kernel, verified reversible against uniform on G_k.
 
     The only place a level kernel is built: rules get the key ("level", k),
     and raw matrices must be |G_k| x |G_k|.
     """
     if model.level_kernels is None:
         raise MissingLevelKernel("this slice model has no per-level kernels")
-    members, entry = model.level_sets[k], model.level_kernels[k]
-    uniform = ProbVec(np.full(members.size, 1.0))
-    if isinstance(entry, RULE_TYPES):
-        Q = kernel_for_target(uniform, entry, key=("level", k))
-    else:
-        Q = np.asarray(entry, dtype=float)
-        if Q.shape != (members.size, members.size):
-            raise MissingLevelKernel(
-                f"level {k + 1} kernel has shape {Q.shape}, expected "
-                f"{(members.size, members.size)}"
-            )
-    return check_reversibility(Q, uniform)
+    for k, (members, entry) in enumerate(zip(model.level_sets, model.level_kernels)):
+        uniform = ProbVec(np.full(members.size, 1.0))
+        if isinstance(entry, RULE_TYPES):
+            Q = kernel_for_target(uniform, entry, key=("level", k))
+        else:
+            Q = np.asarray(entry, dtype=float)
+            if Q.shape != (members.size, members.size):
+                raise MissingLevelKernel(
+                    f"level {k + 1} kernel has shape {Q.shape}, expected "
+                    f"{(members.size, members.size)}"
+                )
+        yield k, members, check_reversibility(Q, uniform)

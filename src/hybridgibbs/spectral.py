@@ -85,6 +85,8 @@ class StochasticKernel:
         m = np.array(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
             raise InvalidKernel("kernel must be a nonempty square matrix")
+        if not 0.0 <= row_tol < np.inf:
+            raise InvalidArgument(f"row_tol must be finite and nonnegative, got {row_tol!r}")
         m = _verified(m[None], row_tol=row_tol)[0][0]
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)

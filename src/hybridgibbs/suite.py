@@ -23,6 +23,7 @@ from .bounds import Analysis
 from .errors import (
     DegenerateConstants,
     HybridGibbsError,
+    InvalidArgument,
     MissingLevelKernel,
     NoSpectralGap,
     PreconditionUnmet,
@@ -89,15 +90,21 @@ def run_suite(config, suites=None, t_values=None, tol=None):
     ``suites`` may be a list of suite names (strict: the first inapplicable
     suite, in the given order, is an error), the string "all" (lenient:
     inapplicable suites are skipped), or None to follow the config's own
-    selection with the same semantics.  A name outside ``config.SUITES``, a
+    selection with the same semantics.  ``config`` is a ModelConfig from
+    ``canonicalize``.  Any other config, a name outside ``config.SUITES``, a
     ``tol`` that is not finite and positive, or an inapplicable strict suite
     is an error raised before any kernel is built.  ``t_values`` (default:
     the config's) run once each, in increasing order.
     """
     start = time.perf_counter()
+    from .config import SUITES, ModelConfig
+
+    if not isinstance(config, ModelConfig):
+        raise InvalidArgument(
+            f"run_suite takes a ModelConfig from canonicalize, got {type(config).__name__}"
+        )
     requested = suites if suites is not None else config.data["suite"]
     lenient = requested == "all"
-    from .config import SUITES
 
     suites = list(SUITES) if lenient else list(requested)
     unknown = [s for s in suites if s not in SUITES]
@@ -125,9 +132,6 @@ def run_suite(config, suites=None, t_values=None, tol=None):
     for s in selected:
         for name, suffix, check in _checks(s, analysis, config, t_values):
             reports += [replace(r, name=r.name + suffix) for r in _guarded(analysis, name, check)]
-    # The summaries come after the checks: a slice model's checks decompose
-    # the level kernels that have no closed form, which set the peak memory,
-    # before any slice chain is held.
     return _finish(config, _summaries(analysis, selected), _quality(analysis), reports, start)
 
 

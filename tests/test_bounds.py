@@ -25,9 +25,9 @@ from hybridgibbs import (
     rms_power_bound,
     run_suite,
 )
-from hybridgibbs import slicemodel
+from hybridgibbs import slicemodel, spectral
 from hybridgibbs.approximators import kernel_for_target
-from hybridgibbs.bounds import function_battery
+from hybridgibbs.bounds import _entry, _level_epsilons, function_battery
 from hybridgibbs.spectral import spectral_summary
 from hybridgibbs.errors import (
     DimensionMismatch,
@@ -562,18 +562,62 @@ class TestSliceTstep:
         model = SliceModel(
             np.array([3.0, 1.0, 2.0, 3.0]), (Lazy(0.35), MetropolisRW(1), Lazy(0.35))
         )
-        # The MetropolisRW level (size 3) is solved for its quality, and the
-        # exact and hybrid chains once each; the Lazy levels are in closed
-        # form.
-        Analysis(model).slice_tstep(t=2)
-        assert sorted(eig_counts["eigh"].elements()) == [3, 4, 4]
-        eig_counts["eigh"].clear()
-        Analysis(model).da_tstep(t=2)
-        assert sorted(eig_counts["eigh"].elements()) == [3, 4, 4]
-        assert not eig_counts["eigvalsh"]
-        # Each of the two analyses builds the hybrid chain from every level
-        # kernel, and the quality table from the MetropolisRW level's alone.
-        assert sorted(built) == [("level", 0)] * 2 + [("level", 1)] * 4 + [("level", 2)] * 2
+        # The MetropolisRW level (size 3) is read for its quality from its
+        # eigenvalues alone, and the exact and hybrid chains are decomposed
+        # once each; the Lazy levels are in closed form.
+        for check in ("slice_tstep", "da_tstep"):
+            getattr(Analysis(model), check)(t=2)
+            assert sorted(eig_counts["eigh"].elements()) == [4, 4]
+            assert eig_counts["eigvalsh"] == {3: 1}
+            eig_counts["eigh"].clear()
+            eig_counts["eigvalsh"].clear()
+        # Each analysis builds every level kernel once, in the one walk that
+        # gives both the quality table and the hybrid chain.
+        assert sorted(built) == [("level", 0)] * 2 + [("level", 1)] * 2 + [("level", 2)] * 2
+
+    def test_slice_suite_pairs_each_level_once(self, monkeypatch):
+        # 60 distinct levels with a MetropolisRW kernel each: one pair per
+        # level, then the exact and hybrid slice chains.
+        density = np.random.Generator(np.random.Philox(0)).random(60) + 0.05
+        config = canonicalize(
+            {
+                "model": {
+                    "kind": "slice",
+                    "density": density.tolist(),
+                    "level_kernels": [{"rule": "metropolis_rw", "radius": 1}] * 60,
+                },
+                "suite": ["slice"],
+                "t": [2],
+            }
+        )
+        pairs = []
+        check = spectral.ReversiblePair.__post_init__
+        monkeypatch.setattr(
+            spectral.ReversiblePair, "__post_init__", lambda rev: pairs.append(check(rev))
+        )
+        assert all_pass(run_suite(config).reports)
+        assert len(pairs) == 62
+
+    def test_walked_entries_match_the_eigh_route(self):
+        # Each entry read from eigenvalues alone equals the one read from
+        # the level pair's full decomposition, on mixed Lazy and explicit
+        # level kernels.
+        from hybridgibbs.randomgen import random_slice_model
+
+        walked = 0
+        for seed in range(25):
+            model = random_slice_model(seed + 3700, max_points=12)
+            table = Analysis(model).da_quality.per_conditional
+            eps = _level_epsilons(model)
+            for k, _members, pair in slicemodel._level_pairs(model):
+                if eps[k] is None:
+                    want = _entry(spectral_summary(pair))
+                    got = table[(0, (k,))]
+                    assert got["psd"] == want["psd"]
+                    for key in ("norm", "ratio_min", "ratio_max"):
+                        assert abs(got[key] - want[key]) <= 1e-12
+                    walked += 1
+        assert walked >= 20
 
 
 class TestHundredModelSweeps:

@@ -213,6 +213,14 @@ class TestKernelChecks:
         rev = check_reversibility(StochasticKernel(K, row_tol=1e-10), np.full(3, 1 / 3))
         assert rev.reversibility_defect == 0.0
 
+    @pytest.mark.parametrize("row_tol", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_row_tolerance_is_finite_and_nonnegative(self, row_tol):
+        # A NaN or infinite tolerance passed a row summing to 0.9; a negative
+        # one rejected every kernel.
+        for matrix in ([[0.5, 0.4], [0.3, 0.7]], [[0.5, 0.5], [0.5, 0.5]]):
+            with pytest.raises(InvalidArgument, match="row_tol must be finite and nonnegative"):
+                StochasticKernel(matrix, row_tol=row_tol)
+
     def test_pair_size_mismatch(self):
         want = (DimensionMismatch, "kernel and stationary distribution sizes differ", None, None)
         assert raised(check_reversibility, TWO_STATE, [0.2, 0.3, 0.5]) == want

@@ -8,7 +8,12 @@ import pytest
 
 from hybridgibbs import Analysis, canonicalize, run_suite
 from hybridgibbs.cli import main
-from hybridgibbs.errors import HybridGibbsError, MissingLevelKernel, PreconditionUnmet
+from hybridgibbs.errors import (
+    HybridGibbsError,
+    InvalidArgument,
+    MissingLevelKernel,
+    PreconditionUnmet,
+)
 
 JOINT2 = {"model": {"kind": "random", "sizes": [3, 4], "seed": 3}}
 JOINT3 = {"model": {"kind": "random", "sizes": [2, 2, 3], "seed": 4}}
@@ -80,6 +85,12 @@ def test_strict_error_comes_before_any_kernel(eig_counts):
     config = canonicalize(JOINT2)
     with pytest.raises(HybridGibbsError, match="suite 'block' requires at least three"):
         run_suite(config, suites=["random-scan", "block"])
+    assert not eig_counts["eigh"] and not eig_counts["eigvalsh"]
+
+
+def test_unconfigured_dict_names_canonicalize(eig_counts):
+    with pytest.raises(InvalidArgument, match="ModelConfig from canonicalize, got dict"):
+        run_suite(JOINT2)
     assert not eig_counts["eigh"] and not eig_counts["eigvalsh"]
 
 
