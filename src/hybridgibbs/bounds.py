@@ -284,14 +284,12 @@ def function_battery(rev, trials=DEFAULT_TRIALS, seed=0):
     Returns (F, labels) where F has one function per column, supported on the
     non-null states of the pair, each with unit stationary-L2 norm.
     """
-    keep, _dropped, ws, d, vals, vecs, k0, _asym = rev._eigs
-    unit = _mean_zero_unit_eigenspace(vals, vecs, k0, d)
+    keep, _dropped, ws, d, vals, vecs, _asym = rev._eigs
+    unit = _mean_zero_unit_eigenspace(vals, vecs, d)
     n = rev.n
     cols = []
     labels = []
-    for k in range(vals.size):
-        if k == k0:
-            continue
+    for k in range(vals.size - 1):
         full = np.zeros(n)
         full[keep] = unit.get(k, vecs[:, k]) / d
         cols.append(full)
@@ -312,23 +310,23 @@ def function_battery(rev, trials=DEFAULT_TRIALS, seed=0):
     return np.column_stack(cols), labels
 
 
-def _mean_zero_unit_eigenspace(vals, vecs, k0, d):
+def _mean_zero_unit_eigenspace(vals, vecs, d):
     """Mean-zero replacements for the columns of a repeated eigenvalue 1.
 
     When more than one eigenvalue lies within 1e-9 of the stationary one,
-    LAPACK's basis of that eigenspace need not be orthogonal to sqrt(ws) =
-    d.  Then d is projected out of the cluster and what is left is
-    re-orthonormalized; the new columns are returned keyed by the cluster's
-    indices other than ``k0``.  A simple eigenvalue 1 returns {}, so its
-    battery is unchanged.
+    the last, LAPACK's basis of that eigenspace need not be orthogonal to
+    sqrt(ws) = d.  Then d is projected out of the cluster and what is left
+    is re-orthonormalized; the new columns are returned keyed by the
+    cluster's indices but the last.  A simple eigenvalue 1 returns {}, so
+    its battery is unchanged.
     """
-    cluster = np.flatnonzero(np.abs(vals - vals[k0]) <= 1e-9)
+    cluster = np.flatnonzero(np.abs(vals - vals[-1]) <= 1e-9)
     if cluster.size < 2:
         return {}
     V = vecs[:, cluster]
     V = V - np.outer(d, d @ V)
     basis = np.linalg.svd(V, full_matrices=False)[0][:, : cluster.size - 1]
-    return dict(zip(cluster[cluster != k0].tolist(), basis.T))
+    return dict(zip(cluster[:-1].tolist(), basis.T))
 
 
 def quadratic_forms(rev, F):
@@ -790,7 +788,7 @@ class Analysis:
         c1 (1 - |T_ell|) <= 1 - |T_m| <= 1 - |T_ell|, the same chain holds for
         Dirichlet forms, and the variances are ordered when both gaps are
         positive.  The inner scans of the live slices of each ell-block are
-        built, verified and decomposed as one stack; c1_at is the first
+        built, verified and read as one stack; c1_at is the first
         least ratio in (block, complement) order.
         """
         joint = self.source

@@ -162,21 +162,19 @@ class ReversiblePair:
 
     @cached_property
     def _eigs(self):
-        """Symmetrized eigendecomposition on the support, from one eigh.
-
-        (keep, dropped, ws, sqrt_ws, vals, vecs, k0, asym), where column
-        ``k0`` of ``vecs`` is the stationary direction, identified by maximal
-        overlap with sqrt(ws) rather than by eigenvalue proximity to 1.
+        """Symmetrized eigendecomposition on the support, from one eigh:
+        (keep, dropped, ws, sqrt_ws, vals, vecs, asym).  The last
+        eigenvalue and column are the stationary ones (see ``_summary``).
         """
         keep, dropped, ws, d, A, asym = _symmetrized(self)
         vals, vecs = np.linalg.eigh(A)
-        return keep, dropped, ws, d, vals, vecs, _stationary_column(vecs, d), asym
+        return keep, dropped, ws, d, vals, vecs, asym
 
     @cached_property
     def _spectrum(self):
         """What ``spectral_summary`` returns."""
-        _keep, dropped, _ws, _d, vals, _vecs, k0, asym = self._eigs
-        return _summary(np.delete(vals, k0), dropped, asym)
+        _keep, dropped, _ws, _d, vals, _vecs, asym = self._eigs
+        return _summary(vals[:-1], dropped, asym)
 
 
 def checked_stack(K, w):
@@ -359,34 +357,24 @@ def _symmetrize(M, ws):
     return d, A, asym
 
 
-def _stationary_column(vecs, d):
-    """The column of ``vecs`` of maximal overlap with sqrt(ws) = d."""
-    return int(np.argmax(np.abs(vecs.T @ d)))
-
-
 def stacked_summaries(K, w):
     """``spectral_summary`` of each pair (K[y], w[y]) of a stack that
-    ``checked_stack`` passed, bit for bit.  The pairs whose weights all
-    reach NULL_MASS drop no state: they are restricted and symmetrized as
-    one batch and decomposed by one stacked ``eigh``.  Any other pair is
-    restricted and decomposed on its own."""
+    ``checked_stack`` passed, from eigenvalues alone.  The pairs whose
+    weights all reach NULL_MASS drop no state: they are restricted and
+    symmetrized as one batch and read by one stacked ``eigvalsh``.  Any
+    other pair is restricted and read on its own."""
     whole = w.min(axis=1) >= NULL_MASS
     M = K[whole]
-    summaries = _decomposed(M, _renormalize(M, M.sum(axis=2), w[whole]))
+    batches = [(np.flatnonzero(whole), M, _renormalize(M, M.sum(axis=2), w[whole]), ())]
     for y in np.flatnonzero(~whole):
         _keep, dropped, ws, My = _restrict(K[y], w[y])
-        summaries.insert(y, _decomposed(My[None], ws[None], dropped)[0])
+        batches.append(([y], My[None], ws[None], dropped))
+    summaries = [None] * len(w)
+    for ys, M, ws, dropped in batches:
+        _d, A, asym = _symmetrize(M, ws)
+        for y, vals, a in zip(ys, np.linalg.eigvalsh(A), asym):
+            summaries[y] = _summary(vals[:-1], dropped, float(a))
     return summaries
-
-
-def _decomposed(M, ws, dropped=()):
-    """Each summary of the restricted stack M with weights ws and ``dropped``: one eigh."""
-    d, A, asym = _symmetrize(M, ws)
-    vals, vecs = np.linalg.eigh(A)
-    return [
-        _summary(np.delete(vals[y], _stationary_column(vecs[y], d[y])), dropped, float(asym[y]))
-        for y in range(M.shape[0])
-    ]
 
 
 def affine(base, c):
@@ -400,7 +388,7 @@ def affine(base, c):
     state would be renormalized on a different restriction, so it raises
     InvalidKernel.
     """
-    keep, dropped, ws, d, vals, vecs, k0, asym = base._eigs
+    keep, dropped, ws, d, vals, vecs, asym = base._eigs
     if dropped:
         raise InvalidKernel(
             f"an affine pair needs a base that drops no state, got {len(dropped)} dropped"
@@ -408,13 +396,16 @@ def affine(base, c):
     M = (1.0 - c) * base.kernel.matrix
     M[np.diag_indices_from(M)] += c
     rev = check_reversibility(M, base.stationary)
-    eigs = keep, dropped, ws, d, c + (1.0 - c) * vals, vecs, k0, (1.0 - c) * asym
+    eigs = keep, dropped, ws, d, c + (1.0 - c) * vals, vecs, (1.0 - c) * asym
     object.__setattr__(rev, "_eigs", eigs)
     return rev
 
 
 def _summary(rest, dropped, asym):
-    """SpectralSummary from the ascending mean-zero spectrum ``rest``.
+    """SpectralSummary from the ascending mean-zero spectrum ``rest``: the
+    symmetrized kernel's spectrum without its top eigenvalue.  That one is
+    the stationary eigenvalue, since the spectrum of a reversible
+    stochastic kernel lies in [-1, 1] and A d = d for d = sqrt(ws).
 
     For the degenerate one-state support the mean-zero subspace is empty; the
     summary then reports norm 0, gap 1 and extreme eigenvalues 0 by
@@ -450,13 +441,9 @@ def spectral_summary(rev):
 
 def eigvals_summary(rev):
     """``spectral_summary`` from eigenvalues alone, for a pair whose
-    eigenvectors nothing reads: one ``eigvalsh``, and nothing is kept.
-
-    The spectrum of a reversible stochastic kernel lies in [-1, 1] and
-    A d = d, so the stationary eigenvalue is the largest; it is dropped.
-    """
-    _keep, dropped, _ws, _d, A, asym = _symmetrized(rev)
-    return _summary(np.linalg.eigvalsh(A)[:-1], dropped, asym)
+    eigenvectors nothing reads: ``stacked_summaries`` of a stack of one,
+    and nothing is kept."""
+    return stacked_summaries(rev.kernel.matrix[None], rev.stationary.weights[None])[0]
 
 
 def dirichlet_form(rev, f):
@@ -496,17 +483,17 @@ def variances(rev, F):
     costs less through ``asymptotic_variance``.  Requires a positive
     spectral gap.
     """
-    keep, _dropped, ws, d, vals, vecs, k0, _asym = rev._eigs
+    keep, _dropped, ws, d, vals, vecs, _asym = rev._eigs
     norm = rev._spectrum.operator_norm
     if norm >= 1.0 - 1e-12:
         raise NoSpectralGap(f"operator norm {norm:.12f} leaves no spectral gap")
     Fk = F[keep]
     Fk = Fk - ws @ Fk
     coef = vecs.T @ (d[:, None] * Fk)
-    coef[k0, :] = 0.0
+    coef[-1, :] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = (1.0 + vals) / (1.0 - vals)
-    ratios[k0] = 0.0
+    ratios[-1] = 0.0
     return ratios @ (coef * coef)
 
 
@@ -586,9 +573,12 @@ def spectral_jensen_check(rev, f, t, tol=1e-10, fingerprint=""):
 
     Holds for even t by convexity of x -> x^t on the spectrum, and for odd t
     when the kernel is positive semi-definite; otherwise the hypothesis is
-    unmet and PreconditionUnmet is raised.
+    unmet and PreconditionUnmet is raised.  ``tol`` must be finite and
+    positive.
     """
     t = positive_int(t, "t")
+    if not 0.0 < tol < np.inf:
+        raise InvalidArgument(f"tol must be finite and positive, got {tol!r}")
     if t % 2 != 0:
         if not spectral_summary(rev).psd:
             raise PreconditionUnmet(

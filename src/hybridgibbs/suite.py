@@ -91,10 +91,11 @@ def run_suite(config, suites=None, t_values=None, tol=None):
     suite, in the given order, is an error), the string "all" (lenient:
     inapplicable suites are skipped), or None to follow the config's own
     selection with the same semantics.  ``config`` is a ModelConfig from
-    ``canonicalize``.  Any other config, a name outside ``config.SUITES``, a
-    ``tol`` that is not finite and positive, or an inapplicable strict suite
-    is an error raised before any kernel is built.  ``t_values`` (default:
-    the config's) run once each, in increasing order.
+    ``canonicalize``.  Any other config, other string, non-list or name outside
+    ``config.SUITES``, ``t_values`` that are not a list of positive integers,
+    a ``tol`` that is not finite and positive, or an inapplicable strict
+    suite is an error raised before any kernel is built.  ``t_values``
+    (default: the config's) run once each, in increasing order.
     """
     start = time.perf_counter()
     from .config import SUITES, ModelConfig
@@ -106,6 +107,8 @@ def run_suite(config, suites=None, t_values=None, tol=None):
     requested = suites if suites is not None else config.data["suite"]
     lenient = requested == "all"
 
+    if not lenient and (isinstance(requested, str) or not np.iterable(requested)):
+        raise InvalidArgument(f"suites must be 'all' or a list of names, got {requested!r}")
     suites = list(SUITES) if lenient else list(requested)
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
@@ -113,6 +116,8 @@ def run_suite(config, suites=None, t_values=None, tol=None):
             f"unknown suite {unknown[0]!r}; expected 'all' or names from {', '.join(SUITES)}"
         )
     t_values = t_values if t_values is not None else config.t_values
+    if isinstance(t_values, str) or not np.iterable(t_values):
+        raise InvalidArgument(f"t_values must be a list, got {t_values!r}")
     t_values = sorted({positive_int(t, "t") for t in t_values})
     tol = tol if tol is not None else config.tol
     settings = {"tol": tol, "seed": config.seed, "fingerprint": config.fingerprint}

@@ -444,12 +444,12 @@ def test_closed_form_selection_gaps(sizes, spec_name, eig_counts):
     for name, values in want.items():
         assert got[name] == pytest.approx(values, rel=1e-12, abs=zero_gap)
     n = joint.n
-    # T and T_hybrid; a single coordinate's conditional is the whole joint,
-    # so its quality entry is one more eigensolve at n.
-    assert eig_counts["eigh"][n] == 2 + (len(sizes) == 1)
+    # T and T_hybrid.
+    assert eig_counts["eigh"][n] == 2
     # Only the hybrid chain of a rule that is neither Lazy nor Exact is built
-    # under p_alt.
-    assert eig_counts["eigvalsh"][n] == (spec_name == "metropolis")
+    # under p_alt; a single coordinate's conditional is the whole joint, so
+    # its quality entry is one more eigenvalue read at n.
+    assert eig_counts["eigvalsh"][n] == (spec_name == "metropolis") + (len(sizes) == 1)
 
 
 @pytest.mark.parametrize(
@@ -472,9 +472,14 @@ def test_selection_gaps_outside_the_formula(joint, p_alt, eig_counts):
     want = eigvalsh_selection_reports(joint, p, p_alt, spec)
     for counter in eig_counts.values():
         counter.clear()
+    approx_quality(joint, spec)
+    conditionals = eig_counts["eigvalsh"].copy()
+    eig_counts["eigvalsh"].clear()
     assert selection_reports(joint, p, p_alt, spec) == want
-    # Both chains under p_alt, each on its support, and no Gram matrix.
-    assert sum(eig_counts["eigvalsh"].values()) == 2
+    # Besides the conditionals' quality entries, both chains under p_alt,
+    # each on its support, and no Gram matrix.
+    chains = Counter({int(np.count_nonzero(joint.weights)): 2})
+    assert eig_counts["eigvalsh"] == conditionals + chains
 
 
 @pytest.mark.parametrize(

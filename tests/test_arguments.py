@@ -91,6 +91,8 @@ def test_integral_values_pass():
 def test_bad_tol_is_a_named_error(tol):
     with pytest.raises(InvalidArgument, match="tol must be finite and positive"):
         Analysis(SKEWED, spec=LAZY, tol=tol)
+    with pytest.raises(InvalidArgument, match="tol must be finite and positive"):
+        spectral_jensen_check(TWO_STATE, [1.0, -1.0], 2, tol=tol)
 
 
 def test_radius_is_stored_as_an_int():

@@ -28,7 +28,7 @@ from hybridgibbs import (
 from hybridgibbs import slicemodel, spectral
 from hybridgibbs.approximators import kernel_for_target
 from hybridgibbs.bounds import _entry, _level_epsilons, function_battery
-from hybridgibbs.spectral import spectral_summary
+from hybridgibbs.spectral import eigvals_summary, spectral_summary
 from hybridgibbs.errors import (
     DimensionMismatch,
     DominationViolated,
@@ -388,16 +388,16 @@ class TestBlockComparison:
             assert min_slack(r for r in reps if r.status != "hypothesis_unmet") >= -1e-9
 
 
-def loop_c1(joint, ell, m):
+def loop_c1(joint, ell, m, summary=eigvals_summary):
     """c1 and c1_at of ``block_comparison(ell, m)``, one inner block chain
-    at a time: the first least inner Dirichlet-ratio minimum in (block,
-    complement) order."""
+    at a time, each read by ``summary``: the first least inner
+    Dirichlet-ratio minimum in (block, complement) order."""
     c1, at = np.inf, None
     for coords in combinations(range(joint.space.ncoords), ell):
         for y in joint.space.complement_configs(coords):
             if joint.weights[joint.space.subspace_indices(coords, y)].sum() <= 0.0:
                 continue
-            rmin = 1.0 - spectral_summary(inner_block_kernel(joint, coords, y, m)).lambda_max
+            rmin = 1.0 - summary(inner_block_kernel(joint, coords, y, m)).lambda_max
             if rmin < c1:
                 c1, at = rmin, {"block": list(coords), "complement": list(y)}
     return c1, at
@@ -418,7 +418,7 @@ def holed(seed, sizes):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_stacked_c1_equals_the_inner_kernel_loop(sizes, kind, seed):
     # Bit for bit, also where a slice has a state below NULL_MASS and is
-    # decomposed on its own.
+    # read on its own.
     if kind == "positive":
         joint = random_joint(400 + seed, sizes=sizes)
     else:
@@ -430,6 +430,9 @@ def test_stacked_c1_equals_the_inner_kernel_loop(sizes, kind, seed):
             witness = next(r for r in reps if r.name == "block-gap-lower").witness
             c1, at = loop_c1(joint, ell, m)
             assert (witness["c1"], witness["c1_at"]) == (c1, at), (ell, m)
+            # The eigenvalues alone agree with the full decomposition.
+            decomposed, _ = loop_c1(joint, ell, m, spectral_summary)
+            assert c1 == pytest.approx(decomposed, rel=1e-12, abs=1e-12), (ell, m)
 
 
 class TestSelectionReweighting:
@@ -722,10 +725,48 @@ class TestBatteryMeanZero:
         functional = next(r for r in reports if r.name == "da-tstep-functional-t2")
         assert functional.rhs <= 1.0063621310043438
 
+    @staticmethod
+    def repeated_one(name):
+        """A pair whose eigenvalue 1 is repeated, and its multiplicity."""
+        w = np.array([0.1, 0.1, 0.1, 0.35, 0.35])
+        if name == "identity":
+            return spectral.check_reversibility(np.eye(5), w), 5
+        if name == "lazy-one":
+            base = exact_random_scan(random_joint(5, sizes=(2, 3)))
+            return spectral.affine(base, 1.0), 6
+        # Two closed classes, {0, 1, 2} and {3, 4}, each uniform within.
+        K = np.zeros((5, 5))
+        K[:3, :3] = [[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]]
+        K[3:, 3:] = [[0.6, 0.4], [0.4, 0.6]]
+        return spectral.check_reversibility(K, w), 2
+
+    @pytest.mark.parametrize("name", ["two-classes", "identity", "lazy-one"])
+    def test_repeated_eigenvalue_one_drops_one_direction(self, name):
+        rev, multiplicity = self.repeated_one(name)
+        n, w, K = rev.n, rev.stationary.weights, rev.kernel.matrix
+        F, labels = function_battery(rev, trials=0, seed=0)
+        assert [label["index"] for label in labels] == list(range(n - 1))
+        # Mean-zero and orthonormal in L2(w), so they span the mean-zero
+        # functions.
+        assert np.abs(w @ F).max() <= 1e-12
+        np.testing.assert_allclose(F.T @ (w[:, None] * F), np.eye(n - 1), atol=1e-12)
+        # The columns that K fixes span its mean-zero fixed functions: for
+        # two classes, the centred indicator of the first.
+        fixed = F[:, np.abs(K @ F - F).max(axis=0) <= 1e-12]
+        assert fixed.shape[1] == multiplicity - 1
+        if name == "two-classes":
+            indicator = np.array([0.7, 0.7, 0.7, -0.3, -0.3])
+            residue = indicator - fixed[:, 0] * float(w @ (fixed[:, 0] * indicator))
+            assert np.abs(residue).max() <= 1e-12
+        for summary in (spectral_summary(rev), eigvals_summary(rev)):
+            assert summary.eigenvalues.size == n - 1
+            assert np.sum(np.abs(summary.eigenvalues - 1.0) <= 1e-12) == multiplicity - 1
+            assert summary.gap == pytest.approx(0.0, abs=1e-12)
+
     def test_simple_eigenvalue_one_keeps_the_eigenvectors(self):
         T = exact_random_scan(random_joint(91, sizes=(3, 4)))
-        keep, _dropped, _ws, d, _vals, vecs, k0, _asym = T._eigs
+        keep, _dropped, _ws, d, _vals, vecs, _asym = T._eigs
         F, labels = function_battery(T, trials=0, seed=0)
-        want = np.delete(vecs, k0, axis=1) / d[:, None]
+        want = vecs[:, :-1] / d[:, None]
         assert keep.size == T.n
         assert np.array_equal(F, want)

@@ -46,6 +46,7 @@ from hybridgibbs.errors import (
 from hybridgibbs.approximators import RULE_TYPES, kernel_for_target
 from hybridgibbs.bounds import _entry
 from hybridgibbs.gibbs import _two_block_parts
+from hybridgibbs.spectral import eigvals_summary
 from hybridgibbs.randomgen import (
     random_explicit_spec,
     random_joint,
@@ -777,7 +778,7 @@ class TestStackedTables:
         joint = STACK_JOINTS[joint_name]
         spec = stack_spec(spec_name, joint)
         table = Analysis(joint, spec=spec).quality.per_conditional
-        want = {}
+        want, decomposed = {}, {}
         for i in range(joint.space.ncoords):
             for y in joint.space.complement_configs((i,)):
                 idx = joint.space.subspace_indices((i,), y)
@@ -790,10 +791,14 @@ class TestStackedTables:
                 if isinstance(spec.rule_for(i), Exact):
                     want[(i, y)] = {"norm": 0.0, "ratio_min": 1.0, "ratio_max": 1.0, "psd": True}
                 else:
-                    want[(i, y)] = _entry(spectral_summary(pair))
+                    want[(i, y)] = _entry(eigvals_summary(pair))
+                    decomposed[(i, y)] = _entry(spectral_summary(pair))
         assert list(table) == list(want)
         assert table == want
         assert approx_quality(joint, spec).per_conditional == want
+        # The eigenvalues alone agree with the full decomposition.
+        for key, entry in decomposed.items():
+            assert table[key] == pytest.approx(entry, rel=1e-12, abs=1e-12)
 
     def test_one_bad_slice_raises_its_own_error(self):
         joint = random_joint(71, sizes=(3, 4))

@@ -94,6 +94,22 @@ def test_unconfigured_dict_names_canonicalize(eig_counts):
     assert not eig_counts["eigh"] and not eig_counts["eigvalsh"]
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"suites": "da"}, "suites must be 'all' or a list of names, got 'da'"),
+        ({"suites": 3}, "suites must be 'all' or a list of names, got 3"),
+        ({"t_values": 2}, "t_values must be a list, got 2"),
+        ({"t_values": "24"}, "t_values must be a list, got '24'"),
+    ],
+    ids=["suite-string", "suite-int", "t-int", "t-string"],
+)
+def test_argument_that_is_not_a_list_is_named(kwargs, message, eig_counts):
+    with pytest.raises(InvalidArgument, match=re.escape(message)):
+        run_suite(canonicalize(JOINT2), **kwargs)
+    assert not eig_counts["eigh"] and not eig_counts["eigvalsh"]
+
+
 def test_strict_error_names_the_first_inapplicable_suite():
     config = canonicalize(BARE_SLICE)
     with pytest.raises(MissingLevelKernel):
