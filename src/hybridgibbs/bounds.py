@@ -27,7 +27,6 @@ from .errors import (
     DegenerateConstants,
     DimensionMismatch,
     DominationViolated,
-    InvalidArgument,
     InvalidBlockSize,
     InvalidSpec,
     NonUniformSelection,
@@ -35,6 +34,7 @@ from .errors import (
     PreconditionUnmet,
     ZeroSelectionProb,
     positive_int,
+    positive_tol,
 )
 from .gibbs import (
     ConditionalTable,
@@ -438,9 +438,7 @@ class Analysis:
                 "a slice model takes no selection probabilities and no spec: it has "
                 "no coordinates to select, and its level kernels are the approximators"
             )
-        self.tol = float(tol)
-        if not 0.0 < self.tol < np.inf:
-            raise InvalidArgument(f"tol must be finite and positive, got {tol!r}")
+        self.tol = positive_tol(tol)
         self.seed = seed
         self.fingerprint = fingerprint or model_fingerprint(source, spec)
         self._tables = {}

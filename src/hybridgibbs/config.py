@@ -2,15 +2,19 @@
 
 Configs are JSON documents validated against CONFIG_SCHEMA (a published JSON
 Schema, draft 2020-12) and then semantically checked (weight vector lengths,
-override coordinates, ...).  Canonicalization fills in the documented
-defaults, respells rules and stores the step counts ``t`` sorted, each once;
-the canonical form is a fixed point of parse -> canonicalize ->
-serialize -> parse, and its hash is the model fingerprint stamped on every
-report.
+override coordinates, ...).  ``_conforms``, a small interpreter of the
+keywords CONFIG_SCHEMA uses, decides whether a config is valid; jsonschema
+is imported only to word the error of a rejected config, so a valid config
+never loads it.  Canonicalization fills in the documented defaults, respells
+rules, stores the seeds, trial count and sizes as integers and the step
+counts ``t`` sorted, each once; the canonical form is a fixed point of
+parse -> canonicalize -> serialize -> parse, and its hash is the model
+fingerprint stamped on every report.
 """
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache
 
@@ -24,7 +28,7 @@ from .approximators import (
     MetropolisIndep,
     MetropolisRW,
 )
-from .errors import ParseError, SchemaError
+from .errors import CrossCheckFailure, ParseError, SchemaError
 from .randomgen import random_joint
 from .report import fingerprint_json
 from .slicemodel import SliceModel
@@ -127,14 +131,62 @@ CONFIG_SCHEMA = {
 }
 
 
+def _is_number(x):
+    return isinstance(x, numbers.Number) and not isinstance(x, bool)
+
+
+# The JSON types CONFIG_SCHEMA names, as jsonschema's draft 2020-12 type
+# checker reads them: a bool is not a number, an integral float is an
+# integer, and a tuple is not an array.
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "null": lambda x: x is None,
+    "number": _is_number,
+    "integer": lambda x: _is_number(x) and (
+        isinstance(x, int) or isinstance(x, float) and x.is_integer()
+    ),
+}
+
+# Each keyword CONFIG_SCHEMA uses, as a test of (instance, keyword value,
+# enclosing schema).  Bounds apply to numbers only, so NaN passes them;
+# array keywords to lists only, object keywords to dicts only.
+_KEYWORDS = {
+    "type": lambda x, t, s: any(_TYPES[name](x) for name in ([t] if isinstance(t, str) else t)),
+    "enum": lambda x, values, s: x in values,
+    "const": lambda x, value, s: x == value,
+    "anyOf": lambda x, branches, s: any(_conforms(x, b) for b in branches),
+    "minimum": lambda x, low, s: not _is_number(x) or not x < low,
+    "maximum": lambda x, high, s: not _is_number(x) or not x > high,
+    "exclusiveMinimum": lambda x, low, s: not _is_number(x) or not x <= low,
+    "items": lambda x, item, s: not isinstance(x, list) or all(_conforms(v, item) for v in x),
+    "minItems": lambda x, n, s: not isinstance(x, list) or len(x) >= n,
+    "properties": lambda x, props, s: not isinstance(x, dict)
+    or all(_conforms(x[k], sub) for k, sub in props.items() if k in x),
+    "required": lambda x, keys, s: not isinstance(x, dict) or all(k in x for k in keys),
+    "additionalProperties": lambda x, extra, s: not isinstance(x, dict)
+    or all(_conforms(v, extra) for k, v in x.items() if k not in s.get("properties", {})),
+}
+_ANNOTATIONS = ("$schema", "title")
+
+
+def _conforms(x, schema):
+    """Whether ``x`` is valid under ``schema`` (a subschema of CONFIG_SCHEMA,
+    or a boolean schema), with draft 2020-12 semantics.  This alone decides
+    whether a config is accepted; an unknown keyword is a KeyError."""
+    if isinstance(schema, bool):
+        return schema
+    return all(_KEYWORDS[k](x, v, schema) for k, v in schema.items() if k not in _ANNOTATIONS)
+
+
 @cache
 def _validator():
     """The one schema validator and jsonschema's ``best_match``, imported and
-    built at the first validation.
+    built at the first rejected config, to word its error.
 
     ``jsonschema.validate`` would check the schema against its metaschema and
-    build a new validator on every call; importing jsonschema at module load
-    would cost every process that never validates a config.
+    build a new validator on every call; importing jsonschema to accept a
+    valid config would cost every run of a demo or a ``check``.
     """
     import jsonschema
 
@@ -170,15 +222,15 @@ class ModelConfig:
 
     @property
     def t_values(self):
-        return [int(t) for t in self.data["t"]]
+        return list(self.data["t"])
 
     @property
     def seed(self):
-        return int(self.data["seed"])
+        return self.data["seed"]
 
     @property
     def trials(self):
-        return int(self.data["trials"])
+        return self.data["trials"]
 
     def build_joint(self):
         m = self.data["model"]
@@ -268,19 +320,32 @@ def parse_config_text(raw):
 
 
 def canonicalize(data):
-    """Validate against the schema, apply defaults, run semantic checks."""
-    validator, best_match = _validator()
-    exc = best_match(validator.iter_errors(data))
-    if exc is not None:
+    """Validate against the schema, apply defaults, run semantic checks.
+
+    ``_conforms`` decides validity; jsonschema's ``best_match`` words the
+    SchemaError of a rejected config, and a config it finds no error in is
+    a CrossCheckFailure."""
+    if not _conforms(data, CONFIG_SCHEMA):
+        validator, best_match = _validator()
+        exc = best_match(validator.iter_errors(data))
+        if exc is None:
+            raise CrossCheckFailure("the schema interpreter rejects a config jsonschema accepts")
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise SchemaError(f"at {path}: {exc.message}") from exc
     out = dict(_DEFAULTS)
     out.update(data)
-    out["model"] = dict(data["model"])
+    m = out["model"] = dict(data["model"])
     out["approximator"] = {**_DEFAULTS["approximator"], **out["approximator"]}
+    # Integral floats are valid integers; stored as ints, 1 and 1.0 share a
+    # fingerprint.
+    out["t"] = sorted({int(t) for t in out["t"]})
+    out["seed"], out["trials"] = int(out["seed"]), int(out["trials"])
+    if "seed" in m:
+        m["seed"] = int(m["seed"])
+    if "sizes" in m:
+        m["sizes"] = [int(d) for d in m["sizes"]]
     _semantic_checks(out)
     _canonical_rules(out)
-    out["t"] = sorted({int(t) for t in out["t"]})
     canon = json.loads(json.dumps(out, sort_keys=True))
     return ModelConfig(data=canon, fingerprint=fingerprint_json(canon))
 

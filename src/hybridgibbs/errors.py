@@ -2,10 +2,14 @@
 
 Every error raised by this package derives from HybridGibbsError, so callers
 can catch the whole family with one clause.  ``positive_int`` is the one
-check of an integer argument, library and CLI alike.  Errors that carry
+check of an integer argument, library and CLI alike, and ``positive_tol``
+the one check of a tolerance.  Errors that carry
 diagnostic payloads (worst state pair, expected lengths, ...) expose them
 as attributes.
 """
+
+import math
+import numbers
 
 
 class HybridGibbsError(Exception):
@@ -137,3 +141,11 @@ def positive_int(value, name, low=1):
         rule = "a positive integer" if low else "a positive integer or 0"
         raise InvalidArgument(f"{name} must be {rule}, got {value!r}")
     return k
+
+
+def positive_tol(value):
+    """``value`` as a float; InvalidArgument unless it is a real number above
+    0 and finite (a string, None, a list or NaN is not)."""
+    if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+        raise InvalidArgument(f"tol must be finite and positive, got {value!r}")
+    return float(value)

@@ -29,12 +29,17 @@ from .errors import (
     SingularStationary,
     ZeroFunction,
     positive_int,
+    positive_tol,
 )
 from .report import make_report
 
 NULL_MASS = 1e-14
 REVERSIBILITY_TOL = 1e-10
 PSD_TOL = 1e-9
+# Rows of each pair whose detailed-balance defects are taken at once, so
+# that the check of a (Y, d, d) stack holds no (Y, d, d) temporary for d
+# above it.
+_ROW_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,11 +210,15 @@ def _verified(K, w=None, row_tol=None):
             raise InvalidKernel(f"row sums deviate from 1 by {worst:.3e} (tolerance {row_tol:.1e})")
     if w is None:
         return K, None
-    flows = w[:, :, None] * K
-    gap = np.abs(flows - flows.transpose(0, 2, 1))
-    defect = gap.max(axis=(1, 2))
+    # The gap is symmetric in (x, z): each block of rows x needs only the
+    # columns z >= its first row.
+    defect = np.zeros(len(K))
+    for start in range(0, K.shape[1], _ROW_BLOCK):
+        rows, cols = slice(start, start + _ROW_BLOCK), slice(start, None)
+        defect = np.maximum(defect, _flow_gap(K, w, rows, cols).max(axis=(1, 2)))
     for y in np.flatnonzero(defect > REVERSIBILITY_TOL)[:1]:
-        x, z = np.unravel_index(int(gap[y].argmax()), gap[y].shape)
+        gap = _flow_gap(K[y : y + 1], w[y : y + 1], slice(None), slice(None))[0]
+        x, z = np.unravel_index(int(gap.argmax()), gap.shape)
         raise NotReversible(
             f"detailed balance fails at states ({x}, {z}) with defect "
             f"{defect[y]:.3e} > {REVERSIBILITY_TOL:.1e}",
@@ -221,6 +230,13 @@ def _verified(K, w=None, row_tol=None):
         message = f"weights are not stationary: residual {resid[y]:.3e}"
         raise NotReversible(message, defect=float(defect[y]))
     return K, defect
+
+
+def _flow_gap(K, w, rows, cols):
+    """|w(x)K(x, z) - w(z)K(z, x)| of each pair (K[y], w[y]) of a stack, for
+    the states x in the slice ``rows`` and z in the slice ``cols``."""
+    flows = w[:, rows, None] * K[:, rows, cols]
+    return np.abs(flows - w[:, None, cols] * K[:, cols, rows].transpose(0, 2, 1))
 
 
 def check_reversibility(kernel, stationary):
@@ -577,8 +593,7 @@ def spectral_jensen_check(rev, f, t, tol=1e-10, fingerprint=""):
     positive.
     """
     t = positive_int(t, "t")
-    if not 0.0 < tol < np.inf:
-        raise InvalidArgument(f"tol must be finite and positive, got {tol!r}")
+    tol = positive_tol(tol)
     if t % 2 != 0:
         if not spectral_summary(rev).psd:
             raise PreconditionUnmet(

@@ -23,14 +23,17 @@ from hybridgibbs import (
     t_step,
 )
 from hybridgibbs.bounds import function_battery
+from hybridgibbs.config import canonicalize
 from hybridgibbs.errors import HybridGibbsError, InvalidArgument, positive_int
 from hybridgibbs.randomgen import random_joint, rng_from
+from hybridgibbs.suite import run_suite
 
 SKEWED = joint_from_weights((2, 2), [0.1, 0.2, 0.3, 0.4])
 LAZY = ApproximatorSpec(default=Lazy(0.4))
 SLICE = SliceModel(np.array([2.0, 1.0]), (Lazy(0.5), Lazy(0.9)))
 TWO_STATE = check_reversibility(np.array([[0.7, 0.3], [0.3, 0.7]]), np.array([0.5, 0.5]))
 THREE_COORDS = random_joint(4, sizes=(2, 2, 2))
+RANDOM_CONFIG = canonicalize({"model": {"kind": "random", "sizes": [2, 2], "seed": 1}})
 
 # Counts must be positive.
 COUNTS = {
@@ -87,12 +90,20 @@ def test_integral_values_pass():
             positive_int(bad, "t")
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), "x", None, [1]])
 def test_bad_tol_is_a_named_error(tol):
     with pytest.raises(InvalidArgument, match="tol must be finite and positive"):
         Analysis(SKEWED, spec=LAZY, tol=tol)
     with pytest.raises(InvalidArgument, match="tol must be finite and positive"):
         spectral_jensen_check(TWO_STATE, [1.0, -1.0], 2, tol=tol)
+    if tol is not None:  # run_suite reads None as the config's tol
+        with pytest.raises(InvalidArgument, match="tol must be finite and positive"):
+            run_suite(RANDOM_CONFIG, tol=tol)
+
+
+def test_run_suite_without_a_tol_uses_the_configs():
+    config = canonicalize({"model": {"kind": "random", "sizes": [2, 2], "seed": 1}, "tol": 1e-6})
+    assert {r.tol for r in run_suite(config, suites=["da"]).reports} == {1e-6}
 
 
 def test_radius_is_stored_as_an_int():

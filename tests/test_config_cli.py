@@ -208,6 +208,22 @@ class TestConfig:
             }
             assert len(prints) == 1, spellings
 
+    def test_integral_float_spellings_share_fingerprint(self):
+        want = canonicalize(
+            {"model": {"kind": "random", "sizes": [2, 3], "seed": 1}, "seed": 1, "trials": 8}
+        )
+        got = canonicalize(
+            {"model": {"kind": "random", "sizes": [2.0, 3], "seed": 1.0}, "seed": 1.0, "trials": 8.0}
+        )
+        assert got.fingerprint == want.fingerprint
+        assert got.data == want.data
+        for value in (got.data["seed"], got.data["trials"], got.data["model"]["seed"]):
+            assert type(value) is int
+        assert [type(d) for d in got.data["model"]["sizes"]] == [int, int]
+        # Spelled with ints, a config keeps the fingerprint it had when
+        # only ``t`` was stored as ints.
+        assert want.fingerprint == "a827dee5150c80cf"
+
     def test_override_keys_respelled(self):
         lazy = {"rule": "lazy", "epsilon": 0.5}
         configs = [

@@ -1,5 +1,6 @@
-"""jsonschema loads at the first config validation, not when the package or
-the CLI is imported.
+"""jsonschema loads only to explain a rejected config: not when the package
+or the CLI is imported, nor when a valid config is canonicalized or
+checked, nor when a demo runs.
 
 Each check runs in a fresh interpreter, since ``sys.modules`` of the test
 process already holds jsonschema.
@@ -48,6 +49,36 @@ except SystemExit:
 print(json.dumps("jsonschema" in sys.modules))
 """
     assert fresh(code) is False
+
+
+def test_valid_configs_never_load_jsonschema(tmp_path):
+    """Every demo config, configs shaped like the benchmark's three suite
+    workloads (a 40 x 40 random-scan joint, an 8 x 8 x 8 joint with
+    Metropolis steps, and 300 slice levels), a demo run and a ``check``."""
+    code = f"""
+import json, sys
+from hybridgibbs.config import canonicalize, serialize
+from hybridgibbs.cli import main
+from hybridgibbs.demos import demo_config, list_demos
+lazy = {{"rule": "lazy", "epsilon": 0.3}}
+configs = [demo_config(name) for name in list_demos()] + [
+    {{"model": {{"kind": "random", "sizes": [40, 40], "seed": 3}},
+     "approximator": {{"default": lazy, "overrides": {{}}}}, "t": [2, 4], "seed": 3}},
+    {{"model": {{"kind": "random", "sizes": [8, 8, 8], "seed": 3}},
+     "approximator": {{"default": {{"rule": "metropolis_rw", "radius": 1}}}}, "seed": 3}},
+    {{"model": {{"kind": "slice", "density": [1.0 + k / 300 for k in range(300)],
+               "level_kernels": [lazy] * 300}}, "suite": ["slice"], "t": [2], "seed": 3}},
+]
+for data in configs:
+    canonicalize(data)
+main(["demo", "two-coin", "--run"])
+path = {str(tmp_path / "two-coin.json")!r}
+with open(path, "w") as fh:
+    fh.write(serialize(canonicalize(demo_config("two-coin"))))
+status = main(["check", path, "--out", {str(tmp_path / "out")!r}])
+print(json.dumps([status, sorted(m for m in sys.modules if m.split(".")[0] == "jsonschema")]))
+"""
+    assert fresh(code) == [0, []]
 
 
 def test_first_validation_in_a_fresh_process_names_the_schema_error():

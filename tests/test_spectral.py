@@ -116,6 +116,27 @@ class TestCheckReversibility:
         assert exc.value.defect == pytest.approx(0.2, abs=1e-15)
         assert set(exc.value.pair) == {0, 1}
 
+    @pytest.mark.parametrize("n", [64, 66, 150])
+    def test_defect_over_row_blocks_is_the_whole_matrix_one(self, n):
+        """The defect, taken over blocks of rows, and the failing pair are
+        those of the whole flow matrix, bit for bit."""
+        pi = random_probvec(7, n)
+        w = pi.weights
+        K = random_reversible_kernel(8, w)
+        for broken in (False, True):
+            if broken:  # a fault between two states of the last block of rows
+                K[n - 1, n - 2] += 1e-6
+                K[n - 1, n - 1] -= 1e-6
+            flows = w[:, None] * K
+            gap = np.abs(flows - flows.T)
+            if not broken:
+                assert check_reversibility(K, pi).reversibility_defect == gap.max()
+                continue
+            with pytest.raises(NotReversible) as exc:
+                check_reversibility(K, pi)
+            assert exc.value.defect == gap.max()
+            assert exc.value.pair == np.unravel_index(gap.argmax(), gap.shape)
+
 
 class TestCheckedStack:
     def stack(self):
