@@ -281,33 +281,27 @@ def _power_bound(source, profile, t, power):
 def function_battery(rev, trials=DEFAULT_TRIALS, seed=0):
     """Unit-norm mean-zero test functions: full eigenbasis plus random draws.
 
-    Returns (F, labels) where F has one function per column, supported on the
-    non-null states of the pair, each with unit stationary-L2 norm.
+    Returns (F, labels) where F, one array written in place, has one function
+    per column, supported on the pair's non-null states, of unit L2(w) norm.
     """
     keep, _dropped, ws, d, vals, vecs, _asym = rev._eigs
-    unit = _mean_zero_unit_eigenspace(vals, vecs, d)
-    n = rev.n
-    cols = []
-    labels = []
-    for k in range(vals.size - 1):
-        full = np.zeros(n)
-        full[keep] = unit.get(k, vecs[:, k]) / d
-        cols.append(full)
-        labels.append({"kind": "eigenvector", "index": int(k)})
+    m = vals.size - 1
+    F = np.zeros((rev.n, m + positive_int(trials, "trials", low=0)))
+    F[keep, :m] = vecs[:, :m] / d[:, None]
+    index, columns = _mean_zero_unit_eigenspace(vals, vecs, d)
+    F[np.ix_(keep, index)] = columns / d[:, None]
+    labels = [{"kind": "eigenvector", "index": k} for k in range(m)]
     rng = rng_from(seed)
-    for j in range(positive_int(trials, "trials", low=0)):
+    for j in range(F.shape[1] - m):
         g = rng.standard_normal(keep.size)
         g -= float(ws @ g)
         nrm = float(np.sqrt(ws @ (g * g)))
-        if nrm < 1e-12:
-            continue
-        full = np.zeros(n)
-        full[keep] = g / nrm
-        cols.append(full)
-        labels.append({"kind": "random", "draw": int(j)})
-    if not cols:
+        if nrm >= 1e-12:
+            F[keep, len(labels)] = g / nrm
+            labels.append({"kind": "random", "draw": j})
+    if not labels:
         raise PreconditionUnmet("the mean-zero subspace is empty")
-    return np.column_stack(cols), labels
+    return F[:, : len(labels)], labels
 
 
 def _mean_zero_unit_eigenspace(vals, vecs, d):
@@ -316,17 +310,17 @@ def _mean_zero_unit_eigenspace(vals, vecs, d):
     When more than one eigenvalue lies within 1e-9 of the stationary one,
     the last, LAPACK's basis of that eigenspace need not be orthogonal to
     sqrt(ws) = d.  Then d is projected out of the cluster and what is left
-    is re-orthonormalized; the new columns are returned keyed by the
-    cluster's indices but the last.  A simple eigenvalue 1 returns {}, so
-    its battery is unchanged.
+    is re-orthonormalized; returned are the cluster's indices but the last
+    and the new columns, one per index.  A simple eigenvalue 1 returns no
+    index, so its battery is unchanged.
     """
     cluster = np.flatnonzero(np.abs(vals - vals[-1]) <= 1e-9)
     if cluster.size < 2:
-        return {}
+        return cluster[:0], vecs[:, :0]
     V = vecs[:, cluster]
     V = V - np.outer(d, d @ V)
     basis = np.linalg.svd(V, full_matrices=False)[0][:, : cluster.size - 1]
-    return dict(zip(cluster[:-1].tolist(), basis.T))
+    return cluster[:-1], basis
 
 
 def quadratic_forms(rev, F):
@@ -968,8 +962,8 @@ class Analysis:
         The tightened upper bound needs every per-level kernel psd; otherwise
         the upper half falls back to the one-step sandwich (1 + C)(1 - |S|).
         The looser rms-based lower bound is certified alongside, together with
-        the ordering a_t <= b_t that makes the mean-based bound the sharper
-        one, at the fixed tolerance 1e-12.
+        the ordering a_t <= b_t (``rms_power_bound``'s cross-check), at the
+        fixed tolerance 1e-12.  Each bound is computed once.
         """
         t = positive_int(t, "t")
         model = self.source
@@ -978,7 +972,7 @@ class Analysis:
             raise PreconditionUnmet("odd t needs every per-level kernel psd")
         profile = profile if profile is not None else self.inner_profile
         a_t = mean_power_bound(model, profile, t)
-        b_t = rms_power_bound(model, profile, t)
+        b_t = _power_bound(model, profile, t, power=2)
         gap_exact = spectral_summary(self.S).gap
         gap_hybrid = spectral_summary(self.Sh).gap
         upper = gap_exact if all_psd else (1.0 + self.da_quality.max_norm) * gap_exact

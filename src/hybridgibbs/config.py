@@ -291,11 +291,11 @@ def rule_from_json(obj, path="rule"):
 
 
 def _table_key(key, path):
-    """(i, y) from an explicit table key "i;y1,y2,..."."""
+    """(i, y) from an explicit table key, a string "i;y1,y2,..."."""
     try:
-        i_str, y_str = key.split(";")
+        i_str, y_str = str.split(key, ";")
         return int(i_str), tuple(int(v) for v in y_str.split(",")) if y_str else ()
-    except ValueError:
+    except (TypeError, ValueError):
         raise SchemaError(
             f"at {path}: an explicit table key must read 'i;y1,y2,...' with integer entries"
         ) from None
@@ -400,25 +400,27 @@ def _semantic_checks(out):
                 )
             if sum(sel) <= 0:
                 raise SchemaError(f"{field} must have positive total mass")
-    for c in out["approximator"].get("overrides", {}):
-        try:
-            ci = int(c)
-        except ValueError:
-            raise SchemaError(f"override coordinate {c!r} is not an integer")
-        if ncoords is not None and not 0 <= ci < ncoords:
-            raise SchemaError(f"override coordinate {ci} out of range for {ncoords} coordinates")
 
 
 def _canonical_rules(out):
     """Respell every rule as its rule's ``describe()``, with the rule's own
     defaults filled in, and every override key as its coordinate's decimal
-    integer, so equivalent spellings share one fingerprint.  Two override
-    keys that name one coordinate are a SchemaError."""
+    integer, so equivalent spellings share one fingerprint.  Each override
+    key is read once, here: it must be a string naming a coordinate that no
+    other key names, or it is a SchemaError."""
     a = out["approximator"]
-    a["default"] = rule_from_json(a["default"], "approximator/default").describe()
+    ncoords = _ncoords(out["model"])
     overrides, spelled = {}, {}
     for c, r in a["overrides"].items():
-        key = str(int(c))
+        if not isinstance(c, str):
+            raise SchemaError(f"at approximator/overrides: key {c!r} is not a string")
+        try:
+            ci = int(c)
+        except ValueError:
+            raise SchemaError(f"override coordinate {c!r} is not an integer") from None
+        if ncoords is not None and not 0 <= ci < ncoords:
+            raise SchemaError(f"override coordinate {ci} out of range for {ncoords} coordinates")
+        key = str(ci)
         if key in spelled:
             raise SchemaError(
                 f"at approximator/overrides: keys {spelled[key]!r} and {c!r} both "
@@ -427,6 +429,7 @@ def _canonical_rules(out):
         spelled[key] = c
         overrides[key] = rule_from_json(r, f"approximator/overrides/{c}").describe()
     a["overrides"] = overrides
+    a["default"] = rule_from_json(a["default"], "approximator/default").describe()
     m = out["model"]
     if "level_kernels" in m:
         m["level_kernels"] = [

@@ -496,21 +496,23 @@ def variances(rev, F):
     column, evaluated on the eigenbasis of the symmetrized kernel.  This is
     the route for the n-column test-function batteries of the checks, whose
     pairs already hold their decomposition; one column with nothing held
-    costs less through ``asymptotic_variance``.  Requires a positive
-    spectral gap.
+    costs less through ``asymptotic_variance``.  F is read, not written: one
+    copy is centred and scaled in place.  Requires a positive spectral gap.
     """
     keep, _dropped, ws, d, vals, vecs, _asym = rev._eigs
     norm = rev._spectrum.operator_norm
     if norm >= 1.0 - 1e-12:
         raise NoSpectralGap(f"operator norm {norm:.12f} leaves no spectral gap")
     Fk = F[keep]
-    Fk = Fk - ws @ Fk
-    coef = vecs.T @ (d[:, None] * Fk)
+    Fk -= ws @ Fk
+    Fk *= d[:, None]
+    coef = vecs.T @ Fk
     coef[-1, :] = 0.0
+    coef *= coef
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = (1.0 + vals) / (1.0 - vals)
     ratios[-1] = 0.0
-    return ratios @ (coef * coef)
+    return ratios @ coef
 
 
 def _cholesky_solve(L, b):

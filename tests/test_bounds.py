@@ -1,5 +1,6 @@
 """Approximation quality, power bounds, and every certification check."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -28,7 +29,7 @@ from hybridgibbs import (
 from hybridgibbs import slicemodel, spectral
 from hybridgibbs.approximators import kernel_for_target
 from hybridgibbs.bounds import _entry, _level_epsilons, function_battery
-from hybridgibbs.spectral import eigvals_summary, spectral_summary
+from hybridgibbs.spectral import eigvals_summary, spectral_summary, variances
 from hybridgibbs.errors import (
     DimensionMismatch,
     DominationViolated,
@@ -770,3 +771,110 @@ class TestBatteryMeanZero:
         want = vecs[:, :-1] / d[:, None]
         assert keep.size == T.n
         assert np.array_equal(F, want)
+
+
+def reference_battery(rev, trials, seed):
+    """A battery built one column at a time and stacked at the end, with the
+    repeated-eigenvalue-1 mend written out: the construction that
+    ``function_battery`` must equal bit for bit."""
+    keep, _dropped, ws, d, vals, vecs, _asym = rev._eigs
+    unit = {}
+    cluster = np.flatnonzero(np.abs(vals - vals[-1]) <= 1e-9)
+    if cluster.size >= 2:
+        V = vecs[:, cluster] - np.outer(d, d @ vecs[:, cluster])
+        basis = np.linalg.svd(V, full_matrices=False)[0][:, : cluster.size - 1]
+        unit = dict(zip(cluster[:-1].tolist(), basis.T))
+    cols, labels = [], []
+    for k in range(vals.size - 1):
+        full = np.zeros(rev.n)
+        full[keep] = unit.get(k, vecs[:, k]) / d
+        cols.append(full)
+        labels.append({"kind": "eigenvector", "index": k})
+    rng = rng_from(seed)
+    for j in range(trials):
+        g = rng.standard_normal(keep.size)
+        g -= float(ws @ g)
+        nrm = float(np.sqrt(ws @ (g * g)))
+        if nrm < 1e-12:
+            continue
+        full = np.zeros(rev.n)
+        full[keep] = g / nrm
+        cols.append(full)
+        labels.append({"kind": "random", "draw": j})
+    if not cols:
+        raise PreconditionUnmet("the mean-zero subspace is empty")
+    return np.column_stack(cols), labels
+
+
+def reference_variances(rev, F):
+    """``spectral.variances`` as three temporaries of F."""
+    keep, _dropped, ws, d, vals, vecs, _asym = rev._eigs
+    Fk = F[keep]
+    Fk = Fk - ws @ Fk
+    coef = vecs.T @ (d[:, None] * Fk)
+    coef[-1, :] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = (1.0 + vals) / (1.0 - vals)
+    ratios[-1] = 0.0
+    return ratios @ (coef * coef)
+
+
+class TestBatteryOneArray:
+    @staticmethod
+    def pairs():
+        """{name: (pair, whether it has a spectral gap)}."""
+        joint = random_joint(17, sizes=(4, 5))
+        lazy = Analysis(joint, spec=ApproximatorSpec(default=Lazy(0.3)))
+        # State 3 carries no stationary mass and is dropped from the support.
+        w = np.array([0.2, 0.5, 0.3])
+        K = np.zeros((4, 4))
+        K[:3, :3] = 0.5 * np.eye(3) + 0.5 * w
+        K[3] = [0.2, 0.3, 0.1, 0.4]
+        dropped = spectral.check_reversibility(K, np.append(w, 0.0))
+        # Every level kernel Lazy(1): the hybrid slice chain is the identity.
+        density = np.array([0.3, 1.0, 0.6, 1.0, 0.2, 0.8])
+        model = SliceModel(density, level_kernels=[Lazy(1.0)] * np.unique(density).size)
+        return {
+            "lazy-T": (lazy.T, True),
+            "lazy-Th": (lazy.Th, True),
+            "dropped-state": (dropped, True),
+            "slice-lazy-one": (Analysis(model).Sh, False),
+            "lazy-one-scan": (TestBatteryMeanZero.repeated_one("lazy-one")[0], False),
+        }
+
+    @pytest.mark.parametrize("trials", [0, 8])
+    @pytest.mark.parametrize(
+        "name", ["lazy-T", "lazy-Th", "dropped-state", "slice-lazy-one", "lazy-one-scan"]
+    )
+    def test_equals_the_column_by_column_reference(self, name, trials):
+        rev, has_gap = self.pairs()[name]
+        F, labels = function_battery(rev, trials=trials, seed=5)
+        want, want_labels = reference_battery(rev, trials, 5)
+        assert F.dtype == want.dtype and F.flags.c_contiguous
+        assert np.array_equal(F, want)
+        assert labels == want_labels
+        if name == "dropped-state":
+            assert rev._eigs[1] == (3,) and not F[3].any()
+        if has_gap:
+            before = F.copy()
+            assert np.array_equal(variances(rev, F), reference_variances(rev, F))
+            assert np.array_equal(F, before)
+
+    @pytest.mark.parametrize("trials", [0, 8])
+    def test_one_state_support_is_empty(self, trials):
+        rev = spectral.check_reversibility([[1.0, 0.0], [0.5, 0.5]], [1.0, 0.0])
+        with pytest.raises(PreconditionUnmet, match="mean-zero subspace is empty"):
+            function_battery(rev, trials=trials, seed=0)
+
+    def test_variances_hold_one_working_copy(self):
+        T = exact_random_scan(random_joint(23, sizes=(30, 30)))
+        F, _labels = function_battery(T, trials=8, seed=0)
+        variances(T, F[:, :2])  # the pair's decomposition, outside the trace
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            variances(T, F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 2.1 * F.nbytes

@@ -233,13 +233,23 @@ class TestConfig:
         assert {cfg.fingerprint for cfg in configs} == {configs[0].fingerprint}
         assert configs[1].data["approximator"]["overrides"] == {"1": lazy}
 
+    @pytest.mark.parametrize("key", [1.5, True, 1, None])
+    def test_override_keys_not_strings(self, key):
+        # Through the Python API a key need not be a string; none is read
+        # as a coordinate.
+        overrides = {key: {"rule": "lazy", "epsilon": 0.5}}
+        message = f"approximator/overrides: key {key!r} is not a string"
+        with pytest.raises(SchemaError, match=message):
+            canonicalize({**MINIMAL, "approximator": {"overrides": overrides}})
+
     def test_override_keys_naming_one_coordinate(self):
         overrides = {"1": {"rule": "lazy", "epsilon": 0.5}, "01": {"rule": "lazy", "epsilon": 0.9}}
         with pytest.raises(SchemaError, match="approximator/overrides: keys '1' and '01'"):
             canonicalize({**MINIMAL, "approximator": {"overrides": overrides}})
 
     def test_bad_explicit_table_entry(self):
-        for key, matrix in (("x", [[1.0]]), ("0;1", [[1.0, 0.0], [1.0]])):
+        cases = (("x", [[1.0]]), ("0;1", [[1.0, 0.0], [1.0]]), (1, [[1.0]]), (None, [[1.0]]))
+        for key, matrix in cases:
             bad = {"rule": "explicit", "tables": {key: matrix}}
             with pytest.raises(SchemaError, match=f"approximator/default/tables/{key}:"):
                 canonicalize({**MINIMAL, "approximator": {"default": bad}})
