@@ -151,7 +151,7 @@ def stacked_kernels(targets, rule, keys=None):
             q = ProbVec(np.asarray(rule.proposal, float)).weights
             if q.size != d:
                 raise InvalidSpec("independence proposal has the wrong length")
-        return _metropolis_indep(targets, q)
+        return _metropolis(targets, np.broadcast_to(q, (d, d)))
     if isinstance(rule, ExplicitMatrix):
         out = np.empty((Y, d, d))
         for y, key in enumerate(keys):
@@ -201,21 +201,21 @@ def _metropolis_rw(pi, radius):
     return Q
 
 
-def _metropolis_indep(pi, q):
-    """Independence Metropolis kernels for the rows of ``pi`` with proposal
-    ``q``, one proposal column at a time, so that each state's holding mass
-    adds up over the columns in order."""
+def _metropolis(pi, P):
+    """Metropolis-Hastings kernels for the rows of ``pi`` with the proposal
+    matrix ``P``, one proposal column at a time, so that each state's
+    holding mass adds up over the columns in order."""
     Y, d = pi.shape
     Q = np.zeros((Y, d, d))
     stay = np.zeros((Y, d))
     for y in range(d):
         # Column y: the move from every x to y.
-        acc = _acceptance(pi[:, y : y + 1] * q[None, :], pi * q[y])
-        Q[:, :, y] = q[y] * acc
-        held = q[y] * (1.0 - acc)
+        acc = _acceptance(pi[:, y : y + 1] * P[y][None, :], pi * P[:, y][None, :])
+        Q[:, :, y] = P[:, y] * acc
+        held = P[:, y] * (1.0 - acc)
         held[:, y] = 0.0
         stay += held
-    Q[:, np.arange(d), np.arange(d)] = q[None, :] + stay
+    Q[:, np.arange(d), np.arange(d)] = np.diagonal(P)[None, :] + stay
     return Q
 
 

@@ -38,6 +38,7 @@ from .errors import (
 )
 from .gibbs import (
     ConditionalTable,
+    _check_two_block,
     _conditionals,
     _hybrid_marginal_chain,
     _inner_kernels,
@@ -511,13 +512,15 @@ class Analysis:
     @cached_property
     def da_quality(self):
         """ApproxQuality of the DA chain's inner kernels: the first
-        coordinate's conditionals of a joint, the level kernels of a slice
-        model.  Level k's entry is keyed (0, (k,)), the point given level k,
-        as a joint's entry is keyed (0, (z,)); a Lazy or Exact level's entry
-        is in closed form, and any other level's is read from ``_level_walk``."""
+        coordinate's conditionals of a two-coordinate joint (NotTwoBlock for
+        any other), the level kernels of a slice model.  Level k's entry is
+        keyed (0, (k,)), the point given level k, as a joint's entry is keyed
+        (0, (z,)); a Lazy or Exact level's entry is in closed form, and any
+        other level's is read from ``_level_walk``."""
         if not self.is_slice:
             if self.spec is None:
                 raise InvalidSpec("an approximator spec is required for joint models")
+            _check_two_block(self.source)
             return self._coordinate_quality(0)
         table = {}
         model = self.source
@@ -568,17 +571,13 @@ class Analysis:
     def inner_norms(self):
         """Exact operator norms of the DA chain's inner kernels, with their
         profile kind: per level of a slice model, per z of a joint."""
+        entries = self.da_quality.per_conditional
         if self.is_slice:
             width, kind = self.source.nlevels, "per_level"
-        elif self.source.space.ncoords != 2:
-            raise DimensionMismatch(
-                "the DA chain's inner kernels need a joint of exactly two "
-                f"coordinates, got {self.source.space.ncoords}"
-            )
         else:
             width, kind = self.source.space.sizes[1], "per_z"
         vals = np.zeros(width)
-        for (_i, z), entry in self.da_quality.per_conditional.items():
+        for (_i, z), entry in entries.items():
             vals[z[0]] = entry["norm"]
         return vals, kind
 
@@ -596,6 +595,7 @@ class Analysis:
         updates with the same weights in the same order as the exact random
         scan, so it is that pair, bit for bit.
         """
+        ell = positive_int(ell, "block size")
         if ell not in self._blocks:
             n = self.source.space.ncoords
             if ell == 1 and np.all(self.sel.p == 1.0 / n):
@@ -659,7 +659,8 @@ class Analysis:
 
         For mean-zero f:  var_hybrid(f) lies between
         var_exact(f)/c2 + (1/c2 - 1)|f|^2 and var_exact(f)/c1 + (1/c1 - 1)|f|^2.
-        Requires a positive exact gap and nondegenerate constants.
+        Requires nondegenerate constants and a gap of both chains, which
+        ``variances`` checks.
         """
         qual = self.quality
         c1, c2 = qual.ratio_min, qual.ratio_max
@@ -668,8 +669,6 @@ class Analysis:
         if c2 >= 2.0 - 1e-12:
             raise DegenerateConstants("the upper Dirichlet-ratio constant reaches 2")
         T = self.T
-        if spectral_summary(T).operator_norm >= 1.0 - 1e-12:
-            raise NoSpectralGap("the exact chain has no spectral gap")
         if f is not None:
             F = np.array(as_values(f, T.n)[:, None])  # a copy: it is centred in place
             labels = [{"kind": "supplied"}]
@@ -690,6 +689,16 @@ class Analysis:
         and hybrid DA chains S and S_hybrid."""
         return self._gap_sandwich("da-gap-sandwich", self.S, self.Sh, self.da_quality)
 
+    def _tstep_preamble(self, t, profile):
+        """(t, profile, a_t) of a t-step check: ``t`` read as a count, odd t
+        only when every inner kernel is psd, the profile by default the exact
+        inner-norm profile, and a_t its mean power bound."""
+        t = positive_int(t, "t")
+        if t % 2 == 1 and not self.da_quality.all_psd:
+            raise PreconditionUnmet("odd t needs every inner kernel positive semi-definite")
+        profile = profile if profile is not None else self.inner_profile
+        return t, profile, mean_power_bound(self.source, profile, t)
+
     def da_tstep(self, t=2, trials=DEFAULT_TRIALS, profile=None):
         """Certify the t-step comparison for (hybrid) data augmentation.
 
@@ -699,13 +708,7 @@ class Analysis:
         Spectral part: t * (1 - |S_hybrid|) >= 1 - |S_hybrid|^t >= 1 - |S| - a_t.
         Needs t even or all inner kernels psd.
         """
-        t = positive_int(t, "t")
-        if t % 2 == 1 and not self.da_quality.all_psd:
-            raise PreconditionUnmet(
-                "odd t needs every inner kernel positive semi-definite"
-            )
-        profile = profile if profile is not None else self.inner_profile
-        a_t = mean_power_bound(self.source, profile, t)
+        t, _, a_t = self._tstep_preamble(t, profile)
         S, Sh = self.S, self.Sh
         F, labels = function_battery(Sh, trials=trials, seed=self.seed)
         quad_h, norms_h = quadratic_forms(Sh, F)
@@ -742,7 +745,8 @@ class Analysis:
         """Certify var_hybrid(f) <= 2t var_exact(f) + (2t-1) |f|^2 for the
         two-block marginal chains, under the hypothesis that the t-step power
         average a_t is at most half the exact gap.  When the hypothesis fails
-        the single returned report carries status hypothesis_unmet."""
+        the single returned report carries status hypothesis_unmet; the
+        hybrid chain's gap is checked by ``variances``."""
         t = positive_int(t, "t")
         S, Sh = self.S, self.Sh
         summ_s = spectral_summary(S)
@@ -762,8 +766,6 @@ class Analysis:
                     hypothesis_ok=False,
                 )
             ]
-        if spectral_summary(Sh).operator_norm >= 1.0 - 1e-12:
-            raise NoSpectralGap("the hybrid marginal chain has no spectral gap")
         F, labels = function_battery(Sh, trials=trials, seed=self.seed)
         norms2, v_exact, v_hybrid = _variance_pair(S, Sh, F)
         bound = 2.0 * t * v_exact + (2.0 * t - 1.0) * norms2
@@ -965,14 +967,9 @@ class Analysis:
         the ordering a_t <= b_t (``rms_power_bound``'s cross-check), at the
         fixed tolerance 1e-12.  Each bound is computed once.
         """
-        t = positive_int(t, "t")
-        model = self.source
+        t, profile, a_t = self._tstep_preamble(t, profile)
+        b_t = _power_bound(self.source, profile, t, power=2)
         all_psd = self.da_quality.all_psd
-        if t % 2 == 1 and not all_psd:
-            raise PreconditionUnmet("odd t needs every per-level kernel psd")
-        profile = profile if profile is not None else self.inner_profile
-        a_t = mean_power_bound(model, profile, t)
-        b_t = _power_bound(model, profile, t, power=2)
         gap_exact = spectral_summary(self.S).gap
         gap_hybrid = spectral_summary(self.Sh).gap
         upper = gap_exact if all_psd else (1.0 + self.da_quality.max_norm) * gap_exact

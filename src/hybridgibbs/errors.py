@@ -11,6 +11,8 @@ as attributes.
 import math
 import numbers
 
+import numpy as np
+
 
 class HybridGibbsError(Exception):
     pass
@@ -73,8 +75,8 @@ class InvalidBlockSize(HybridGibbsError):
     pass
 
 
-class NotTwoBlock(HybridGibbsError):
-    pass
+class NotTwoBlock(DimensionMismatch):
+    """A data-augmentation chain of a joint needs exactly two coordinates."""
 
 
 class NonPositiveWeight(HybridGibbsError):
@@ -132,9 +134,9 @@ class InvalidArgument(HybridGibbsError, ValueError):
 def positive_int(value, name, low=1):
     """``value`` as an int; InvalidArgument unless it is an integer of at
     least ``low``: 1 for a count, 0 for a seed or a number of random trials
-    (an integral float counts, 2.5 or "2" does not)."""
+    (an integral float counts; 2.5, "2" or True does not)."""
     try:
-        k = int(value)
+        k = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):
         k = None
     if k is None or k != value or k < low:

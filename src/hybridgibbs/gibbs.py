@@ -109,7 +109,7 @@ def block_scans(space, W, block_size):
     """``block_random_scan``'s kernel for the joint of each weight row W[y]
     over ``space``, bit for bit, as one (Y, D, D) stack."""
     n = space.ncoords
-    ell = int(block_size)
+    ell = positive_int(block_size, "block size")
     if not 1 <= ell <= n - 1:
         raise InvalidBlockSize(f"block size must satisfy 1 <= l <= {n - 1}, got {ell}")
     T = np.zeros((W.shape[0], space.total, space.total))
@@ -131,6 +131,13 @@ def inner_block_kernel(joint, coords, y, inner_size):
     return block_random_scan(conditional_joint(joint, coords, y), inner_size)
 
 
+def _check_two_block(joint):
+    """NotTwoBlock unless the joint has exactly two coordinates, the two
+    blocks of its DA chain."""
+    if joint.space.ncoords != 2:
+        raise NotTwoBlock("data augmentation needs exactly two coordinates; group the rest first")
+
+
 def _two_block_parts(source):
     """(m1, fwd, back) of the DA chain: the first block's marginal, the law
     fwd[y] of the second block given the first and the law back[z] of the
@@ -150,10 +157,7 @@ def _two_block_parts(source):
         )
         back = mask.T / mask.sum(axis=0)[:, None]
         return source.target(), fwd, back
-    if source.space.ncoords != 2:
-        raise NotTwoBlock(
-            "data augmentation needs exactly two coordinates; group the rest first"
-        )
+    _check_two_block(source)
     d1, d2 = source.space.sizes
     fwd, back = np.zeros((d1, d2)), np.zeros((d2, d1))
     # Row y of fwd is the second coordinate's conditional given the first

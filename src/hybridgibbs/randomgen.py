@@ -7,7 +7,7 @@ reproducible from an integer seed.
 
 import numpy as np
 
-from .approximators import ApproximatorSpec, ExplicitMatrix, Lazy
+from .approximators import ApproximatorSpec, ExplicitMatrix, Lazy, _metropolis, kernel_for_target
 from .errors import positive_int
 from .gibbs import ConditionalTable
 from .space import JointDistribution, ProductSpace
@@ -43,22 +43,9 @@ def random_reversible_kernel(seed, target):
     through a Metropolis-Hastings acceptance step.  Generally not psd."""
     rng = rng_from(seed)
     pi = target.weights if isinstance(target, ProbVec) else np.asarray(target, float)
-    d = pi.size
-    P = rng.random((d, d)) + 0.05
+    P = rng.random((pi.size, pi.size)) + 0.05
     P /= P.sum(axis=1, keepdims=True)
-    Q = np.zeros((d, d))
-    for x in range(d):
-        stay = 0.0
-        for y in range(d):
-            if y == x:
-                continue
-            num = pi[y] * P[y, x]
-            den = pi[x] * P[x, y]
-            acc = 1.0 if den <= 0.0 else min(1.0, num / den)
-            Q[x, y] = P[x, y] * acc
-            stay += P[x, y] * (1.0 - acc)
-        Q[x, x] = P[x, x] + stay
-    return Q
+    return _metropolis(pi[None], P)[0]
 
 
 def random_explicit_spec(seed, joint, coords=None):
@@ -78,9 +65,7 @@ def random_mixed_spec(seed, joint, coords=None, lazy_prob=0.4):
     tables = {}
     for i, y, target in _targets(joint, coords):
         if rng.random() < lazy_prob:
-            eps = float(rng.uniform(0.0, 0.9))
-            d = target.size
-            tables[(i, y)] = eps * np.eye(d) + (1.0 - eps) * np.tile(target, (d, 1))
+            tables[(i, y)] = kernel_for_target(target, Lazy(float(rng.uniform(0.0, 0.9))))
         else:
             tables[(i, y)] = random_reversible_kernel(rng, target)
     return ApproximatorSpec(default=ExplicitMatrix(tables))

@@ -23,13 +23,7 @@ from .errors import (
 )
 from .randomgen import rng_from
 from .report import fingerprint_bytes, make_report
-from .spectral import (
-    NULL_MASS,
-    ProbVec,
-    as_values,
-    asymptotic_variance,
-    eigvals_summary,
-)
+from .spectral import ProbVec, as_values, asymptotic_variance, eigvals_summary
 
 
 def kernel_fingerprint(rev):
@@ -71,6 +65,8 @@ def simulate(rev, start, steps, seed):
     steps = positive_int(steps, "steps")
     n = rev.n
     rng = rng_from(seed)
+    if isinstance(start, (bool, np.bool_)):
+        raise InvalidStart(f"start must be a state index or a distribution, got {start!r}")
     if isinstance(start, (int, np.integer)):
         s0 = int(start)
         if not 0 <= s0 < n:
@@ -174,7 +170,8 @@ def mixing_curve(rev, mu0, tmax):
 
     Distances come from the density formula |d(mu K^t)/d(omega) - 1|; the
     decay rate is fitted on the tail of the log curve and verified not to
-    exceed the operator norm.
+    exceed the operator norm.  The sum runs over the states the spectral
+    routines keep: those not in ``eigvals_summary``'s ``dropped_states``.
     """
     tmax = positive_int(tmax, "tmax")
     w = rev.stationary.weights
@@ -184,12 +181,14 @@ def mixing_curve(rev, mu0, tmax):
         mu = ProbVec(np.asarray(mu0, dtype=float)).weights.copy()
     if mu.size != rev.n:
         raise DimensionMismatch("initial distribution has the wrong length")
-    bad = (mu > 0.0) & (w < NULL_MASS)
+    summary = eigvals_summary(rev)
+    keep = np.ones(rev.n, dtype=bool)
+    keep[list(summary.dropped_states)] = False
+    bad = (mu > 0.0) & ~keep
     if np.any(bad):
         raise NotAbsolutelyContinuous(
             f"initial mass on stationary-null states {np.flatnonzero(bad).tolist()}"
         )
-    keep = w >= NULL_MASS
     K = rev.kernel.matrix
     dists = np.empty(tmax + 1)
     for t in range(tmax + 1):
@@ -197,7 +196,7 @@ def mixing_curve(rev, mu0, tmax):
         dists[t] = np.sqrt(float(np.sum(diff * diff / w[keep])))
         if t < tmax:
             mu = mu @ K
-    norm = eigvals_summary(rev).operator_norm
+    norm = summary.operator_norm
     rate = _fit_tail_rate(dists)
     if rate > norm + 1e-6:
         raise CrossCheckFailure(

@@ -1,6 +1,6 @@
 """One integer check for every step count, path length, batch and block
-size, seed and number of random trials: a bad value is an InvalidArgument,
-which is also a ValueError."""
+size, seed and number of random trials: a bad value, a bool among them, is
+an InvalidArgument, which is also a ValueError."""
 
 import numpy as np
 import pytest
@@ -12,9 +12,11 @@ from hybridgibbs import (
     MetropolisRW,
     SliceModel,
     batch_means_variance,
+    block_random_scan,
     check_reversibility,
     cross_validate_variance,
     da_hybrid,
+    inner_block_kernel,
     joint_from_weights,
     mean_power_bound,
     mixing_curve,
@@ -24,7 +26,7 @@ from hybridgibbs import (
 )
 from hybridgibbs.bounds import function_battery
 from hybridgibbs.config import canonicalize
-from hybridgibbs.errors import HybridGibbsError, InvalidArgument, positive_int
+from hybridgibbs.errors import HybridGibbsError, InvalidArgument, InvalidStart, positive_int
 from hybridgibbs.randomgen import random_joint, rng_from
 from hybridgibbs.suite import run_suite
 
@@ -53,6 +55,9 @@ COUNTS = {
     "block_comparison_ell": lambda ell: Analysis(THREE_COORDS).block_comparison(ell, 1),
     "block_comparison_m": lambda m: Analysis(THREE_COORDS).block_comparison(2, m),
     "metropolis_rw_radius": MetropolisRW,
+    "block_random_scan": lambda size: block_random_scan(THREE_COORDS, size),
+    "analysis_block": lambda size: Analysis(THREE_COORDS).block(size),
+    "inner_block_kernel": lambda size: inner_block_kernel(THREE_COORDS, (0, 1), (0,), size),
 }
 # Seeds and numbers of random trials may also be 0.
 NONNEGATIVE = {
@@ -66,14 +71,36 @@ NONNEGATIVE = {
     "rng_from": rng_from,
 }
 SITES = {**COUNTS, **NONNEGATIVE}
-CASES = [(site, value) for site in COUNTS for value in (0, 2.5, "2")]
-CASES += [(site, value) for site in NONNEGATIVE for value in (-1, 2.5, "2")]
+CASES = [(site, value) for site in COUNTS for value in (0, 2.5, "2", True)]
+CASES += [(site, value) for site in NONNEGATIVE for value in (-1, 2.5, "2", True)]
 
 
 @pytest.mark.parametrize("site, value", CASES, ids=[f"{s}-{v}" for s, v in CASES])
 def test_bad_count_is_a_named_error(site, value):
     with pytest.raises(InvalidArgument, match="must be a positive integer"):
         SITES[site](value)
+
+
+@pytest.mark.parametrize("size", [1.5, "1", True])
+def test_block_size_spelled_as_one_is_not_one(size):
+    # int() would read each of these as a block of one coordinate.
+    for site in ("block_random_scan", "analysis_block", "inner_block_kernel"):
+        with pytest.raises(InvalidArgument, match="block size must be a positive integer"):
+            COUNTS[site](size)
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+def test_a_bool_is_not_an_integer(value):
+    with pytest.raises(InvalidArgument):
+        positive_int(value, "t")
+    with pytest.raises(InvalidArgument):
+        positive_int(value, "seed", low=0)
+
+
+@pytest.mark.parametrize("start", [True, False, np.True_])
+def test_a_bool_start_is_not_a_state(start):
+    with pytest.raises(InvalidStart, match="a state index or a distribution"):
+        simulate(TWO_STATE, start, 10, seed=0)
 
 
 def test_invalid_argument_is_a_value_error():

@@ -37,6 +37,7 @@ from hybridgibbs.errors import (
     InvalidBlockSize,
     InvalidSpec,
     NonUniformSelection,
+    NotTwoBlock,
     PreconditionUnmet,
     ZeroSelectionProb,
 )
@@ -141,6 +142,22 @@ class TestNormProfiles:
             dominating_norm_profile(joint, [0.5, 0.5, 0.5], spec)
         with pytest.raises(DimensionMismatch):
             Analysis(joint, spec=spec).da_tstep(t=2)
+
+    def test_da_members_need_two_coordinates(self):
+        # da_quality reads the first coordinate's conditionals, which exist
+        # for any joint; it still has no DA chain to serve.
+        joint = random_joint(1, sizes=(2, 3, 2))
+        analysis = Analysis(joint, spec=ApproximatorSpec(default=Lazy(0.3)))
+        for read in (
+            lambda: analysis.da_quality,
+            lambda: analysis.S,
+            lambda: analysis.Sh,
+            analysis.inner_norms,
+        ):
+            with pytest.raises(NotTwoBlock, match="exactly two coordinates"):
+                read()
+            with pytest.raises(DimensionMismatch):
+                read()
 
 
 class TestPowerBounds:
@@ -532,6 +549,27 @@ class TestSliceTstep:
         with pytest.raises(PreconditionUnmet):
             Analysis(model).slice_tstep(t=3)
         assert all_pass(Analysis(model).slice_tstep(t=2))
+
+    def test_odd_t_is_one_rule_for_joints_and_slice_models(self):
+        # MetropolisRW(1) on three or four uniform points has a negative
+        # eigenvalue: the DA joint's first coordinate is uniform on three,
+        # and the slice model's lowest level covers all four points.
+        joint = product_joint([[1.0, 1.0, 1.0], [1.0, 2.0]])
+        model = SliceModel(
+            density=np.array([1.0, 1.0, 1.0, 2.0]), level_kernels=(MetropolisRW(1), Lazy(0.5))
+        )
+        analyses = [
+            Analysis(joint, spec=ApproximatorSpec(default=MetropolisRW(1))),
+            Analysis(model),
+        ]
+        messages = []
+        for analysis, check in zip(analyses, ("da_tstep", "slice_tstep")):
+            assert not analysis.da_quality.all_psd
+            with pytest.raises(PreconditionUnmet) as err:
+                getattr(analysis, check)(3)
+            messages.append(str(err.value))
+            getattr(analysis, check)(2)
+        assert messages[0] == messages[1]
 
     @staticmethod
     def count_level_kernels(monkeypatch):

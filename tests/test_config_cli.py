@@ -15,7 +15,13 @@ from hybridgibbs import (
 )
 from hybridgibbs.bounds import model_fingerprint
 from hybridgibbs.cli import main
-from hybridgibbs.config import CONFIG_SCHEMA, canonicalize, parse_config_text, serialize
+from hybridgibbs.config import (
+    CONFIG_SCHEMA,
+    canonicalize,
+    parse_config_text,
+    rule_from_json,
+    serialize,
+)
 from hybridgibbs.demos import demo_config, list_demos
 from hybridgibbs.errors import MissingLevelKernel, ParseError, SchemaError
 from hybridgibbs.suite import run_suite
@@ -246,6 +252,63 @@ class TestConfig:
         overrides = {"1": {"rule": "lazy", "epsilon": 0.5}, "01": {"rule": "lazy", "epsilon": 0.9}}
         with pytest.raises(SchemaError, match="approximator/overrides: keys '1' and '01'"):
             canonicalize({**MINIMAL, "approximator": {"overrides": overrides}})
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: canonicalize({"model": {"kind": "explicit", "weights": [1.0]}}),
+                "explicit models require 'sizes'",
+            ),
+            (
+                lambda: canonicalize(
+                    {"model": {"kind": "explicit", "sizes": [2, 2], "weights": [0.0] * 4}}
+                ),
+                "joint weights must have positive total mass",
+            ),
+            (
+                lambda: canonicalize(
+                    {"model": {"kind": "product", "factors": [[0.5, 0.5], [0.0]]}}
+                ),
+                "factor 1 has zero total mass",
+            ),
+            (
+                lambda: canonicalize({**SLICE, "selection_probs": [0.5, 0.5]}),
+                "selection_probs does not apply to slice models",
+            ),
+            (
+                lambda: canonicalize({**MINIMAL, "selection_probs": [0.0, 0.0]}),
+                "selection_probs must have positive total mass",
+            ),
+            (
+                lambda: canonicalize(
+                    {**MINIMAL, "approximator": {"overrides": {"x": {"rule": "exact"}}}}
+                ),
+                "override coordinate 'x' is not an integer",
+            ),
+            (
+                lambda: canonicalize(SLICE).build_joint(),
+                "model kind 'slice' does not define a joint distribution",
+            ),
+            (lambda: canonicalize(MINIMAL).build_slice_model(), "model is not a slice model"),
+            (lambda: rule_from_json({"rule": "bogus"}), "unknown approximator rule 'bogus'"),
+        ],
+        ids=[
+            "explicit-without-sizes",
+            "zero-weights",
+            "zero-factor",
+            "selection-on-slice",
+            "zero-selection",
+            "override-key-x",
+            "build-joint-of-slice",
+            "build-slice-of-joint",
+            "unknown-rule",
+        ],
+    )
+    def test_semantic_errors(self, build, message):
+        # Refused past the schema, by a semantic check or a builder.
+        with pytest.raises(SchemaError, match=message):
+            build()
 
     def test_bad_explicit_table_entry(self):
         cases = (("x", [[1.0]]), ("0;1", [[1.0, 0.0], [1.0]]), (1, [[1.0]]), (None, [[1.0]]))

@@ -51,6 +51,8 @@ from hybridgibbs.randomgen import (
     random_explicit_spec,
     random_joint,
     random_lazy_spec,
+    random_probvec,
+    random_reversible_kernel,
     random_slice_model,
     rng_from,
 )
@@ -628,6 +630,28 @@ def loop_metropolis_indep(pi, q):
     return Q
 
 
+def loop_random_reversible_kernel(seed, pi):
+    """``randomgen.random_reversible_kernel`` as a scalar double loop over
+    the proposal matrix, with its own acceptance rule."""
+    rng = rng_from(seed)
+    d = pi.size
+    P = rng.random((d, d)) + 0.05
+    P /= P.sum(axis=1, keepdims=True)
+    Q = np.zeros((d, d))
+    for x in range(d):
+        stay = 0.0
+        for y in range(d):
+            if y == x:
+                continue
+            num = pi[y] * P[y, x]
+            den = pi[x] * P[x, y]
+            acc = 1.0 if den <= 0.0 else min(1.0, num / den)
+            Q[x, y] = P[x, y] * acc
+            stay += P[x, y] * (1.0 - acc)
+        Q[x, x] = P[x, x] + stay
+    return Q
+
+
 def loop_kernel(pi, rule, key):
     d = pi.size
     if isinstance(rule, Exact):
@@ -844,3 +868,22 @@ class TestStackedTables:
         ):
             with pytest.raises(InvalidSpec, match=r"no explicit kernel supplied for \(1, \(1,\)\)"):
                 build()
+
+
+class TestRandomReversibleKernel:
+    def test_matches_the_scalar_loop_bit_for_bit(self):
+        for d in range(1, 41):
+            pi = random_probvec(1000 + d, d).weights
+            got = random_reversible_kernel(d, pi)
+            assert got.tobytes() == loop_random_reversible_kernel(d, pi).tobytes()
+
+    def test_subnormal_mass(self):
+        # The loop's num / den overflows here; the shared acceptance rule
+        # reads the ratio as infinite and accepts.
+        target = np.array([1e-310, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Q = random_reversible_kernel(0, target)
+            check_reversibility(Q, target)
+        # The move up from the subnormal state is always accepted.
+        assert Q[0, 0] < 1.0 and Q[1, 0] > 0.0

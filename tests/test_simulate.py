@@ -26,6 +26,7 @@ from hybridgibbs.errors import (
     TooFewBatches,
 )
 from hybridgibbs.simulate import kernel_fingerprint
+from hybridgibbs.spectral import eigvals_summary
 
 TWO_STATE = check_reversibility([[0.7, 0.3], [0.3, 0.7]], [0.5, 0.5])
 SWAP = check_reversibility([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
@@ -285,6 +286,25 @@ class TestMixingCurve:
         rev = check_reversibility(np.eye(2), [1.0, 0.0])
         with pytest.raises(NotAbsolutelyContinuous):
             mixing_curve(rev, [0.0, 1.0], 5)
+
+    def test_keeps_the_states_the_spectral_routines_keep(self):
+        # A birth-death chain with masses proportional to (1, 1e-13, 1e-15):
+        # state 2 is below NULL_MASS, but dropping it would leak 0.005 of
+        # row 1, so the spectral routines keep all three states.
+        w = np.array([1.0, 1e-13, 1e-15])
+        w /= w.sum()
+        K = np.array([[1.0 - 5e-14, 5e-14, 0.0], [0.5, 0.495, 0.005], [0.0, 0.5, 0.5]])
+        rev = check_reversibility(K, w)
+        assert eigvals_summary(rev).dropped_states == ()
+        assert mixing_curve(rev, [0.0, 0.0, 1.0], 3).distances[0] > 0.0
+        curve = mixing_curve(rev, [0.0, 1.0, 0.0], 40)
+        mu, direct = np.array([0.0, 1.0, 0.0]), []
+        for _ in range(41):
+            direct.append(np.sqrt(np.sum((mu - w) ** 2 / w)))
+            mu = mu @ K
+        np.testing.assert_allclose(curve.distances, direct, rtol=1e-12, atol=0.0)
+        assert curve.fitted_rate <= curve.operator_norm
+        assert curve.fitted_rate == pytest.approx(curve.operator_norm, abs=1e-4)
 
 
 class TestTrajectoryExport:
