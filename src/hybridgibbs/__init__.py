@@ -63,11 +63,7 @@ from .spectral import (
     StochasticKernel,
     asymptotic_variance,
     check_reversibility,
-    dirichlet_form,
-    dirichlet_ratio_extrema,
     spectral_jensen_check,
     spectral_summary,
-    stationary_distribution,
-    t_step,
 )
 from .suite import RunReport, run_suite

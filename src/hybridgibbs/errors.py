@@ -30,10 +30,6 @@ class InvalidKernel(HybridGibbsError):
     pass
 
 
-class NonUniqueStationary(HybridGibbsError):
-    pass
-
-
 class NotReversible(HybridGibbsError):
     """Detailed balance fails; carries the worst-violating pair and defect."""
 

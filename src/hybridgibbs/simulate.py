@@ -161,9 +161,6 @@ class MixingCurve:
     fitted_rate: float
     operator_norm: float
 
-    def rows(self):
-        return [(t, float(d)) for t, d in enumerate(self.distances)]
-
 
 def mixing_curve(rev, mu0, tmax):
     """Exact stationary-L2 distances of mu0 K^t from the stationary law.

@@ -22,7 +22,6 @@ from hybridgibbs import (
     mixing_curve,
     simulate,
     spectral_jensen_check,
-    t_step,
 )
 from hybridgibbs.bounds import function_battery
 from hybridgibbs.config import canonicalize
@@ -45,7 +44,6 @@ COUNTS = {
     "slice_tstep": lambda t: Analysis(SLICE).slice_tstep(t),
     "mean_power_bound": lambda t: mean_power_bound(SLICE, Analysis(SLICE).inner_profile, t),
     "da_hybrid": lambda t: da_hybrid(SKEWED, LAZY, t=t),
-    "t_step": lambda t: t_step(TWO_STATE.kernel, t),
     "spectral_jensen_check": lambda t: spectral_jensen_check(TWO_STATE, [1.0, -1.0], t),
     "simulate": lambda steps: simulate(TWO_STATE, 0, steps, seed=0),
     "batch_means_variance": lambda batch: batch_means_variance(

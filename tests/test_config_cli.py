@@ -1,11 +1,16 @@
 """Config parsing, canonicalization, demos, suite runs, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import hybridgibbs
 from hybridgibbs import (
     ApproximatorSpec,
     ExplicitMatrix,
@@ -408,6 +413,24 @@ class TestCli:
         assert main(["list-demos"]) == 0
         out = capsys.readouterr().out
         assert "two-coin" in out and "spike-slab-toy" in out
+
+    def test_module_entry_point_passes_the_exit_code(self, tmp_path, capsys):
+        # ``python -m hybridgibbs.cli`` exits with what main() returns.
+        env = dict(os.environ)
+        src = str(Path(hybridgibbs.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+        def run(*args):
+            cmd = [sys.executable, "-m", "hybridgibbs.cli", *args]
+            return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+        listed = run("list-demos")
+        assert main(["list-demos"]) == 0
+        assert (listed.returncode, listed.stdout) == (0, capsys.readouterr().out)
+        path = self._write(tmp_path, {"model": {"kind": "random", "sizes": [2, 2], "seed": -1}})
+        rejected = run("check", path)
+        assert rejected.returncode == 2
+        assert rejected.stderr.startswith("error: ") and "minimum of 0" in rejected.stderr
 
     def test_analyze(self, tmp_path, capsys):
         path = self._write(tmp_path, MINIMAL)

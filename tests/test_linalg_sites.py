@@ -1,8 +1,10 @@
 """Where the package calls dense linear algebra: one ``eigh``, for a pair's
 eigenvectors, ``eigvalsh`` only where eigenvalues alone are read, and each
-of ``eig``, ``cholesky``, ``solve``, ``svd`` and ``matrix_power`` at the
-functions that need it, so that a second route, or a new dense site, cannot
-come in unnoticed."""
+of ``cholesky``, ``solve``, ``svd`` and ``matrix_power`` at the functions
+that need it, so that a second route, or a new dense site, cannot come in
+unnoticed.  No site calls the non-symmetric ``eig``: every pair carries its
+stationary law, and its spectrum comes from the symmetrized kernel.  ``eig``
+stays in DENSE so that a call of it fails the test."""
 
 import ast
 from collections import defaultdict
@@ -44,9 +46,8 @@ def test_dense_linalg_is_called_at_its_sites():
     assert linalg_call_sites() == {
         "eigh": {("spectral", "ReversiblePair._eigs")},
         "eigvalsh": {("spectral", "stacked_summaries"), ("bounds", "_scan_gap")},
-        "eig": {("spectral", "stationary_distribution")},
         "cholesky": {("spectral", "asymptotic_variance")},
         "solve": {("spectral", "_cholesky_solve")},
         "svd": {("bounds", "_mean_zero_unit_eigenspace")},
-        "matrix_power": {("spectral", "t_step"), ("gibbs", "_hybrid_marginal_chain")},
+        "matrix_power": {("gibbs", "_hybrid_marginal_chain")},
     }

@@ -9,12 +9,8 @@ from hybridgibbs import (
     StochasticKernel,
     asymptotic_variance,
     check_reversibility,
-    dirichlet_form,
-    dirichlet_ratio_extrema,
     spectral_jensen_check,
     spectral_summary,
-    stationary_distribution,
-    t_step,
 )
 from hybridgibbs.errors import (
     DimensionMismatch,
@@ -22,14 +18,13 @@ from hybridgibbs.errors import (
     InvalidArgument,
     InvalidDistribution,
     InvalidKernel,
-    NonUniqueStationary,
     NoSpectralGap,
     NotReversible,
     PreconditionUnmet,
     ZeroFunction,
 )
 from hybridgibbs.randomgen import random_probvec, random_reversible_kernel, rng_from
-from hybridgibbs.bounds import function_battery
+from hybridgibbs.bounds import dirichlet_forms, function_battery, quadratic_forms
 from hybridgibbs.spectral import affine, checked_stack, eigvals_summary, variances
 
 TWO_STATE = [[0.7, 0.3], [0.3, 0.7]]
@@ -62,10 +57,6 @@ class TestProbVec:
         with pytest.raises(InvalidDistribution):
             ProbVec(np.array([0.0, 0.0]))
 
-    def test_support(self):
-        v = ProbVec(np.array([0.5, 0.0, 0.5]))
-        assert v.support.tolist() == [0, 2]
-
     def test_readonly(self):
         v = ProbVec(np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
@@ -84,21 +75,6 @@ class TestStochasticKernel:
     def test_square_required(self):
         with pytest.raises(InvalidKernel):
             StochasticKernel([[0.5, 0.5]])
-
-
-class TestStationaryDistribution:
-    def test_identity_not_unique(self):
-        with pytest.raises(NonUniqueStationary):
-            stationary_distribution(np.eye(2))
-
-    def test_symmetric_doubly_stochastic(self):
-        w = stationary_distribution(TWO_STATE)
-        np.testing.assert_allclose(w.weights, UNIFORM2, atol=1e-12)
-
-    def test_two_state_balance(self):
-        # Hand oracle: w0 * 0.3 = w1 * 0.6 and w0 + w1 = 1.
-        w = stationary_distribution([[0.7, 0.3], [0.6, 0.4]])
-        np.testing.assert_allclose(w.weights, [2 / 3, 1 / 3], atol=1e-12)
 
 
 class TestCheckReversibility:
@@ -395,14 +371,20 @@ class TestAffine:
 
 
 class TestDirichletForm:
+    """The Dirichlet forms every sandwich check reads: ``bounds.dirichlet_forms``,
+    one per column of a battery."""
+
+    # Columns: a constant and the two-state eigenfunction (1, -1).
+    TWO_STATE_BATTERY = np.array([[3.0, 1.0], [3.0, -1.0]])
+
     def test_constant_function(self):
-        rev = pair(TWO_STATE, UNIFORM2)
-        assert dirichlet_form(rev, [3.0, 3.0]) == pytest.approx(0.0, abs=1e-15)
+        forms = dirichlet_forms(pair(TWO_STATE, UNIFORM2), self.TWO_STATE_BATTERY)
+        assert forms[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_two_state_hand_value(self):
         # (1/2)(0.5 * 0.3 * 4 + 0.5 * 0.3 * 4) = 0.6
-        rev = pair(TWO_STATE, UNIFORM2)
-        assert dirichlet_form(rev, [1.0, -1.0]) == pytest.approx(0.6, abs=1e-12)
+        forms = dirichlet_forms(pair(TWO_STATE, UNIFORM2), self.TWO_STATE_BATTERY)
+        assert forms[1] == pytest.approx(0.6, abs=1e-12)
 
     def test_independence_kernel_gives_variance(self):
         w = random_probvec(21, 4)
@@ -411,38 +393,51 @@ class TestDirichletForm:
         f = np.array([0.3, -1.0, 2.0, 0.1])
         f0 = f - w.weights @ f
         expected = float(w.weights @ (f0 * f0))
-        assert dirichlet_form(rev, f) == pytest.approx(expected, abs=1e-12)
+        forms = dirichlet_forms(rev, np.column_stack([f, f0]))
+        np.testing.assert_allclose(forms, [expected, expected], rtol=0, atol=1e-12)
 
     def test_formulas_cross_checked_on_random_inputs(self):
-        # dirichlet_form raises CrossCheckFailure internally if the double
-        # sum and the inner-product form disagree; exercise it broadly.
+        # The inner-product form |f|^2 - <f, K f> against the double sum
+        # (1/2) sum_{x,y} w(x) K(x,y) (f(x) - f(y))^2, column by column.
         rng = rng_from(3)
         for seed in range(25):
             w = random_probvec(seed, 5)
             K = random_reversible_kernel(seed + 50, w)
-            rev = pair(K, w)
-            dirichlet_form(rev, rng.standard_normal(5))
-
-    def test_accepts_function_vec(self):
-        rev = pair(TWO_STATE, UNIFORM2)
-        assert dirichlet_form(rev, FunctionVec(np.array([1.0, -1.0]))) == pytest.approx(0.6)
+            F = rng.standard_normal((5, 3))
+            diff = F[:, None, :] - F[None, :, :]
+            double_sum = 0.5 * np.einsum("x,xy,xyj->j", w.weights, K, diff * diff)
+            forms = dirichlet_forms(pair(K, w), F)
+            scale = np.maximum(1.0, np.einsum("x,xj->j", w.weights, F * F))
+            assert np.all(np.abs(forms - double_sum) <= 1e-10 * scale)
 
 
 class TestDirichletRatioExtrema:
+    """The extremes of E(f)/|f|^2 over mean-zero f are 1 - lambda_max and
+    1 - lambda_min of the summary, and the eigenvector battery attains them."""
+
+    @staticmethod
+    def extrema(rev):
+        s = spectral_summary(rev)
+        F, _labels = function_battery(rev, trials=0)
+        ratios = dirichlet_forms(rev, F) / quadratic_forms(rev, F)[1]
+        assert ratios.min() == pytest.approx(1.0 - s.lambda_max, abs=1e-12)
+        assert ratios.max() == pytest.approx(1.0 - s.lambda_min, abs=1e-12)
+        return 1.0 - s.lambda_max, 1.0 - s.lambda_min
+
     def test_independence(self):
         w = random_probvec(4, 3)
         K = np.tile(w.weights, (3, 1))
-        lo, hi = dirichlet_ratio_extrema(pair(K, w))
+        lo, hi = self.extrema(pair(K, w))
         assert lo == pytest.approx(1.0, abs=1e-12)
         assert hi == pytest.approx(1.0, abs=1e-12)
 
     def test_identity(self):
-        lo, hi = dirichlet_ratio_extrema(pair(np.eye(3), [0.3, 0.3, 0.4]))
+        lo, hi = self.extrema(pair(np.eye(3), [0.3, 0.3, 0.4]))
         assert lo == pytest.approx(0.0, abs=1e-12)
         assert hi == pytest.approx(0.0, abs=1e-12)
 
     def test_two_state(self):
-        lo, hi = dirichlet_ratio_extrema(pair(TWO_STATE, UNIFORM2))
+        lo, hi = self.extrema(pair(TWO_STATE, UNIFORM2))
         assert lo == pytest.approx(0.6, abs=1e-12)
         assert hi == pytest.approx(0.6, abs=1e-12)
 
@@ -545,17 +540,7 @@ class TestAsymptoticVariance:
 
 
 class TestTStep:
-    def test_t1_is_identity_map(self):
-        K = StochasticKernel(TWO_STATE)
-        np.testing.assert_array_equal(t_step(K, 1).matrix, K.matrix)
-
-    def test_swap_squares_to_identity(self):
-        K = t_step([[0.0, 1.0], [1.0, 0.0]], 2)
-        np.testing.assert_allclose(K.matrix, np.eye(2), atol=1e-15)
-
-    def test_two_state_square(self):
-        K = t_step(TWO_STATE, 2)
-        np.testing.assert_allclose(K.matrix, [[0.58, 0.42], [0.42, 0.58]], atol=1e-15)
+    """Operator norms of t-step kernels."""
 
     def test_norm_power_identity(self):
         # For self-adjoint kernels |K^t| = |K|^t; check psd and general cases.
@@ -567,13 +552,9 @@ class TestTStep:
             rev = pair(K, w)
             norm1 = spectral_summary(rev).operator_norm
             for t in (2, 3, 5):
-                revt = check_reversibility(t_step(rev.kernel, t).matrix, w)
+                revt = check_reversibility(np.linalg.matrix_power(rev.kernel.matrix, t), w)
                 normt = spectral_summary(revt).operator_norm
                 assert normt == pytest.approx(norm1**t, abs=1e-9)
-
-    def test_rejects_nonpositive_t(self):
-        with pytest.raises(ValueError):
-            t_step(TWO_STATE, 0)
 
 
 class TestSpectralJensen:
@@ -602,6 +583,25 @@ class TestSpectralJensen:
         K3 = np.linalg.matrix_power(np.array(TWO_STATE), 3)
         rhs = (w @ (f0 * (K3 @ f0))) / (w @ (f0 * f0))
         assert rep.rhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_psd_within_its_tolerance_is_an_upper_side_pass(self):
+        # lambda_min = 2a - 1 = -5e-10: psd admits it (PSD_TOL is 1e-9), so
+        # odd t is allowed, and lhs = rhs = -5e-10 exactly.  A separate
+        # lhs >= -tol test at tol = 1e-10 would report a fail here.
+        a = 0.5 - 2.5e-10
+        rev = pair([[a, 1.0 - a], [1.0 - a, a]], UNIFORM2)
+        s = spectral_summary(rev)
+        assert s.psd and s.lambda_min == pytest.approx(-5.0e-10, rel=1e-6)
+        rep = spectral_jensen_check(rev, [1.0, -1.0], 1)
+        assert rep.status == "pass"
+        assert rep.witness["side"] == "upper"
+        assert rep.lhs == rep.rhs == pytest.approx(-5.0e-10, rel=1e-6)
+
+    def test_accepts_function_vec(self):
+        rev = pair(TWO_STATE, UNIFORM2)
+        f = FunctionVec(np.array([1.0, -1.0]))
+        assert spectral_jensen_check(rev, f, 4) == spectral_jensen_check(rev, [1.0, -1.0], 4)
+        assert asymptotic_variance(rev, f) == asymptotic_variance(rev, [1.0, -1.0])
 
     def test_odd_power_needs_psd(self):
         rev = pair([[0.0, 1.0], [1.0, 0.0]], UNIFORM2)
