@@ -7,7 +7,9 @@ keeps only those columns, plus the clamp target n - 1 as a sentinel after
 its last value, and ``bisect_right`` on the kept values picks the same state
 as on the full row.  A row that rises at every column shares one column
 list, so memory follows the kernel's nonzeros.  Plain lists avoid numpy call
-overhead in the sequential loop.
+overhead in the sequential loop.  The uniforms and the states are read and
+written through memoryviews of their float64 and int64 arrays, so a path
+holds 16 bytes a step and no Python object per step.
 """
 
 from bisect import bisect_right
@@ -38,7 +40,7 @@ def _sparse_rows(cum):
 
 def walk(cumulative, uniforms, start):
     vals, nexts = _sparse_rows(np.asarray(cumulative, dtype=np.float64))
-    us = np.asarray(uniforms, dtype=np.float64).tolist()
+    us = memoryview(np.ascontiguousarray(uniforms, dtype=np.float64))
     out = np.empty(len(us) + 1, dtype=np.int64)
     states = memoryview(out)
     state = int(start)

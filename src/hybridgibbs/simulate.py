@@ -15,7 +15,6 @@ from . import _stepper_py
 from .errors import (
     CrossCheckFailure,
     DimensionMismatch,
-    InvalidArgument,
     InvalidStart,
     NotAbsolutelyContinuous,
     TooFewBatches,
@@ -95,23 +94,22 @@ def batch_means_variance(traj, f, batch):
 
     Uses nonoverlapping batches of the post-start samples; the estimate is
     batch * sample variance of the batch means, its standard error the usual
-    chi-square spread sqrt(2/(B-1)) times the estimate.
+    chi-square spread sqrt(2/(B-1)) times the estimate.  Neither the path
+    nor f is written: the path's values of f are gathered into one copy.
     """
     batch = positive_int(batch, "batch")
-    values = np.asarray(f, dtype=float)
-    if values.ndim != 1 or not np.isfinite(values).all():
-        raise InvalidArgument("f must be a finite 1-d vector")
+    values = as_values(f)
     if values.size <= traj.states.max():
         raise DimensionMismatch(f"f has length {values.size}; the path visits {traj.states.max()}")
-    values = values[traj.states[1:]]
+    values = values[traj.states[1:]]  # a copy: it is centred in place
     nb = values.size // batch
     if nb < 20:
         raise TooFewBatches(
             f"{values.size} samples give {nb} batches of {batch}; need at least 20"
         )
     used = values[: nb * batch]
-    centered = used - used.mean()
-    means = centered.reshape(nb, batch).mean(axis=1)
+    used -= used.mean()
+    means = used.reshape(nb, batch).mean(axis=1)
     est = batch * float(np.var(means, ddof=1))
     se = est * np.sqrt(2.0 / (nb - 1))
     return VarianceEstimate(estimate=est, standard_error=float(se), batch=batch, batches=nb)

@@ -11,6 +11,7 @@ floating-point residue.  States carrying stationary mass below NULL_MASS are
 dropped before analysis: the mean-zero L2 theory is blind to null sets.
 """
 
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -39,6 +40,9 @@ PSD_TOL = 1e-9
 # that the check of a (Y, d, d) stack holds no (Y, d, d) temporary for d
 # above it.
 _ROW_BLOCK = 64
+# Side of the square blocks in which a kernel is symmetrized in place, and
+# rows of the variance's matrix built at once.
+_SYM_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,13 +85,11 @@ class StochasticKernel:
 
     matrix: np.ndarray
 
-    def __init__(self, matrix, row_tol=1e-12):
+    def __init__(self, matrix):
         m = np.array(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
             raise InvalidKernel("kernel must be a nonempty square matrix")
-        if not 0.0 <= row_tol < np.inf:
-            raise InvalidArgument(f"row_tol must be finite and nonnegative, got {row_tol!r}")
-        m = _verified(m[None], row_tol=row_tol)[0][0]
+        m = _verified(m[None], rows=True)[0][0]
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -112,13 +114,25 @@ class FunctionVec:
         object.__setattr__(self, "values", v)
 
 
-def as_values(f, n):
-    """Coerce a FunctionVec or array-like into a validated float vector."""
+def as_values(f, n=None):
+    """A FunctionVec's values, or an array-like as a float vector, not copied
+    where it already is one.  A value that does not convert to floats, or
+    has one that is not finite, raises InvalidArgument.  Given ``n``, a
+    value that is not a vector over n states raises DimensionMismatch;
+    without it, a value that is not 1-d raises InvalidArgument."""
     if isinstance(f, FunctionVec):
         v = f.values
     else:
-        v = np.asarray(f, dtype=np.float64)
-    if v.ndim != 1 or v.size != n:
+        try:
+            v = np.asarray(f, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise InvalidArgument(
+                f"function values must be numbers, got {reprlib.repr(f)}"
+            ) from None
+    if n is None:
+        if v.ndim != 1:
+            raise InvalidArgument(f"f must be a 1-d vector, got shape {v.shape}")
+    elif v.ndim != 1 or v.size != n:
         raise DimensionMismatch(f"expected a function over {n} states, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise InvalidArgument("function values must be finite")
@@ -170,18 +184,18 @@ def checked_stack(K, w):
     """``check_reversibility`` on a stack of pairs (K[y], w[y]) with ``w``
     normalized, at once: K clamped at 0, not to be written to.  Each check
     raises its named error for the first pair that fails it."""
-    return _verified(K, w, row_tol=1e-12)[0]
+    return _verified(K, w, rows=True)[0]
 
 
-def _verified(K, w=None, row_tol=None):
-    """The one kernel check, on a (Y, d, d) stack K.  Given ``row_tol``,
-    every entry is finite and at least -1e-15 (then clamped at 0) and each
-    row sums to 1 within row_tol.  Given (Y, d) weights ``w``, each pair
+def _verified(K, w=None, rows=False):
+    """The one kernel check, on a (Y, d, d) stack K.  Given ``rows``, every
+    entry is finite and at least -1e-15 (then clamped at 0) and each row
+    sums to 1 within 1e-12.  Given (Y, d) weights ``w``, each pair
     (K[y], w[y]) holds detailed balance within REVERSIBILITY_TOL and w[y]
     is stationary within 1e-10.  The checks run in that order, each raising
     its named error for the first slice that fails it.  Returns the clamped
     stack, not to be written to, and each pair's detailed-balance defect."""
-    if row_tol is not None:
+    if rows:
         if not np.isfinite(K).all():
             raise InvalidKernel("kernel entries must be finite")
         if (K < -1e-15).any():
@@ -189,9 +203,9 @@ def _verified(K, w=None, row_tol=None):
         # Clamping changes nothing, not even the sign of a zero, where no
         # entry has its sign bit set; then K itself is returned.
         K = np.maximum(K, 0.0) if np.signbit(K).any() else K
-        rows = np.abs(K.sum(axis=2) - 1.0).max(axis=1)
-        for worst in rows[rows > row_tol][:1]:  # the first failing slice, if any
-            raise InvalidKernel(f"row sums deviate from 1 by {worst:.3e} (tolerance {row_tol:.1e})")
+        sums = np.abs(K.sum(axis=2) - 1.0).max(axis=1)
+        for worst in sums[sums > 1e-12][:1]:  # the first failing slice, if any
+            raise InvalidKernel(f"row sums deviate from 1 by {worst:.3e} (tolerance 1.0e-12)")
     if w is None:
         return K, None
     # The gap is symmetric in (x, z): each block of rows x needs only the
@@ -314,18 +328,30 @@ def _symmetrized(rev):
 
 def _symmetrize(M, ws):
     """(d, A, asym) of ``_symmetrized`` for one restricted kernel M or a
-    stack of them, with the same arithmetic: M is scaled in place, and one
-    buffer holds first |M - M^T|, then A."""
+    stack of them, with the same arithmetic: M is scaled, then symmetrized
+    in place, so A is M's own buffer.  Each pair of mirrored blocks is read
+    once, into one block-sized buffer that holds first their |M - M^T|,
+    then their mean."""
     d = np.sqrt(ws)
     M *= d[..., :, None]
     M /= d[..., None, :]
-    Mt = np.swapaxes(M, -1, -2)
-    A = np.subtract(M, Mt)
-    np.abs(A, out=A)
-    asym = A.max(axis=(-2, -1))
-    np.add(M, Mt, out=A)
-    A /= 2.0
-    return d, A, asym
+    n = M.shape[-1]
+    asym = np.zeros(M.shape[:-2])
+    buf = np.empty(M.shape[:-2] + (min(n, _SYM_BLOCK),) * 2)
+    for i in range(0, n, _SYM_BLOCK):
+        for j in range(i, n, _SYM_BLOCK):
+            upper = M[..., i : i + _SYM_BLOCK, j : j + _SYM_BLOCK]
+            lower = np.swapaxes(M[..., j : j + _SYM_BLOCK, i : i + _SYM_BLOCK], -1, -2)
+            b = buf[..., : upper.shape[-2], : upper.shape[-1]]
+            np.subtract(upper, lower, out=b)
+            np.abs(b, out=b)
+            asym = np.maximum(asym, b.max(axis=(-2, -1)))
+            np.add(upper, lower, out=b)
+            b /= 2.0
+            upper[...] = b
+            if j != i:  # a diagonal block's mean is symmetric: written once
+                lower[...] = b
+    return d, M, asym
 
 
 def stacked_summaries(K, w):
@@ -477,22 +503,27 @@ def asymptotic_variance(rev, f):
     D^{-1/2} A D^{1/2} (A is nonnegative) bound it below by
     min_i 2 A_ii - (A d)_i / d_i, one matrix-vector product; only where that
     bound falls short by 1e-9, as for a chain with a zero diagonal entry,
-    must (1 - 1e-12) I + A have a Cholesky factor too.
+    must (1 - 1e-12) I + A have a Cholesky factor too, taken on a copy,
+    since B is then built in A's buffer.
     """
+    v = as_values(f, rev.n)
     keep, _dropped, ws, d, A, _asym = _symmetrized(rev)
-    v = as_values(f, rev.n)[keep]
+    v = v[keep]
     g = d * (v - float(ws @ v))
     margin = 1e-12
     diag = np.diag_indices_from(A)
     low = float(np.min(2.0 * A[diag] - (A @ d) / d))
-    B = np.outer(d, d)
-    B -= A
-    B[diag] += 1.0 - margin
     try:
         if not (np.isfinite(low) and low > -1.0 + margin + 1e-9):
-            A[diag] += 1.0 - margin
-            np.linalg.cholesky(A)
-        del A  # one n x n buffer fewer while B is factored
+            C = A.copy()
+            C[diag] += 1.0 - margin
+            np.linalg.cholesky(C)
+            del C  # freed before B is factored
+        B = A  # d d^T - A, a block of rows at a time
+        for s in range(0, B.shape[0], _SYM_BLOCK):
+            rows = slice(s, s + _SYM_BLOCK)
+            np.subtract(np.outer(d[rows], d), B[rows], out=B[rows])
+        B[diag] += 1.0 - margin
         L = np.linalg.cholesky(B)
     except np.linalg.LinAlgError:
         raise NoSpectralGap(

@@ -23,6 +23,7 @@ from hybridgibbs import (
     simulate,
     spectral_jensen_check,
 )
+from hybridgibbs.spectral import asymptotic_variance
 from hybridgibbs.bounds import function_battery
 from hybridgibbs.config import canonicalize
 from hybridgibbs.errors import HybridGibbsError, InvalidArgument, InvalidStart, positive_int
@@ -124,6 +125,26 @@ def test_bad_tol_is_a_named_error(tol):
     if tol is not None:  # run_suite reads None as the config's tol
         with pytest.raises(InvalidArgument, match="tol must be finite and positive"):
             run_suite(RANDOM_CONFIG, tol=tol)
+
+
+# Each reads a function vector f over TWO_STATE's two states.
+FUNCTION_SITES = {
+    "cross_validate_variance": lambda f: cross_validate_variance(TWO_STATE, f, 100, 0),
+    "asymptotic_variance": lambda f: asymptotic_variance(TWO_STATE, f),
+    "batch_means_variance": lambda f: batch_means_variance(
+        simulate(TWO_STATE, 0, 100, seed=0), f, 5
+    ),
+}
+UNCONVERTIBLE = {"string": "x", "ragged": [1.0, [2.0, 3.0]], "dict": {}}
+
+
+@pytest.mark.parametrize("kind", UNCONVERTIBLE)
+@pytest.mark.parametrize("site", FUNCTION_SITES)
+def test_unconvertible_function_is_a_named_error(site, kind):
+    f = UNCONVERTIBLE[kind]
+    with pytest.raises(InvalidArgument, match="function values must be numbers, got") as info:
+        FUNCTION_SITES[site](f)
+    assert repr(f)[:4] in str(info.value)
 
 
 def test_run_suite_without_a_tol_uses_the_configs():

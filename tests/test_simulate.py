@@ -1,5 +1,6 @@
 """Trajectory simulation, batch means, and cross-validation against exact values."""
 
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -25,6 +26,7 @@ from hybridgibbs.errors import (
     NotAbsolutelyContinuous,
     TooFewBatches,
 )
+from hybridgibbs.randomgen import random_probvec, random_reversible_kernel, rng_from
 from hybridgibbs.simulate import kernel_fingerprint
 from hybridgibbs.spectral import eigvals_summary
 
@@ -203,6 +205,45 @@ class TestBatchMeans:
             batch_means_variance(traj, f, batch=5)
 
 
+class TestPathMemory:
+    """A path holds its uniforms and its states, 16 bytes a step, and no
+    Python object per step; batch means add one gathered copy of f's values,
+    centred in place."""
+
+    STEPS = 200_000
+
+    @pytest.mark.parametrize("run", ["simulate", "cross_validate_variance"])
+    def test_peak_bytes_per_step(self, run):
+        rng = rng_from(64)
+        w = random_probvec(rng, 64)
+        rev = check_reversibility(random_reversible_kernel(rng, w), w)
+        f = np.arange(64.0)
+        calls = {
+            "simulate": lambda: simulate(rev, 0, self.STEPS, seed=3),
+            "cross_validate_variance": lambda: cross_validate_variance(rev, f, self.STEPS, seed=3),
+        }
+        tracemalloc.start()
+        try:
+            calls[run]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / self.STEPS < 24
+
+    def test_batch_means_write_neither_the_path_nor_f(self):
+        traj = simulate(SKEWED, 0, 5000, seed=13)
+        states = traj.states.copy()
+        f = np.array([1.0, -2.0, 0.5])
+        traj.states.flags.writeable = False
+        f.flags.writeable = False
+        est = batch_means_variance(traj, f, batch=100)
+        assert np.array_equal(traj.states, states) and f.tolist() == [1.0, -2.0, 0.5]
+        # The estimate of a separately centred copy, to the last bit.
+        used = f[states[1:]][:5000]
+        means = (used - used.mean()).reshape(50, 100).mean(axis=1)
+        assert est.estimate == 100 * float(np.var(means, ddof=1))
+
+
 class TestCrossValidate:
     def test_two_state_benchmark(self):
         rep = cross_validate_variance(TWO_STATE, [1.0, -1.0], 100_000, seed=15, batch=1000)
@@ -220,7 +261,7 @@ class TestCrossValidate:
 
     def test_random_pairs_mostly_pass(self):
         from hybridgibbs import exact_random_scan
-        from hybridgibbs.randomgen import random_joint, rng_from
+        from hybridgibbs.randomgen import random_joint
 
         passed = 0
         for seed in range(12):

@@ -25,7 +25,16 @@ from hybridgibbs.errors import (
 )
 from hybridgibbs.randomgen import random_probvec, random_reversible_kernel, rng_from
 from hybridgibbs.bounds import dirichlet_forms, function_battery, quadratic_forms
-from hybridgibbs.spectral import affine, checked_stack, eigvals_summary, variances
+from hybridgibbs.spectral import (
+    _SYM_BLOCK,
+    _cholesky_solve,
+    _restrict,
+    _symmetrize,
+    affine,
+    checked_stack,
+    eigvals_summary,
+    variances,
+)
 
 TWO_STATE = [[0.7, 0.3], [0.3, 0.7]]
 UNIFORM2 = [0.5, 0.5]
@@ -202,21 +211,17 @@ class TestKernelChecks:
         assert m[0, 1] == 0.0 and not np.signbit(m[0, 1])
         assert not m.flags.writeable
 
-    def test_kernel_at_its_own_row_tolerance_still_pairs(self):
+    def test_row_sums_are_checked_at_one_tolerance(self):
+        # Every kernel is checked at 1e-12; no caller can choose another.
         K = np.full((3, 3), 1 / 3)
         K[0, 0] += 5e-11
-        with pytest.raises(InvalidKernel):
+        with pytest.raises(InvalidKernel, match=r"tolerance 1\.0e-12"):
             StochasticKernel(K)
-        rev = check_reversibility(StochasticKernel(K, row_tol=1e-10), np.full(3, 1 / 3))
+        K[0, 0] = 1 / 3 + 5e-13
+        rev = check_reversibility(StochasticKernel(K), np.full(3, 1 / 3))
         assert rev.reversibility_defect == 0.0
-
-    @pytest.mark.parametrize("row_tol", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
-    def test_row_tolerance_is_finite_and_nonnegative(self, row_tol):
-        # A NaN or infinite tolerance passed a row summing to 0.9; a negative
-        # one rejected every kernel.
-        for matrix in ([[0.5, 0.4], [0.3, 0.7]], [[0.5, 0.5], [0.5, 0.5]]):
-            with pytest.raises(InvalidArgument, match="row_tol must be finite and nonnegative"):
-                StochasticKernel(matrix, row_tol=row_tol)
+        with pytest.raises(TypeError):
+            StochasticKernel(K, row_tol=1e-10)
 
     def test_pair_size_mismatch(self):
         want = (DimensionMismatch, "kernel and stationary distribution sizes differ", None, None)
@@ -537,6 +542,123 @@ class TestAsymptoticVariance:
             f0 = f - w.weights @ f
             plain = float(w.weights @ (f0 * f0))
             assert asymptotic_variance(rev, f) >= plain - 1e-9
+
+
+def two_buffer_symmetrize(M, ws):
+    """The two-buffer symmetrization, kept as a reference for the blocked
+    in-place one: M is scaled in place, and a second buffer holds first
+    |M - M^T|, then A."""
+    d = np.sqrt(ws)
+    M *= d[..., :, None]
+    M /= d[..., None, :]
+    Mt = np.swapaxes(M, -1, -2)
+    A = np.subtract(M, Mt)
+    np.abs(A, out=A)
+    asym = A.max(axis=(-2, -1))
+    np.add(M, Mt, out=A)
+    A /= 2.0
+    return d, A, asym
+
+
+def two_buffer_asymptotic_variance(rev, f):
+    """The variance with B = d d^T - A + (1 - margin) I in a buffer of its
+    own, kept as a reference for the one that builds B in A's buffer."""
+    keep, _dropped, ws, M = _restrict(rev.kernel.matrix, rev.stationary.weights)
+    d, A, _asym = two_buffer_symmetrize(M, ws)
+    v = np.asarray(f, dtype=np.float64)[keep]
+    g = d * (v - float(ws @ v))
+    margin = 1e-12
+    diag = np.diag_indices_from(A)
+    low = float(np.min(2.0 * A[diag] - (A @ d) / d))
+    B = np.outer(d, d)
+    B -= A
+    B[diag] += 1.0 - margin
+    try:
+        if not (np.isfinite(low) and low > -1.0 + margin + 1e-9):
+            A[diag] += 1.0 - margin
+            np.linalg.cholesky(A)
+        L = np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:
+        raise NoSpectralGap("no spectral gap") from None
+    B[diag] += margin
+    x = _cholesky_solve(L, g)
+    x += _cholesky_solve(L, g - B @ x)
+    return 2.0 * float(g @ x) - float(g @ g)
+
+
+class TestInPlaceSymmetrization:
+    """The blocked in-place symmetrization and the variance's matrix built in
+    the symmetrized kernel's buffer, against the two-buffer formulas, to the
+    last bit."""
+
+    @staticmethod
+    def assert_same(M, ws):
+        d0, A0, asym0 = two_buffer_symmetrize(M.copy(), ws)
+        given = M.copy()
+        d1, A1, asym1 = _symmetrize(given, ws)
+        assert A1 is given
+        assert np.array_equal(d0, d1) and np.array_equal(A0, A1)
+        assert np.array_equal(asym0, asym1) and np.shape(asym0) == np.shape(asym1)
+
+    @pytest.mark.parametrize(
+        "n", [1, _SYM_BLOCK - 1, _SYM_BLOCK, _SYM_BLOCK + 1, 2 * _SYM_BLOCK + 3]
+    )
+    def test_one_matrix(self, n):
+        rng = rng_from(n)
+        # A matrix that is not reversible, with its largest asymmetry in the
+        # top right corner, off the diagonal blocks (the weights scale no
+        # entry by more than 10), and a reversible kernel,
+        # whose asym is rounding residue.
+        M = rng.random((n, n))
+        M[0, -1] += 1e4
+        self.assert_same(M, (rng.random(n) + 0.01) / n)
+        w = random_probvec(rng, n)
+        self.assert_same(random_reversible_kernel(rng, w), w.weights)
+
+    @pytest.mark.parametrize(
+        "shape", [(5, 64), (300, 8), (3, _SYM_BLOCK + 1), (0, 4)], ids=str
+    )
+    def test_stack(self, shape):
+        count, n = shape
+        rng = rng_from(count + n)
+        M = rng.random((count, n, n))
+        M[:, 0, -1] += 1e4
+        ws = rng.random((count, n)) + 0.01
+        ws /= ws.sum(axis=1, keepdims=True)
+        self.assert_same(M, ws)
+
+    def test_asymptotic_variance_is_the_two_buffer_value(self):
+        chains = []
+        for seed in range(25):
+            n = 2 + (seed * 37) % (2 * _SYM_BLOCK + 5)
+            w = random_probvec(seed + 700, n)
+            chains.append(pair(random_reversible_kernel(seed + 750, w), w))
+        # State 3 carries no stationary mass and is dropped from the support.
+        w = random_probvec(4, 3)
+        K = np.zeros((4, 4))
+        K[:3, :3] = random_reversible_kernel(3, w)
+        K[3] = [0.2, 0.3, 0.1, 0.4]
+        chains.append(pair(K, np.append(w.weights, 0.0)))
+        # A zero diagonal entry: the lower edge takes the second factor.
+        chains.append(pair([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]], [1 / 3] * 3))
+        for k, rev in enumerate(chains):
+            f = rng_from(k).standard_normal(rev.n)
+            assert asymptotic_variance(rev, f) == two_buffer_asymptotic_variance(rev, f)
+
+    @pytest.mark.parametrize(
+        "K, w",
+        [
+            (np.eye(2), UNIFORM2),
+            ([[0.0, 1.0], [1.0, 0.0]], UNIFORM2),
+            ([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [0.5, 0.25, 0.25]),
+        ],
+        ids=["identity", "swap", "bipartite"],
+    )
+    def test_gapless_chains_raise_as_before(self, K, w):
+        rev, f = pair(K, w), np.arange(len(w), dtype=float)
+        for variance in (asymptotic_variance, two_buffer_asymptotic_variance):
+            with pytest.raises(NoSpectralGap):
+                variance(rev, f)
 
 
 class TestTStep:
