@@ -2,21 +2,20 @@
 
 Configs are JSON documents validated against CONFIG_SCHEMA (a published JSON
 Schema, draft 2020-12) and then semantically checked (weight vector lengths,
-override coordinates, ...).  ``_conforms``, a small interpreter of the
-keywords CONFIG_SCHEMA uses, decides whether a config is valid; jsonschema
-is imported only to word the error of a rejected config, so a valid config
-never loads it.  Canonicalization fills in the documented defaults, respells
-rules, stores the seeds, trial count and sizes as integers and the step
-counts ``t`` sorted, each once; the canonical form is a fixed point of
-parse -> canonicalize -> serialize -> parse, and its hash is the model
-fingerprint stamped on every report.
+override coordinates, ...).  ``_violations``, an interpreter of the keywords
+CONFIG_SCHEMA uses, yields each violation of a config at its JSON path, in
+the wording of the Python JSON Schema reference validator; a config is valid
+when it yields none, and a rejected one names its first.  Canonicalization
+fills in the documented defaults, respells rules, stores the seeds, trial
+count and sizes as integers and the step counts ``t`` sorted, each once; the
+canonical form is a fixed point of parse -> canonicalize -> serialize ->
+parse, and its hash is the model fingerprint stamped on every report.
 """
 
 import json
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .approximators import (
     MetropolisIndep,
     MetropolisRW,
 )
-from .errors import CrossCheckFailure, ParseError, SchemaError
+from .errors import ParseError, SchemaError
 from .randomgen import random_joint
 from .report import fingerprint_json
 from .slicemodel import SliceModel
@@ -135,9 +134,8 @@ def _is_number(x):
     return isinstance(x, numbers.Number) and not isinstance(x, bool)
 
 
-# The JSON types CONFIG_SCHEMA names, as jsonschema's draft 2020-12 type
-# checker reads them: a bool is not a number, an integral float is an
-# integer, and a tuple is not an array.
+# The JSON types CONFIG_SCHEMA names, as draft 2020-12 validators read Python
+# values: a bool is no number, an integral float is an integer, a tuple no array.
 _TYPES = {
     "object": lambda x: isinstance(x, dict),
     "array": lambda x: isinstance(x, list),
@@ -148,49 +146,83 @@ _TYPES = {
     ),
 }
 
-# Each keyword CONFIG_SCHEMA uses, as a test of (instance, keyword value,
-# enclosing schema).  Bounds apply to numbers only, so NaN passes them;
-# array keywords to lists only, object keywords to dicts only.
+
+def _type_names(t):
+    return [t] if isinstance(t, str) else t
+
+
+def _bound(fails, wording):
+    """A bound keyword: it applies to numbers only, so NaN passes it."""
+    return lambda x, bound, s, path: (
+        [(path, f"{x!r} is {wording} {bound!r}")] if _is_number(x) and fails(x, bound) else []
+    )
+
+
+def _below(path, triples):
+    """The violations of each (key, instance, subschema), one level below ``path``."""
+    return (e for k, v, sub in triples for e in _violations(v, sub, (*path, k)))
+
+
+def _any_of(x, branches, s, path):
+    """Nothing if a branch holds; else, as ``best_match`` reads a failed anyOf,
+    the violations of the branch whose type ``x`` has, or the anyOf's own."""
+    if any(_conforms(x, b) for b in branches):
+        return []
+    for b in branches:
+        if any(_TYPES[name](x) for name in _type_names(b.get("type", ()))):
+            return _violations(x, b, path)
+    return [(path, f"{x!r} is not valid under any of the given schemas")]
+
+
+def _additional_properties(x, extra, s, path):
+    keys = [k for k in x if k not in s.get("properties", {})] if isinstance(x, dict) else []
+    if extra is not False or not keys:
+        return _below(path, ((k, x[k], extra) for k in keys))
+    names = ", ".join(map(repr, sorted(keys, key=str)))
+    verb = "was" if len(keys) == 1 else "were"
+    return [(path, f"Additional properties are not allowed ({names} {verb} unexpected)")]
+
+
+# Each keyword CONFIG_SCHEMA uses, as the violations of (instance, keyword
+# value, enclosing schema, path), worded as the reference validator words
+# them.  Array keywords apply to lists only, object keywords to dicts only.
 _KEYWORDS = {
-    "type": lambda x, t, s: any(_TYPES[name](x) for name in ([t] if isinstance(t, str) else t)),
-    "enum": lambda x, values, s: x in values,
-    "const": lambda x, value, s: x == value,
-    "anyOf": lambda x, branches, s: any(_conforms(x, b) for b in branches),
-    "minimum": lambda x, low, s: not _is_number(x) or not x < low,
-    "maximum": lambda x, high, s: not _is_number(x) or not x > high,
-    "exclusiveMinimum": lambda x, low, s: not _is_number(x) or not x <= low,
-    "items": lambda x, item, s: not isinstance(x, list) or all(_conforms(v, item) for v in x),
-    "minItems": lambda x, n, s: not isinstance(x, list) or len(x) >= n,
-    "properties": lambda x, props, s: not isinstance(x, dict)
-    or all(_conforms(x[k], sub) for k, sub in props.items() if k in x),
-    "required": lambda x, keys, s: not isinstance(x, dict) or all(k in x for k in keys),
-    "additionalProperties": lambda x, extra, s: not isinstance(x, dict)
-    or all(_conforms(v, extra) for k, v in x.items() if k not in s.get("properties", {})),
+    "type": lambda x, t, s, path: [] if any(_TYPES[n](x) for n in _type_names(t)) else [
+        (path, f"{x!r} is not of type {', '.join(map(repr, _type_names(t)))}")
+    ],
+    "enum": lambda x, vs, s, path: [] if x in vs else [(path, f"{x!r} is not one of {vs!r}")],
+    "const": lambda x, value, s, path: [] if x == value else [(path, f"{value!r} was expected")],
+    "anyOf": _any_of,
+    "minimum": _bound(lambda x, low: x < low, "less than the minimum of"),
+    "maximum": _bound(lambda x, high: x > high, "greater than the maximum of"),
+    "exclusiveMinimum": _bound(lambda x, low: x <= low, "less than or equal to the minimum of"),
+    "items": lambda x, item, s, path: _below(path, ((i, v, item) for i, v in enumerate(x)))
+    if isinstance(x, list) else [],
+    "minItems": lambda x, n, s, path: [
+        (path, f"{x!r} {'should be non-empty' if n == 1 else 'is too short'}")
+    ] if isinstance(x, list) and len(x) < n else [],
+    "properties": lambda x, props, s, path: _below(
+        path, ((k, x[k], sub) for k, sub in props.items() if k in x)
+    ) if isinstance(x, dict) else [],
+    "required": lambda x, keys, s, path: [
+        (path, f"{k!r} is a required property") for k in keys if k not in x
+    ] if isinstance(x, dict) else [],
+    "additionalProperties": _additional_properties,
 }
 _ANNOTATIONS = ("$schema", "title")
 
 
+def _violations(x, schema, path=()):
+    """Each violation of ``schema`` (a subschema of CONFIG_SCHEMA) by ``x``, as
+    (path tuple, message) in schema order; an unknown keyword is a KeyError."""
+    for keyword, value in schema.items():
+        if keyword not in _ANNOTATIONS:
+            yield from _KEYWORDS[keyword](x, value, schema, path)
+
+
 def _conforms(x, schema):
-    """Whether ``x`` is valid under ``schema`` (a subschema of CONFIG_SCHEMA,
-    or a boolean schema), with draft 2020-12 semantics.  This alone decides
-    whether a config is accepted; an unknown keyword is a KeyError."""
-    if isinstance(schema, bool):
-        return schema
-    return all(_KEYWORDS[k](x, v, schema) for k, v in schema.items() if k not in _ANNOTATIONS)
-
-
-@cache
-def _validator():
-    """The one schema validator and jsonschema's ``best_match``, imported and
-    built at the first rejected config, to word its error.
-
-    ``jsonschema.validate`` would check the schema against its metaschema and
-    build a new validator on every call; importing jsonschema to accept a
-    valid config would cost every run of a demo or a ``check``.
-    """
-    import jsonschema
-
-    return jsonschema.Draft202012Validator(CONFIG_SCHEMA), jsonschema.exceptions.best_match
+    """Whether ``x`` is valid under ``schema``: the walk yields nothing."""
+    return next(_violations(x, schema), None) is None
 
 
 _DEFAULTS = {
@@ -321,17 +353,9 @@ def parse_config_text(raw):
 
 def canonicalize(data):
     """Validate against the schema, apply defaults, run semantic checks.
-
-    ``_conforms`` decides validity; jsonschema's ``best_match`` words the
-    SchemaError of a rejected config, and a config it finds no error in is
-    a CrossCheckFailure."""
-    if not _conforms(data, CONFIG_SCHEMA):
-        validator, best_match = _validator()
-        exc = best_match(validator.iter_errors(data))
-        if exc is None:
-            raise CrossCheckFailure("the schema interpreter rejects a config jsonschema accepts")
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise SchemaError(f"at {path}: {exc.message}") from exc
+    A rejected config names its first violation in schema order."""
+    for path, message in _violations(data, CONFIG_SCHEMA):
+        raise SchemaError(f"at {'/'.join(map(str, path)) or '<root>'}: {message}")
     out = dict(_DEFAULTS)
     out.update(data)
     m = out["model"] = dict(data["model"])

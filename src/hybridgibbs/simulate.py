@@ -214,10 +214,14 @@ def _fit_tail_rate(dists):
     return float(np.exp(slope))
 
 
+# States per write of write_trajectory: the text of one chunk is a few MiB.
+_TRAJECTORY_CHUNK = 1 << 16
+
+
 def write_trajectory(traj, path):
     """Text export: a header with seed and kernel fingerprint, then one state
     index per line."""
     with open(path, "w") as fh:
         fh.write(f"# seed={traj.seed} kernel={traj.fingerprint}\n")
-        for s in traj.states:
-            fh.write(f"{int(s)}\n")
+        for i in range(0, traj.states.size, _TRAJECTORY_CHUNK):
+            fh.write("\n".join(map(str, traj.states[i : i + _TRAJECTORY_CHUNK].tolist())) + "\n")

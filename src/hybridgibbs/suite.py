@@ -92,9 +92,9 @@ def run_suite(config, suites=None, t_values=None, tol=None):
     inapplicable suites are skipped), or None to follow the config's own
     selection with the same semantics.  ``config`` is a ModelConfig from
     ``canonicalize``.  Any other config, other string, non-list or name outside
-    ``config.SUITES``, ``t_values`` that are not a list of positive integers,
-    a ``tol`` that is not finite and positive, or an inapplicable strict
-    suite is an error raised before any kernel is built.  ``t_values``
+    ``config.SUITES``, ``t_values`` that are not a nonempty list of positive
+    integers, a ``tol`` that is not finite and positive, or an inapplicable
+    strict suite is an error raised before any kernel is built.  ``t_values``
     (default: the config's) run once each, in increasing order.
     """
     start = time.perf_counter()
@@ -119,6 +119,8 @@ def run_suite(config, suites=None, t_values=None, tol=None):
     if isinstance(t_values, str) or not np.iterable(t_values):
         raise InvalidArgument(f"t_values must be a list, got {t_values!r}")
     t_values = sorted({positive_int(t, "t") for t in t_values})
+    if not t_values:
+        raise InvalidArgument("t_values must name at least one step count")
     tol = tol if tol is not None else config.tol
     settings = {"tol": tol, "seed": config.seed, "fingerprint": config.fingerprint}
     if config.is_slice:

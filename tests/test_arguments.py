@@ -147,6 +147,12 @@ def test_unconvertible_function_is_a_named_error(site, kind):
     assert repr(f)[:4] in str(info.value)
 
 
+def test_run_suite_without_step_counts_is_a_named_error():
+    # An empty t_values would run no t-step check at all.
+    with pytest.raises(InvalidArgument, match="at least one step count"):
+        run_suite(RANDOM_CONFIG, suites=["da"], t_values=[])
+
+
 def test_run_suite_without_a_tol_uses_the_configs():
     config = canonicalize({"model": {"kind": "random", "sizes": [2, 2], "seed": 1}, "tol": 1e-6})
     assert {r.tol for r in run_suite(config, suites=["da"]).reports} == {1e-6}

@@ -253,6 +253,21 @@ class TestConfig:
         with pytest.raises(SchemaError, match=message):
             canonicalize({**MINIMAL, "approximator": {"overrides": overrides}})
 
+    def test_mixed_type_keys_are_a_named_error(self):
+        # Two violations under keys of mixed type, which cannot be ordered:
+        # the error names the first in schema order.
+        bogus = {"rule": "bogus"}
+        cases = [
+            ({"overrides": {1: bogus, "0": bogus}}, "approximator/overrides/1/rule: 'bogus'"),
+            (
+                {"default": {"rule": "explicit", "tables": {1: "x", "0;0": "y"}}},
+                "approximator/default/tables/1: 'x' is not of type 'array'",
+            ),
+        ]
+        for approximator, message in cases:
+            with pytest.raises(SchemaError, match=message):
+                canonicalize({**MINIMAL, "approximator": approximator})
+
     def test_override_keys_naming_one_coordinate(self):
         overrides = {"1": {"rule": "lazy", "epsilon": 0.5}, "01": {"rule": "lazy", "epsilon": 0.9}}
         with pytest.raises(SchemaError, match="approximator/overrides: keys '1' and '01'"):
@@ -667,6 +682,7 @@ class TestCli:
             ["check", "{config}", "--suite", "random-scan,fo"],
             ["check", "{config}", "--tol", "nan"],
             ["check", "{config}", "--tol", "-1"],
+            ["check", "{config}", "--t", ","],
         ],
         ids=[
             "t-zero",
@@ -682,6 +698,7 @@ class TestCli:
             "suite-typo",
             "tol-nan",
             "tol-negative",
+            "t-empty",
         ],
     )
     def test_bad_argument_is_a_named_error(self, tmp_path, capsys, argv):

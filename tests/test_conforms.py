@@ -1,10 +1,14 @@
-"""The schema interpreter ``config._conforms`` against jsonschema.
+"""The schema interpreter ``config._violations`` against jsonschema, its
+oracle.
 
-``_conforms`` alone decides whether a config is accepted, and jsonschema
-only words the error of a rejected one, so the two must agree on every
-instance: configs drawn from CONFIG_SCHEMA itself and mutated at every
+The interpreter alone decides whether a config is accepted and words the
+rejection, so it must agree with jsonschema's ``Draft202012Validator`` on
+every instance: configs drawn from CONFIG_SCHEMA itself and mutated at every
 level (wrong types, bools for numbers, integral floats, NaN, infinities,
-huge integers, tuples, non-string keys, unknown and missing keys).
+huge integers, tuples, non-string keys, unknown and missing keys).  On a
+rejected config with string keys only, the named violation is one that
+jsonschema reports too, and it is ``best_match``'s where jsonschema finds a
+single error.
 """
 
 import random
@@ -14,9 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridgibbs import config
-from hybridgibbs.config import _ANNOTATIONS, _KEYWORDS, _TYPES, CONFIG_SCHEMA, _conforms
-from hybridgibbs.errors import CrossCheckFailure
+from hybridgibbs.config import (
+    _ANNOTATIONS,
+    _KEYWORDS,
+    _TYPES,
+    CONFIG_SCHEMA,
+    _conforms,
+    canonicalize,
+)
+from hybridgibbs.errors import SchemaError
 
 VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 NAN, INF = float("nan"), float("inf")
@@ -68,8 +78,37 @@ def near(rnd, schema):
     return out
 
 
+def string_keys(x):
+    """Whether every key of every object in ``x`` is a string."""
+    if isinstance(x, dict):
+        return all(isinstance(k, str) and string_keys(v) for k, v in x.items())
+    return not isinstance(x, (list, tuple)) or all(string_keys(v) for v in x)
+
+
+def worded(error):
+    """A jsonschema error as ``canonicalize`` words a SchemaError."""
+    return f"at {'/'.join(map(str, error.absolute_path)) or '<root>'}: {error.message}"
+
+
+def error_tree(errors):
+    """Every error jsonschema reports, those inside an anyOf's context too."""
+    for error in errors:
+        yield worded(error)
+        yield from error_tree(error.context)
+
+
 def agree(data):
-    assert _conforms(data, CONFIG_SCHEMA) == VALIDATOR.is_valid(data), data
+    valid = VALIDATOR.is_valid(data)
+    assert _conforms(data, CONFIG_SCHEMA) == valid, data
+    if valid:
+        return
+    with pytest.raises(SchemaError) as got:
+        canonicalize(data)
+    if string_keys(data):
+        errors = list(VALIDATOR.iter_errors(data))
+        assert str(got.value) in set(error_tree(errors)), data
+        if len(errors) == 1:
+            assert str(got.value) == worded(jsonschema.exceptions.best_match(errors)), data
 
 
 @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
@@ -149,9 +188,9 @@ def test_interpreter_agrees_with_jsonschema(data):
 
 
 def test_every_keyword_of_the_schema_is_interpreted():
-    """Walk CONFIG_SCHEMA: every keyword is one ``_conforms`` implements or
-    an annotation, every type name is one it knows, and every enum or
-    const value is a string (``_conforms`` compares them with ==, which
+    """Walk CONFIG_SCHEMA: every keyword is one the interpreter implements
+    or an annotation, every type name is one it knows, and every enum or
+    const value is a string (the interpreter compares them with ==, which
     matches jsonschema's equality only for strings)."""
     seen = set()
 
@@ -177,9 +216,3 @@ def test_every_keyword_of_the_schema_is_interpreted():
     walk(CONFIG_SCHEMA)
     # Every implemented keyword is used: none is dead code.
     assert seen - set(_ANNOTATIONS) == set(_KEYWORDS)
-
-
-def test_disagreement_is_a_cross_check_failure(monkeypatch):
-    monkeypatch.setattr(config, "_conforms", lambda x, schema: False)
-    with pytest.raises(CrossCheckFailure, match="interpreter rejects"):
-        config.canonicalize(_product())

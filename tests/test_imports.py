@@ -1,9 +1,12 @@
-"""jsonschema loads only to explain a rejected config: not when the package
-or the CLI is imported, nor when a valid config is canonicalized or
-checked, nor when a demo runs.
+"""numpy is the package's only runtime dependency: with jsonschema
+unimportable, the package, the CLI and every config path run, and a
+rejected config is still a named SchemaError, which the config interpreter
+words itself.
 
 Each check runs in a fresh interpreter, since ``sys.modules`` of the test
-process already holds jsonschema.
+process already holds jsonschema.  There, ``sys.modules["jsonschema"] =
+None`` makes every import of jsonschema fail, so each test both runs
+its path without jsonschema and finds no jsonschema module loaded.
 """
 
 import json
@@ -28,35 +31,43 @@ def fresh(code):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+# Prepended to each fresh interpreter's code: any import of jsonschema fails,
+# and ``loaded()`` lists the jsonschema modules that nonetheless loaded.
+BLOCKED = """
+import contextlib, io, json, sys
+sys.modules["jsonschema"] = None
+def loaded():
+    return sorted(m for m, mod in sys.modules.items()
+                  if m.split(".")[0] == "jsonschema" and mod is not None)
+"""
+
+
 def test_bare_import_never_loads_jsonschema():
-    code = """
-import json, sys
+    code = BLOCKED + """
 import hybridgibbs
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "jsonschema")))
+print(json.dumps(loaded()))
 """
     assert fresh(code) == []
 
 
 def test_cli_without_a_config_never_loads_jsonschema():
-    code = """
-import json, sys
+    code = BLOCKED + """
 from hybridgibbs.cli import main
 main(["list-demos"])
 try:
     main(["--help"])
 except SystemExit:
     pass
-print(json.dumps("jsonschema" in sys.modules))
+print(json.dumps(loaded()))
 """
-    assert fresh(code) is False
+    assert fresh(code) == []
 
 
 def test_valid_configs_never_load_jsonschema(tmp_path):
     """Every demo config, configs shaped like the benchmark's three suite
     workloads (a 40 x 40 random-scan joint, an 8 x 8 x 8 joint with
     Metropolis steps, and 300 slice levels), a demo run and a ``check``."""
-    code = f"""
-import json, sys
+    code = BLOCKED + f"""
 from hybridgibbs.config import canonicalize, serialize
 from hybridgibbs.cli import main
 from hybridgibbs.demos import demo_config, list_demos
@@ -71,14 +82,39 @@ configs = [demo_config(name) for name in list_demos()] + [
 ]
 for data in configs:
     canonicalize(data)
-main(["demo", "two-coin", "--run"])
+demo = main(["demo", "two-coin", "--run"])
 path = {str(tmp_path / "two-coin.json")!r}
 with open(path, "w") as fh:
     fh.write(serialize(canonicalize(demo_config("two-coin"))))
-status = main(["check", path, "--out", {str(tmp_path / "out")!r}])
-print(json.dumps([status, sorted(m for m in sys.modules if m.split(".")[0] == "jsonschema")]))
+check = main(["check", path, "--out", {str(tmp_path / "out")!r}])
+print(json.dumps([demo, check, loaded()]))
 """
-    assert fresh(code) == [0, []]
+    assert fresh(code) == [0, 0, []]
+
+
+def test_rejected_config_without_jsonschema_is_a_named_error(tmp_path):
+    """A rejected config is a SchemaError naming its path, through the
+    Python API and through the CLI, which exits 2."""
+    code = BLOCKED + f"""
+from hybridgibbs.cli import main
+from hybridgibbs.config import canonicalize
+from hybridgibbs.errors import SchemaError
+bad = {{"model": {{"kind": "random", "sizes": [2, "x"], "seed": 1}}}}
+try:
+    canonicalize(bad)
+    rejected = None
+except SchemaError as exc:
+    rejected = str(exc)
+bad_path = {str(tmp_path / "bad.json")!r}
+with open(bad_path, "w") as fh:
+    json.dump(bad, fh)
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    bad_status = main(["check", bad_path])
+print(json.dumps([rejected, bad_status, err.getvalue(), loaded()]))
+"""
+    message = "at model/sizes/1: 'x' is not of type 'integer'"
+    assert fresh(code) == [message, 2, f"error: {message}\n", []]
 
 
 def test_first_validation_in_a_fresh_process_names_the_schema_error():

@@ -27,7 +27,7 @@ from hybridgibbs.errors import (
     TooFewBatches,
 )
 from hybridgibbs.randomgen import random_probvec, random_reversible_kernel, rng_from
-from hybridgibbs.simulate import kernel_fingerprint
+from hybridgibbs.simulate import _TRAJECTORY_CHUNK, kernel_fingerprint
 from hybridgibbs.spectral import eigvals_summary
 
 TWO_STATE = check_reversibility([[0.7, 0.3], [0.3, 0.7]], [0.5, 0.5])
@@ -356,3 +356,25 @@ class TestTrajectoryExport:
         lines = path.read_text().splitlines()
         assert lines[0] == f"# seed=21 kernel={traj.fingerprint}"
         assert [int(x) for x in lines[1:]] == traj.states.tolist()
+
+    @pytest.mark.parametrize(
+        "length",
+        [2, _TRAJECTORY_CHUNK, _TRAJECTORY_CHUNK + 1, 3 * _TRAJECTORY_CHUNK - 1],
+        ids=["two", "one-chunk", "one-chunk-plus-one", "three-chunks-minus-one"],
+    )
+    def test_chunked_writer_matches_the_per_line_writer(self, tmp_path, length):
+        def write_per_line(traj, path):
+            # The writer write_trajectory replaced: one write per state.
+            with open(path, "w") as fh:
+                fh.write(f"# seed={traj.seed} kernel={traj.fingerprint}\n")
+                for s in traj.states:
+                    fh.write(f"{int(s)}\n")
+
+        rng = rng_from(5)
+        w = random_probvec(rng, 64)
+        rev = check_reversibility(random_reversible_kernel(rng, w), w)
+        traj = simulate(rev, 0, length - 1, seed=3)
+        assert traj.states.size == length
+        write_trajectory(traj, tmp_path / "chunked.txt")
+        write_per_line(traj, tmp_path / "per-line.txt")
+        assert (tmp_path / "chunked.txt").read_bytes() == (tmp_path / "per-line.txt").read_bytes()
