@@ -48,7 +48,6 @@ from .slicemodel import SliceModel
 from .space import (
     JointDistribution,
     ProductSpace,
-    SelectionProbs,
     conditional,
     conditional_joint,
     joint_from_weights,

@@ -21,9 +21,9 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import InvalidSpec, positive_int
+from .errors import InvalidDistribution, InvalidKernel, InvalidSpec, positive_int
 from .space import conditional
-from .spectral import ProbVec, check_reversibility
+from .spectral import ProbVec, _floats, check_reversibility
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,8 @@ class MetropolisIndep:
     def describe(self):
         if isinstance(self.proposal, str):
             return {"rule": "metropolis_indep", "proposal": self.proposal}
-        return {"rule": "metropolis_indep", "proposal": np.asarray(self.proposal, float).tolist()}
+        proposal = _floats(self.proposal, InvalidDistribution, "proposal weights")
+        return {"rule": "metropolis_indep", "proposal": proposal.tolist()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +80,8 @@ class ExplicitMatrix:
         tables = {}
         for (i, y), matrix in sorted(self.tables.items()):
             ys = y if isinstance(y, tuple) else (y,)
-            tables[f"{i};{','.join(str(v) for v in ys)}"] = np.asarray(matrix, dtype=float).tolist()
+            matrix = _floats(matrix, InvalidKernel, "explicit kernel entries")
+            tables[f"{i};{','.join(str(v) for v in ys)}"] = matrix.tolist()
         return {"rule": "explicit", "tables": tables}
 
 
@@ -99,6 +101,8 @@ class ApproximatorSpec:
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.overrides, dict):
+            raise InvalidSpec(f"overrides must be a dict, got {type(self.overrides).__name__}")
         if not isinstance(self.default, RULE_TYPES):
             raise InvalidSpec(f"unknown approximator rule {self.default!r}")
         for c, rule in self.overrides.items():
@@ -118,11 +122,26 @@ class ApproximatorSpec:
 EXACT_SPEC = ApproximatorSpec()
 
 
+def checked_spec(spec):
+    """``spec`` itself if it is an ApproximatorSpec; anything else, None or
+    a bare rule among them, raises InvalidSpec naming its type."""
+    if not isinstance(spec, ApproximatorSpec):
+        raise InvalidSpec(f"an approximator spec is required, got {type(spec).__name__}")
+    return spec
+
+
 def kernel_for_target(target, rule, key=None):
     """Matrix of the rule's kernel for a target distribution on a slice: the
     one-target case of ``stacked_kernels``."""
-    pi = target.weights if isinstance(target, ProbVec) else np.asarray(target, float)
-    return np.array(stacked_kernels(pi[None, :], rule, keys=[key])[0])
+    return np.array(stacked_kernels(_target_weights(target)[None, :], rule, keys=[key])[0])
+
+
+def _target_weights(target):
+    """A target distribution's weights, not renormalized: a ProbVec's, or
+    an array-like's as floats."""
+    if isinstance(target, ProbVec):
+        return target.weights
+    return _floats(target, InvalidDistribution, "target weights")
 
 
 def stacked_kernels(targets, rule, keys=None):
@@ -148,7 +167,7 @@ def stacked_kernels(targets, rule, keys=None):
                 raise InvalidSpec(f"unknown proposal {rule.proposal!r}")
             q = np.full(d, 1.0 / d)
         else:
-            q = ProbVec(np.asarray(rule.proposal, float)).weights
+            q = ProbVec(rule.proposal).weights
             if q.size != d:
                 raise InvalidSpec("independence proposal has the wrong length")
         return _metropolis(targets, np.broadcast_to(q, (d, d)))
@@ -157,7 +176,7 @@ def stacked_kernels(targets, rule, keys=None):
         for y, key in enumerate(keys):
             if key not in rule.tables:
                 raise InvalidSpec(f"no explicit kernel supplied for {key}")
-            m = np.asarray(rule.tables[key], dtype=float)
+            m = _floats(rule.tables[key], InvalidKernel, "explicit kernel entries")
             if m.shape != (d, d):
                 raise InvalidSpec(
                     f"explicit kernel for {key} has shape {m.shape}, expected {(d, d)}"
@@ -227,6 +246,6 @@ def make_approximator(joint, spec, i, y):
     detailed-balance check.
     """
     target = conditional(joint, i, y)
-    rule = spec.rule_for(i)
+    rule = checked_spec(spec).rule_for(i)
     Q = kernel_for_target(target, rule, key=(i, tuple(int(v) for v in y)))
     return check_reversibility(Q, target)

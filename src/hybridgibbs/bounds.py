@@ -15,13 +15,14 @@ L2 of the stationary distribution so slacks are on a common scale.
 """
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import combinations
 
 import numpy as np
 
-from .approximators import EXACT_SPEC, Exact, Lazy
+from .approximators import EXACT_SPEC, Exact, Lazy, checked_spec
 from .errors import (
     CrossCheckFailure,
     DegenerateConstants,
@@ -32,6 +33,7 @@ from .errors import (
     NonUniformSelection,
     NoSpectralGap,
     PreconditionUnmet,
+    SpaceTooLarge,
     ZeroSelectionProb,
     positive_int,
     positive_tol,
@@ -51,9 +53,10 @@ from .gibbs import (
 from .randomgen import rng_from
 from .report import fingerprint_bytes, make_report
 from .slicemodel import SliceModel, _level_pairs
-from .space import ProductSpace, selection_probs, slices
+from .space import ProductSpace, selection_probs, slices, state_cap
 from .spectral import (
     NULL_MASS,
+    _floats,
     affine,
     as_values,
     checked_stack,
@@ -127,6 +130,7 @@ def approx_quality(joint, spec, coords=None):
     contribute norm 0 and ratios (1, 1) without an eigendecomposition, since
     the independence kernel annihilates mean-zero functions.
     """
+    spec = checked_spec(spec)
     if coords is None:
         coords = range(joint.space.ncoords)
     table = {}
@@ -207,7 +211,7 @@ class NormProfile:
     derivation: str  # "exact" or "supplied"
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        v = np.array(_floats(self.values, InvalidSpec, "norm bounds"))
         if not np.all((v >= -1e-12) & (v <= 1.0 + 1e-9)):
             raise InvalidSpec("norm bounds must be finite and lie in [0, 1]")
         v = np.clip(v, 0.0, 1.0)
@@ -218,7 +222,7 @@ class NormProfile:
 def dominating_norm_profile(source, values, spec=None):
     """User-supplied profile, validated to dominate the exact norms."""
     exact_vals, kind = Analysis(source, spec=spec).inner_norms()
-    v = np.asarray(values, dtype=float)
+    v = _floats(values, InvalidSpec, "norm bounds")
     if v.shape != exact_vals.shape:
         raise InvalidSpec(
             f"profile has length {v.size}, expected {exact_vals.size}"
@@ -259,7 +263,8 @@ def rms_power_bound(source, profile, t):
 
 def _power_bound(source, profile, t, power):
     t = positive_int(t, "t")
-    g = profile.values ** (power * t)
+    # An exponent past the largest float is inf: v ** inf is 0 below 1, 1 at 1.
+    g = profile.values ** (power * t if power * t <= sys.float_info.max else np.inf)
     kind = "per_level" if isinstance(source, SliceModel) else "per_z"
     m1, fwd = _two_block_parts(source)[:2]
     if profile.kind != kind or g.shape != fwd.shape[1:]:
@@ -287,7 +292,10 @@ def function_battery(rev, trials=DEFAULT_TRIALS, seed=0):
     """
     keep, _dropped, ws, d, vals, vecs, _asym = rev._eigs
     m = vals.size - 1
-    F = np.zeros((rev.n, m + positive_int(trials, "trials", low=0)))
+    width = m + positive_int(trials, "trials", low=0)
+    if width > state_cap():
+        raise SpaceTooLarge(f"a battery of {width} functions exceeds the cap of {state_cap()}")
+    F = np.zeros((rev.n, width))
     F[keep, :m] = vecs[:, :m] / d[:, None]
     index, columns = _mean_zero_unit_eigenspace(vals, vecs, d)
     F[np.ix_(keep, index)] = columns / d[:, None]
@@ -424,7 +432,7 @@ class Analysis:
 
     def __init__(self, source, p=None, spec=None, tol=DEFAULT_TOL, seed=0, fingerprint=""):
         self.source = source
-        self.spec = spec
+        self.spec = spec if spec is None else checked_spec(spec)
         self.is_slice = isinstance(source, SliceModel)
         if not self.is_slice:
             self.sel = selection_probs(p, source.space.ncoords)
@@ -469,7 +477,7 @@ class Analysis:
     @_joint_only
     def uniform_selection(self):
         """Whether every selection probability is within 1e-12 of 1/n."""
-        return bool(np.abs(self.sel.p - 1.0 / self.sel.n).max() <= 1e-12)
+        return bool(np.abs(self.sel.weights - 1.0 / self.sel.n).max() <= 1e-12)
 
     def _table(self, i):
         """Coordinate ``i``'s ConditionalTable, built once: every chain and
@@ -518,8 +526,7 @@ class Analysis:
         (0, (z,)); a Lazy or Exact level's entry is in closed form, and any
         other level's is read from ``_level_walk``."""
         if not self.is_slice:
-            if self.spec is None:
-                raise InvalidSpec("an approximator spec is required for joint models")
+            checked_spec(self.spec)
             _check_two_block(self.source)
             return self._coordinate_quality(0)
         table = {}
@@ -598,7 +605,7 @@ class Analysis:
         ell = positive_int(ell, "block size")
         if ell not in self._blocks:
             n = self.source.space.ncoords
-            if ell == 1 and np.all(self.sel.p == 1.0 / n):
+            if ell == 1 and np.all(self.sel.weights == 1.0 / n):
                 self._blocks[ell] = self.T
             else:
                 self._blocks[ell] = block_random_scan(self.source, ell)
@@ -863,14 +870,14 @@ class Analysis:
         ):
             return eigvals_summary(_scan_chain(joint, sel, spec, self._table)).gap
         eps = np.array(eps)
-        own = _scan_gap(joint, self.sel.p, eps, self._table)
+        own = _scan_gap(joint, self.sel.weights, eps, self._table)
         decomposed = spectral_summary(pair).gap
         if abs(own - decomposed) > 1e-10:
             raise CrossCheckFailure(
                 f"the random-scan gap {decomposed:.12e} differs from its Gram "
                 f"matrix's {own:.12e}"
             )
-        return _scan_gap(joint, sel.p, eps, self._table)
+        return _scan_gap(joint, sel.weights, eps, self._table)
 
     @_joint_only
     def selection_reweighting(self, p_alt):
@@ -886,7 +893,7 @@ class Analysis:
         joint = self.source
         sel = self.sel
         sel_alt = selection_probs(p_alt, joint.space.ncoords)
-        if np.any(sel.p <= 0.0) or np.any(sel_alt.p <= 0.0):
+        if np.any(sel.weights <= 0.0) or np.any(sel_alt.weights <= 0.0):
             raise ZeroSelectionProb("selection probabilities must be strictly positive")
         qual = self.quality
         C = qual.max_norm
@@ -899,7 +906,7 @@ class Analysis:
             gap_h_alt = self._gap_under(sel_alt, self.scan_spec, self.Th)
         # A subnormal p_alt overflows the ratio to inf, which never wins the min.
         with np.errstate(over="ignore"):
-            r = float(np.min(sel.p / sel_alt.p))
+            r = float(np.min(sel.weights / sel_alt.weights))
         reports = [
             self.report("selection-minratio-exact", r * gap_t_alt, gap_t, {"min_ratio": r}),
             self.report("selection-minratio-hybrid", r * gap_h_alt, gap_h, {"min_ratio": r}),

@@ -23,7 +23,7 @@ from .demos import demo_config, list_demos
 from .errors import HybridGibbsError, InvalidArgument, positive_int
 from .gibbs import da_exact, da_hybrid, exact_random_scan, hybrid_random_scan
 from .simulate import _cross_validate, simulate, write_trajectory
-from .spectral import eigvals_summary
+from .spectral import as_values, eigvals_summary
 from .suite import run_suite
 
 
@@ -101,10 +101,7 @@ def _observable(raw, rev, space):
         return np.array([space.decode(s)[i] for s in range(space.total)], dtype=float)
     if raw.startswith("vector:"):
         values = raw.split(":", 1)[1].split(",")
-        vals = np.array([_number(float, v, "vector:<csv>") for v in values], dtype=float)
-        if vals.size != rev.n or not np.isfinite(vals).all():
-            raise InvalidArgument(f"vector:<csv> needs {rev.n} finite values, got {vals.tolist()}")
-        return vals
+        return as_values([_number(float, v, "vector:<csv>") for v in values], rev.n)
     raise HybridGibbsError("--f must look like coord:<i> or vector:<csv>")
 
 

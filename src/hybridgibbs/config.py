@@ -282,7 +282,7 @@ class ModelConfig:
         kernels = None
         if "level_kernels" in m:
             kernels = tuple(rule_from_json(r) for r in m["level_kernels"])
-        return SliceModel(density=np.asarray(m["density"], float), level_kernels=kernels)
+        return SliceModel(density=m["density"], level_kernels=kernels)
 
     def selection(self):
         return self.data["selection_probs"]

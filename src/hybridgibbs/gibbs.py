@@ -13,8 +13,8 @@ from math import comb
 
 import numpy as np
 
-from .approximators import EXACT_SPEC, Exact, stacked_kernels
-from .errors import InvalidBlockSize, InvalidSpec, NotTwoBlock, positive_int
+from .approximators import EXACT_SPEC, Exact, checked_spec, stacked_kernels
+from .errors import InvalidBlockSize, NotTwoBlock, positive_int
 from .slicemodel import SliceModel, _level_pairs
 from .space import conditional_joint, marginal, selection_probs, slices
 from .spectral import check_reversibility, checked_stack
@@ -77,7 +77,7 @@ def _scan_chain(joint, sel, spec, table):
     coordinates are added in order, so each diagonal entry sums its terms
     in that order."""
     T = np.zeros((joint.n, joint.n))
-    for i, pi in enumerate(sel.p):
+    for i, pi in enumerate(sel.weights):
         if pi == 0.0:
             continue
         tab = table(i)
@@ -95,7 +95,7 @@ def hybrid_random_scan(joint, p=None, spec=EXACT_SPEC):
     """Random-scan kernel with each conditional draw replaced by one step of
     the approximating kernel prescribed by ``spec``."""
     sel = selection_probs(p, joint.space.ncoords)
-    return _scan_chain(joint, sel, spec, lambda i: ConditionalTable(joint, i))
+    return _scan_chain(joint, sel, checked_spec(spec), lambda i: ConditionalTable(joint, i))
 
 
 def block_random_scan(joint, block_size):
@@ -178,11 +178,10 @@ def _inner_kernels(source, spec, table=None):
         for k, members, pair in _level_pairs(source):
             yield k, members, pair.kernel.matrix
         return
-    if spec is None:
-        raise InvalidSpec("an approximator spec is required for joint models")
+    rule = checked_spec(spec).rule_for(0)
     table = table if table is not None else ConditionalTable(source, 0)
     idx = np.arange(source.space.sizes[0])
-    for z, Q in zip(table.live, table.kernels(spec.rule_for(0))):
+    for z, Q in zip(table.live, table.kernels(rule)):
         yield z, idx, Q
 
 

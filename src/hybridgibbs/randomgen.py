@@ -7,7 +7,14 @@ reproducible from an integer seed.
 
 import numpy as np
 
-from .approximators import ApproximatorSpec, ExplicitMatrix, Lazy, _metropolis, kernel_for_target
+from .approximators import (
+    ApproximatorSpec,
+    ExplicitMatrix,
+    Lazy,
+    _metropolis,
+    _target_weights,
+    kernel_for_target,
+)
 from .errors import positive_int
 from .gibbs import ConditionalTable
 from .space import JointDistribution, ProductSpace
@@ -42,7 +49,7 @@ def random_reversible_kernel(seed, target):
     """A kernel reversible w.r.t. ``target``: a random dense proposal run
     through a Metropolis-Hastings acceptance step.  Generally not psd."""
     rng = rng_from(seed)
-    pi = target.weights if isinstance(target, ProbVec) else np.asarray(target, float)
+    pi = _target_weights(target)
     P = rng.random((pi.size, pi.size)) + 0.05
     P /= P.sum(axis=1, keepdims=True)
     return _metropolis(pi[None], P)[0]

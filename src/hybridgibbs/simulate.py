@@ -15,6 +15,7 @@ from . import _stepper_py
 from .errors import (
     CrossCheckFailure,
     DimensionMismatch,
+    InvalidDistribution,
     InvalidStart,
     NotAbsolutelyContinuous,
     TooFewBatches,
@@ -71,13 +72,10 @@ def simulate(rev, start, steps, seed):
         if not 0 <= s0 < n:
             raise InvalidStart(f"start index {s0} out of range [0, {n})")
     else:
-        if isinstance(start, ProbVec):
-            w = start.weights
-        else:
-            try:
-                w = ProbVec(np.asarray(start, dtype=float)).weights
-            except Exception as exc:
-                raise InvalidStart(f"bad start distribution: {exc}") from exc
+        try:
+            w = ProbVec(start).weights
+        except InvalidDistribution as exc:
+            raise InvalidStart(f"bad start distribution: {exc}") from exc
         if w.size != n:
             raise InvalidStart(f"start distribution has length {w.size}, expected {n}")
         cdf = np.cumsum(w)
@@ -129,12 +127,11 @@ def cross_validate_variance(rev, f, steps, seed, batch=None, fingerprint=""):
 def _cross_validate(rev, f, traj, batch=None, fingerprint=""):
     """``cross_validate_variance`` on an existing trajectory ``traj`` of
     ``rev`` from its stationary start."""
-    v = as_values(f, rev.n)
-    exact = asymptotic_variance(rev, v)
+    exact = asymptotic_variance(rev, f)
     steps, seed = traj.steps, traj.seed
     if batch is None:
         batch = max(1, int(np.sqrt(steps)))
-    est = batch_means_variance(traj, v, batch)
+    est = batch_means_variance(traj, f, batch)
     return make_report(
         "simulation-cross-validation",
         abs(est.estimate - exact),
@@ -170,10 +167,7 @@ def mixing_curve(rev, mu0, tmax):
     """
     tmax = positive_int(tmax, "tmax")
     w = rev.stationary.weights
-    if isinstance(mu0, ProbVec):
-        mu = mu0.weights.copy()
-    else:
-        mu = ProbVec(np.asarray(mu0, dtype=float)).weights.copy()
+    mu = ProbVec(mu0).weights
     if mu.size != rev.n:
         raise DimensionMismatch("initial distribution has the wrong length")
     summary = eigvals_summary(rev)

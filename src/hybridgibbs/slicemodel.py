@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .approximators import RULE_TYPES, kernel_for_target
-from .errors import MissingLevelKernel, NonPositiveWeight, SpaceTooLarge
+from .errors import InvalidKernel, MissingLevelKernel, NonPositiveWeight, SpaceTooLarge
 from .space import state_cap
-from .spectral import ProbVec, check_reversibility
+from .spectral import ProbVec, _floats, check_reversibility
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +46,7 @@ class SliceModel:
     level_sets: tuple = field(init=False)
 
     def __post_init__(self):
-        m = np.array(self.density, dtype=np.float64)
+        m = np.array(_floats(self.density, NonPositiveWeight, "density"))
         if m.ndim != 1 or m.size == 0:
             raise NonPositiveWeight("density must be a nonempty 1-d vector")
         cap = state_cap()
@@ -65,7 +65,10 @@ class SliceModel:
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "level_sets", tuple(level_sets))
         if self.level_kernels is not None:
-            lk = tuple(self.level_kernels)
+            lk = tuple(
+                e if isinstance(e, RULE_TYPES) else _floats(e, InvalidKernel, "level kernel values")
+                for e in self.level_kernels
+            )
             if len(lk) != levels.size:
                 raise MissingLevelKernel(
                     f"expected {levels.size} level kernels, got {len(lk)}"
@@ -96,12 +99,10 @@ def _level_pairs(model):
     for k, (members, entry) in enumerate(zip(model.level_sets, model.level_kernels)):
         uniform = ProbVec(np.full(members.size, 1.0))
         if isinstance(entry, RULE_TYPES):
-            Q = kernel_for_target(uniform, entry, key=("level", k))
-        else:
-            Q = np.asarray(entry, dtype=float)
-            if Q.shape != (members.size, members.size):
-                raise MissingLevelKernel(
-                    f"level {k + 1} kernel has shape {Q.shape}, expected "
-                    f"{(members.size, members.size)}"
-                )
-        yield k, members, check_reversibility(Q, uniform)
+            entry = kernel_for_target(uniform, entry, key=("level", k))
+        if entry.shape != (members.size, members.size):
+            raise MissingLevelKernel(
+                f"level {k + 1} kernel has shape {entry.shape}, expected "
+                f"{(members.size, members.size)}"
+            )
+        yield k, members, check_reversibility(entry, uniform)

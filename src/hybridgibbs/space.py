@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatch,
     NullConditioningEvent,
     SpaceTooLarge,
+    positive_int,
 )
 from .spectral import ProbVec
 
@@ -45,20 +46,16 @@ class ProductSpace:
     total: int = field(init=False)
 
     def __post_init__(self):
-        sizes = tuple(int(d) for d in self.sizes)
+        sizes = tuple(positive_int(d, "coordinate size", low=0) for d in self.sizes)
         if not sizes or any(d < 1 for d in sizes):
             raise DimensionMismatch("coordinate sizes must be positive integers")
         total = math.prod(sizes)
         cap = state_cap()
         if total > cap:
             raise SpaceTooLarge(f"{total} states exceed the cap of {cap}")
-        strides = []
-        acc = 1
-        for d in sizes:
-            strides.append(acc)
-            acc *= d
+        strides = tuple(math.prod(sizes[:i]) for i in range(len(sizes)))
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "strides", tuple(strides))
+        object.__setattr__(self, "strides", strides)
         object.__setattr__(self, "total", total)
 
     @property
@@ -66,23 +63,28 @@ class ProductSpace:
         return len(self.sizes)
 
     def encode(self, config):
-        config = tuple(int(v) for v in config)
-        if len(config) != len(self.sizes):
-            raise DimensionMismatch("configuration has the wrong number of coordinates")
-        for v, d in zip(config, self.sizes):
-            if not 0 <= v < d:
-                raise DimensionMismatch(f"coordinate value {v} out of range [0, {d})")
-        return sum(v * s for v, s in zip(config, self.strides))
+        return self._offset(range(self.ncoords), config)
+
+    def _offset(self, coords, values):
+        """The index offset of the coordinates ``coords`` at ``values``: one
+        integer in range per coordinate, else DimensionMismatch, or
+        InvalidArgument for a value that is not an integer."""
+        values = tuple(values)
+        if len(values) != len(coords):
+            raise DimensionMismatch(f"expected {len(coords)} coordinate values, got {len(values)}")
+        offset = 0
+        for c, v in zip(coords, values):
+            v = positive_int(v, "coordinate value", low=0)
+            if v >= self.sizes[c]:
+                raise DimensionMismatch(f"coordinate value {v} out of range [0, {self.sizes[c]})")
+            offset += v * self.strides[c]
+        return offset
 
     def decode(self, index):
-        index = int(index)
-        if not 0 <= index < self.total:
+        index = positive_int(index, "state index", low=0)
+        if index >= self.total:
             raise DimensionMismatch(f"state index {index} out of range [0, {self.total})")
-        out = []
-        for d in self.sizes:
-            out.append(index % d)
-            index //= d
-        return tuple(out)
+        return tuple(index // s % d for d, s in zip(self.sizes, self.strides))
 
     def complement(self, coords):
         return tuple(c for c in range(self.ncoords) if c not in set(coords))
@@ -91,17 +93,7 @@ class ProductSpace:
         """Flat indices of the slice where the complement of ``coords`` equals
         ``fixed``, enumerated with the first listed coordinate fastest."""
         coords = tuple(coords)
-        comp = self.complement(coords)
-        if len(fixed) != len(comp):
-            raise DimensionMismatch(
-                f"expected {len(comp)} fixed coordinates, got {len(fixed)}"
-            )
-        base = 0
-        for c, v in zip(comp, fixed):
-            v = int(v)
-            if not 0 <= v < self.sizes[c]:
-                raise DimensionMismatch(f"coordinate value {v} out of range")
-            base += v * self.strides[c]
+        base = self._offset(self.complement(coords), fixed)
         acc = np.zeros(1, dtype=np.int64)
         for c in coords:
             offsets = np.arange(self.sizes[c], dtype=np.int64) * self.strides[c]
@@ -110,16 +102,10 @@ class ProductSpace:
 
     def complement_configs(self, coords):
         """All configurations of the complement coordinates, first one fastest."""
-        comp = self.complement(coords)
-        comp_sizes = [self.sizes[c] for c in comp]
-        total = math.prod(comp_sizes) if comp_sizes else 1
-        for idx in range(total):
-            cfg = []
-            r = idx
-            for d in comp_sizes:
-                cfg.append(r % d)
-                r //= d
-            yield tuple(cfg)
+        sizes = [self.sizes[c] for c in self.complement(coords)]
+        strides = [math.prod(sizes[:i]) for i in range(len(sizes))]
+        for idx in range(math.prod(sizes)):
+            yield tuple(idx // s % d for d, s in zip(sizes, strides))
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,12 +132,12 @@ class JointDistribution:
 
 
 def joint_from_weights(sizes, weights):
-    return JointDistribution(ProductSpace(tuple(sizes)), ProbVec(np.asarray(weights, dtype=float)))
+    return JointDistribution(ProductSpace(tuple(sizes)), ProbVec(weights))
 
 
 def product_joint(factors):
     """Joint of independent coordinates from per-coordinate weight vectors."""
-    factors = [ProbVec(np.asarray(f, dtype=float)) for f in factors]
+    factors = [ProbVec(f) for f in factors]
     # The space checks the state cap before the outer product is built.
     space = ProductSpace(tuple(f.n for f in factors))
     w = np.ones(1)
@@ -211,45 +197,23 @@ def marginal(joint, keep):
     """Marginal over the kept coordinates (ascending order, first fastest)."""
     keep = _check_coords(joint.space, keep)
     W = joint.weights.reshape(joint.space.sizes, order="F")
-    drop = tuple(c for c in range(joint.space.ncoords) if c not in keep)
-    m = W.sum(axis=drop) if drop else W
-    return ProbVec(np.asarray(m).ravel(order="F"))
+    return ProbVec(W.sum(axis=joint.space.complement(keep)).ravel(order="F"))
 
 
 def _check_coords(space, coords):
-    coords = tuple(sorted(int(c) for c in coords))
+    coords = tuple(sorted(positive_int(c, "coordinate", low=0) for c in coords))
     if not coords:
         raise DimensionMismatch("coordinate set must be nonempty")
     if len(set(coords)) != len(coords):
         raise DimensionMismatch("coordinate set has duplicates")
-    if coords[0] < 0 or coords[-1] >= space.ncoords:
+    if coords[-1] >= space.ncoords:
         raise DimensionMismatch(f"coordinates {coords} out of range")
     return coords
 
 
-@dataclass(frozen=True, eq=False)
-class SelectionProbs:
-    """Coordinate-selection probabilities for a random-scan chain."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        v = ProbVec(np.asarray(self.p, dtype=float))
-        object.__setattr__(self, "p", v.weights)
-
-    @property
-    def n(self):
-        return self.p.size
-
-
 def selection_probs(p, ncoords):
-    """Coerce ``p`` (or None for uniform) into SelectionProbs of length n."""
-    if p is None:
-        return SelectionProbs(np.full(ncoords, 1.0 / ncoords))
-    if isinstance(p, SelectionProbs):
-        sel = p
-    else:
-        sel = SelectionProbs(np.asarray(p, dtype=float))
+    """``p`` (or None for uniform) as a ProbVec over ``ncoords`` coordinates."""
+    sel = ProbVec(np.full(ncoords, 1.0 / ncoords) if p is None else p)
     if sel.n != ncoords:
         raise DimensionMismatch(
             f"expected {ncoords} selection probabilities, got {sel.n}"

@@ -45,19 +45,36 @@ _ROW_BLOCK = 64
 _SYM_BLOCK = 128
 
 
+def _floats(value, error, what):
+    """``value`` as a float array, not copied where it already is one.  A
+    value that does not convert to real numbers (a string, a dict, a ragged
+    list, complex numbers) raises ``error``, naming it."""
+    try:
+        a = np.asarray(value)
+        if a.dtype.kind in "biufO":  # not text, bytes or complex numbers
+            return a.astype(np.float64, copy=False)
+    except (TypeError, ValueError):  # a ragged list, or an object that is no number
+        pass
+    raise error(f"{what} must be numbers, got {reprlib.repr(value)}")
+
+
 @dataclass(frozen=True, eq=False)
 class ProbVec:
     """Probability weights over a finite state set.
 
     Input may be unnormalized; it is validated (finite, nonnegative, positive
-    total mass) and normalized on construction.  The stored array is
+    total mass) and normalized on construction.  A ProbVec passes through
+    as is: the same array, not normalized again.  The stored array is
     read-only.
     """
 
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64)
+        if isinstance(self.weights, ProbVec):
+            object.__setattr__(self, "weights", self.weights.weights)
+            return
+        w = _floats(self.weights, InvalidDistribution, "weights")
         if w.ndim != 1 or w.size == 0:
             raise InvalidDistribution("weights must be a nonempty 1-d vector")
         if not np.all(np.isfinite(w)):
@@ -66,11 +83,11 @@ class ProbVec:
             raise InvalidDistribution("weights must be nonnegative")
         with np.errstate(over="ignore"):
             if not np.isfinite(w.sum()):  # it overflows: scale by the largest weight first
-                w /= w.max()
+                w = w / w.max()
         total = w.sum()
         if total <= 0:
             raise InvalidDistribution("total mass must be positive")
-        w /= total
+        w = w / total
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
@@ -81,12 +98,16 @@ class ProbVec:
 
 @dataclass(frozen=True, eq=False)
 class StochasticKernel:
-    """A row-stochastic nonnegative matrix."""
+    """A row-stochastic nonnegative matrix.  A StochasticKernel passes
+    through as is: the same read-only matrix."""
 
     matrix: np.ndarray
 
     def __init__(self, matrix):
-        m = np.array(matrix, dtype=np.float64)
+        if isinstance(matrix, StochasticKernel):
+            object.__setattr__(self, "matrix", matrix.matrix)
+            return
+        m = np.array(_floats(matrix, InvalidKernel, "kernel entries"))
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
             raise InvalidKernel("kernel must be a nonempty square matrix")
         m = _verified(m[None], rows=True)[0][0]
@@ -100,16 +121,12 @@ class StochasticKernel:
 
 @dataclass(frozen=True, eq=False)
 class FunctionVec:
-    """A real-valued observable over the state set."""
+    """A real-valued observable over the state set, read by ``as_values``."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size == 0:
-            raise InvalidArgument("function values must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(v)):
-            raise InvalidArgument("function values must be finite")
+        v = np.array(as_values(self.values))
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -119,19 +136,12 @@ def as_values(f, n=None):
     where it already is one.  A value that does not convert to floats, or
     has one that is not finite, raises InvalidArgument.  Given ``n``, a
     value that is not a vector over n states raises DimensionMismatch;
-    without it, a value that is not 1-d raises InvalidArgument."""
-    if isinstance(f, FunctionVec):
-        v = f.values
-    else:
-        try:
-            v = np.asarray(f, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise InvalidArgument(
-                f"function values must be numbers, got {reprlib.repr(f)}"
-            ) from None
+    without it, a value that is not a nonempty 1-d vector raises
+    InvalidArgument."""
+    v = f.values if isinstance(f, FunctionVec) else _floats(f, InvalidArgument, "function values")
     if n is None:
-        if v.ndim != 1:
-            raise InvalidArgument(f"f must be a 1-d vector, got shape {v.shape}")
+        if v.ndim != 1 or v.size == 0:
+            raise InvalidArgument(f"f must be a nonempty 1-d vector, got shape {v.shape}")
     elif v.ndim != 1 or v.size != n:
         raise DimensionMismatch(f"expected a function over {n} states, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -243,11 +253,7 @@ def check_reversibility(kernel, stationary):
     Raises NotReversible (carrying the worst-violating state pair and the
     defect) when max |w(x)K(x,y) - w(y)K(y,x)| exceeds REVERSIBILITY_TOL.
     """
-    if not isinstance(kernel, StochasticKernel):
-        kernel = StochasticKernel(kernel)
-    if not isinstance(stationary, ProbVec):
-        stationary = ProbVec(np.asarray(stationary, dtype=float))
-    return ReversiblePair(kernel=kernel, stationary=stationary)
+    return ReversiblePair(kernel=StochasticKernel(kernel), stationary=ProbVec(stationary))
 
 
 @dataclass(frozen=True, eq=False)

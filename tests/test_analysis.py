@@ -413,7 +413,7 @@ def eigvalsh_selection_reports(joint, p, p_alt, spec):
     gap_h = spectral_summary(hybrid_random_scan(joint, sel, spec)).gap
     gap_t_alt = eigvals_summary(exact_random_scan(joint, sel_alt)).gap
     gap_h_alt = eigvals_summary(hybrid_random_scan(joint, sel_alt, spec)).gap
-    r = float(np.min(sel.p / sel_alt.p))
+    r = float(np.min(sel.weights / sel_alt.weights))
     b = gap_t / gap_t_alt
     factor = b * (1.0 - C) if qual.all_psd else b * (1.0 - C) / (1.0 + C)
     return {
@@ -503,7 +503,7 @@ def test_gram_gap_is_the_chain_gap(joint, seed):
     eps = rng.choice([0.0, 0.35, 1.0], k)
     rules = {i: Lazy(float(e)) if e else Exact() for i, e in enumerate(eps)}
     chain = eigvals_summary(hybrid_random_scan(joint, sel, ApproximatorSpec(overrides=rules))).gap
-    gram = _scan_gap(joint, sel.p, eps, lambda i: gibbs.ConditionalTable(joint, i))
+    gram = _scan_gap(joint, sel.weights, eps, lambda i: gibbs.ConditionalTable(joint, i))
     assert gram == pytest.approx(chain, rel=1e-12, abs=1e-12)
 
 

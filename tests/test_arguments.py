@@ -1,6 +1,8 @@
 """One integer check for every step count, path length, batch and block
 size, seed and number of random trials: a bad value, a bool among them, is
-an InvalidArgument, which is also a ValueError."""
+an InvalidArgument, which is also a ValueError.  One converter for each
+value kind, the value type itself: an argument that does not convert is a
+named error, never a bare one."""
 
 import numpy as np
 import pytest
@@ -8,27 +10,50 @@ import pytest
 from hybridgibbs import (
     Analysis,
     ApproximatorSpec,
+    ExplicitMatrix,
+    FunctionVec,
     Lazy,
+    MetropolisIndep,
     MetropolisRW,
+    NormProfile,
+    ProbVec,
+    ProductSpace,
     SliceModel,
+    StochasticKernel,
+    approx_quality,
     batch_means_variance,
     block_random_scan,
     check_reversibility,
+    conditional,
+    conditional_joint,
     cross_validate_variance,
     da_hybrid,
+    dominating_norm_profile,
+    exact_random_scan,
+    hybrid_random_scan,
     inner_block_kernel,
     joint_from_weights,
+    make_approximator,
+    marginal,
     mean_power_bound,
     mixing_curve,
+    product_joint,
+    run_suite,
     simulate,
     spectral_jensen_check,
 )
 from hybridgibbs.spectral import asymptotic_variance
 from hybridgibbs.bounds import function_battery
 from hybridgibbs.config import canonicalize
-from hybridgibbs.errors import HybridGibbsError, InvalidArgument, InvalidStart, positive_int
+from hybridgibbs.errors import (
+    HybridGibbsError,
+    InvalidArgument,
+    InvalidSpec,
+    InvalidStart,
+    SpaceTooLarge,
+    positive_int,
+)
 from hybridgibbs.randomgen import random_joint, rng_from
-from hybridgibbs.suite import run_suite
 
 SKEWED = joint_from_weights((2, 2), [0.1, 0.2, 0.3, 0.4])
 LAZY = ApproximatorSpec(default=Lazy(0.4))
@@ -162,3 +187,108 @@ def test_radius_is_stored_as_an_int():
     rule = MetropolisRW(2.0)
     assert type(rule.radius) is int and rule == MetropolisRW(2)
     assert rule.describe() == {"rule": "metropolis_rw", "radius": 2}
+
+
+# Each site reads one argument of a value kind: a probability vector or
+# weights, a kernel matrix, a function vector, a coordinate or a size.
+KIND_SITES = {
+    # probability vectors and weights
+    "ProbVec": ProbVec,
+    "joint_from_weights": lambda v: joint_from_weights((2, 2), v),
+    "product_joint": product_joint,
+    "product_joint_factor": lambda v: product_joint([v, [0.5, 0.5]]),
+    "check_reversibility_stationary": lambda v: check_reversibility(TWO_STATE.kernel.matrix, v),
+    "simulate_start": lambda v: simulate(TWO_STATE, v, 10, seed=0),
+    "mixing_curve": lambda v: mixing_curve(TWO_STATE, v, 5),
+    "analysis_p": lambda v: Analysis(SKEWED, p=v),
+    "exact_random_scan": lambda v: exact_random_scan(SKEWED, v),
+    "hybrid_random_scan": lambda v: hybrid_random_scan(SKEWED, v, LAZY),
+    "selection_reweighting": lambda v: Analysis(SKEWED, spec=LAZY).selection_reweighting(v),
+    "slice_density": SliceModel,
+    "independence_proposal": lambda v: Analysis(
+        SKEWED, spec=ApproximatorSpec(MetropolisIndep(v))
+    ).dirichlet_sandwich(),
+    "norm_profile": lambda v: NormProfile(v, "per_level", "supplied"),
+    "dominating_norm_profile": lambda v: dominating_norm_profile(SLICE, v),
+    # kernel matrices
+    "StochasticKernel": StochasticKernel,
+    "check_reversibility_kernel": lambda v: check_reversibility(v, [0.5, 0.5]),
+    "explicit_table": lambda v: make_approximator(
+        SKEWED, ApproximatorSpec(ExplicitMatrix({(0, (0,)): v})), 0, (0,)
+    ),
+    "slice_level_kernel": lambda v: SliceModel([2.0, 1.0], (v, Lazy(0.5))),
+    # function vectors
+    "FunctionVec": FunctionVec,
+    "asymptotic_variance": lambda v: asymptotic_variance(TWO_STATE, v),
+    "spectral_jensen_check": lambda v: spectral_jensen_check(TWO_STATE, v, 2),
+    "batch_means_variance": lambda v: batch_means_variance(simulate(TWO_STATE, 0, 100, 0), v, 5),
+    "cross_validate_variance": lambda v: cross_validate_variance(TWO_STATE, v, 100, 0),
+    "variance_sandwich": lambda v: Analysis(SKEWED, spec=LAZY).variance_sandwich(f=v),
+    # coordinates
+    "conditional_coordinate": lambda v: conditional(SKEWED, v, (0,)),
+    "conditional_complement": lambda v: conditional(SKEWED, 0, v),
+    "marginal": lambda v: marginal(SKEWED, v),
+    "conditional_joint": lambda v: conditional_joint(THREE_COORDS, v, (0,)),
+    "inner_block_kernel": lambda v: inner_block_kernel(THREE_COORDS, (0, 1), v, 1),
+    "approx_quality_coords": lambda v: approx_quality(SKEWED, LAZY, v),
+    "make_approximator": lambda v: make_approximator(SKEWED, LAZY, 0, v),
+    "encode": SKEWED.space.encode,
+    "decode": SKEWED.space.decode,
+    # sizes
+    "ProductSpace": ProductSpace,
+    "joint_from_weights_sizes": lambda v: joint_from_weights(v, [0.25] * 4),
+}
+ILL_TYPED = {**UNCONVERTIBLE, "holding a string": [0.5, "x"]}
+
+
+@pytest.mark.parametrize("kind", ILL_TYPED)
+@pytest.mark.parametrize("site", KIND_SITES)
+def test_ill_typed_value_is_a_named_error(site, kind):
+    with pytest.raises(HybridGibbsError):
+        KIND_SITES[site](ILL_TYPED[kind])
+
+
+def test_a_value_type_passes_its_own_instances_through():
+    pv = ProbVec([1.0, 1.0])
+    assert ProbVec(pv).weights is pv.weights
+    k = StochasticKernel([[0.5, 0.5], [0.5, 0.5]])
+    assert StochasticKernel(k).matrix is k.matrix
+    # A pair built from checked values reads those same arrays.
+    rev = check_reversibility(k, pv)
+    assert rev.kernel.matrix is k.matrix and rev.stationary.weights is pv.weights
+
+
+@pytest.mark.parametrize("spec", [Lazy(0.3), "x", 3, {}], ids=["rule", "str", "int", "dict"])
+def test_a_spec_that_is_not_a_spec_is_a_named_error(spec):
+    name = type(spec).__name__
+    for call in (
+        lambda: Analysis(SKEWED, spec=spec),
+        lambda: approx_quality(SKEWED, spec),
+        lambda: hybrid_random_scan(SKEWED, spec=spec),
+        lambda: da_hybrid(SKEWED, spec),
+        lambda: make_approximator(SKEWED, spec, 0, (0,)),
+    ):
+        with pytest.raises(InvalidSpec, match=f"approximator spec is required, got {name}"):
+            call()
+
+
+def test_overrides_that_are_not_a_dict_are_a_named_error():
+    with pytest.raises(InvalidSpec, match="overrides must be a dict, got str"):
+        ApproximatorSpec(default=Lazy(0.3), overrides="x")
+
+
+def test_step_count_past_the_float_range_runs():
+    # 2 * 1e308 does not fit a float: the rms bound's exponent is inf, and
+    # every profile value below 1 goes to 0 under it.
+    lazy = {"rule": "lazy", "epsilon": 0.3}
+    model = {"kind": "slice", "density": [1.0, 2.0, 3.0], "level_kernels": [lazy] * 3}
+    reports = run_suite(canonicalize({"model": model, "t": [1e308]})).reports
+    assert reports and all(r.passed for r in reports)
+    assert mean_power_bound(SLICE, Analysis(SLICE).inner_profile, 10**400) == 0.0
+
+
+def test_too_many_trials_is_a_named_error():
+    model = {"kind": "random", "sizes": [2, 2], "seed": 1}
+    config = canonicalize({"model": model, "trials": 1e308})
+    with pytest.raises(SpaceTooLarge, match=r"a battery of 1\d{308} functions exceeds the cap"):
+        run_suite(config)

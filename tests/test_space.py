@@ -11,7 +11,6 @@ from hybridgibbs import (
     JointDistribution,
     ProbVec,
     ProductSpace,
-    SelectionProbs,
     SliceModel,
     conditional,
     conditional_joint,
@@ -143,12 +142,13 @@ class TestJointValidation:
 
 class TestSelectionProbs:
     def test_normalizes(self):
-        sel = SelectionProbs(np.array([1.0, 1.0]))
-        np.testing.assert_allclose(sel.p, [0.5, 0.5])
+        sel = selection_probs([1.0, 1.0], 2)
+        assert isinstance(sel, ProbVec)
+        np.testing.assert_allclose(sel.weights, [0.5, 0.5])
 
     def test_default_uniform(self):
         sel = selection_probs(None, 4)
-        np.testing.assert_allclose(sel.p, np.full(4, 0.25))
+        np.testing.assert_allclose(sel.weights, np.full(4, 0.25))
 
     def test_length_checked(self):
         with pytest.raises(DimensionMismatch):
