@@ -35,10 +35,13 @@ from .errors import (
     PreconditionUnmet,
     SpaceTooLarge,
     ZeroSelectionProb,
+    as_tuple,
+    instance_of,
     positive_int,
     positive_tol,
 )
 from .gibbs import (
+    SOURCES,
     ConditionalTable,
     _check_two_block,
     _conditionals,
@@ -53,9 +56,10 @@ from .gibbs import (
 from .randomgen import rng_from
 from .report import fingerprint_bytes, make_report
 from .slicemodel import SliceModel, _level_pairs
-from .space import ProductSpace, selection_probs, slices, state_cap
+from .space import JointDistribution, ProductSpace, selection_probs, slices, state_cap
 from .spectral import (
     NULL_MASS,
+    ReversiblePair,
     _floats,
     affine,
     as_values,
@@ -131,8 +135,8 @@ def approx_quality(joint, spec, coords=None):
     the independence kernel annihilates mean-zero functions.
     """
     spec = checked_spec(spec)
-    if coords is None:
-        coords = range(joint.space.ncoords)
+    space = instance_of(joint, JointDistribution, "joint").space
+    coords = range(space.ncoords) if coords is None else as_tuple(coords, "coords")
     table = {}
     for i in coords:
         table.update(_table_quality(ConditionalTable(joint, i), spec))
@@ -237,6 +241,12 @@ def dominating_norm_profile(source, values, spec=None):
     return NormProfile(values=v, kind=kind, derivation="supplied")
 
 
+def _steps(t):
+    """A step count as a float: +inf past the largest float, so that x ** t
+    is 0 below 1 and 1 at 1, and x / t is 0."""
+    return float(t) if t <= sys.float_info.max else np.inf
+
+
 def mean_power_bound(source, profile, t):
     """Worst conditional average of the profile's t-th power: the max over
     supported y of sum_z P(z | y) * profile(z)^t, where z is the second
@@ -262,9 +272,9 @@ def rms_power_bound(source, profile, t):
 
 
 def _power_bound(source, profile, t, power):
+    profile = instance_of(profile, NormProfile, "profile")
     t = positive_int(t, "t")
-    # An exponent past the largest float is inf: v ** inf is 0 below 1, 1 at 1.
-    g = profile.values ** (power * t if power * t <= sys.float_info.max else np.inf)
+    g = profile.values ** _steps(power * t)
     kind = "per_level" if isinstance(source, SliceModel) else "per_z"
     m1, fwd = _two_block_parts(source)[:2]
     if profile.kind != kind or g.shape != fwd.shape[1:]:
@@ -290,7 +300,7 @@ def function_battery(rev, trials=DEFAULT_TRIALS, seed=0):
     Returns (F, labels) where F, one array written in place, has one function
     per column, supported on the pair's non-null states, of unit L2(w) norm.
     """
-    keep, _dropped, ws, d, vals, vecs, _asym = rev._eigs
+    keep, _dropped, ws, d, vals, vecs, _asym = instance_of(rev, ReversiblePair, "rev")._eigs
     m = vals.size - 1
     width = m + positive_int(trials, "trials", low=0)
     if width > state_cap():
@@ -431,7 +441,7 @@ class Analysis:
     """
 
     def __init__(self, source, p=None, spec=None, tol=DEFAULT_TOL, seed=0, fingerprint=""):
-        self.source = source
+        self.source = instance_of(source, SOURCES, "source")
         self.spec = spec if spec is None else checked_spec(spec)
         self.is_slice = isinstance(source, SliceModel)
         if not self.is_slice:
@@ -716,14 +726,17 @@ class Analysis:
         Needs t even or all inner kernels psd.
         """
         t, _, a_t = self._tstep_preamble(t, profile)
+        tf = _steps(t)
         S, Sh = self.S, self.Sh
         F, labels = function_battery(Sh, trials=trials, seed=self.seed)
         quad_h, norms_h = quadratic_forms(Sh, F)
         quad_s, _ = quadratic_forms(S, F)
-        lhs_all = (quad_h / norms_h) ** t
+        lhs_all = (quad_h / norms_h) ** tf
         rhs_all = quad_s / norms_h + a_t
         norm_s = spectral_summary(S).operator_norm
         norm_h = spectral_summary(Sh).operator_norm
+        # t (1 - |S_hybrid|) is 0 at a norm of 1 for every t, inf t included.
+        bernoulli = tf * (1.0 - norm_h) if norm_h != 1.0 else 0.0
         return [
             self._at_worst(
                 "da-tstep-functional",
@@ -736,14 +749,14 @@ class Analysis:
             ),
             self.report(
                 "da-tstep-bernoulli",
-                1.0 - norm_h**t,
-                t * (1.0 - norm_h),
+                1.0 - norm_h**tf,
+                bernoulli,
                 {"t": t, "hybrid_norm": norm_h},
             ),
             self.report(
                 "da-tstep-gap-lower",
                 1.0 - norm_s - a_t,
-                1.0 - norm_h**t,
+                1.0 - norm_h**tf,
                 {"t": t, "alpha": a_t, "exact_norm": norm_s},
             ),
         ]
@@ -775,7 +788,8 @@ class Analysis:
             ]
         F, labels = function_battery(Sh, trials=trials, seed=self.seed)
         norms2, v_exact, v_hybrid = _variance_pair(S, Sh, F)
-        bound = 2.0 * t * v_exact + (2.0 * t - 1.0) * norms2
+        tf = _steps(t)
+        bound = 2.0 * tf * v_exact + (2.0 * tf - 1.0) * norms2
         return [self._at_worst("da-variance-tstep", v_hybrid, bound, labels, t=t, alpha=a_t)]
 
     # -- block comparison -----------------------------------------------------
@@ -944,11 +958,11 @@ class Analysis:
         C = self.quality.max_norm
         norm_t = spectral_summary(self.T).operator_norm
         gap_h = spectral_summary(self.Th).gap
-        raw = 1.0 - norm_t - C**t
+        raw = 1.0 - norm_t - C ** _steps(t)
         # n^(t-1) overflows a float beyond t = 1024 on two coordinates; the
         # bound is then 0.
         with np.errstate(over="ignore"):
-            power_bound = raw / np.float64(n) ** (t - 1)
+            power_bound = raw / np.float64(n) ** _steps(t - 1)
         sandwich_bound = (1.0 - C) * (1.0 - norm_t)
         return [
             self.report("uniform-power-lower", power_bound, gap_h, {"t": t, "max_norm": C}),
@@ -975,6 +989,7 @@ class Analysis:
         fixed tolerance 1e-12.  Each bound is computed once.
         """
         t, profile, a_t = self._tstep_preamble(t, profile)
+        tf = _steps(t)
         b_t = _power_bound(self.source, profile, t, power=2)
         all_psd = self.da_quality.all_psd
         gap_exact = spectral_summary(self.S).gap
@@ -982,11 +997,11 @@ class Analysis:
         upper = gap_exact if all_psd else (1.0 + self.da_quality.max_norm) * gap_exact
         return [
             self.report(
-                "slice-tstep-lower", (gap_exact - a_t) / t, gap_hybrid, {"t": t, "alpha": a_t}
+                "slice-tstep-lower", (gap_exact - a_t) / tf, gap_hybrid, {"t": t, "alpha": a_t}
             ),
             self.report("slice-tstep-upper", gap_hybrid, upper, {"t": t, "psd_tightened": all_psd}),
             self.report(
-                "slice-tstep-lower-rms", (gap_exact - b_t) / t, gap_hybrid, {"t": t, "beta": b_t}
+                "slice-tstep-lower-rms", (gap_exact - b_t) / tf, gap_hybrid, {"t": t, "beta": b_t}
             ),
             make_report(
                 "slice-power-bound-order",

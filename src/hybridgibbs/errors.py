@@ -2,8 +2,9 @@
 
 Every error raised by this package derives from HybridGibbsError, so callers
 can catch the whole family with one clause.  ``positive_int`` is the one
-check of an integer argument, library and CLI alike, and ``positive_tol``
-the one check of a tolerance.  Errors that carry
+check of an integer argument, library and CLI alike, ``positive_tol`` the
+one check of a tolerance, ``as_tuple`` the one of a collection and
+``instance_of`` the one of a source, a pair or a profile.  Errors that carry
 diagnostic payloads (worst state pair, expected lengths, ...) expose them
 as attributes.
 """
@@ -139,6 +140,25 @@ def positive_int(value, name, low=1):
         rule = "a positive integer" if low else "a positive integer or 0"
         raise InvalidArgument(f"{name} must be {rule}, got {value!r}")
     return k
+
+
+def as_tuple(value, name):
+    """``value``'s items as a tuple; InvalidArgument naming ``name`` unless
+    it is iterable, as an int given for a collection is not."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvalidArgument(f"{name} must be a collection, got {value!r}") from None
+
+
+def instance_of(value, types, name):
+    """``value`` itself; InvalidArgument naming ``name`` unless it is an
+    instance of ``types``, a class or a tuple of classes."""
+    if not isinstance(value, types):
+        types = types if isinstance(types, tuple) else (types,)
+        kinds = " or a ".join(t.__name__ for t in types)
+        raise InvalidArgument(f"{name} must be a {kinds}, got {type(value).__name__}")
+    return value
 
 
 def positive_tol(value):

@@ -14,10 +14,14 @@ from math import comb
 import numpy as np
 
 from .approximators import EXACT_SPEC, Exact, checked_spec, stacked_kernels
-from .errors import InvalidBlockSize, NotTwoBlock, positive_int
+from .errors import InvalidBlockSize, NotTwoBlock, instance_of, positive_int
 from .slicemodel import SliceModel, _level_pairs
-from .space import conditional_joint, marginal, selection_probs, slices
+from .space import JointDistribution, conditional_joint, marginal, selection_probs, slices
 from .spectral import check_reversibility, checked_stack
+
+
+# What a data-augmentation chain, and an Analysis, is built from.
+SOURCES = (JointDistribution, SliceModel)
 
 
 class ConditionalTable:
@@ -94,13 +98,14 @@ def exact_random_scan(joint, p=None):
 def hybrid_random_scan(joint, p=None, spec=EXACT_SPEC):
     """Random-scan kernel with each conditional draw replaced by one step of
     the approximating kernel prescribed by ``spec``."""
-    sel = selection_probs(p, joint.space.ncoords)
+    sel = selection_probs(p, instance_of(joint, JointDistribution, "joint").space.ncoords)
     return _scan_chain(joint, sel, checked_spec(spec), lambda i: ConditionalTable(joint, i))
 
 
 def block_random_scan(joint, block_size):
     """Random-scan kernel updating a uniformly chosen set of ``block_size``
     coordinates from their joint conditional."""
+    instance_of(joint, JointDistribution, "joint")
     T = block_scans(joint.space, joint.weights[None], block_size)[0]
     return check_reversibility(T, joint.dist)
 
@@ -146,7 +151,7 @@ def _two_block_parts(source):
     (v_{k-1}, v_k] whole when y is in G_k, so fwd[y, k] = (v_k - v_{k-1}) /
     density(y) there, and back[k] is uniform on G_k.  No n L-state joint is
     built."""
-    if isinstance(source, SliceModel):
+    if isinstance(instance_of(source, SOURCES, "source"), SliceModel):
         density, levels = source.density, source.levels
         lower = np.concatenate(([0.0], levels[:-1]))
         # Column k is G_k, the points above the level's lower end v_{k-1}.

@@ -19,11 +19,12 @@ from .errors import (
     InvalidStart,
     NotAbsolutelyContinuous,
     TooFewBatches,
+    instance_of,
     positive_int,
 )
 from .randomgen import rng_from
 from .report import fingerprint_bytes, make_report
-from .spectral import ProbVec, as_values, asymptotic_variance, eigvals_summary
+from .spectral import ProbVec, ReversiblePair, as_values, asymptotic_variance, eigvals_summary
 
 
 def kernel_fingerprint(rev):
@@ -63,7 +64,7 @@ def simulate(rev, start, steps, seed):
     stream, so the transitions then use the uniforms after it.
     """
     steps = positive_int(steps, "steps")
-    n = rev.n
+    n = instance_of(rev, ReversiblePair, "rev").n
     rng = rng_from(seed)
     if isinstance(start, (bool, np.bool_)):
         raise InvalidStart(f"start must be a state index or a distribution, got {start!r}")
@@ -119,7 +120,7 @@ def cross_validate_variance(rev, f, steps, seed, batch=None, fingerprint=""):
     Passes when the two agree within three standard errors.  The start state
     is drawn from the stationary distribution.
     """
-    v = as_values(f, rev.n)
+    v = as_values(f, instance_of(rev, ReversiblePair, "rev").n)
     traj = simulate(rev, rev.stationary, steps, seed)
     return _cross_validate(rev, v, traj, batch, fingerprint)
 
@@ -166,7 +167,7 @@ def mixing_curve(rev, mu0, tmax):
     routines keep: those not in ``eigvals_summary``'s ``dropped_states``.
     """
     tmax = positive_int(tmax, "tmax")
-    w = rev.stationary.weights
+    w = instance_of(rev, ReversiblePair, "rev").stationary.weights
     mu = ProbVec(mu0).weights
     if mu.size != rev.n:
         raise DimensionMismatch("initial distribution has the wrong length")

@@ -18,6 +18,8 @@ from .errors import (
     DimensionMismatch,
     NullConditioningEvent,
     SpaceTooLarge,
+    as_tuple,
+    instance_of,
     positive_int,
 )
 from .spectral import ProbVec
@@ -46,7 +48,8 @@ class ProductSpace:
     total: int = field(init=False)
 
     def __post_init__(self):
-        sizes = tuple(positive_int(d, "coordinate size", low=0) for d in self.sizes)
+        sizes = as_tuple(self.sizes, "sizes")
+        sizes = tuple(positive_int(d, "coordinate size", low=0) for d in sizes)
         if not sizes or any(d < 1 for d in sizes):
             raise DimensionMismatch("coordinate sizes must be positive integers")
         total = math.prod(sizes)
@@ -69,7 +72,7 @@ class ProductSpace:
         """The index offset of the coordinates ``coords`` at ``values``: one
         integer in range per coordinate, else DimensionMismatch, or
         InvalidArgument for a value that is not an integer."""
-        values = tuple(values)
+        values = as_tuple(values, "coordinate values")
         if len(values) != len(coords):
             raise DimensionMismatch(f"expected {len(coords)} coordinate values, got {len(values)}")
         offset = 0
@@ -132,12 +135,12 @@ class JointDistribution:
 
 
 def joint_from_weights(sizes, weights):
-    return JointDistribution(ProductSpace(tuple(sizes)), ProbVec(weights))
+    return JointDistribution(ProductSpace(sizes), ProbVec(weights))
 
 
 def product_joint(factors):
     """Joint of independent coordinates from per-coordinate weight vectors."""
-    factors = [ProbVec(f) for f in factors]
+    factors = [ProbVec(f) for f in as_tuple(factors, "factors")]
     # The space checks the state cap before the outer product is built.
     space = ProductSpace(tuple(f.n for f in factors))
     w = np.ones(1)
@@ -158,8 +161,8 @@ def conditional_block(joint, coords, y):
     on a finite space the almost-everywhere qualifiers of the theory become
     explicit, and conditioning on a null event is a hard error.
     """
-    coords = _check_coords(joint.space, coords)
-    idx = joint.space.subspace_indices(coords, tuple(y))
+    coords = _check_coords(instance_of(joint, JointDistribution, "joint").space, coords)
+    idx = joint.space.subspace_indices(coords, y)
     slice_w = joint.weights[idx]
     if slice_w.sum() <= 0.0:
         raise NullConditioningEvent(
@@ -170,7 +173,7 @@ def conditional_block(joint, coords, y):
 
 def conditional_joint(joint, coords, y):
     """The conditional of a coordinate block, as a joint over the sub-space."""
-    coords = _check_coords(joint.space, coords)
+    coords = _check_coords(instance_of(joint, JointDistribution, "joint").space, coords)
     dist = conditional_block(joint, coords, y)
     sub = ProductSpace(tuple(joint.space.sizes[c] for c in coords))
     return JointDistribution(sub, dist)
@@ -195,12 +198,13 @@ def slices(space, coords, weights):
 
 def marginal(joint, keep):
     """Marginal over the kept coordinates (ascending order, first fastest)."""
-    keep = _check_coords(joint.space, keep)
+    keep = _check_coords(instance_of(joint, JointDistribution, "joint").space, keep)
     W = joint.weights.reshape(joint.space.sizes, order="F")
     return ProbVec(W.sum(axis=joint.space.complement(keep)).ravel(order="F"))
 
 
 def _check_coords(space, coords):
+    coords = as_tuple(coords, "coordinates")
     coords = tuple(sorted(positive_int(c, "coordinate", low=0) for c in coords))
     if not coords:
         raise DimensionMismatch("coordinate set must be nonempty")

@@ -28,6 +28,7 @@ from .errors import (
     PreconditionUnmet,
     SingularStationary,
     ZeroFunction,
+    instance_of,
     positive_int,
     positive_tol,
 )
@@ -439,13 +440,14 @@ def _summary(rest, dropped, asym):
 def spectral_summary(rev):
     """Operator norm, gap and mean-zero spectrum of a reversible pair, from
     its eigendecomposition; the pair computes it once."""
-    return rev._spectrum
+    return instance_of(rev, ReversiblePair, "rev")._spectrum
 
 
 def eigvals_summary(rev):
     """``spectral_summary`` from eigenvalues alone, for a pair whose
     eigenvectors nothing reads: ``stacked_summaries`` of a stack of one,
     and nothing is kept."""
+    rev = instance_of(rev, ReversiblePair, "rev")
     return stacked_summaries(rev.kernel.matrix[None], rev.stationary.weights[None])[0]
 
 
@@ -512,7 +514,7 @@ def asymptotic_variance(rev, f):
     must (1 - 1e-12) I + A have a Cholesky factor too, taken on a copy,
     since B is then built in A's buffer.
     """
-    v = as_values(f, rev.n)
+    v = as_values(f, instance_of(rev, ReversiblePair, "rev").n)
     keep, _dropped, ws, d, A, _asym = _symmetrized(rev)
     v = v[keep]
     g = d * (v - float(ws @ v))
@@ -554,6 +556,7 @@ def spectral_jensen_check(rev, f, t, tol=1e-10, fingerprint=""):
     rounding; to test it against ``tol`` would test psd again, with a
     tighter tolerance than ``psd`` itself.
     """
+    rev = instance_of(rev, ReversiblePair, "rev")
     t = positive_int(t, "t")
     tol = positive_tol(tol)
     if t % 2 != 0:

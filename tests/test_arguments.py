@@ -27,6 +27,7 @@ from hybridgibbs import (
     conditional,
     conditional_joint,
     cross_validate_variance,
+    da_exact,
     da_hybrid,
     dominating_norm_profile,
     exact_random_scan,
@@ -38,9 +39,11 @@ from hybridgibbs import (
     mean_power_bound,
     mixing_curve,
     product_joint,
+    rms_power_bound,
     run_suite,
     simulate,
     spectral_jensen_check,
+    spectral_summary,
 )
 from hybridgibbs.spectral import asymptotic_variance
 from hybridgibbs.bounds import function_battery
@@ -237,6 +240,28 @@ KIND_SITES = {
     # sizes
     "ProductSpace": ProductSpace,
     "joint_from_weights_sizes": lambda v: joint_from_weights(v, [0.25] * 4),
+    # sources: a joint, or a joint or a slice model
+    "Analysis": Analysis,
+    "da_exact": da_exact,
+    "da_hybrid_source": lambda v: da_hybrid(v, LAZY),
+    "exact_random_scan_joint": exact_random_scan,
+    "block_random_scan_joint": lambda v: block_random_scan(v, 1),
+    "marginal_joint": lambda v: marginal(v, (0,)),
+    "conditional_joint_joint": lambda v: conditional_joint(v, (0,), (0,)),
+    "approx_quality_joint": lambda v: approx_quality(v, LAZY),
+    "make_approximator_joint": lambda v: make_approximator(v, LAZY, 0, (0,)),
+    "mean_power_bound_source": lambda v: mean_power_bound(v, Analysis(SLICE).inner_profile, 2),
+    # pairs
+    "spectral_summary": spectral_summary,
+    "asymptotic_variance_pair": lambda v: asymptotic_variance(v, [1.0, -1.0]),
+    "spectral_jensen_check_pair": lambda v: spectral_jensen_check(v, [1.0, -1.0], 2),
+    "simulate_pair": lambda v: simulate(v, 0, 10, seed=0),
+    "cross_validate_variance_pair": lambda v: cross_validate_variance(v, [1.0, -1.0], 100, 0),
+    "mixing_curve_pair": lambda v: mixing_curve(v, [1.0, 0.0], 5),
+    "function_battery_pair": function_battery,
+    # profiles
+    "mean_power_bound_profile": lambda v: mean_power_bound(SKEWED, v, 2),
+    "rms_power_bound_profile": lambda v: rms_power_bound(SLICE, v, 2),
 }
 ILL_TYPED = {**UNCONVERTIBLE, "holding a string": [0.5, "x"]}
 
@@ -246,6 +271,41 @@ ILL_TYPED = {**UNCONVERTIBLE, "holding a string": [0.5, "x"]}
 def test_ill_typed_value_is_a_named_error(site, kind):
     with pytest.raises(HybridGibbsError):
         KIND_SITES[site](ILL_TYPED[kind])
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: Analysis("x"), "source must be a JointDistribution or a SliceModel, got str"),
+        (lambda: da_exact(TWO_STATE), "source must be a JointDistribution or a SliceModel"),
+        (lambda: marginal(SLICE, (0,)), "joint must be a JointDistribution, got SliceModel"),
+        (lambda: spectral_summary(SKEWED), "rev must be a ReversiblePair, got JointDistribution"),
+        (lambda: mean_power_bound(SKEWED, "x", 2), "profile must be a NormProfile, got str"),
+    ],
+    ids=["source", "pair-for-source", "slice-for-joint", "joint-for-pair", "profile"],
+)
+def test_a_value_of_another_kind_is_named(call, name):
+    # A source, a pair and a profile are each checked once at entry, by type.
+    with pytest.raises(InvalidArgument, match=name):
+        call()
+
+
+# An int where a collection is expected.
+INT_FOR_COLLECTION = {
+    "marginal": lambda: marginal(SKEWED, 0),
+    "approx_quality": lambda: approx_quality(SKEWED, LAZY, 0),
+    "ProductSpace": lambda: ProductSpace(5),
+    "joint_from_weights": lambda: joint_from_weights(4, [0.25] * 4),
+    "product_joint": lambda: product_joint(5),
+    "conditional": lambda: conditional(SKEWED, 0, 1),
+    "encode": lambda: SKEWED.space.encode(3),
+}
+
+
+@pytest.mark.parametrize("site", INT_FOR_COLLECTION)
+def test_an_int_for_a_collection_is_a_named_error(site):
+    with pytest.raises(InvalidArgument, match="must be a collection, got"):
+        INT_FOR_COLLECTION[site]()
 
 
 def test_a_value_type_passes_its_own_instances_through():
@@ -285,6 +345,20 @@ def test_step_count_past_the_float_range_runs():
     reports = run_suite(canonicalize({"model": model, "t": [1e308]})).reports
     assert reports and all(r.passed for r in reports)
     assert mean_power_bound(SLICE, Analysis(SLICE).inner_profile, 10**400) == 0.0
+
+
+@pytest.mark.parametrize("t", [2**1024, 10**400], ids=["2**1024", "10**400"])
+def test_t_step_checks_past_the_float_range_run(t):
+    # t is read as +inf in the powers and quotients: a_t and |S_h|^t go to
+    # 0, (gap - a_t) / t to 0, and t (1 - |S_h|) to inf.
+    joint = Analysis(SKEWED, spec=LAZY)
+    reports = joint.da_tstep(t) + joint.da_variance_tstep(t) + joint.uniform_tstep_bound(t)
+    reports += Analysis(SLICE).slice_tstep(t)
+    assert all(r.passed for r in reports)
+    assert all(r.witness["t"] == t for r in reports if "t" in r.witness)
+    by_name = {r.name: r for r in reports}
+    assert by_name["da-tstep-bernoulli"].rhs == np.inf
+    assert by_name["slice-tstep-lower"].lhs == 0.0
 
 
 def test_too_many_trials_is_a_named_error():

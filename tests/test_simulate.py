@@ -18,7 +18,8 @@ from hybridgibbs import (
     simulate,
     write_trajectory,
 )
-from hybridgibbs._stepper_py import walk
+from hybridgibbs import _stepper_py
+from hybridgibbs._stepper_py import _CHUNK, _FEW, walk
 from hybridgibbs.errors import (
     DimensionMismatch,
     InvalidArgument,
@@ -163,6 +164,151 @@ class TestStepper:
         states = walk(cum, uniforms, 0)
         np.testing.assert_array_equal(states, full_row_walk(cum, uniforms, 0))
         assert states.tolist() == [0, 1, 2, 2, 4, 0, 1, 2, 4]
+
+
+def permutation(p):
+    """The cumulative rows of the chain that moves i to p[i]."""
+    K = np.zeros((len(p), len(p)))
+    K[np.arange(len(p)), p] = 1.0
+    return np.cumsum(K, axis=1)
+
+
+def random_rows(rng, n, zeros=0.0):
+    """Cumulative rows of a random chain; each entry is 0 with probability
+    ``zeros``, and every row keeps at least one positive entry."""
+    K = rng.random((n, n)) * (rng.random((n, n)) >= zeros)
+    K[np.arange(n), rng.integers(0, n, n)] += 0.5
+    return np.cumsum(K / K.sum(axis=1, keepdims=True), axis=1)
+
+
+# Enough chunks for the lockstep passes, and a remainder.
+CHUNKS = _FEW + 8
+STEPS = CHUNKS * _CHUNK + 77
+
+
+def bipartite(rng):
+    """A chain that alternates between {0, 1, 2} and {3, 4, 5}."""
+    K = np.zeros((6, 6))
+    K[:3, 3:] = rng.random((3, 3)) + 0.1
+    K[3:, :3] = rng.random((3, 3)) + 0.1
+    return np.cumsum(K / K.sum(axis=1, keepdims=True), axis=1)
+
+
+def absorbing(rng):
+    """State 0 absorbs; the others reach it with positive probability."""
+    cum = random_rows(rng, 6)
+    cum[0] = 1.0
+    return cum
+
+
+CHAINS = {
+    "dense": lambda rng: random_rows(rng, 7),
+    "sparse": lambda rng: random_rows(rng, 12, zeros=0.7),
+    "wide": lambda rng: random_rows(rng, 300, zeros=0.5),
+    "swap": lambda rng: permutation([1, 0]),
+    "five-cycle": lambda rng: permutation([1, 2, 3, 4, 0]),
+    "identity": lambda rng: np.cumsum(np.eye(3), axis=1),
+    "bipartite": bipartite,
+    "absorbing": absorbing,
+}
+
+
+class TestLockstepStepper:
+    """Chunks advanced in lockstep and then repaired give the full-row
+    rule's path, bit for bit, with or without coupling."""
+
+    @pytest.mark.parametrize("chain", CHAINS)
+    @pytest.mark.parametrize("start", [0, -1], ids=["first", "last"])
+    def test_matches_full_row_rule(self, chain, start):
+        rng = rng_from(len(chain))
+        cum = CHAINS[chain](rng)
+        start %= cum.shape[0]
+        uniforms = rng.random(STEPS)
+        np.testing.assert_array_equal(
+            walk(cum, uniforms, start), full_row_walk(cum, uniforms, start)
+        )
+
+    def test_ties_and_the_clamp_at_chunk_boundaries(self):
+        # Row 0 has zero columns at both ends and an absorbed 1e-18; row 2
+        # ends at 1 - 1e-13, so a draw at or above its last value takes the
+        # clamp to the last state.
+        K = np.array(
+            [
+                [0.0, 0.5, 1e-18, 0.5, 0.0],
+                [0.2, 0.2, 0.2, 0.2, 0.2],
+                [0.0, 0.0, 1.0 - 1e-13, 0.0, 0.0],
+                [0.3, 0.0, 0.3, 0.0, 0.4],
+                [0.25, 0.25, 0.0, 0.25, 0.25],
+            ]
+        )
+        cum = np.cumsum(K, axis=1)
+        rng = rng_from(8)
+        uniforms = rng.random(STEPS)
+        ties = np.concatenate([np.unique(cum[cum < 1.0]), [1.0 - 1e-14, 0.0]])
+        # The draws at, just before and just after every chunk boundary.
+        around = np.arange(1, CHUNKS + 1)[:, None] * _CHUNK + np.array([-1, 0, 1])
+        uniforms[around.ravel()] = rng.choice(ties, around.size)
+        uniforms[rng.integers(0, STEPS, 2000)] = rng.choice(ties, 2000)
+        for start in range(5):
+            np.testing.assert_array_equal(
+                walk(cum, uniforms, start), full_row_walk(cum, uniforms, start)
+            )
+
+    @given(walks(), st.integers(0, 2**32 - 1), st.integers(0, 3 * _CHUNK))
+    @settings(max_examples=25, deadline=None)
+    def test_generated_rows(self, case, seed, extra):
+        cum, _uniforms, start = case
+        rng = rng_from(seed)
+        uniforms = rng.random(_FEW * _CHUNK + extra)
+        ties = np.append(cum[cum < 1.0], [0.0, 1.0 - 1e-14])
+        uniforms[rng.integers(0, uniforms.size, 500)] = rng.choice(ties, 500)
+        np.testing.assert_array_equal(
+            walk(cum, uniforms, start), full_row_walk(cum, uniforms, start)
+        )
+
+    @pytest.mark.parametrize("u", [1.0, 2.5, -0.5, np.inf, -np.inf, np.nan])
+    def test_a_draw_outside_the_unit_interval_is_a_scalar_step(self, u):
+        # The rule still holds for it: the smallest column above u, or the
+        # clamp when there is none, as for NaN.
+        cum = random_rows(rng_from(6), 7, zeros=0.3)
+        uniforms = rng_from(7).random(STEPS)
+        uniforms[[5, STEPS // 2, STEPS - 1]] = u
+        np.testing.assert_array_equal(walk(cum, uniforms, 0), full_row_walk(cum, uniforms, 0))
+
+    def _bisects(self, monkeypatch, cum, start=0):
+        """How many steps the scalar loop takes on a path of STEPS steps."""
+        calls = []
+
+        def counting(row, u):
+            calls.append(1)
+            return bisect_right(row, u)
+
+        monkeypatch.setattr(_stepper_py, "bisect_right", counting)
+        uniforms = rng_from(4).random(STEPS)
+        np.testing.assert_array_equal(
+            walk(cum, uniforms, start), full_row_walk(cum, uniforms, start)
+        )
+        return len(calls)
+
+    def test_a_coupling_chain_is_repaired_in_lockstep(self, monkeypatch):
+        # Copies of a dense chain meet within a few steps: the repair rounds
+        # mend every chunk, and the scalar loop takes only the remainder.
+        assert self._bisects(monkeypatch, random_rows(rng_from(3), 7)) == STEPS - CHUNKS * _CHUNK
+
+    def test_a_crowded_chain_leaves_the_lockstep_pass(self, monkeypatch):
+        # A 50-cycle with 2% uniform jumps keeps 49 of each row's 50 values
+        # below 0.02, in one guide bucket: the forward scans pass far more
+        # than _SCANS times a step, and the scalar loop takes the whole path.
+        n = 50
+        K = np.full((n, n), 0.02 / n)
+        K[np.arange(n), (np.arange(n) + 1) % n] += 0.98
+        assert self._bisects(monkeypatch, np.cumsum(K, axis=1)) == STEPS
+
+    def test_a_chain_that_never_couples_takes_each_step_once_more(self, monkeypatch):
+        # A permutation's copies never meet: the rounds stop at their probe,
+        # and the scalar loop re-runs every chunk but the first, once.
+        bisects = self._bisects(monkeypatch, permutation([1, 2, 3, 4, 0]))
+        assert bisects == STEPS - _CHUNK
 
 
 class TestBatchMeans:
