@@ -13,11 +13,16 @@ A path is cut into chunks of ``_CHUNK`` steps that advance in lockstep:
 
 1. Every chunk starts from a guess, the path's start, and all chunks take
    each step together, through one vectorized lookup.  The lookup reads a
-   guide table of G buckets per row, G the power of two at or above the
-   widest kept row.  Bucket floor(u·G) is exact, and its entry, the count of
-   kept values below the bucket's left edge, is a lower bound on
-   ``bisect_right``.  A forward scan while the kept value is <= u then ends
-   on the column that ``bisect_right`` picks.
+   guide table of G buckets per row.  Bucket floor(u·G) is exact, and its
+   entry, the count of kept values below the bucket's left edge, is a lower
+   bound on ``bisect_right``.  A forward scan while the kept value is <= u
+   then ends on the column that ``bisect_right`` picks.  A lockstep step
+   costs the longest scan among its lanes, so G follows the chain: the
+   power of two at or above ``_FINE`` times the widest kept row, halved
+   while the table's n · (G + 1) entries exceed ``_GUIDE`` (512 KiB), but
+   never below the power of two at or above the widest row.  A dense
+   64-state chain gets 512 buckets and about 2 scan passes a step, where
+   64 buckets took about 6.
 2. Repair rounds re-run, all at once, every chunk whose true start (the
    previous chunk's end) differs from the state it ran from.  Two copies of
    the chain driven by the same uniforms stay together once they meet, so a
@@ -53,6 +58,8 @@ _ROUNDS = 3  # repair rounds at most
 _FEW = 32  # below this many lanes, a lockstep step costs more than their scalar steps
 _PROBE = 32  # a round that has merged under a quarter of its lanes by this step stops
 _SCANS = 8  # the first pass stops past this many forward-scan passes a step
+_FINE = 16  # guide buckets per kept value of the widest row, at most
+_GUIDE = 1 << 16  # guide entries at most, unless buckets as wide as the widest row need more
 
 
 class _Rows:
@@ -91,13 +98,25 @@ class _Rows:
         return row
 
 
+def _buckets(n, widest):
+    """The guide's bucket count G for n rows: the power of two at or above
+    ``_FINE`` times the widest kept row, halved while the n · (G + 1)
+    entries exceed ``_GUIDE``, but never below the power of two at or above
+    the widest row."""
+    least = 1 << (widest - 1).bit_length()
+    g = least * _FINE
+    while g > least and n * (g + 1) > _GUIDE:
+        g >>= 1
+    return g
+
+
 class _Lookup:
     """The inverse-CDF step of many lanes at once, into buffers allocated once."""
 
     def __init__(self, rows, lanes):
         self.values, self.nexts = rows.values, rows.nexts
         n, width = rows.counts.size, rows.width
-        self.buckets = g = 1 << (int(rows.counts.max()) - 1).bit_length()
+        self.buckets = g = _buckets(n, int(rows.counts.max()))
         # A kept value v lies below a bucket's left edge b / G exactly when
         # floor(v * G) < b, since G is a power of two; the padding falls in
         # bucket G, which no draw reaches.  Row r's G + 1 counts start at

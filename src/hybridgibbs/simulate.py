@@ -7,6 +7,7 @@ trajectories bit-exactly across runs, since the stepper consumes a uniform
 stream drawn up front.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .errors import (
     InvalidDistribution,
     InvalidStart,
     NotAbsolutelyContinuous,
+    SpaceTooLarge,
     TooFewBatches,
     instance_of,
     positive_int,
@@ -33,6 +35,22 @@ def kernel_fingerprint(rev):
         np.ascontiguousarray(rev.kernel.matrix),
         np.ascontiguousarray(rev.stationary.weights),
     )
+
+
+def _check_path_fits(steps):
+    """Raises SpaceTooLarge when a path of ``steps`` steps would take more
+    than half the physical memory; a system that reports none is not
+    checked."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    need = (steps + 1) * 16  # a uniform and a state a step, 8 bytes each
+    if pages > 0 and size > 0 and 2 * need > pages * size:
+        raise SpaceTooLarge(
+            f"a path of {steps} steps needs {need} bytes, over half the "
+            f"{pages * size} bytes of physical memory"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,9 +79,11 @@ def simulate(rev, start, steps, seed):
 
     ``start`` is a state index or a distribution (ProbVec / weight vector) to
     draw the initial state from; drawing it takes the first uniform of the
-    stream, so the transitions then use the uniforms after it.
+    stream, so the transitions then use the uniforms after it.  A path too
+    long for half the physical memory raises SpaceTooLarge before any draw.
     """
     steps = positive_int(steps, "steps")
+    _check_path_fits(steps)
     n = instance_of(rev, ReversiblePair, "rev").n
     rng = rng_from(seed)
     if isinstance(start, (bool, np.bool_)):

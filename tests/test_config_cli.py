@@ -707,6 +707,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="no physical memory size to check")
+    def test_a_path_too_long_for_memory_is_an_input_error(self, tmp_path, capsys):
+        path = self._write(tmp_path, MINIMAL)
+        assert main(["simulate", path, "--steps", str(10**13), "--seed", "7"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a path of 10000000000000 steps needs")
+        assert err.count("\n") == 1
+
     def test_out_of_memory_is_an_input_error(self, tmp_path, capsys, monkeypatch):
         import hybridgibbs.cli as cli
 

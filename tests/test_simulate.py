@@ -1,5 +1,6 @@
 """Trajectory simulation, batch means, and cross-validation against exact values."""
 
+import os
 import tracemalloc
 from bisect import bisect_right
 
@@ -25,6 +26,7 @@ from hybridgibbs.errors import (
     InvalidArgument,
     InvalidStart,
     NotAbsolutelyContinuous,
+    SpaceTooLarge,
     TooFewBatches,
 )
 from hybridgibbs.randomgen import random_probvec, random_reversible_kernel, rng_from
@@ -213,6 +215,54 @@ CHAINS = {
 }
 
 
+def jumpy_cycle(n):
+    """The cumulative rows of an n-cycle that jumps uniformly with
+    probability 2%."""
+    K = np.full((n, n), 0.02 / n)
+    K[np.arange(n), (np.arange(n) + 1) % n] += 0.98
+    return np.cumsum(K, axis=1)
+
+
+def rows_of(n, width):
+    """The cumulative rows of an n-state chain whose rows each keep
+    ``width`` values: uniform over the first ``width`` states."""
+    K = np.zeros((n, n))
+    K[:, :width] = 1.0 / width
+    return np.cumsum(K, axis=1)
+
+
+class TestGuide:
+    """The guide's bucket count follows the chain: 16 buckets a kept value
+    of the widest row, within 2^16 entries, and never fewer than the power
+    of two at or above that row's width."""
+
+    @pytest.mark.parametrize(
+        "n, width, buckets", [(64, 64, 512), (1600, 80, 128), (512, 23, 64), (300, 300, 512)]
+    )
+    def test_bucket_count(self, n, width, buckets):
+        look = _stepper_py._Lookup(_stepper_py._Rows(rows_of(n, width)), 1)
+        assert look.buckets == buckets
+        widest = 1 << (width - 1).bit_length()
+        if buckets > widest:
+            assert look.guide.size == n * (buckets + 1) <= 2**16
+
+    def test_draws_on_bucket_edges_and_kept_values(self):
+        # A dense 64-state chain gets 512 buckets.  Uniform rows put every
+        # kept value on a bucket edge k / 512; the random rows put theirs
+        # inside buckets.  Draws sit on every edge and every kept value.
+        cum = random_rows(rng_from(11), 64)
+        cum[::3] = rows_of(64, 64)[0]
+        assert _stepper_py._Lookup(_stepper_py._Rows(cum), 1).buckets == 512
+        rng = rng_from(12)
+        uniforms = rng.random(STEPS)
+        marks = np.concatenate([np.arange(512) / 512, np.unique(cum[cum < 1.0])])
+        uniforms[rng.integers(0, STEPS, STEPS // 2)] = rng.choice(marks, STEPS // 2)
+        for start in (0, 63):
+            np.testing.assert_array_equal(
+                walk(cum, uniforms, start), full_row_walk(cum, uniforms, start)
+            )
+
+
 class TestLockstepStepper:
     """Chunks advanced in lockstep and then repaired give the full-row
     rule's path, bit for bit, with or without coupling."""
@@ -296,13 +346,30 @@ class TestLockstepStepper:
         assert self._bisects(monkeypatch, random_rows(rng_from(3), 7)) == STEPS - CHUNKS * _CHUNK
 
     def test_a_crowded_chain_leaves_the_lockstep_pass(self, monkeypatch):
-        # A 50-cycle with 2% uniform jumps keeps 49 of each row's 50 values
-        # below 0.02, in one guide bucket: the forward scans pass far more
-        # than _SCANS times a step, and the scalar loop takes the whole path.
-        n = 50
-        K = np.full((n, n), 0.02 / n)
-        K[np.arange(n), (np.arange(n) + 1) % n] += 0.98
-        assert self._bisects(monkeypatch, np.cumsum(K, axis=1)) == STEPS
+        # A 400-cycle with 2% uniform jumps crowds each row's 400 kept
+        # values into [0, 0.02) and [0.98, 1], about 20 of the guide's 512
+        # buckets: the forward scans pass far more than _SCANS times a
+        # step, and the scalar loop takes the whole path.
+        cum = jumpy_cycle(400)
+        assert _stepper_py._Lookup(_stepper_py._Rows(cum), 1).buckets == 512
+        assert self._bisects(monkeypatch, cum) == STEPS
+
+    def test_a_finer_guide_keeps_a_small_cycle_in_lockstep(self, monkeypatch):
+        # A 50-cycle with 2% uniform jumps gets 1,024 buckets, so each
+        # row's 50 kept values spread over about 40 of them: the first pass
+        # runs to its end, and the path is still the full-row rule's.
+        cum = jumpy_cycle(50)
+        assert _stepper_py._Lookup(_stepper_py._Rows(cum), 1).buckets == 1024
+        first_pass = _stepper_py._first_pass
+        ran = []
+
+        def spy(*args):
+            ran.append(first_pass(*args))
+            return ran[-1]
+
+        monkeypatch.setattr(_stepper_py, "_first_pass", spy)
+        assert self._bisects(monkeypatch, cum) < STEPS
+        assert len(ran) == 1 and ran[0] is not None
 
     def test_a_chain_that_never_couples_takes_each_step_once_more(self, monkeypatch):
         # A permutation's copies never meet: the rounds stop at their probe,
@@ -375,6 +442,46 @@ class TestPathMemory:
         finally:
             tracemalloc.stop()
         assert peak / self.STEPS < 24
+
+    @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="no physical memory size to check")
+    @pytest.mark.parametrize("run", ["simulate", "cross_validate_variance"])
+    def test_a_path_too_long_for_memory_raises_before_drawing(self, run):
+        calls = {
+            "simulate": lambda: simulate(TWO_STATE, 0, 10**12, 0),
+            "cross_validate_variance": lambda: cross_validate_variance(
+                TWO_STATE, [1.0, -1.0], 10**12, 0
+            ),
+        }
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpaceTooLarge, match="a path of 1000000000000 steps needs"):
+                calls[run]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_the_cap_is_half_the_physical_memory(self, monkeypatch):
+        # 16 pages of 1 KiB: half is 8 KiB, so 511 steps (8,192 bytes with
+        # the start) fit and 512 do not.
+        sizes = {"SC_PHYS_PAGES": 16, "SC_PAGE_SIZE": 1024}
+        monkeypatch.setattr(os, "sysconf", sizes.__getitem__, raising=False)
+        assert simulate(TWO_STATE, 0, 511, 0).steps == 511
+        with pytest.raises(SpaceTooLarge):
+            simulate(TWO_STATE, 0, 512, 0)
+
+    @pytest.mark.parametrize("sysconf", [-1, ValueError, None], ids=["unknown", "unnamed", "absent"])
+    def test_no_cap_where_the_system_reports_no_memory(self, monkeypatch, sysconf):
+        def report(name):
+            if sysconf is ValueError:
+                raise ValueError(f"unrecognized configuration name {name!r}")
+            return sysconf
+
+        if sysconf is None:
+            monkeypatch.delattr(os, "sysconf", raising=False)
+        else:
+            monkeypatch.setattr(os, "sysconf", report, raising=False)
+        assert simulate(TWO_STATE, 0, 5000, 0).steps == 5000
 
     def test_batch_means_write_neither_the_path_nor_f(self):
         traj = simulate(SKEWED, 0, 5000, seed=13)
