@@ -112,6 +112,10 @@ class ApproximatorSpec:
     def rule_for(self, i):
         return self.overrides.get(i, self.default)
 
+    def all_exact(self, ncoords):
+        """Whether each of coordinates 0 .. ncoords - 1 takes the Exact rule."""
+        return all(isinstance(self.rule_for(i), Exact) for i in range(ncoords))
+
     def describe(self):
         return {
             "default": self.default.describe(),

@@ -15,7 +15,6 @@ L2 of the stationary distribution so slacks are on a common scale.
 """
 
 import json
-import sys
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import combinations
@@ -48,23 +47,26 @@ from .gibbs import (
     _hybrid_marginal_chain,
     _inner_kernels,
     _scan_chain,
+    _scan_root,
     _two_block_parts,
     block_random_scan,
     block_scans,
     da_exact,
+    has_gram_root,
 )
 from .randomgen import rng_from
 from .report import fingerprint_bytes, make_report
 from .slicemodel import SliceModel, _level_pairs
 from .space import JointDistribution, ProductSpace, selection_probs, slices, state_cap
 from .spectral import (
-    NULL_MASS,
     ReversiblePair,
     _floats,
+    _steps,
     affine,
     as_values,
     checked_stack,
     eigvals_summary,
+    gram_factor,
     spectral_summary,
     stacked_summaries,
     variances,
@@ -241,12 +243,6 @@ def dominating_norm_profile(source, values, spec=None):
     return NormProfile(values=v, kind=kind, derivation="supplied")
 
 
-def _steps(t):
-    """A step count as a float: +inf past the largest float, so that x ** t
-    is 0 below 1 and 1 at 1, and x / t is 0."""
-    return float(t) if t <= sys.float_info.max else np.inf
-
-
 def mean_power_bound(source, profile, t):
     """Worst conditional average of the profile's t-th power: the max over
     supported y of sum_z P(z | y) * profile(z)^t, where z is the second
@@ -373,22 +369,14 @@ def _scan_gap(joint, p, eps, table):
     its conditional (eps_i = 0 for an exact update), with the conditionals
     of ``table(i)``, a ConditionalTable whose slices are all live.
 
-    Symmetrized, P_i is U_i U_i^T, where column y of U_i is the root of
-    slice y's conditional, placed on that slice, so the chain is
-    c I + B B^T with c = sum p_i eps_i and B = [sqrt(a_i) U_i],
-    a_i = p_i (1 - eps_i).  It is psd, so its gap is 1 - c - mu_2, with
-    mu_2 the second eigenvalue of the Gram matrix B^T B, whose order is
-    sum_i n / d_i; its top eigenvalue, 1 - c, is the stationary one.  When
-    that order is below n, B B^T is singular, so mu_2 is at least 0.
+    The chain is c I + B B^T with c = sum p_i eps_i and B the factor of the
+    Gram root (``gibbs._scan_root``) at the weights a_i = p_i (1 - eps_i).
+    It is psd, so its gap is 1 - c - mu_2, with mu_2 the second eigenvalue
+    of the Gram matrix B^T B, whose order is sum_i n / d_i; its top
+    eigenvalue, 1 - c, is the stationary one.  When that order is below n,
+    B B^T is singular, so mu_2 is at least 0.
     """
-    a = p * (1.0 - eps)
-    cols = []
-    for i, ai in enumerate(a):
-        tab = table(i)
-        U = np.zeros((joint.n, tab.live.size))
-        U[tab.idx, np.arange(tab.live.size)[:, None]] = np.sqrt(ai * tab.targets)
-        cols.append(U)
-    B = np.hstack(cols)
+    B = gram_factor(_scan_root(joint, p * (1.0 - eps), table))
     mu = np.linalg.eigvalsh(B.T @ B)
     return float(1.0 - p @ eps - mu[:-1].max(initial=0.0))
 
@@ -508,7 +496,7 @@ class Analysis:
         """The hybrid random-scan pair: the exact one, T, when every rule
         is Exact."""
         spec = self.scan_spec
-        if all(isinstance(spec.rule_for(i), Exact) for i in range(self.sel.n)):
+        if spec.all_exact(self.sel.n):
             return self.T
         return _scan_chain(self.source, self.sel, spec, self._table)
 
@@ -869,19 +857,14 @@ class Analysis:
         """The gap of the random-scan chain of ``spec``'s rules under the
         selection probabilities ``sel``.
 
-        ``_scan_gap`` gives it when every weight reaches NULL_MASS, the Gram
-        order sum_i n / d_i is below n and every rule is Exact or Lazy; it
-        is then checked at this analysis's own selection probabilities
-        against the decomposed ``pair``.  Otherwise it is read from the
-        spectrum of the chain built under ``sel``.
+        ``_scan_gap`` gives it where ``has_gram_root`` holds and every rule
+        is Exact or Lazy; it is then checked at this analysis's own
+        selection probabilities against the decomposed ``pair``.  Otherwise
+        it is read from the spectrum of the chain built under ``sel``.
         """
         joint = self.source
         eps = [_epsilon(spec.rule_for(i)) for i in range(joint.space.ncoords)]
-        if (
-            None in eps
-            or np.any(joint.weights < NULL_MASS)
-            or sum(joint.n // d for d in joint.space.sizes) >= joint.n
-        ):
+        if None in eps or not has_gram_root(joint):
             return eigvals_summary(_scan_chain(joint, sel, spec, self._table)).gap
         eps = np.array(eps)
         own = _scan_gap(joint, self.sel.weights, eps, self._table)

@@ -17,7 +17,7 @@ from .approximators import EXACT_SPEC, Exact, checked_spec, stacked_kernels
 from .errors import InvalidBlockSize, NotTwoBlock, instance_of, positive_int
 from .slicemodel import SliceModel, _level_pairs
 from .space import JointDistribution, conditional_joint, marginal, selection_probs, slices
-from .spectral import check_reversibility, checked_stack
+from .spectral import NULL_MASS, check_reversibility, checked_stack
 
 
 # What a data-augmentation chain, and an Analysis, is built from.
@@ -79,14 +79,51 @@ def _scan_chain(joint, sel, spec, table):
     """Random-scan pair that updates coordinate i with probability p_i by
     ``spec``'s kernels, read from ``table(i)``, a ConditionalTable.  The
     coordinates are added in order, so each diagonal entry sums its terms
-    in that order."""
+    in that order.  A pair whose rules are all Exact carries its Gram root
+    (``_scan_root`` at p) where ``has_gram_root`` holds."""
     T = np.zeros((joint.n, joint.n))
     for i, pi in enumerate(sel.weights):
         if pi == 0.0:
             continue
         tab = table(i)
         _scatter(T, tab.idx, tab.live, pi, tab.kernels(spec.rule_for(i)))
-    return check_reversibility(T, joint.dist)
+    rev = check_reversibility(T, joint.dist)
+    if spec.all_exact(sel.n) and has_gram_root(joint):
+        object.__setattr__(rev, "_root", _scan_root(joint, sel.weights, table))
+    return rev
+
+
+def has_gram_root(joint):
+    """Whether the random-scan chains of ``joint`` that redraw coordinates
+    from their conditionals are read from their Gram root: every weight
+    reaches NULL_MASS, so that every slice is live and no state is dropped,
+    and the Gram order sum_i n / d_i is below n."""
+    sizes = joint.space.sizes
+    return bool(joint.weights.min() >= NULL_MASS) and sum(joint.n // d for d in sizes) < joint.n
+
+
+def _scan_root(joint, a, table):
+    """The Gram root (cols, vals) of the random-scan chain sum_i a_i P_i,
+    where P_i redraws coordinate i from its conditional, read from
+    ``table(i)``, a ConditionalTable whose slices are all live.
+
+    Symmetrized, P_i is U_i U_i^T, where column y of U_i is the root of
+    slice y's conditional, placed on that slice; so the chain is B B^T with
+    B = [sqrt(a_i) U_i], whose Gram order r is the number of slices of all
+    coordinates.  Each state lies on one slice of each coordinate, so B has
+    k entries a row: B[x, cols[i, x]] = vals[i, x] = sqrt(a_i
+    pi(x_i | x_-i)), with the slices numbered coordinate by coordinate in
+    ``complement_configs`` order.  Both arrays are (k, n);
+    ``spectral.gram_factor`` expands them into B."""
+    cols = np.empty((joint.space.ncoords, joint.n), dtype=np.intp)
+    vals = np.empty(cols.shape)
+    start = 0
+    for i, ai in enumerate(a):
+        tab = table(i)
+        cols[i, tab.idx] = start + np.arange(tab.live.size)[:, None]
+        vals[i, tab.idx] = np.sqrt(ai * tab.targets)
+        start += tab.live.size
+    return cols, vals
 
 
 def exact_random_scan(joint, p=None):
@@ -99,7 +136,8 @@ def hybrid_random_scan(joint, p=None, spec=EXACT_SPEC):
     """Random-scan kernel with each conditional draw replaced by one step of
     the approximating kernel prescribed by ``spec``."""
     sel = selection_probs(p, instance_of(joint, JointDistribution, "joint").space.ncoords)
-    return _scan_chain(joint, sel, checked_spec(spec), lambda i: ConditionalTable(joint, i))
+    tables = [ConditionalTable(joint, i) for i in range(sel.n)]
+    return _scan_chain(joint, sel, checked_spec(spec), tables.__getitem__)
 
 
 def block_random_scan(joint, block_size):

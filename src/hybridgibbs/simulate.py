@@ -37,20 +37,24 @@ def kernel_fingerprint(rev):
     )
 
 
-def _check_path_fits(steps):
-    """Raises SpaceTooLarge when a path of ``steps`` steps would take more
-    than half the physical memory; a system that reports none is not
-    checked."""
+def _check_fits(need, what):
+    """Raises SpaceTooLarge, naming ``what``, when its ``need`` bytes would
+    take more than half the physical memory; a system that reports none is
+    not checked."""
     try:
         pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return
-    need = (steps + 1) * 16  # a uniform and a state a step, 8 bytes each
     if pages > 0 and size > 0 and 2 * need > pages * size:
         raise SpaceTooLarge(
-            f"a path of {steps} steps needs {need} bytes, over half the "
-            f"{pages * size} bytes of physical memory"
+            f"{what} needs {need} bytes, over half the {pages * size} bytes of physical memory"
         )
+
+
+def _check_path_fits(steps):
+    """``_check_fits`` for a path of ``steps`` steps: a uniform and a state
+    a step, 8 bytes each, and the start."""
+    _check_fits((steps + 1) * 16, f"a path of {steps} steps")
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,8 +189,11 @@ def mixing_curve(rev, mu0, tmax):
     decay rate is fitted on the tail of the log curve and verified not to
     exceed the operator norm.  The sum runs over the states the spectral
     routines keep: those not in ``eigvals_summary``'s ``dropped_states``.
+    A curve whose tmax + 1 distances, 8 bytes each, exceed half the
+    physical memory raises SpaceTooLarge before anything is allocated.
     """
     tmax = positive_int(tmax, "tmax")
+    _check_fits((tmax + 1) * 8, f"a mixing curve of {tmax} steps")
     w = instance_of(rev, ReversiblePair, "rev").stationary.weights
     mu = ProbVec(mu0).weights
     if mu.size != rev.n:

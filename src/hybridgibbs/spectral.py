@@ -12,6 +12,7 @@ dropped before analysis: the mean-zero L2 theory is blind to null sets.
 """
 
 import reprlib
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -157,11 +158,16 @@ class ReversiblePair:
     Construction verifies detailed balance within REVERSIBILITY_TOL (on
     the probability flows) and stationarity within 1e-10, and records the
     worst defect.  The pair keeps its decomposition and summary from first use.
+    An exact random-scan pair also carries its Gram root, set where
+    ``gibbs._scan_chain`` builds it, and None on any other pair: the
+    (cols, vals) arrays that ``gram_factor`` expands into B, where the
+    symmetrized kernel is B B^T.
     """
 
     kernel: StochasticKernel
     stationary: ProbVec
     reversibility_defect: float = field(init=False)
+    _root: tuple = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         K, w = self.kernel.matrix, self.stationary.weights
@@ -495,6 +501,17 @@ def _cholesky_solve(L, b):
     return x
 
 
+def gram_factor(root):
+    """The n x r factor B of a Gram root (cols, vals), two (k, n) arrays:
+    B[x, cols[i, x]] = vals[i, x], and zero elsewhere."""
+    cols, vals = root
+    rows = np.arange(cols.shape[1])
+    B = np.zeros((rows.size, int(cols.max()) + 1))
+    for c, v in zip(cols, vals):
+        B[rows, c] = v
+    return B
+
+
 def asymptotic_variance(rev, f):
     """Asymptotic variance of time-averages of f along the chain, from one
     Cholesky factor and no eigendecomposition: the one-column traffic of
@@ -502,46 +519,85 @@ def asymptotic_variance(rev, f):
 
     With A the symmetrized kernel on the support, d = sqrt(ws) its
     stationary direction and g = d * f0, the variance is 2 g^T x - g^T g
-    where B x = g for B = I - A + d d^T.  As in ``variances``, an operator
-    norm of at least 1 - 1e-12 on mean-zero functions raises NoSpectralGap.
-    The upper edge is certified by the Cholesky factor L of B - 1e-12 I,
-    which also solves for x: substitution with L, then one step of
-    iterative refinement against B itself.  The lower edge needs
-    lambda_min(A) > -1 + 1e-12.  Gershgorin's discs for the similar matrix
-    D^{-1/2} A D^{1/2} (A is nonnegative) bound it below by
-    min_i 2 A_ii - (A d)_i / d_i, one matrix-vector product; only where that
-    bound falls short by 1e-9, as for a chain with a zero diagonal entry,
-    must (1 - 1e-12) I + A have a Cholesky factor too, taken on a copy,
-    since B is then built in A's buffer.
+    where (I - A + d d^T) x = g.  As in ``variances``, an operator norm of
+    at least 1 - 1e-12 on mean-zero functions raises NoSpectralGap.  The
+    upper edge is certified by the Cholesky factor L of a matrix M minus
+    1e-12 I, which also solves M y = b: substitution with L, then one step
+    of iterative refinement against M itself.  M is taken in one of two
+    ways.
+
+    - A pair with a Gram root (an exact random-scan chain, A = B B^T with
+      B of order n x r, r < n; see ``gram_factor``) takes the r x r matrix
+      M = I - G + u u^T, with G = B^T B and u = B^T d, so that |u| = 1 and
+      G u = u, and b = B^T g.  Then x = g + B y and the variance is
+      g^T g + 2 b^T y.  M has the spectrum of I - A + d d^T off the
+      eigenvalues 1 of either, so its factor certifies the same edge.  The
+      lower edge holds since B B^T is psd.
+    - Any other pair takes M = I - A + d d^T, built in A's buffer, and
+      b = g.  Its lower edge needs lambda_min(A) > -1 + 1e-12.  Gershgorin's
+      discs for the similar matrix D^{-1/2} A D^{1/2} (A is nonnegative)
+      bound it below by min_i 2 A_ii - (A d)_i / d_i, one matrix-vector
+      product; only where that bound falls short by 1e-9, as for a chain
+      with a zero diagonal entry, must (1 - 1e-12) I + A have a Cholesky
+      factor too, taken on a copy that is freed before M is built.
     """
     v = as_values(f, instance_of(rev, ReversiblePair, "rev").n)
-    keep, _dropped, ws, d, A, _asym = _symmetrized(rev)
-    v = v[keep]
+    root = rev._root
+    if root is None:
+        keep, _dropped, ws, d, A, _asym = _symmetrized(rev)
+        v = v[keep]
+    else:
+        ws = rev.stationary.weights
+        d = np.sqrt(ws)
     g = d * (v - float(ws @ v))
     margin = 1e-12
-    diag = np.diag_indices_from(A)
-    low = float(np.min(2.0 * A[diag] - (A @ d) / d))
     try:
-        if not (np.isfinite(low) and low > -1.0 + margin + 1e-9):
-            C = A.copy()
-            C[diag] += 1.0 - margin
-            np.linalg.cholesky(C)
-            del C  # freed before B is factored
-        B = A  # d d^T - A, a block of rows at a time
-        for s in range(0, B.shape[0], _SYM_BLOCK):
-            rows = slice(s, s + _SYM_BLOCK)
-            np.subtract(np.outer(d[rows], d), B[rows], out=B[rows])
-        B[diag] += 1.0 - margin
-        L = np.linalg.cholesky(B)
+        if root is None:
+            b, c = g, -float(g @ g)
+            diag = np.diag_indices_from(A)
+            low = float(np.min(2.0 * A[diag] - (A @ d) / d))
+            if not (np.isfinite(low) and low > -1.0 + margin + 1e-9):
+                C = A.copy()
+                C[diag] += 1.0 - margin
+                np.linalg.cholesky(C)
+                del C
+            M = A  # d d^T - A, a block of rows at a time
+            for s in range(0, M.shape[0], _SYM_BLOCK):
+                rows = slice(s, s + _SYM_BLOCK)
+                np.subtract(np.outer(d[rows], d), M[rows], out=M[rows])
+        else:
+            B = gram_factor(root)
+            b, c = B.T @ g, float(g @ g)
+            u = B.T @ d
+            M = np.outer(u, u)  # u u^T - B^T B
+            M -= B.T @ B
+        diag = np.diag_indices_from(M)
+        M[diag] += 1.0 - margin
+        L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         raise NoSpectralGap(
             "operator norm on mean-zero functions is at least 1 - 1e-12: "
             "no spectral gap"
         ) from None
-    B[diag] += margin
-    x = _cholesky_solve(L, g)
-    x += _cholesky_solve(L, g - B @ x)
-    return 2.0 * float(g @ x) - float(g @ g)
+    M[diag] += margin
+    y = _cholesky_solve(L, b)
+    y += _cholesky_solve(L, b - M @ y)
+    return 2.0 * float(b @ y) + c
+
+
+def _steps(t):
+    """A step count as a float: +inf past the largest float, so that x ** t
+    is 0 below 1 and 1 at 1, and x / t is 0."""
+    return float(t) if t <= sys.float_info.max else np.inf
+
+
+def _powers(x, t):
+    """x ** t for an integer t >= 1, elementwise, on values x of a spectrum
+    in [-1, 1]: |x|, with rounding past 1 clipped, raised to ``_steps(t)``,
+    and a negative x's sign taken from t's parity, so that the power is 0
+    below 1 at t = +inf and (-1) ** t is never a NaN."""
+    p = np.minimum(np.abs(x), 1.0) ** _steps(t)
+    return np.where(x < 0.0, -p, p) if t % 2 else p
 
 
 def spectral_jensen_check(rev, f, t, tol=1e-10, fingerprint=""):
@@ -550,9 +606,12 @@ def spectral_jensen_check(rev, f, t, tol=1e-10, fingerprint=""):
     Holds for even t by convexity of x -> x^t on the spectrum, and for odd t
     when the kernel is positive semi-definite; otherwise the hypothesis is
     unmet and PreconditionUnmet is raised.  ``tol`` must be finite and
-    positive.  That lhs >= 0 needs no check of its own: for even t it is an
-    even power, and for odd t it is the t-th power of a Rayleigh quotient of
-    a kernel that ``psd`` admitted, so it is at least -PSD_TOL^t up to
+    positive.  Both sides are read from the pair's one decomposition: with
+    c = V^T (d * f0) on the support, less its stationary coefficient,
+    <f0, K^t f0> is sum_k lambda_k^t c_k^2, so any t costs the same (see
+    ``_powers``).  That lhs >= 0 needs no check of its own: for even t it is
+    an even power, and for odd t it is the t-th power of a Rayleigh quotient
+    of a kernel that ``psd`` admitted, so it is at least -PSD_TOL^t up to
     rounding; to test it against ``tol`` would test psd again, with a
     tighter tolerance than ``psd`` itself.
     """
@@ -564,18 +623,18 @@ def spectral_jensen_check(rev, f, t, tol=1e-10, fingerprint=""):
             raise PreconditionUnmet(
                 "odd t requires a positive semi-definite kernel"
             )
-    K = rev.kernel.matrix
     w = rev.stationary.weights
     v = as_values(f, rev.n)
     f0 = v - float(w @ v)
     nrm2 = float(w @ (f0 * f0))
     if nrm2 <= (1e-14 * (1.0 + float(np.abs(v).max()))) ** 2:
         raise ZeroFunction("function is constant on the support")
-    g = f0.copy()
-    for _ in range(t):
-        g = K @ g
-    lhs = (float(w @ (f0 * (K @ f0))) / nrm2) ** t
-    rhs = float(w @ (f0 * g)) / nrm2
+    keep, _dropped, _ws, d, vals, vecs, _asym = rev._eigs
+    c = vecs.T @ (d * f0[keep])
+    c[-1] = 0.0
+    c *= c
+    lhs = float(_powers(float(vals @ c) / nrm2, t))
+    rhs = float(_powers(vals, t) @ c) / nrm2
     return make_report(
         "spectral-jensen",
         lhs,

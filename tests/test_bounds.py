@@ -28,7 +28,8 @@ from hybridgibbs import (
 )
 from hybridgibbs import slicemodel, spectral
 from hybridgibbs.approximators import kernel_for_target
-from hybridgibbs.bounds import _entry, _level_epsilons, function_battery
+from hybridgibbs.bounds import _entry, _level_epsilons, _scan_gap, function_battery
+from hybridgibbs.gibbs import ConditionalTable
 from hybridgibbs.spectral import eigvals_summary, spectral_summary, variances
 from hybridgibbs.errors import (
     DimensionMismatch,
@@ -453,7 +454,34 @@ def test_stacked_c1_equals_the_inner_kernel_loop(sizes, kind, seed):
             assert c1 == pytest.approx(decomposed, rel=1e-12, abs=1e-12), (ell, m)
 
 
+def hstack_scan_gap(joint, p, eps, table):
+    """``bounds._scan_gap`` with B stacked from one dense U_i per
+    coordinate, kept as the reference for the gap read from the shared
+    Gram root."""
+    a = p * (1.0 - eps)
+    cols = []
+    for i, ai in enumerate(a):
+        tab = table(i)
+        U = np.zeros((joint.n, tab.live.size))
+        U[tab.idx, np.arange(tab.live.size)[:, None]] = np.sqrt(ai * tab.targets)
+        cols.append(U)
+    B = np.hstack(cols)
+    mu = np.linalg.eigvalsh(B.T @ B)
+    return float(1.0 - p @ eps - mu[:-1].max(initial=0.0))
+
+
 class TestSelectionReweighting:
+    def test_scan_gap_reads_the_shared_root_to_the_last_bit(self):
+        for seed, sizes in enumerate([(3, 4), (5, 2), (4, 4, 4), (40, 40)]):
+            rng = rng_from(seed + 40)
+            joint = random_joint(rng, sizes=sizes)
+            table = [ConditionalTable(joint, i) for i in range(len(sizes))].__getitem__
+            p = rng.random(len(sizes)) + 0.1
+            p /= p.sum()
+            eps = rng.choice([0.0, 0.3], size=len(sizes))
+            gap = _scan_gap(joint, p, eps, table)
+            assert gap == hstack_scan_gap(joint, p, eps, table)
+
     def test_equal_probs_reduce_to_weaker_sandwich(self):
         spec = ApproximatorSpec(default=Lazy(0.2))
         reps = Analysis(SKEWED, [0.5, 0.5], spec).selection_reweighting([0.5, 0.5])

@@ -666,6 +666,11 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
+    def test_simulate_a_chain_without_a_gap_exits_2(self, tmp_path, capsys):
+        near = {"model": {"kind": "explicit", "sizes": [2, 2], "weights": [1, 1e-13, 1e-13, 1]}}
+        assert main(["simulate", self._write(tmp_path, near), "--steps", "1000"]) == 2
+        assert "no spectral gap" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [

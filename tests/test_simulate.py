@@ -504,12 +504,13 @@ class TestCrossValidate:
         assert rep.witness["exact"] == pytest.approx(7 / 3, rel=1e-12)
 
     def test_exact_variance_is_one_solve(self, eig_counts):
+        # The exact chain carries its Gram root, of order 40 + 40 = 80.
         config = canonicalize({"model": {"kind": "random", "sizes": [40, 40], "seed": 1}})
         rev = exact_random_scan(config.build_joint(), config.selection())
         f = np.arange(rev.n) % 40.0
         cross_validate_variance(rev, f, 10_000, seed=1)
         assert not eig_counts["eigh"] and not eig_counts["eigvalsh"]
-        assert eig_counts["cholesky"] == {1600: 1}
+        assert eig_counts["cholesky"] == {80: 1}
         assert 1600 not in eig_counts["solve"]
 
     def test_random_pairs_mostly_pass(self):
@@ -575,6 +576,21 @@ class TestMixingCurve:
         curve = mixing_curve(TWO_STATE, [0.9, 0.1], 30)
         diffs = np.diff(curve.distances)
         assert np.all(diffs <= 1e-12)
+
+    def test_a_curve_too_long_for_memory_raises_before_allocating(self, monkeypatch):
+        # 16 pages of 1 KiB: half is 8 KiB, so 1,023 steps (1,024 distances
+        # of 8 bytes) fit and 1,024 do not.
+        sizes = {"SC_PHYS_PAGES": 16, "SC_PAGE_SIZE": 1024}
+        monkeypatch.setattr(os, "sysconf", sizes.__getitem__, raising=False)
+        assert mixing_curve(TWO_STATE, [1.0, 0.0], 1023).distances.size == 1024
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpaceTooLarge, match="a mixing curve of 1024 steps needs 8200 bytes"):
+                mixing_curve(TWO_STATE, [1.0, 0.0], 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8192
 
     def test_absolute_continuity_required(self):
         rev = check_reversibility(np.eye(2), [1.0, 0.0])

@@ -1,14 +1,24 @@
 """Core spectral operations against hand-computed and brute-force oracles."""
 
+import time
+from math import prod
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridgibbs import (
+    ApproximatorSpec,
     FunctionVec,
+    Lazy,
     ProbVec,
     StochasticKernel,
     asymptotic_variance,
     check_reversibility,
+    exact_random_scan,
+    hybrid_random_scan,
+    joint_from_weights,
     spectral_jensen_check,
     spectral_summary,
 )
@@ -23,16 +33,20 @@ from hybridgibbs.errors import (
     PreconditionUnmet,
     ZeroFunction,
 )
-from hybridgibbs.randomgen import random_probvec, random_reversible_kernel, rng_from
+from hybridgibbs.gibbs import ConditionalTable, _scan_root
+from hybridgibbs.randomgen import random_joint, random_probvec, random_reversible_kernel, rng_from
 from hybridgibbs.bounds import dirichlet_forms, function_battery, quadratic_forms
 from hybridgibbs.spectral import (
     _SYM_BLOCK,
     _cholesky_solve,
+    _powers,
     _restrict,
     _symmetrize,
+    _symmetrized,
     affine,
     checked_stack,
     eigvals_summary,
+    gram_factor,
     variances,
 )
 
@@ -661,6 +675,78 @@ class TestInPlaceSymmetrization:
                 variance(rev, f)
 
 
+@st.composite
+def rooted_joints(draw, p_values=(0.0, 0.2, 1.0, 3.0)):
+    """A joint whose weights are all positive, with Gram order below its
+    size, and selection probabilities drawn from ``p_values``."""
+    sizes = draw(
+        st.lists(st.integers(2, 5), min_size=2, max_size=3).filter(
+            lambda s: sum(prod(s) // d for d in s) < prod(s)
+        )
+    )
+    weights = draw(st.lists(st.floats(1e-3, 10.0), min_size=prod(sizes), max_size=prod(sizes)))
+    p = draw(st.lists(st.sampled_from(p_values), min_size=len(sizes), max_size=len(sizes)))
+    return joint_from_weights(sizes, weights), (p if any(p) else None)
+
+
+class TestGramRoot:
+    """The exact random-scan pair's Gram root against its dense kernel, and
+    the asymptotic variance's root route against its dense route."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rooted_joints())
+    def test_the_root_factors_the_symmetrized_kernel(self, case):
+        joint, p = case
+        rev = exact_random_scan(joint, p)
+        B = gram_factor(rev._root)
+        assert B.shape[1] == sum(joint.n // d for d in joint.space.sizes) < joint.n
+        assert np.abs(B @ B.T - _symmetrized(rev)[4]).max() <= 1e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(rooted_joints(p_values=(0.2, 1.0, 3.0)), st.integers(0, 2**32 - 1))
+    def test_the_root_variance_is_the_dense_variance(self, case, seed):
+        joint, p = case
+        rev = exact_random_scan(joint, p)
+        dense = check_reversibility(rev.kernel, rev.stationary)
+        assert rev._root is not None and dense._root is None
+        f = rng_from(seed).standard_normal(joint.n)
+        assert asymptotic_variance(rev, f) == pytest.approx(
+            asymptotic_variance(dense, f), rel=1e-12
+        )
+
+    def test_both_routes_find_no_gap_on_a_near_reducible_joint(self):
+        # Gram order 4 = n, so no chain carries the root here; it is
+        # attached by hand to test the root route's certificate.
+        joint = joint_from_weights((2, 2), [1.0, 1e-13, 1e-13, 1.0])
+        rev = exact_random_scan(joint)
+        assert rev._root is None
+        rooted = check_reversibility(rev.kernel, rev.stationary)
+        tables = [ConditionalTable(joint, i) for i in range(2)]
+        object.__setattr__(rooted, "_root", _scan_root(joint, np.full(2, 0.5), tables.__getitem__))
+        B = gram_factor(rooted._root)
+        assert np.abs(B @ B.T - _symmetrized(rev)[4]).max() <= 1e-15
+        for pair_ in (rev, rooted):
+            with pytest.raises(NoSpectralGap):
+                asymptotic_variance(pair_, [1.0, 0.0, 0.0, -1.0])
+
+    def test_the_dense_route_is_taken_where_no_root_applies(self, eig_counts):
+        joint = random_joint(5, sizes=(4, 5))
+        assert exact_random_scan(joint)._root is not None
+        thin = joint.weights.copy()
+        thin[3] = 1e-16
+        cases = {
+            "a weight below NULL_MASS": exact_random_scan(joint_from_weights((4, 5), thin)),
+            "Gram order 16 >= 12": exact_random_scan(random_joint(5, sizes=(2, 3, 2))),
+            "a Lazy spec": hybrid_random_scan(joint, None, ApproximatorSpec(default=Lazy(0.3))),
+        }
+        for name, rev in cases.items():
+            assert rev._root is None, name
+            support = rev.n - len(eigvals_summary(rev).dropped_states)
+            eig_counts["cholesky"].clear()
+            asymptotic_variance(rev, np.arange(rev.n, dtype=float))
+            assert set(eig_counts["cholesky"]) == {support}, name
+
+
 class TestTStep:
     """Operator norms of t-step kernels."""
 
@@ -734,6 +820,47 @@ class TestSpectralJensen:
         rev = pair(TWO_STATE, UNIFORM2)
         with pytest.raises(ZeroFunction):
             spectral_jensen_check(rev, [2.0, 2.0], 2)
+
+    @staticmethod
+    def loop_rhs(rev, f, t):
+        """<f0, K^t f0> / |f0|^2 by t matrix-vector products: the reference
+        for the rhs read from the decomposition."""
+        K, w = rev.kernel.matrix, rev.stationary.weights
+        f0 = f - w @ f
+        g = f0.copy()
+        for _ in range(t):
+            g = K @ g
+        return float(w @ (f0 * g)) / float(w @ (f0 * f0))
+
+    def test_rhs_is_the_loop_value(self):
+        # Relative to the loop's own rounding: once <f0, K^t f0> / |f0|^2
+        # falls below about 1e-30, the loop keeps only its rounding residue
+        # (a two-state chain of norm 0.016 reads 8e-34 at t = 64 for a true
+        # 1e-115), hence the absolute floor of 1e-15 on that unit scale.
+        rng = rng_from(23)
+        for _ in range(25):
+            n = int(rng.integers(2, 9))
+            w = random_probvec(rng, n)
+            rev = pair(random_reversible_kernel(rng, w), w)
+            f = rng.standard_normal(n)
+            for t in range(2, 65, 2):
+                rhs = spectral_jensen_check(rev, f, t).rhs
+                assert rhs == pytest.approx(self.loop_rhs(rev, f, t), rel=1e-12, abs=1e-15)
+
+    def test_a_huge_power_returns_at_once(self):
+        start = time.perf_counter()
+        rep = spectral_jensen_check(pair(TWO_STATE, UNIFORM2), [2.0, -1.0], 10**400)
+        assert rep.lhs == rep.rhs == 0.0 and rep.status == "pass"
+        # Eigenvalue -1 to an even power: 1, not a NaN.
+        rep = spectral_jensen_check(pair([[0.0, 1.0], [1.0, 0.0]], UNIFORM2), [1.0, -1.0], 10**400)
+        assert rep.lhs == rep.rhs == 1.0 and rep.status == "pass"
+        assert time.perf_counter() - start < 1.0
+
+    def test_powers_take_their_sign_from_the_parity(self):
+        x = np.array([-1.0, -0.5, 0.5, 1.0, 1.0 + 2e-16])
+        assert _powers(x, 10**400).tolist() == [1.0, 0.0, 0.0, 1.0, 1.0]
+        assert _powers(x, 10**400 + 1).tolist() == [-1.0, -0.0, 0.0, 1.0, 1.0]
+        assert _powers(x, 3).tolist() == [-1.0, -0.125, 0.125, 1.0, 1.0]
 
     def test_random_sweep_small(self):
         rng = rng_from(17)
