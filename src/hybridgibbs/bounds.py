@@ -547,7 +547,7 @@ class Analysis:
             for (k, members, pair), eps in zip(_level_pairs(model), _level_epsilons(model)):
                 if eps is None:
                     entries[k] = _entry(eigvals_summary(pair))
-                yield k, members, pair.kernel.matrix
+                yield k, members, pair.kernel.matrix, pair.stationary
         return entries, _hybrid_marginal_chain(model, inner())
 
     @cached_property

@@ -22,7 +22,7 @@ from .config import canonicalize, parse_config, serialize
 from .demos import demo_config, list_demos
 from .errors import HybridGibbsError, InvalidArgument, positive_int
 from .gibbs import da_exact, da_hybrid, exact_random_scan, hybrid_random_scan
-from .simulate import _cross_validate, simulate, write_trajectory
+from .simulate import _cross_validate, write_trajectory
 from .spectral import as_values, eigvals_summary
 from .suite import run_suite
 
@@ -151,8 +151,7 @@ def _cmd_simulate(args):
             rev = hybrid_random_scan(joint, config.selection(), config.approximator_spec())
         space = joint.space
     f = _observable(args.f, rev, space)
-    traj = simulate(rev, rev.stationary, steps, seed)
-    report = _cross_validate(rev, f, traj, batch=batch, fingerprint=config.fingerprint)
+    traj, report = _cross_validate(rev, f, steps, seed, batch, config.fingerprint)
     if args.traj_out:
         write_trajectory(traj, args.traj_out)
     out = {

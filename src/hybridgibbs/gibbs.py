@@ -17,7 +17,7 @@ from .approximators import EXACT_SPEC, Exact, checked_spec, stacked_kernels
 from .errors import InvalidBlockSize, NotTwoBlock, instance_of, positive_int
 from .slicemodel import SliceModel, _level_pairs
 from .space import JointDistribution, conditional_joint, marginal, selection_probs, slices
-from .spectral import NULL_MASS, check_reversibility, checked_stack
+from .spectral import NULL_MASS, _kernel_power, check_reversibility, checked_stack
 
 
 # What a data-augmentation chain, and an Analysis, is built from.
@@ -212,20 +212,20 @@ def _two_block_parts(source):
 
 
 def _inner_kernels(source, spec, table=None):
-    """Yield (z, idx, Q): Q redraws the first block given z on its states
-    ``idx``.  For a joint it is ``spec``'s approximator for the first
-    coordinate's conditional, on the whole block, for each z of positive
-    mass, read from ``table`` (by default a new ConditionalTable); for a
-    slice model, level k's kernel on G_k."""
+    """Yield (z, idx, Q, w): Q redraws the first block given z on its states
+    ``idx``, reversible for w.  For a joint it is ``spec``'s approximator
+    for w, the first coordinate's conditional, for each z of positive mass,
+    read from ``table`` (by default a new ConditionalTable); for a slice
+    model, level k's kernel on G_k, with w uniform."""
     if isinstance(source, SliceModel):
         for k, members, pair in _level_pairs(source):
-            yield k, members, pair.kernel.matrix
+            yield k, members, pair.kernel.matrix, pair.stationary
         return
     rule = checked_spec(spec).rule_for(0)
     table = table if table is not None else ConditionalTable(source, 0)
     idx = np.arange(source.space.sizes[0])
-    for z, Q in zip(table.live, table.kernels(rule)):
-        yield z, idx, Q
+    for z, Q, w in zip(table.live, table.kernels(rule), table.targets):
+        yield z, idx, Q, w
 
 
 def _marginal_chain(S, m1):
@@ -248,7 +248,8 @@ def da_exact(source):
 def da_hybrid(source, spec=None, t=1):
     """Hybrid two-block marginal kernel: the redraw of the first block is
     replaced by ``t`` steps of its inner kernel: ``spec``'s approximator,
-    which a joint requires, or a SliceModel's level kernel."""
+    which a joint requires, or a SliceModel's level kernel, whose t-th power
+    comes from its spectrum for any t (``spectral._kernel_power``)."""
     return _hybrid_marginal_chain(source, _inner_kernels(source, spec), t)
 
 
@@ -259,8 +260,6 @@ def _hybrid_marginal_chain(source, inner, t=1):
     m1, fwd = _two_block_parts(source)[:2]
     t = positive_int(t, "t")
     S = np.zeros((m1.n, m1.n))
-    for z, idx, Q in inner:
-        if t > 1:
-            Q = np.linalg.matrix_power(Q, t)
-        S[np.ix_(idx, idx)] += fwd[idx, z : z + 1] * Q
+    for z, idx, Q, w in inner:
+        S[np.ix_(idx, idx)] += fwd[idx, z : z + 1] * (Q if t == 1 else _kernel_power(Q, w, t))
     return _marginal_chain(S, m1)

@@ -125,11 +125,7 @@ def batch_means_variance(traj, f, batch):
     if values.size <= traj.states.max():
         raise DimensionMismatch(f"f has length {values.size}; the path visits {traj.states.max()}")
     values = values[traj.states[1:]]  # a copy: it is centred in place
-    nb = values.size // batch
-    if nb < 20:
-        raise TooFewBatches(
-            f"{values.size} samples give {nb} batches of {batch}; need at least 20"
-        )
+    nb = _batches(values.size, batch)
     used = values[: nb * batch]
     used -= used.mean()
     means = used.reshape(nb, batch).mean(axis=1)
@@ -138,26 +134,32 @@ def batch_means_variance(traj, f, batch):
     return VarianceEstimate(estimate=est, standard_error=float(se), batch=batch, batches=nb)
 
 
+def _batches(samples, batch):
+    """The whole batches of ``batch`` in ``samples``, of which 20 are needed."""
+    nb = samples // batch
+    if nb < 20:
+        raise TooFewBatches(f"{samples} samples give {nb} batches of {batch}; need at least 20")
+    return nb
+
+
 def cross_validate_variance(rev, f, steps, seed, batch=None, fingerprint=""):
-    """Compare the batch-means estimate against the exact asymptotic variance.
-
-    Passes when the two agree within three standard errors.  The start state
-    is drawn from the stationary distribution.
-    """
-    v = as_values(f, instance_of(rev, ReversiblePair, "rev").n)
-    traj = simulate(rev, rev.stationary, steps, seed)
-    return _cross_validate(rev, v, traj, batch, fingerprint)
+    """Compare the batch-means estimate against the exact asymptotic variance:
+    a pass when the two agree within three standard errors, on a path whose
+    start is drawn from the stationary distribution."""
+    return _cross_validate(rev, f, steps, seed, batch, fingerprint)[1]
 
 
-def _cross_validate(rev, f, traj, batch=None, fingerprint=""):
-    """``cross_validate_variance`` on an existing trajectory ``traj`` of
-    ``rev`` from its stationary start."""
+def _cross_validate(rev, f, steps, seed, batch=None, fingerprint=""):
+    """(path, report) of ``cross_validate_variance``, which takes the exact
+    variance and checks the batch count before it draws the path."""
+    f = as_values(f, instance_of(rev, ReversiblePair, "rev").n)
+    steps, seed = positive_int(steps, "steps"), positive_int(seed, "seed", low=0)
+    batch = max(1, int(np.sqrt(steps))) if batch is None else positive_int(batch, "batch")
     exact = asymptotic_variance(rev, f)
-    steps, seed = traj.steps, traj.seed
-    if batch is None:
-        batch = max(1, int(np.sqrt(steps)))
+    _batches(steps, batch)
+    traj = simulate(rev, rev.stationary, steps, seed)
     est = batch_means_variance(traj, f, batch)
-    return make_report(
+    return traj, make_report(
         "simulation-cross-validation",
         abs(est.estimate - exact),
         3.0 * est.standard_error,
@@ -169,7 +171,7 @@ def _cross_validate(rev, f, traj, batch=None, fingerprint=""):
             "batch": est.batch,
             "batches": est.batches,
             "steps": steps,
-            "seed": seed,
+            "seed": traj.seed,
         },
         fingerprint=fingerprint or traj.fingerprint,
     )

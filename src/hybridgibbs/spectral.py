@@ -592,12 +592,25 @@ def _steps(t):
 
 
 def _powers(x, t):
-    """x ** t for an integer t >= 1, elementwise, on values x of a spectrum
-    in [-1, 1]: |x|, with rounding past 1 clipped, raised to ``_steps(t)``,
-    and a negative x's sign taken from t's parity, so that the power is 0
-    below 1 at t = +inf and (-1) ** t is never a NaN."""
-    p = np.minimum(np.abs(x), 1.0) ** _steps(t)
+    """x ** t for an integer t >= 1 on the eigenvalues x of a reversible
+    kernel: |x| to the power ``_steps(t)``, a negative x's sign from t's
+    parity, so that (-1) ** t is never a NaN, and |x| >= 1 - 1e-12, where
+    ``variances`` sees no gap, held at 1: LAPACK returns a reducible
+    kernel's repeated unit eigenvalue up to 1e-15 below 1."""
+    p = np.where(np.abs(x) < 1.0 - 1e-12, np.abs(x), 1.0) ** _steps(t)
     return np.where(x < 0.0, -p, p) if t % 2 else p
+
+
+def _kernel_power(K, w, t):
+    """K ** t for K reversible for w: D^{-1/2} V Lambda^t V^T D^{1/2} on the
+    support (Levin, Peres & Wilmer, Markov Chains and Mixing Times, 12.1),
+    the identity on a dropped state's row.  The stationary direction d is
+    taken out of V and added back exactly: no eigenvalue near 1 moves a row."""
+    keep, _dropped, _ws, d, vals, vecs, _asym = check_reversibility(K, w)._eigs
+    U = vecs - np.outer(d, d @ vecs)
+    P = np.eye(len(K))
+    P[np.ix_(keep, keep)] = ((U * _powers(vals, t)) @ U.T + np.outer(d, d)) * d / d[:, None]
+    return P
 
 
 def spectral_jensen_check(rev, f, t, tol=1e-10, fingerprint=""):
@@ -607,13 +620,13 @@ def spectral_jensen_check(rev, f, t, tol=1e-10, fingerprint=""):
     when the kernel is positive semi-definite; otherwise the hypothesis is
     unmet and PreconditionUnmet is raised.  ``tol`` must be finite and
     positive.  Both sides are read from the pair's one decomposition: with
-    c = V^T (d * f0) on the support, less its stationary coefficient,
-    <f0, K^t f0> is sum_k lambda_k^t c_k^2, so any t costs the same (see
-    ``_powers``).  That lhs >= 0 needs no check of its own: for even t it is
-    an even power, and for odd t it is the t-th power of a Rayleigh quotient
-    of a kernel that ``psd`` admitted, so it is at least -PSD_TOL^t up to
-    rounding; to test it against ``tol`` would test psd again, with a
-    tighter tolerance than ``psd`` itself.
+    c = V^T (d * f0) on the support, less the stationary coefficient of a
+    simple unit eigenvalue, <f0, K^t f0> is sum_k lambda_k^t c_k^2 for any
+    t (see ``_powers``).  That lhs >= 0 needs no check of its own: for even
+    t it is an even power, and for odd t it is the t-th power of a Rayleigh
+    quotient of a kernel that ``psd`` admitted, so it is at least
+    -PSD_TOL^t up to rounding; to test it against ``tol`` would test psd
+    again, with a tighter tolerance than ``psd`` itself.
     """
     rev = instance_of(rev, ReversiblePair, "rev")
     t = positive_int(t, "t")
@@ -631,9 +644,11 @@ def spectral_jensen_check(rev, f, t, tol=1e-10, fingerprint=""):
         raise ZeroFunction("function is constant on the support")
     keep, _dropped, _ws, d, vals, vecs, _asym = rev._eigs
     c = vecs.T @ (d * f0[keep])
-    c[-1] = 0.0
+    if vals.size < 2 or vals[-2] < 1.0 - 1e-12:  # else the last column need not be d
+        c[-1] = 0.0
     c *= c
-    lhs = float(_powers(float(vals @ c) / nrm2, t))
+    q = float(vals @ c) / nrm2  # a mean, not an eigenvalue: no unit rule
+    lhs = float(np.copysign(min(abs(q), 1.0) ** _steps(t), q if t % 2 else 1.0))
     rhs = float(_powers(vals, t) @ c) / nrm2
     return make_report(
         "spectral-jensen",

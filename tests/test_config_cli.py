@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -32,6 +33,8 @@ from hybridgibbs.errors import MissingLevelKernel, ParseError, SchemaError
 from hybridgibbs.suite import run_suite
 
 MINIMAL = {"model": {"kind": "explicit", "sizes": [2, 2], "weights": [0.1, 0.2, 0.3, 0.4]}}
+# A near-reducible joint: its chains have no spectral gap to 1e-12.
+NEAR = {"model": {"kind": "explicit", "sizes": [2, 2], "weights": [1, 1e-13, 1e-13, 1]}}
 SLICE = {
     "model": {
         "kind": "slice",
@@ -667,9 +670,27 @@ class TestCli:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     def test_simulate_a_chain_without_a_gap_exits_2(self, tmp_path, capsys):
-        near = {"model": {"kind": "explicit", "sizes": [2, 2], "weights": [1, 1e-13, 1e-13, 1]}}
-        assert main(["simulate", self._write(tmp_path, near), "--steps", "1000"]) == 2
+        assert main(["simulate", self._write(tmp_path, NEAR), "--steps", "1000"]) == 2
         assert "no spectral gap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, batch, message",
+        [
+            (NEAR, [], "no spectral gap"),
+            (MINIMAL, ["--batch", str(10**7)], "100000000 samples give 10 batches of 10000000"),
+        ],
+        ids=["no-gap", "too-few-batches"],
+    )
+    def test_simulate_fails_before_the_path(self, tmp_path, capsys, config, batch, message):
+        path = self._write(tmp_path, config)
+        tracemalloc.start()
+        try:
+            assert main(["simulate", path, "--steps", str(10**8)] + batch) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,10 +1,11 @@
 """Where the package calls dense linear algebra: one ``eigh``, for a pair's
 eigenvectors, ``eigvalsh`` only where eigenvalues alone are read, and each
-of ``cholesky``, ``solve``, ``svd`` and ``matrix_power`` at the functions
-that need it, so that a second route, or a new dense site, cannot come in
-unnoticed.  No site calls the non-symmetric ``eig``: every pair carries its
-stationary law, and its spectrum comes from the symmetrized kernel.  ``eig``
-stays in DENSE so that a call of it fails the test."""
+of ``cholesky``, ``solve`` and ``svd`` at the functions that need it, so
+that a second route, or a new dense site, cannot come in unnoticed.  No
+site calls the non-symmetric ``eig``: every pair carries its stationary
+law, and its spectrum comes from the symmetrized kernel.  Nor does any
+site call ``matrix_power``: a kernel's powers come from its spectrum.  Both
+stay in DENSE so that a call of either fails the test."""
 
 import ast
 from collections import defaultdict
@@ -49,5 +50,4 @@ def test_dense_linalg_is_called_at_its_sites():
         "cholesky": {("spectral", "asymptotic_variance")},
         "solve": {("spectral", "_cholesky_solve")},
         "svd": {("bounds", "_mean_zero_unit_eigenspace")},
-        "matrix_power": {("gibbs", "_hybrid_marginal_chain")},
     }

@@ -15,6 +15,7 @@ from hybridgibbs import (
     check_reversibility,
     cross_validate_variance,
     exact_random_scan,
+    joint_from_weights,
     mixing_curve,
     simulate,
     write_trajectory,
@@ -25,6 +26,7 @@ from hybridgibbs.errors import (
     DimensionMismatch,
     InvalidArgument,
     InvalidStart,
+    NoSpectralGap,
     NotAbsolutelyContinuous,
     SpaceTooLarge,
     TooFewBatches,
@@ -512,6 +514,35 @@ class TestCrossValidate:
         assert not eig_counts["eigh"] and not eig_counts["eigvalsh"]
         assert eig_counts["cholesky"] == {80: 1}
         assert 1600 not in eig_counts["solve"]
+
+    @pytest.mark.parametrize("case", ["no-gap", "too-few-batches"])
+    def test_fails_before_the_path(self, case):
+        # 10**8 steps would draw 1.6 GB: the exact variance and the batch
+        # count are both known before the first draw.
+        near = exact_random_scan(joint_from_weights((2, 2), [1, 1e-13, 1e-13, 1]))
+        calls = {
+            "no-gap": (NoSpectralGap, lambda: cross_validate_variance(near, [1.0, 0, 0, -1], 10**8, 0)),
+            "too-few-batches": (
+                TooFewBatches,
+                lambda: cross_validate_variance(TWO_STATE, [1.0, -1.0], 10**8, 0, batch=10**7),
+            ),
+        }
+        error, run = calls[case]
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_too_few_batches_reads_as_batch_means_reads_it(self):
+        with pytest.raises(TooFewBatches) as early:
+            cross_validate_variance(TWO_STATE, [1.0, -1.0], 100, 0, batch=50)
+        with pytest.raises(TooFewBatches) as late:
+            batch_means_variance(simulate(TWO_STATE, 0, 100, 0), [1.0, -1.0], batch=50)
+        assert str(early.value) == str(late.value) == "100 samples give 2 batches of 50; need at least 20"
 
     def test_random_pairs_mostly_pass(self):
         from hybridgibbs import exact_random_scan

@@ -856,6 +856,27 @@ class TestSpectralJensen:
         assert rep.lhs == rep.rhs == 1.0 and rep.status == "pass"
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize(
+        "K, f",
+        [
+            (np.kron(np.eye(2), np.full((2, 2), 0.5)), [1.0, 1.0, 0.0, 0.0]),
+            (np.kron(np.eye(2), np.full((2, 2), 0.5)), [1.0, -1.0, 3.0, 3.0]),
+            (np.eye(3), [1.0, 1.0, -2.0]),
+        ],
+        ids=["two-classes", "two-classes-mixed", "identity"],
+    )
+    def test_a_reducible_kernel_keeps_its_unit_eigenspace(self, K, f):
+        # The unit eigenvalue repeats, so the last eigenvector need not be
+        # the stationary one: no coefficient of f is dropped, and both sides
+        # are read as repeated multiplication reads them, at any t.
+        rev = pair(K, np.full(len(K), 1.0 / len(K)))
+        for t in (1, 2, 8):
+            rep = spectral_jensen_check(rev, np.array(f), t)
+            assert rep.rhs == pytest.approx(self.loop_rhs(rev, np.array(f), t), abs=1e-15)
+        rep = spectral_jensen_check(rev, np.array(f), 10**400)
+        assert rep.rhs == pytest.approx(self.loop_rhs(rev, np.array(f), 64), abs=1e-15)
+        assert rep.status == "pass"
+
     def test_powers_take_their_sign_from_the_parity(self):
         x = np.array([-1.0, -0.5, 0.5, 1.0, 1.0 + 2e-16])
         assert _powers(x, 10**400).tolist() == [1.0, 0.0, 0.0, 1.0, 1.0]
