@@ -59,6 +59,7 @@ from .report import fingerprint_bytes, make_report
 from .slicemodel import SliceModel, _level_pairs
 from .space import JointDistribution, ProductSpace, selection_probs, slices, state_cap
 from .spectral import (
+    UNIT_TOL,
     ReversiblePair,
     _floats,
     _steps,
@@ -295,6 +296,8 @@ def function_battery(rev, trials=DEFAULT_TRIALS, seed=0):
 
     Returns (F, labels) where F, one array written in place, has one function
     per column, supported on the pair's non-null states, of unit L2(w) norm.
+    The eigenbasis is every column of the pair's decomposition but the last,
+    the stationary one even where eigenvalue 1 repeats (see its ``_eigs``).
     """
     keep, _dropped, ws, d, vals, vecs, _asym = instance_of(rev, ReversiblePair, "rev")._eigs
     m = vals.size - 1
@@ -303,8 +306,6 @@ def function_battery(rev, trials=DEFAULT_TRIALS, seed=0):
         raise SpaceTooLarge(f"a battery of {width} functions exceeds the cap of {state_cap()}")
     F = np.zeros((rev.n, width))
     F[keep, :m] = vecs[:, :m] / d[:, None]
-    index, columns = _mean_zero_unit_eigenspace(vals, vecs, d)
-    F[np.ix_(keep, index)] = columns / d[:, None]
     labels = [{"kind": "eigenvector", "index": k} for k in range(m)]
     rng = rng_from(seed)
     for j in range(F.shape[1] - m):
@@ -317,25 +318,6 @@ def function_battery(rev, trials=DEFAULT_TRIALS, seed=0):
     if not labels:
         raise PreconditionUnmet("the mean-zero subspace is empty")
     return F[:, : len(labels)], labels
-
-
-def _mean_zero_unit_eigenspace(vals, vecs, d):
-    """Mean-zero replacements for the columns of a repeated eigenvalue 1.
-
-    When more than one eigenvalue lies within 1e-9 of the stationary one,
-    the last, LAPACK's basis of that eigenspace need not be orthogonal to
-    sqrt(ws) = d.  Then d is projected out of the cluster and what is left
-    is re-orthonormalized; returned are the cluster's indices but the last
-    and the new columns, one per index.  A simple eigenvalue 1 returns no
-    index, so its battery is unchanged.
-    """
-    cluster = np.flatnonzero(np.abs(vals - vals[-1]) <= 1e-9)
-    if cluster.size < 2:
-        return cluster[:0], vecs[:, :0]
-    V = vecs[:, cluster]
-    V = V - np.outer(d, d @ V)
-    basis = np.linalg.svd(V, full_matrices=False)[0][:, : cluster.size - 1]
-    return cluster[:-1], basis
 
 
 def quadratic_forms(rev, F):
@@ -669,9 +651,9 @@ class Analysis:
         """
         qual = self.quality
         c1, c2 = qual.ratio_min, qual.ratio_max
-        if c1 <= 1e-12:
+        if c1 <= UNIT_TOL:
             raise DegenerateConstants("the lower Dirichlet-ratio constant vanishes")
-        if c2 >= 2.0 - 1e-12:
+        if c2 >= 2.0 - UNIT_TOL:
             raise DegenerateConstants("the upper Dirichlet-ratio constant reaches 2")
         T = self.T
         if f is not None:
@@ -758,7 +740,7 @@ class Analysis:
         t = positive_int(t, "t")
         S, Sh = self.S, self.Sh
         summ_s = spectral_summary(S)
-        if summ_s.operator_norm >= 1.0 - 1e-12:
+        if summ_s.operator_norm >= 1.0 - UNIT_TOL:
             raise NoSpectralGap("the exact marginal chain has no spectral gap")
         if t % 2 == 1 and not summ_s.psd:
             raise PreconditionUnmet("odd t needs the exact marginal chain psd")
@@ -833,7 +815,7 @@ class Analysis:
             ),
             self._at_worst("block-dirichlet-upper", e_m, e_ell, labels, ell=ell, m=m),
         ]
-        if gap_ell > 1e-12 and gap_m > 1e-12:
+        if gap_ell > UNIT_TOL and gap_m > UNIT_TOL:
             v_ell = variances(T_ell, F)
             v_m = variances(T_m, F)
             reports.append(

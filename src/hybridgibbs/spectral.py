@@ -38,6 +38,7 @@ from .report import make_report
 NULL_MASS = 1e-14
 REVERSIBILITY_TOL = 1e-10
 PSD_TOL = 1e-9
+UNIT_TOL = 1e-12  # a modulus of at least 1 - UNIT_TOL is 1: no spectral gap
 # Rows of each pair whose detailed-balance defects are taken at once, so
 # that the check of a (Y, d, d) stack holds no (Y, d, d) temporary for d
 # above it.
@@ -183,11 +184,24 @@ class ReversiblePair:
     @cached_property
     def _eigs(self):
         """Symmetrized eigendecomposition on the support, from one eigh:
-        (keep, dropped, ws, sqrt_ws, vals, vecs, asym).  The last
-        eigenvalue and column are the stationary ones (see ``_summary``).
+        (keep, dropped, ws, sqrt_ws, vals, vecs, asym).  The last eigenvalue
+        and column are the stationary ones (see ``_summary``): the other
+        columns are orthogonal to d = sqrt(ws).  LAPACK's basis of a
+        repeated eigenvalue 1 is arbitrary within its eigenspace (Parlett,
+        The Symmetric Eigenvalue Problem), so where more than one eigenvalue
+        reaches 1 - UNIT_TOL, the last column becomes d and the cluster's
+        others an orthonormal basis of its complement of d: one SVD of the
+        cluster with d projected out, and d projected out of its columns
+        once more.  A simple eigenvalue 1 leaves LAPACK's arrays untouched.
         """
         keep, dropped, ws, d, A, asym = _symmetrized(self)
         vals, vecs = np.linalg.eigh(A)
+        k = np.count_nonzero(vals >= 1.0 - UNIT_TOL)  # the trailing cluster
+        if k > 1:
+            V = vecs[:, -k:] - np.outer(d, d @ vecs[:, -k:])
+            U = np.linalg.svd(V, full_matrices=False)[0][:, :-1]
+            vecs[:, -k:-1] = U - np.outer(d, d @ U)
+            vecs[:, -1] = d
         return keep, dropped, ws, d, vals, vecs, asym
 
     @cached_property
@@ -392,11 +406,12 @@ def affine(base, c):
     0 <= c <= 1, paired with K's stationary distribution.
 
     The matrix is verified like any other pair.  Its decomposition is
-    read from K's: the same eigenvectors, not copied, and eigenvalues
-    c + (1 - c) lambda; its symmetrization residue is (1 - c) times K's.
-    So the new pair's spectral quantities cost no eigensolve.  A dropped
-    state would be renormalized on a different restriction, so it raises
-    InvalidKernel.
+    read from K's: the same eigenvectors, not copied, the stationary one
+    still last and the others orthogonal to it whichever eigenvalues c
+    takes to 1, and eigenvalues c + (1 - c) lambda; its symmetrization
+    residue is (1 - c) times K's.  So the new pair's spectral quantities
+    cost no eigensolve.  A dropped state would be renormalized on a
+    different restriction, so it raises InvalidKernel.
     """
     keep, dropped, ws, d, vals, vecs, asym = base._eigs
     if dropped:
@@ -469,7 +484,7 @@ def variances(rev, F):
     """
     keep, _dropped, ws, d, vals, vecs, _asym = rev._eigs
     norm = rev._spectrum.operator_norm
-    if norm >= 1.0 - 1e-12:
+    if norm >= 1.0 - UNIT_TOL:
         raise NoSpectralGap(f"operator norm {norm:.12f} leaves no spectral gap")
     Fk = F[keep]
     Fk -= ws @ Fk
@@ -520,9 +535,9 @@ def asymptotic_variance(rev, f):
     With A the symmetrized kernel on the support, d = sqrt(ws) its
     stationary direction and g = d * f0, the variance is 2 g^T x - g^T g
     where (I - A + d d^T) x = g.  As in ``variances``, an operator norm of
-    at least 1 - 1e-12 on mean-zero functions raises NoSpectralGap.  The
+    at least 1 - UNIT_TOL on mean-zero functions raises NoSpectralGap.  The
     upper edge is certified by the Cholesky factor L of a matrix M minus
-    1e-12 I, which also solves M y = b: substitution with L, then one step
+    UNIT_TOL I, which also solves M y = b: substitution with L, then one step
     of iterative refinement against M itself.  M is taken in one of two
     ways.
 
@@ -534,11 +549,11 @@ def asymptotic_variance(rev, f):
       eigenvalues 1 of either, so its factor certifies the same edge.  The
       lower edge holds since B B^T is psd.
     - Any other pair takes M = I - A + d d^T, built in A's buffer, and
-      b = g.  Its lower edge needs lambda_min(A) > -1 + 1e-12.  Gershgorin's
+      b = g.  Its lower edge needs lambda_min(A) > -1 + UNIT_TOL.  Gershgorin's
       discs for the similar matrix D^{-1/2} A D^{1/2} (A is nonnegative)
       bound it below by min_i 2 A_ii - (A d)_i / d_i, one matrix-vector
       product; only where that bound falls short by 1e-9, as for a chain
-      with a zero diagonal entry, must (1 - 1e-12) I + A have a Cholesky
+      with a zero diagonal entry, must (1 - UNIT_TOL) I + A have a Cholesky
       factor too, taken on a copy that is freed before M is built.
     """
     v = as_values(f, instance_of(rev, ReversiblePair, "rev").n)
@@ -550,15 +565,14 @@ def asymptotic_variance(rev, f):
         ws = rev.stationary.weights
         d = np.sqrt(ws)
     g = d * (v - float(ws @ v))
-    margin = 1e-12
     try:
         if root is None:
             b, c = g, -float(g @ g)
             diag = np.diag_indices_from(A)
             low = float(np.min(2.0 * A[diag] - (A @ d) / d))
-            if not (np.isfinite(low) and low > -1.0 + margin + 1e-9):
+            if not (np.isfinite(low) and low > -1.0 + UNIT_TOL + 1e-9):
                 C = A.copy()
-                C[diag] += 1.0 - margin
+                C[diag] += 1.0 - UNIT_TOL
                 np.linalg.cholesky(C)
                 del C
             M = A  # d d^T - A, a block of rows at a time
@@ -572,14 +586,14 @@ def asymptotic_variance(rev, f):
             M = np.outer(u, u)  # u u^T - B^T B
             M -= B.T @ B
         diag = np.diag_indices_from(M)
-        M[diag] += 1.0 - margin
+        M[diag] += 1.0 - UNIT_TOL
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         raise NoSpectralGap(
-            "operator norm on mean-zero functions is at least 1 - 1e-12: "
+            f"operator norm on mean-zero functions is at least 1 - {UNIT_TOL:.0e}: "
             "no spectral gap"
         ) from None
-    M[diag] += margin
+    M[diag] += UNIT_TOL
     y = _cholesky_solve(L, b)
     y += _cholesky_solve(L, b - M @ y)
     return 2.0 * float(b @ y) + c
@@ -594,10 +608,10 @@ def _steps(t):
 def _powers(x, t):
     """x ** t for an integer t >= 1 on the eigenvalues x of a reversible
     kernel: |x| to the power ``_steps(t)``, a negative x's sign from t's
-    parity, so that (-1) ** t is never a NaN, and |x| >= 1 - 1e-12, where
-    ``variances`` sees no gap, held at 1: LAPACK returns a reducible
-    kernel's repeated unit eigenvalue up to 1e-15 below 1."""
-    p = np.where(np.abs(x) < 1.0 - 1e-12, np.abs(x), 1.0) ** _steps(t)
+    parity, so that (-1) ** t is never a NaN, and |x| >= 1 - UNIT_TOL, the
+    unit rule, held at 1: LAPACK returns a reducible kernel's repeated unit
+    eigenvalue up to 1e-15 below 1."""
+    p = np.where(np.abs(x) < 1.0 - UNIT_TOL, np.abs(x), 1.0) ** _steps(t)
     return np.where(x < 0.0, -p, p) if t % 2 else p
 
 
@@ -620,13 +634,15 @@ def spectral_jensen_check(rev, f, t, tol=1e-10, fingerprint=""):
     when the kernel is positive semi-definite; otherwise the hypothesis is
     unmet and PreconditionUnmet is raised.  ``tol`` must be finite and
     positive.  Both sides are read from the pair's one decomposition: with
-    c = V^T (d * f0) on the support, less the stationary coefficient of a
-    simple unit eigenvalue, <f0, K^t f0> is sum_k lambda_k^t c_k^2 for any
-    t (see ``_powers``).  That lhs >= 0 needs no check of its own: for even
-    t it is an even power, and for odd t it is the t-th power of a Rayleigh
-    quotient of a kernel that ``psd`` admitted, so it is at least
-    -PSD_TOL^t up to rounding; to test it against ``tol`` would test psd
-    again, with a tighter tolerance than ``psd`` itself.
+    c = V^T (d * f0) on the support less its last, stationary coefficient,
+    the rhs is sum_k lambda_k^t c_k^2 / sum_k c_k^2 for any t and the lhs
+    the plain t-th power of that mean at t = 1, each eigenvalue read through
+    ``_powers``: a function in a repeated unit eigenspace reads 1 on each
+    side.  That lhs >= 0 needs no check of its own: for even t it is an even
+    power, and for odd t it is the t-th power of a Rayleigh quotient of a
+    kernel that ``psd`` admitted, so it is at least -PSD_TOL^t up to
+    rounding; to test it against ``tol`` would test psd again, with a
+    tighter tolerance than ``psd`` itself.
     """
     rev = instance_of(rev, ReversiblePair, "rev")
     t = positive_int(t, "t")
@@ -644,12 +660,12 @@ def spectral_jensen_check(rev, f, t, tol=1e-10, fingerprint=""):
         raise ZeroFunction("function is constant on the support")
     keep, _dropped, _ws, d, vals, vecs, _asym = rev._eigs
     c = vecs.T @ (d * f0[keep])
-    if vals.size < 2 or vals[-2] < 1.0 - 1e-12:  # else the last column need not be d
-        c[-1] = 0.0
+    c[-1] = 0.0
     c *= c
-    q = float(vals @ c) / nrm2  # a mean, not an eigenvalue: no unit rule
+    mass = float(c.sum())
+    q = float(_powers(vals, 1) @ c) / mass
     lhs = float(np.copysign(min(abs(q), 1.0) ** _steps(t), q if t % 2 else 1.0))
-    rhs = float(_powers(vals, t) @ c) / nrm2
+    rhs = float(_powers(vals, t) @ c) / mass
     return make_report(
         "spectral-jensen",
         lhs,

@@ -10,6 +10,8 @@ import pytest
 from hybridgibbs import (
     Analysis,
     ApproximatorSpec,
+    ApproxQuality,
+    Exact,
     ExplicitMatrix,
     FunctionVec,
     Lazy,
@@ -49,10 +51,18 @@ from hybridgibbs.spectral import asymptotic_variance
 from hybridgibbs.bounds import function_battery
 from hybridgibbs.config import canonicalize
 from hybridgibbs.errors import (
+    CrossCheckFailure,
+    DegenerateConstants,
+    DimensionMismatch,
     HybridGibbsError,
     InvalidArgument,
+    InvalidDistribution,
+    InvalidKernel,
     InvalidSpec,
     InvalidStart,
+    MissingLevelKernel,
+    NonPositiveWeight,
+    NoSpectralGap,
     SpaceTooLarge,
     positive_int,
 )
@@ -366,3 +376,106 @@ def test_too_many_trials_is_a_named_error():
     config = canonicalize({"model": model, "trials": 1e308})
     with pytest.raises(SpaceTooLarge, match=r"a battery of 1\d{308} functions exceeds the cap"):
         run_suite(config)
+
+
+UNIFORM22 = joint_from_weights((2, 2), [1.0, 1.0, 1.0, 1.0])
+SWAP = ExplicitMatrix({(0, (y,)): [[0.0, 1.0], [1.0, 0.0]] for y in range(2)})
+# Guards that no other test reaches: (state cap variable, call, error, message).
+GUARDS = {
+    "probvec-nan": (None, lambda: ProbVec([1.0, np.nan]), InvalidDistribution, "must be finite"),
+    "open-support": (
+        None,
+        lambda: spectral_summary(
+            check_reversibility([[0.5, 0, 0.5], [0, 1, 0], [0, 0, 1]], [1e-12, 1 - 1e-12, 0])
+        ),
+        InvalidKernel,
+        "support is not closed",
+    ),
+    "spec-default": (
+        None,
+        lambda: ApproximatorSpec(default="exact"),
+        InvalidSpec,
+        "unknown approximator rule 'exact'",
+    ),
+    "spec-override": (
+        None,
+        lambda: ApproximatorSpec(overrides={0: 3}),
+        InvalidSpec,
+        "unknown approximator rule 3 for coordinate 0",
+    ),
+    "explicit-shape": (
+        None,
+        lambda: make_approximator(
+            UNIFORM22, ApproximatorSpec(ExplicitMatrix({(0, (0,)): np.eye(3)})), 0, (0,)
+        ),
+        InvalidSpec,
+        r"has shape \(3, 3\), expected \(2, 2\)",
+    ),
+    "profile-length": (
+        None,
+        lambda: dominating_norm_profile(UNIFORM22, [0.5], LAZY),
+        InvalidSpec,
+        "profile has length 1, expected 2",
+    ),
+    "sandwich-ratio-2": (
+        None,
+        lambda: Analysis(UNIFORM22, spec=ApproximatorSpec(Exact(), {0: SWAP})).variance_sandwich(),
+        DegenerateConstants,
+        "reaches 2",
+    ),
+    "da-variance-no-gap": (
+        None,
+        lambda: Analysis(
+            joint_from_weights((2, 2), [0.5, 0, 0, 0.5]), spec=ApproximatorSpec()
+        ).da_variance_tstep(2),
+        NoSpectralGap,
+        "exact marginal chain has no spectral gap",
+    ),
+    "mixing-start-length": (
+        None,
+        lambda: mixing_curve(TWO_STATE, [1.0, 0.0, 0.0], 3),
+        DimensionMismatch,
+        "initial distribution has the wrong length",
+    ),
+    "slice-2d": (None, lambda: SliceModel([[1.0, 2.0]]), NonPositiveWeight, "nonempty 1-d"),
+    "slice-empty": (None, lambda: SliceModel([]), NonPositiveWeight, "nonempty 1-d"),
+    "level-kernel-shape": (
+        None,
+        lambda: da_hybrid(SliceModel([1.0, 2.0], level_kernels=[np.eye(3), np.eye(1)])),
+        MissingLevelKernel,
+        r"level 1 kernel has shape \(3, 3\), expected \(2, 2\)",
+    ),
+    "state-cap-not-int": (
+        "lots",
+        lambda: SliceModel([1.0]),
+        SpaceTooLarge,
+        "HYBRIDGIBBS_STATE_CAP='lots' is not an integer",
+    ),
+    "marginal-duplicates": (
+        None,
+        lambda: marginal(UNIFORM22, (0, 0)),
+        DimensionMismatch,
+        "coordinate set has duplicates",
+    ),
+    "marginal-range": (
+        None,
+        lambda: marginal(UNIFORM22, (5,)),
+        DimensionMismatch,
+        r"coordinates \(5,\) out of range",
+    ),
+    "quality-norm": (
+        None,
+        lambda: ApproxQuality({}, 2.0, 0.5, 0.5, True),
+        CrossCheckFailure,
+        r"aggregate norm 2.0 outside \[0, 1\]",
+    ),
+}
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_each_guard_raises_its_named_error(guard, monkeypatch):
+    cap, call, error, message = GUARDS[guard]
+    if cap is not None:
+        monkeypatch.setenv("HYBRIDGIBBS_STATE_CAP", cap)
+    with pytest.raises(error, match=message):
+        call()

@@ -840,20 +840,15 @@ class TestBatteryMeanZero:
 
 
 def reference_battery(rev, trials, seed):
-    """A battery built one column at a time and stacked at the end, with the
-    repeated-eigenvalue-1 mend written out: the construction that
-    ``function_battery`` must equal bit for bit."""
+    """A battery built one column at a time and stacked at the end: the
+    construction that ``function_battery`` must equal bit for bit.  It
+    reads the pair's decomposition as it is, since the decomposition, not
+    the battery, takes d out of a repeated unit eigenspace."""
     keep, _dropped, ws, d, vals, vecs, _asym = rev._eigs
-    unit = {}
-    cluster = np.flatnonzero(np.abs(vals - vals[-1]) <= 1e-9)
-    if cluster.size >= 2:
-        V = vecs[:, cluster] - np.outer(d, d @ vecs[:, cluster])
-        basis = np.linalg.svd(V, full_matrices=False)[0][:, : cluster.size - 1]
-        unit = dict(zip(cluster[:-1].tolist(), basis.T))
     cols, labels = [], []
     for k in range(vals.size - 1):
         full = np.zeros(rev.n)
-        full[keep] = unit.get(k, vecs[:, k]) / d
+        full[keep] = vecs[:, k] / d
         cols.append(full)
         labels.append({"kind": "eigenvector", "index": k})
     rng = rng_from(seed)

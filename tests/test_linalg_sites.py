@@ -49,5 +49,5 @@ def test_dense_linalg_is_called_at_its_sites():
         "eigvalsh": {("spectral", "stacked_summaries"), ("bounds", "_scan_gap")},
         "cholesky": {("spectral", "asymptotic_variance")},
         "solve": {("spectral", "_cholesky_solve")},
-        "svd": {("bounds", "_mean_zero_unit_eigenspace")},
+        "svd": {("spectral", "ReversiblePair._eigs")},
     }

@@ -356,6 +356,32 @@ class TestLockstepStepper:
         assert _stepper_py._Lookup(_stepper_py._Rows(cum), 1).buckets == 512
         assert self._bisects(monkeypatch, cum) == STEPS
 
+    def test_a_round_that_leaves_most_lanes_apart_is_the_last(self, monkeypatch):
+        # A clique {0, 1, 2} that leaks 2% to each state of a 3-cycle, and a
+        # 3-cycle that turns one way with probability 1 - 3.1e-4: copies on
+        # the cycle rarely meet, yet most of them merge before the probe.
+        # The first round re-runs every chunk to its end with more than
+        # half of its lanes still apart, and no second round follows.
+        K = np.zeros((6, 6))
+        K[:3, :3], K[:3, 3:] = 0.94 / 3, 0.02
+        K[3:, :3], K[3:, 3:] = 1e-4, 1e-5 / 3
+        K[[3, 4, 5], [4, 5, 3]] += 1.0 - 1e-5 - 3e-4
+        cum = np.cumsum(K, axis=1)
+        uniforms = np.random.Generator(np.random.Philox(0)).random(60 * _CHUNK)
+        repair, steps = _stepper_py._repair, []
+
+        class Counting:
+            def __init__(self, look):
+                self.look, self.bucket = look, look.bucket
+
+            def __call__(self, *args):
+                steps.append(1)
+                return self.look(*args)
+
+        monkeypatch.setattr(_stepper_py, "_repair", lambda look, *a: repair(Counting(look), *a))
+        np.testing.assert_array_equal(walk(cum, uniforms, 0), full_row_walk(cum, uniforms, 0))
+        assert len(steps) == _CHUNK
+
     def test_a_finer_guide_keeps_a_small_cycle_in_lockstep(self, monkeypatch):
         # A 50-cycle with 2% uniform jumps gets 1,024 buckets, so each
         # row's 50 kept values spread over about 40 of them: the first pass

@@ -1,7 +1,9 @@
 """Core spectral operations against hand-computed and brute-force oracles."""
 
+import importlib.util
 import time
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +12,17 @@ from hypothesis import strategies as st
 
 from hybridgibbs import (
     ApproximatorSpec,
+    Exact,
     FunctionVec,
     Lazy,
+    MetropolisRW,
     ProbVec,
+    SliceModel,
     StochasticKernel,
     asymptotic_variance,
     check_reversibility,
+    conditional,
+    da_hybrid,
     exact_random_scan,
     hybrid_random_scan,
     joint_from_weights,
@@ -38,6 +45,7 @@ from hybridgibbs.randomgen import random_joint, random_probvec, random_reversibl
 from hybridgibbs.bounds import dirichlet_forms, function_battery, quadratic_forms
 from hybridgibbs.spectral import (
     _SYM_BLOCK,
+    UNIT_TOL,
     _cholesky_solve,
     _powers,
     _restrict,
@@ -366,6 +374,70 @@ class TestKeptDecomposition:
         variances(rev, F)
         assert spectral_summary(rev) is summary
         assert dict(eig_counts["eigh"]) == {12: 1}
+
+
+def closed_classes_kernel(seed):
+    """An inner kernel with 2 or 3 closed classes: a random conditional of
+    a random joint, split into classes, with a random kernel reversible for
+    the conditional's restriction on each."""
+    rng = rng_from(seed)
+    joint = random_joint(seed, sizes=(int(rng.integers(5, 9)), 3))
+    w = conditional(joint, 0, (int(rng.integers(3)),)).weights
+    K = np.zeros((w.size, w.size))
+    for members in np.array_split(rng.permutation(w.size), int(rng.integers(2, 4))):
+        K[np.ix_(members, members)] = random_reversible_kernel(rng, w[members])
+    return pair(K, w)
+
+
+def reducible_pairs():
+    """{name: pair} whose eigenvalue 1 repeats."""
+    joint = random_joint(3, sizes=(3, 4))
+    model = SliceModel([0.3, 1.0, 0.6, 1.0, 0.2], level_kernels=[Lazy(1.0)] * 4)
+    pairs = {
+        "identity": pair(np.eye(3), np.full(3, 1 / 3)),
+        "two-classes": pair(np.kron(np.eye(2), np.full((2, 2), 0.5)), np.full(4, 0.25)),
+        "lazy-one-scan": hybrid_random_scan(joint, spec=ApproximatorSpec(Lazy(1.0))),
+        "slice-lazy-one": da_hybrid(model),
+    }
+    pairs.update((f"classes-{seed}", closed_classes_kernel(seed)) for seed in range(20))
+    return pairs
+
+
+def benchmark_models():
+    """The exact chains of the benchmark's seed-0 suite workloads."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [workloads.Prepared(name, 0, 0).rev for name in workloads.SUITE_CONFIGS]
+
+
+class TestUnitEigenspace:
+    @pytest.mark.parametrize("name", list(reducible_pairs()))
+    def test_a_repeated_unit_eigenvalue_is_settled(self, name):
+        rev = reducible_pairs()[name]
+        A = _symmetrized(rev)[4]
+        _keep, _dropped, _ws, d, vals, vecs, _asym = rev._eigs
+        assert np.sum(vals >= 1.0 - UNIT_TOL) >= 2
+        # The last column is d itself and the others are orthogonal to it:
+        # an orthonormal eigenbasis still.
+        assert np.array_equal(vecs[:, -1], d)
+        assert np.abs(d @ vecs[:, :-1]).max() <= 1e-15
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(d.size), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(A @ vecs, vecs * vals, rtol=0, atol=1e-12)
+
+    def test_a_simple_unit_eigenvalue_keeps_lapacks_arrays(self):
+        pairs = benchmark_models()
+        for seed in range(14):
+            joint = random_joint(seed)
+            pairs.append(exact_random_scan(joint))
+            for rule in (Exact(), Lazy(0.3), MetropolisRW(1)):
+                pairs.append(hybrid_random_scan(joint, spec=ApproximatorSpec(rule)))
+        assert len(pairs) >= 40
+        for rev in pairs:
+            vals, vecs = np.linalg.eigh(_symmetrized(rev)[4])
+            assert vals[-2] < 1.0 - UNIT_TOL
+            assert np.array_equal(rev._eigs[4], vals) and np.array_equal(rev._eigs[5], vecs)
 
 
 class TestAffine:
@@ -866,16 +938,34 @@ class TestSpectralJensen:
         ids=["two-classes", "two-classes-mixed", "identity"],
     )
     def test_a_reducible_kernel_keeps_its_unit_eigenspace(self, K, f):
-        # The unit eigenvalue repeats, so the last eigenvector need not be
-        # the stationary one: no coefficient of f is dropped, and both sides
-        # are read as repeated multiplication reads them, at any t.
+        # The unit eigenvalue repeats: the decomposition's last column is
+        # the stationary one, and both sides are read as repeated
+        # multiplication reads them, at any t.
         rev = pair(K, np.full(len(K), 1.0 / len(K)))
+        f = np.array(f)
         for t in (1, 2, 8):
-            rep = spectral_jensen_check(rev, np.array(f), t)
-            assert rep.rhs == pytest.approx(self.loop_rhs(rev, np.array(f), t), abs=1e-15)
-        rep = spectral_jensen_check(rev, np.array(f), 10**400)
-        assert rep.rhs == pytest.approx(self.loop_rhs(rev, np.array(f), 64), abs=1e-15)
+            rep = spectral_jensen_check(rev, f, t)
+            assert rep.rhs == pytest.approx(self.loop_rhs(rev, f, t), abs=1e-15)
+        rep = spectral_jensen_check(rev, f, 10**400)
+        assert rep.rhs == pytest.approx(self.loop_rhs(rev, f, 64), abs=1e-15)
         assert rep.status == "pass"
+        f0 = f - f.mean()
+        if np.array_equal(K @ f0, f0):  # f lies in the unit eigenspace: 1 on both sides
+            for t in (1, 2, 10**6, 10**400):
+                rep = spectral_jensen_check(rev, f, t)
+                assert rep.lhs == rep.rhs == 1.0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_a_closed_class_reads_one_on_both_sides(self, seed):
+        # LAPACK returns these unit eigenvalues up to 6e-16 off 1: under the
+        # unit rule, the indicator of a closed class still reads 1 at any
+        # even t (the kernels need not be psd).
+        rev = closed_classes_kernel(seed)
+        K = rev.kernel.matrix
+        f = (np.linalg.matrix_power(K + np.eye(len(K)), len(K))[0] > 0).astype(float)
+        for t in (2, 10**6, 10**400):
+            rep = spectral_jensen_check(rev, f, t)
+            assert rep.lhs == rep.rhs == 1.0
 
     def test_powers_take_their_sign_from_the_parity(self):
         x = np.array([-1.0, -0.5, 0.5, 1.0, 1.0 + 2e-16])
